@@ -30,11 +30,9 @@ shuffle:
 # cover enforces coverage floors on the subsystems whose interesting
 # branches a quick test run can silently stop exercising: the fan-out
 # engine (cancellation, panic relay, backpressure), the job queue
-# (retry classification, drain, admission, store quarantine), and the
-# sharded-replay engine (fallback matrix, panic relay, merge paths).
+# (retry classification, drain, admission, store quarantine).
 FANOUT_COVER_MIN ?= 85.0
 JOBQUEUE_COVER_MIN ?= 80.0
-SHARDREPLAY_COVER_MIN ?= 85.0
 cover:
 	$(GO) test -coverprofile=cover_fanout.out ./internal/fanout
 	@total=$$($(GO) tool cover -func=cover_fanout.out | awk '/^total:/ { sub(/%/, "", $$NF); print $$NF }'); \
@@ -48,21 +46,16 @@ cover:
 	echo "internal/jobqueue coverage: $$total% (floor $(JOBQUEUE_COVER_MIN)%)"; \
 	awk -v got="$$total" -v min="$(JOBQUEUE_COVER_MIN)" \
 		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
-	$(GO) test -coverprofile=cover_shardreplay.out ./internal/shardreplay
-	@total=$$($(GO) tool cover -func=cover_shardreplay.out | awk '/^total:/ { sub(/%/, "", $$NF); print $$NF }'); \
-	rm -f cover_shardreplay.out; \
-	echo "internal/shardreplay coverage: $$total% (floor $(SHARDREPLAY_COVER_MIN)%)"; \
-	awk -v got="$$total" -v min="$(SHARDREPLAY_COVER_MIN)" \
-		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
 
-# fuzz gives each trace-decoder fuzz target a short budget — a smoke pass
-# that exercises the corpus plus a few seconds of mutation, not a soak.
+# fuzz gives each trace-decoder and job-request fuzz target a short budget
+# — a smoke pass that exercises the corpus plus a few seconds of mutation,
+# not a soak.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadDinero -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzLenientReaders -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/shardreplay -run '^$$' -fuzz FuzzShardMerge -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME)
 
 # loadtest runs the cachesimd chaos/load test under the race detector:
 # concurrent clients flood the daemon's HTTP API, a tenth of them with
@@ -86,29 +79,20 @@ bench:
 	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration' -benchtime 1x -benchmem
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
-# telemetry off vs on (BENCH_telemetry.json), the decode-once fan-out
-# replay vs per-configuration decoding (BENCH_fanout.json), and the
-# sharded-replay scaling curve across 1/2/4/8 shards (BENCH_shard.json,
-# with the measuring host's core count recorded alongside).
+# telemetry off vs on (BENCH_telemetry.json) and the decode-once fan-out
+# replay vs per-configuration decoding (BENCH_fanout.json).
 BENCH_JSON_OUT ?= BENCH_telemetry.json
 BENCH_FANOUT_OUT ?= BENCH_fanout.json
-BENCH_SHARD_OUT ?= BENCH_shard.json
 bench-json:
 	BENCH_JSON=$(BENCH_JSON_OUT) $(GO) test . -run TestWriteBenchTelemetryJSON -v
 	BENCH_FANOUT_JSON=$(BENCH_FANOUT_OUT) $(GO) test . -run TestWriteBenchFanoutJSON -v
-	BENCH_SHARD_JSON=$(BENCH_SHARD_OUT) $(GO) test . -run TestWriteBenchShardJSON -v
 
 # bench-gate is the benchmark regression gate: it measures the telemetry
-# off/on replay and shard scaling benchmarks fresh and fails if
-# telemetry-on overhead exceeds 10%, allocs/op on the file-backed replay
-# regresses against the committed BENCH_telemetry.json baseline, or the
-# sharded replay misses its scaling floor (3x at 8 shards on >=8-core
-# hosts; a routing-overhead sanity floor on smaller hosts).
+# off/on replay benchmarks fresh and fails if telemetry-on overhead
+# exceeds 10% or allocs/op on the file-backed replay regresses against
+# the committed BENCH_telemetry.json baseline.
 BENCH_GATE_TMP ?= bench_measured.json
-BENCH_SHARD_GATE_TMP ?= bench_shard_measured.json
 bench-gate:
 	BENCH_JSON=$(BENCH_GATE_TMP) $(GO) test . -run TestWriteBenchTelemetryJSON -v
-	BENCH_SHARD_JSON=$(BENCH_SHARD_GATE_TMP) $(GO) test . -run TestWriteBenchShardJSON -v
-	$(GO) run ./cmd/benchgate -baseline BENCH_telemetry.json -measured $(BENCH_GATE_TMP) \
-		-shard-baseline BENCH_shard.json -shard-measured $(BENCH_SHARD_GATE_TMP)
-	@rm -f $(BENCH_GATE_TMP) $(BENCH_SHARD_GATE_TMP)
+	$(GO) run ./cmd/benchgate -baseline BENCH_telemetry.json -measured $(BENCH_GATE_TMP)
+	@rm -f $(BENCH_GATE_TMP)

@@ -13,12 +13,7 @@
 //     -max-trace-overhead percent slower than the detached path, or
 //   - allocations per op on the file-backed replay regress beyond
 //     -alloc-slack times the committed baseline — the zero-alloc decode
-//     path must stay O(1) allocations per replay, not per line, or
-//   - the sharded-replay scaling artifact (-shard-baseline, the JSON
-//     written by TestWriteBenchShardJSON) shows an 8-shard speedup below
-//     -min-shard-speedup on a host with at least 8 cores. Hosts with
-//     fewer cores cannot demonstrate parallel scaling, so there the gate
-//     degrades to -min-shard-sanity, a routing-overhead ceiling only.
+//     path must stay O(1) allocations per replay, not per line.
 //
 // Run it via `make bench-gate`, which generates the fresh measurement
 // first. With no -measured flag it gates the baseline artifact against
@@ -61,43 +56,6 @@ type report struct {
 	File       fileReplay `json:"file_replay"`
 }
 
-// shardReport mirrors the artifact TestWriteBenchShardJSON writes: the
-// shard-count scaling curve plus the measuring host's core count. The
-// speedup floor is only meaningful when the host actually has the cores
-// the shards are supposed to occupy, so the gate arms itself on the
-// recorded core count rather than pretending a single-core container
-// can demonstrate parallel scaling.
-type shardPoint struct {
-	Shards     int     `json:"shards"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	MAccPerSec float64 `json:"macc_per_sec"`
-	N          int     `json:"n"`
-}
-
-type shardReport struct {
-	Benchmark  string       `json:"benchmark"`
-	Workload   string       `json:"workload"`
-	Cores      int          `json:"cores"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Points     []shardPoint `json:"points"`
-	SpeedupAt8 float64      `json:"speedup_at_8"`
-}
-
-func loadShard(path string) (shardReport, error) {
-	var r shardReport
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(r.Points) == 0 || r.Points[0].NsPerOp <= 0 || r.SpeedupAt8 <= 0 {
-		return r, fmt.Errorf("%s: missing or zero shard measurements", path)
-	}
-	return r, nil
-}
-
 func load(path string) (report, error) {
 	var r report
 	buf, err := os.ReadFile(path)
@@ -126,14 +84,6 @@ func main() {
 		"maximum trace-attached overhead in percent on the fan-out replay")
 	allocSlack := flag.Float64("alloc-slack", 1.5,
 		"allowed multiple of baseline allocs/op on the file-backed replay")
-	shardPath := flag.String("shard-baseline", "",
-		"shard scaling artifact (BENCH_shard.json); empty skips the shard gate")
-	shardMeasuredPath := flag.String("shard-measured", "",
-		"freshly measured shard artifact (defaults to gating the shard baseline)")
-	minShardSpeedup := flag.Float64("min-shard-speedup", 3,
-		"required 8-shard speedup over 1 shard, enforced only when the artifact's host has >= 8 cores")
-	minShardSanity := flag.Float64("min-shard-sanity", 0.4,
-		"required 8-shard speedup on hosts with fewer than 8 cores (a routing-overhead ceiling, not a scaling claim)")
 	flag.Parse()
 
 	baseline, err := load(*baselinePath)
@@ -191,43 +141,6 @@ func main() {
 	checkAllocs("telemetry off", baseline.File.Off, measured.File.Off)
 	checkAllocs("telemetry on", baseline.File.On, measured.File.On)
 
-	// Shard scaling gate. The artifact records the measuring host's core
-	// count: with >= 8 cores the 8-shard speedup floor applies in full;
-	// below that, parallel speedup is physically unavailable, so the gate
-	// degrades to a sanity floor that only catches the sharding machinery
-	// becoming pathologically expensive.
-	shardNote := ""
-	if *shardPath != "" {
-		sb, err := loadShard(*shardPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		sm := sb
-		if *shardMeasuredPath != "" {
-			sm, err = loadShard(*shardMeasuredPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchgate:", err)
-				os.Exit(2)
-			}
-		}
-		if sm.Cores >= 8 {
-			if sm.SpeedupAt8 < *minShardSpeedup {
-				fail("sharded replay: 8-shard speedup %.2fx below floor %.2fx on a %d-core host",
-					sm.SpeedupAt8, *minShardSpeedup, sm.Cores)
-			}
-			shardNote = fmt.Sprintf("; shard speedup at 8 %.2fx (floor %.2fx, %d cores)",
-				sm.SpeedupAt8, *minShardSpeedup, sm.Cores)
-		} else {
-			if sm.SpeedupAt8 < *minShardSanity {
-				fail("sharded replay: 8-shard throughput ratio %.2fx below sanity floor %.2fx — routing overhead regressed (host has only %d cores, full %.2fx floor disarmed)",
-					sm.SpeedupAt8, *minShardSanity, sm.Cores, *minShardSpeedup)
-			}
-			shardNote = fmt.Sprintf("; shard ratio at 8 %.2fx on %d-core host (full %.2fx floor needs >= 8 cores)",
-				sm.SpeedupAt8, sm.Cores, *minShardSpeedup)
-		}
-	}
-
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
@@ -236,10 +149,10 @@ func main() {
 	}
 	fmt.Printf("benchgate: ok — in-memory overhead %.1f%%, introspection overhead %.1f%% (budget %.1f%%), "+
 		"trace overhead %.1f%% (budget %.1f%%), file-backed overhead %.1f%% (budget %.1f%%); "+
-		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f)%s\n",
+		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f)\n",
 		measured.OverheadP, measured.IntroOverP, *maxIntrospect,
 		measured.TraceOverP, *maxTrace,
 		measured.File.OverheadP, *maxOverhead,
 		measured.File.Off.AllocsPerOp, measured.File.On.AllocsPerOp,
-		baseline.File.Off.AllocsPerOp, baseline.File.On.AllocsPerOp, *allocSlack, shardNote)
+		baseline.File.Off.AllocsPerOp, baseline.File.On.AllocsPerOp, *allocSlack)
 }

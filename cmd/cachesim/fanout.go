@@ -83,9 +83,18 @@ func parseFanoutSpec(s string, def feSpec) (feSpec, string, error) {
 	return sp, label, nil
 }
 
-// frontEnd builds the configured first-level system, mirroring the
-// single-configuration switch in run.
+// frontEnd builds the configured first-level system. The
+// single-configuration replay and every fan-out spec build through it,
+// so both reject the same flag values.
 func (sp feSpec) frontEnd() (core.FrontEnd, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"misscache", sp.missCache}, {"victim", sp.victim}, {"ways", sp.ways}, {"depth", sp.depth}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("%s must not be negative, got %d", f.name, f.v)
+		}
+	}
 	if sp.missCache > 0 && (sp.victim > 0 || sp.ways > 0) {
 		return nil, fmt.Errorf("misscache cannot be combined with victim or ways")
 	}

@@ -20,7 +20,6 @@ import (
 	"jouppi/internal/core"
 	"jouppi/internal/introspect"
 	"jouppi/internal/memtrace"
-	"jouppi/internal/shardreplay"
 	"jouppi/internal/telemetry"
 	"jouppi/internal/textplot"
 	"jouppi/internal/version"
@@ -53,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		missSample = fs.Int("misssample", 0, "sample every Nth L1 miss into a bounded event ring (0 = off)")
 		missCap    = fs.Int("misscap", 0, "miss-event ring capacity (default 1024)")
 		missDump   = fs.String("missdump", "", "write the sampled miss events as JSONL to this file (enables -misssample 1 unless set)")
-		shards     = fs.Int("shards", 1, "replay the single configuration on this many set-partitioned shards (results are bit-identical; configurations with globally-coupled structures fall back to sequential with a note)")
 		lenient    = fs.Bool("lenient", false, "skip malformed trace records (up to -maxdrops) and report the degradation instead of failing")
 		maxDrops   = fs.Uint64("maxdrops", 1<<20, "malformed-record cap in -lenient mode (0 = unlimited)")
 		metrics    = fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address for the duration of the replay")
@@ -73,16 +71,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cachesim: -trace is required")
 		return 2
 	}
-	if *missCache > 0 && (*victim > 0 || *ways > 0) {
-		fmt.Fprintln(stderr, "cachesim: -misscache cannot be combined with -victim or -ways")
-		return 2
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-phase", *phase}, {"-misssample", *missSample}, {"-misscap", *missCap}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "cachesim: %s must not be negative, got %d\n", f.name, f.v)
+			return 2
+		}
 	}
 	if *fanouts != "" && *classify3 {
 		fmt.Fprintln(stderr, "cachesim: -classify is not supported with -fanout")
-		return 2
-	}
-	if *fanouts != "" && *shards > 1 {
-		fmt.Fprintln(stderr, "cachesim: -shards is not supported with -fanout (fan-out already parallelizes across configurations)")
 		return 2
 	}
 	if *missDump != "" && *missSample == 0 {
@@ -92,6 +91,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *fanouts != "" && introOn {
 		fmt.Fprintln(stderr, "cachesim: -phase/-heatmap/-misssample/-missdump are not supported with -fanout")
 		return 2
+	}
+
+	// The single configuration is built (and so validated) before any
+	// I/O; a fan-out validates each of its specs the same way.
+	def := feSpec{size: *size, line: *line, assoc: *assoc,
+		missCache: *missCache, victim: *victim,
+		ways: *ways, depth: *depth, quasi: *quasi, stride: *stride}
+	var fe core.FrontEnd
+	if *fanouts == "" {
+		var err error
+		if fe, err = def.frontEnd(); err != nil {
+			fmt.Fprintln(stderr, "cachesim:", err)
+			return 2
+		}
 	}
 
 	// Observability plumbing. The registry backs both the /metrics
@@ -164,9 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *fanouts != "" {
-		def := feSpec{size: *size, line: *line, assoc: *assoc,
-			missCache: *missCache, victim: *victim,
-			ways: *ways, depth: *depth, quasi: *quasi, stride: *stride}
 		var prog *telemetry.Progress
 		if *progress {
 			prog = telemetry.NewProgress(stderr, decoded, nil, nil)
@@ -176,57 +186,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runFanout(stdout, stderr, *fanouts, def, src, keep, reg, srcErr, degr, *lenient)
 	}
 
-	l1cfg := cache.Config{Name: "L1", Size: *size, LineSize: *line, Assoc: *assoc}
-	if err := l1cfg.Validate(); err != nil {
-		fmt.Fprintln(stderr, "cachesim:", err)
-		return 2
-	}
-
-	if *shards > 1 {
-		// Structures coupled through the global access stream cannot
-		// shard; declare them so the planner's fallback says why. The
-		// decision only routes work — results are bit-identical either way.
-		var coupled []string
-		if *missCache > 0 {
-			coupled = append(coupled, "-misscache: the miss cache is a shared fully-associative structure ordered by the global miss stream")
-		}
-		if *victim > 0 {
-			coupled = append(coupled, "-victim: the victim cache is a shared fully-associative structure ordered by the global eviction stream")
-		}
-		if *ways > 0 {
-			coupled = append(coupled, "-ways: stream buffers are allocated by the global miss stream")
-		}
-		if *classify3 {
-			coupled = append(coupled, "-classify: the 3C classifier keeps a global fully-associative LRU shadow")
-		}
-		if introOn {
-			coupled = append(coupled, "-phase/-heatmap/-misssample: introspection observers are ordered by the global access stream")
-		}
-		dec := shardreplay.PlanCache(l1cfg, *shards, coupled...)
-		if dec.Sharded() {
-			return runShardedReplay(stdout, stderr, dec, l1cfg, src, keep, reg,
-				srcErr, degr, *lenient, *progress, decoded)
-		}
-		fmt.Fprintf(stderr, "cachesim: replaying sequentially: %s\n", dec.Fallback)
-	}
-
-	l1 := cache.MustNew(l1cfg)
-
-	var fe core.FrontEnd
-	timing := core.DefaultTiming()
-	streamCfg := core.StreamConfig{Ways: *ways, Depth: *depth, Quasi: *quasi, DetectStride: *stride}
-	switch {
-	case *missCache > 0:
-		fe = core.NewMissCache(l1, *missCache, nil, timing)
-	case *victim > 0 && *ways > 0:
-		fe = core.NewCombined(l1, *victim, streamCfg, nil, timing)
-	case *victim > 0:
-		fe = core.NewVictimCache(l1, *victim, nil, timing)
-	case *ways > 0:
-		fe = core.NewStreamBuffer(l1, streamCfg, nil, timing)
-	default:
-		fe = core.NewBaseline(l1, nil, timing)
-	}
+	l1 := fe.Cache()
+	l1cfg := l1.Config()
 
 	var cl *classify.Classifier
 	if *classify3 {
@@ -373,4 +334,71 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// feTel publishes the replayed front-end's outcome counters as deltas
+// of its own stats, flushed every telFlushEvery kept accesses and at end
+// of replay.
+type feTel struct {
+	accesses, l1Hits, auxHits, missCacheHits, victimHits, streamHits, fullMisses *telemetry.Counter
+	last                                                                         core.Stats
+	pending                                                                      int
+}
+
+func newFETel(reg *telemetry.Registry) *feTel {
+	if reg == nil {
+		return nil
+	}
+	return &feTel{
+		accesses:      reg.Counter("sim_replay_accesses_total", "references replayed through the cache under study"),
+		l1Hits:        reg.Counter("sim_l1_hits_total", "first-level cache hits"),
+		auxHits:       reg.Counter("sim_aux_hits_total", "hits in any auxiliary structure"),
+		missCacheHits: reg.Counter("sim_miss_cache_hits_total", "miss-cache hits"),
+		victimHits:    reg.Counter("sim_victim_hits_total", "victim-cache hits"),
+		streamHits:    reg.Counter("sim_stream_hits_total", "stream-buffer hits"),
+		fullMisses:    reg.Counter("sim_full_misses_total", "misses served by the next level"),
+	}
+}
+
+func addDelta(c *telemetry.Counter, cur, last uint64) {
+	if cur != last {
+		c.Add(cur - last)
+	}
+}
+
+func (t *feTel) publish(cur core.Stats) {
+	addDelta(t.accesses, cur.Accesses, t.last.Accesses)
+	addDelta(t.l1Hits, cur.L1Hits, t.last.L1Hits)
+	addDelta(t.auxHits, cur.AuxHits, t.last.AuxHits)
+	addDelta(t.missCacheHits, cur.MissCacheHits, t.last.MissCacheHits)
+	addDelta(t.victimHits, cur.VictimHits, t.last.VictimHits)
+	addDelta(t.streamHits, cur.StreamHits, t.last.StreamHits)
+	addDelta(t.fullMisses, cur.FullMisses(), t.last.FullMisses())
+	t.last = cur
+	t.pending = 0
+}
+
+// printStats renders the replayed front-end's counters.
+func printStats(stdout io.Writer, name string, size, line, assoc int, st core.Stats, degraded string) {
+	fmt.Fprintf(stdout, "configuration:   %s over %dB/%dB/%d-way cache\n", name, size, line, assoc)
+	if degraded != "" {
+		// The degradation report rides alongside the results so damaged
+		// inputs are visible, never silent.
+		fmt.Fprintf(stdout, "degradation:     %s\n", degraded)
+	}
+	fmt.Fprintf(stdout, "accesses:        %d\n", st.Accesses)
+	fmt.Fprintf(stdout, "L1 hits:         %d\n", st.L1Hits)
+	fmt.Fprintf(stdout, "L1 misses:       %d (raw rate %.4f)\n", st.L1Misses, st.RawMissRate())
+	if st.AuxHits > 0 {
+		fmt.Fprintf(stdout, "aux hits:        %d (victim %d, miss-cache %d, stream %d)\n",
+			st.AuxHits, st.VictimHits, st.MissCacheHits, st.StreamHits)
+	}
+	fmt.Fprintf(stdout, "full misses:     %d (effective rate %.4f)\n", st.FullMisses(), st.MissRate())
+	if st.PrefetchIssued > 0 {
+		fmt.Fprintf(stdout, "prefetches:      %d issued, %d used (%.1f%% accuracy)\n",
+			st.PrefetchIssued, st.PrefetchUsed,
+			100*float64(st.PrefetchUsed)/float64(st.PrefetchIssued))
+	}
+	fmt.Fprintf(stdout, "stall cycles:    %d (%.2f per access)\n",
+		st.StallCycles, float64(st.StallCycles)/float64(max(1, st.Accesses)))
 }

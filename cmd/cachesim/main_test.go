@@ -126,3 +126,35 @@ func TestStreamOnlyRunWithOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeCountsRejected pins that a negative structure count or
+// introspection setting is a usage error on both replay paths, never a
+// silent fall-back to the baseline.
+func TestNegativeCountsRejected(t *testing.T) {
+	path := writeTestTrace(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-victim", "-2"}, "victim must not be negative"},
+		{[]string{"-misscache", "-1"}, "misscache must not be negative"},
+		{[]string{"-ways", "-1"}, "ways must not be negative"},
+		{[]string{"-ways", "2", "-depth", "-4"}, "depth must not be negative"},
+		{[]string{"-fanout", "victim=-2;ways=-1"}, "victim must not be negative"},
+		{[]string{"-fanout", "victim=4;ways=2,depth=-1"}, "depth must not be negative"},
+		{[]string{"-misscache", "-3", "-fanout", ";victim=4"}, "misscache must not be negative"},
+		{[]string{"-phase", "-5"}, "-phase must not be negative"},
+		{[]string{"-misssample", "-3"}, "-misssample must not be negative"},
+		{[]string{"-misscap", "-1"}, "-misscap must not be negative"},
+		{[]string{"-phase", "-5", "-fanout", "victim=4"}, "-phase must not be negative"},
+	} {
+		args := append([]string{"-trace", path}, tc.args...)
+		code, out, errOut := runCmd(t, args...)
+		if code != 2 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q (want exit 2 containing %q)", tc.args, code, errOut, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: printed results for a rejected configuration:\n%s", tc.args, out)
+		}
+	}
+}

@@ -163,17 +163,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Accesses += other.Accesses
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Fills += other.Fills
-	s.Evictions += other.Evictions
-	s.Writebacks += other.Writebacks
-	s.Writes += other.Writes
-}
-
 // Counters is the optional live telemetry of a Cache: registry counters
 // for the same events the plain Stats already count. The cache's probe
 // and fill fast paths never touch these — the Stats struct is the

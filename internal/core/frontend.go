@@ -160,27 +160,6 @@ type Stats struct {
 // L1 misses not covered by any augmentation.
 func (s Stats) FullMisses() uint64 { return s.L1Misses - s.AuxHits }
 
-// Add accumulates other into s. Every field is a plain event count, so
-// adding the stats of replays over disjoint parts of a trace yields
-// exactly the stats of one replay over the whole trace — the property
-// the sharded-replay merge relies on.
-func (s *Stats) Add(other Stats) {
-	s.Accesses += other.Accesses
-	s.L1Hits += other.L1Hits
-	s.L1Misses += other.L1Misses
-	s.AuxHits += other.AuxHits
-	s.VictimHits += other.VictimHits
-	s.MissCacheHits += other.MissCacheHits
-	s.StreamHits += other.StreamHits
-	s.StreamInFlightHits += other.StreamInFlightHits
-	s.OverlapHits += other.OverlapHits
-	s.Fetches += other.Fetches
-	s.PrefetchIssued += other.PrefetchIssued
-	s.PrefetchUsed += other.PrefetchUsed
-	s.Writebacks += other.Writebacks
-	s.StallCycles += other.StallCycles
-}
-
 // MissRate returns the effective miss rate after augmentation: full misses
 // per access.
 func (s Stats) MissRate() float64 {

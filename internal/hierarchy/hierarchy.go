@@ -100,13 +100,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Defaulted returns the configuration with every zero-valued field
-// resolved to the paper baseline — the exact geometry New would build.
-// Callers that analyse a configuration without constructing a system
-// (the sharded-replay planner) use it to see the same geometry the
-// system will have.
-func (c Config) Defaulted() Config { return c.withDefaults() }
-
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.L1I.Size == 0 {
@@ -139,29 +132,12 @@ type L2Stats struct {
 	StreamHits uint64
 }
 
-// Add accumulates other into s (plain event counts, so per-shard stats
-// sum exactly to whole-trace stats).
-func (s *L2Stats) Add(other L2Stats) {
-	s.DemandAccesses += other.DemandAccesses
-	s.DemandMisses += other.DemandMisses
-	s.PrefetchAccesses += other.PrefetchAccesses
-	s.PrefetchMisses += other.PrefetchMisses
-	s.VictimHits += other.VictimHits
-	s.StreamHits += other.StreamHits
-}
-
 // MemStats counts main-memory traffic (fetches below the L2).
 type MemStats struct {
 	// DemandFetches are memory lines fetched because an L2 demand access
 	// missed everywhere; PrefetchFetches are issued by L2 stream buffers.
 	DemandFetches   uint64
 	PrefetchFetches uint64
-}
-
-// Add accumulates other into s.
-func (s *MemStats) Add(other MemStats) {
-	s.DemandFetches += other.DemandFetches
-	s.PrefetchFetches += other.PrefetchFetches
 }
 
 // System is a runnable two-level memory hierarchy.
@@ -540,38 +516,6 @@ func (s *System) Results(instructions uint64) Results {
 		Mem:          s.mem,
 		Breakdown:    perfmodel.Compute(in, s.cfg.Perf),
 	}
-}
-
-// MergeResults combines the per-shard results of a set-partitioned
-// replay into the results of the equivalent sequential replay. Every
-// stats field is a plain event count over a disjoint slice of the
-// address stream, so the sums are exact, and the performance breakdown
-// is recomputed from the merged counts with cfg's parameters — the same
-// pure function of the same integers Results would have computed
-// sequentially, hence bit-identical floats. instructions is the whole
-// trace's dynamic instruction count (counted once at the producer; the
-// per-shard results carry no meaningful instruction count of their own).
-func MergeResults(cfg Config, instructions uint64, parts ...Results) Results {
-	cfg = cfg.withDefaults()
-	out := Results{Instructions: instructions}
-	for _, p := range parts {
-		out.I.Add(p.I)
-		out.D.Add(p.D)
-		out.L2I.Add(p.L2I)
-		out.L2D.Add(p.L2D)
-		out.Mem.Add(p.Mem)
-	}
-	in := perfmodel.Inputs{
-		Instructions:    instructions,
-		L1IFullMisses:   out.I.FullMisses(),
-		L1DFullMisses:   out.D.FullMisses(),
-		IAuxHits:        out.I.AuxHits,
-		DAuxHits:        out.D.AuxHits,
-		L2IDemandMisses: out.L2I.DemandMisses,
-		L2DDemandMisses: out.L2D.DemandMisses,
-	}
-	out.Breakdown = perfmodel.Compute(in, cfg.Perf)
-	return out
 }
 
 // IFrontEnd returns the instruction-side front-end (for inspection).

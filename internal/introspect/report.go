@@ -74,27 +74,6 @@ func RenderHeat(title string, heat []SetCounts, m HeatMetric, cols int) string {
 	return textplot.HeatMap(title, values, cols)
 }
 
-// MergeHeat sums per-set heatmaps element-wise. Under a set-partitioned
-// sharded replay every L1 set belongs to exactly one shard, so each
-// set's row is non-zero in at most one part and the merged heatmap is
-// exactly the sequential replay's. Parts of differing lengths (probes
-// over different geometries) must not be mixed; the longest length
-// wins and shorter parts contribute to their prefix.
-func MergeHeat(parts ...[]SetCounts) []SetCounts {
-	var out []SetCounts
-	for _, p := range parts {
-		if len(p) > len(out) {
-			out = append(out, make([]SetCounts, len(p)-len(out))...)
-		}
-		for i, h := range p {
-			out[i].Accesses += h.Accesses
-			out[i].Misses += h.Misses
-			out[i].Evictions += h.Evictions
-		}
-	}
-	return out
-}
-
 // TopSets returns the indices of the n sets with the largest metric,
 // descending (ties broken by lower set index). Sets with a zero metric
 // are omitted, so fewer than n entries may come back.

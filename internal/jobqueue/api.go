@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -41,11 +42,6 @@ type SubmitRequest struct {
 	Deadline string `json:"deadline,omitempty"`
 	// Retries overrides the server's retry budget when non-nil.
 	Retries *int `json:"retries,omitempty"`
-	// Shards replays each configuration on this many set-partitioned
-	// shards (0 or 1 = sequential; max 64). Results are bit-identical
-	// either way — configurations that cannot shard fall back to a
-	// sequential replay — so shards does not change the job's cache key.
-	Shards int `json:"shards,omitempty"`
 }
 
 // ToSpec validates the request into a runnable Spec.
@@ -57,7 +53,6 @@ func (r *SubmitRequest) ToSpec() (*Spec, error) {
 		Lenient:     r.Lenient,
 		MaxDrops:    r.MaxDrops,
 		Retries:     -1,
-		Shards:      r.Shards,
 	}
 	if r.Trace != "" {
 		data, err := base64.StdEncoding.DecodeString(r.Trace)
@@ -152,11 +147,20 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit parses a POST /jobs body. Unknown fields are rejected, so
+// a field the API does not have (the retired "shards", a typo) gets a
+// 400 that names it instead of being silently ignored.
+func decodeSubmit(r io.Reader) (SubmitRequest, error) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("parsing request: %v", err)})
 		return
 	}

@@ -148,6 +148,25 @@ func TestAPIBadRequests(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsShardsField pins that the retired "shards" job field is
+// refused with a 400 that names it, not silently served sequentially.
+func TestAPIRejectsShardsField(t *testing.T) {
+	srv, _, _ := newTestServer(t, Options{Workers: 1})
+	resp, err := http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"benchmark": "liver", "scale": 0.02, "shards": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body apiError
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `unknown field "shards"`) {
+		t.Fatalf("POST with shards = %d %q, want 400 naming the field", resp.StatusCode, body.Error)
+	}
+}
+
 func TestAPIQueueFullReturns429WithRetryAfter(t *testing.T) {
 	release := make(chan struct{})
 	srv, _, _ := newTestServer(t, Options{

@@ -105,21 +105,6 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 		TraceDigest: spec.TraceDigest(),
 	}
 	if spec.Benchmark != "" {
-		// With Shards > 1 each configuration replays on its own sharded
-		// system (intra-config parallelism); otherwise all configurations
-		// share one generated stream through the fan-out engine
-		// (inter-config parallelism). Same numbers either way — sharded
-		// replay is bit-identical or falls back.
-		if spec.Shards > 1 {
-			for _, c := range spec.Configs {
-				r, _, err := sim.ReplayShardedContext(ctx, spec.Benchmark, spec.Scale, spec.Shards, nil, c.Config)
-				if err != nil {
-					return nil, err
-				}
-				body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: r})
-			}
-			return body, nil
-		}
 		cfgs := make([]sim.Config, len(spec.Configs))
 		for i, c := range spec.Configs {
 			cfgs[i] = c.Config
@@ -154,22 +139,6 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 	}
 	for _, c := range spec.Configs {
 		_, csp := trace.Start(ctx, "replay", trace.String("config", c.Label))
-		if spec.Shards > 1 {
-			ssys, err := sim.NewShardedSystem(c.Config, spec.Shards)
-			if err != nil {
-				csp.End()
-				return nil, Permanent(fmt.Errorf("jobqueue: config %q: %w", c.Label, err))
-			}
-			csp.SetAttr("shards", fmt.Sprint(ssys.Info().Shards))
-			if err := ssys.ReplaySource(ctx, tr.Source()); err != nil {
-				csp.SetAttr("err", err.Error())
-				csp.End()
-				return nil, err
-			}
-			csp.End()
-			body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: ssys.Results()})
-			continue
-		}
 		sys, err := sim.NewSystem(c.Config)
 		if err != nil {
 			csp.End()

@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"jouppi/internal/hierarchy"
 	"jouppi/internal/trace"
 	"jouppi/sim"
 )
@@ -55,13 +57,6 @@ type Spec struct {
 	// Retries re-runs a retryably-failed job this many extra times,
 	// paced by the queue's backoff policy. -1 means the queue default.
 	Retries int
-	// Shards replays each configuration on this many set-partitioned
-	// shards (0 or 1 = sequential). Sharding is pure execution policy:
-	// results are bit-identical (configurations that cannot shard fall
-	// back to a sequential replay automatically), so Shards is excluded
-	// from the cache key — a sharded and a sequential submission of the
-	// same job share one result.
-	Shards int
 }
 
 // Validate checks a Spec the way Submit will rely on it.
@@ -100,9 +95,6 @@ func (s *Spec) Validate() error {
 	if s.Retries < -1 {
 		return fmt.Errorf("jobqueue: negative retries")
 	}
-	if s.Shards < 0 || s.Shards > 64 {
-		return fmt.Errorf("jobqueue: shards must be between 0 and 64, got %d", s.Shards)
-	}
 	return nil
 }
 
@@ -140,9 +132,8 @@ func (s *Spec) TraceDigest() string {
 // configuration list, and the build version. Identical submissions to
 // the same binary collapse to one key; any difference in input, config,
 // or code yields a different one. Execution policy — Timeout, Deadline,
-// Retries, Shards — is deliberately excluded: it changes how the result
-// is computed, never what it is (sharded replay is bit-identical by the
-// shardreplay differential suite), so policy variants share one result.
+// Retries — is deliberately excluded: it changes how hard the queue
+// tries, never what the result is, so policy variants share one result.
 func (s *Spec) CacheKey(version string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "trace=%s format=%s lenient=%t maxdrops=%d\n",
@@ -171,8 +162,9 @@ func (s *Spec) CacheKey(version string) string {
 //	quasi=bool, stride=bool    stream buffer extensions (both sides)
 //	l2victim=N                 victim cache behind the L2
 //
-// Every parsed configuration is validated by constructing the system,
-// so a spec that parses is a spec that runs.
+// Every parsed configuration is checked against the limits below and
+// then validated by constructing the system, so a spec that parses is a
+// spec that runs.
 func ParseConfigs(s string) ([]ConfigSpec, error) {
 	var out []ConfigSpec
 	for _, one := range strings.Split(s, ";") {
@@ -180,12 +172,83 @@ func ParseConfigs(s string) ([]ConfigSpec, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkLimits(cfg); err != nil {
+			return nil, fmt.Errorf("jobqueue: config %q: %w", label, err)
+		}
 		if _, err := sim.NewSystem(cfg); err != nil {
 			return nil, fmt.Errorf("jobqueue: config %q: %w", label, err)
 		}
 		out = append(out, ConfigSpec{Label: label, Config: cfg})
 	}
 	return out, nil
+}
+
+// Limits on a job's configurations. Building a system allocates its
+// caches and auxiliary structures, so without these bounds a request of
+// about a hundred bytes could make ParseConfigs allocate gigabytes
+// before any admission check. Each is far above every configuration in
+// the paper, whose largest cache is the 1 MiB L2 and whose auxiliary
+// structures hold at most 16 entries.
+const (
+	// MaxCacheBytes bounds the size of every cache (L1I, L1D, L2).
+	MaxCacheBytes = 4 << 20
+	// MaxCacheLines bounds every cache's line count (size over line
+	// size), which is what its arrays are allocated by.
+	MaxCacheLines = 1 << 18
+	// MaxAuxEntries bounds miss-cache and victim-cache entries at
+	// either level.
+	MaxAuxEntries = 1024
+	// MaxStreamWays and MaxStreamDepth bound each set of stream buffers.
+	MaxStreamWays  = 64
+	MaxStreamDepth = 64
+)
+
+// checkLimits rejects a configuration that exceeds the limits above.
+// Unset geometry takes the paper baseline's, as the built system would.
+func checkLimits(c sim.Config) error {
+	def := hierarchy.DefaultConfig()
+	for _, g := range []struct {
+		name       string
+		size, line int
+	}{
+		{"L1I", cmp.Or(c.L1I.Size, def.L1I.Size), cmp.Or(c.L1I.LineSize, def.L1I.LineSize)},
+		{"L1D", cmp.Or(c.L1D.Size, def.L1D.Size), cmp.Or(c.L1D.LineSize, def.L1D.LineSize)},
+		{"L2", cmp.Or(c.L2.Size, def.L2.Size), cmp.Or(c.L2.LineSize, def.L2.LineSize)},
+	} {
+		if g.size > MaxCacheBytes {
+			return fmt.Errorf("%s size %d exceeds the limit of %d bytes", g.name, g.size, MaxCacheBytes)
+		}
+		if g.line > 0 && g.size/g.line > MaxCacheLines {
+			return fmt.Errorf("%s holds %d lines, above the limit of %d", g.name, g.size/g.line, MaxCacheLines)
+		}
+	}
+	for _, a := range []struct {
+		key string
+		n   int
+	}{
+		{"misscache", c.D.MissCacheEntries}, {"imisscache", c.I.MissCacheEntries},
+		{"victim", c.D.VictimCacheEntries}, {"ivictim", c.I.VictimCacheEntries},
+		{"l2victim", c.L2VictimEntries},
+	} {
+		if a.n > MaxAuxEntries {
+			return fmt.Errorf("%s=%d exceeds the limit of %d entries", a.key, a.n, MaxAuxEntries)
+		}
+	}
+	for _, st := range []struct {
+		prefix string
+		opt    *sim.StreamOptions
+	}{{"", c.D.Stream}, {"i", c.I.Stream}} {
+		if st.opt == nil {
+			continue
+		}
+		if st.opt.Ways > MaxStreamWays {
+			return fmt.Errorf("%sways=%d exceeds the limit of %d", st.prefix, st.opt.Ways, MaxStreamWays)
+		}
+		if st.opt.Depth > MaxStreamDepth {
+			return fmt.Errorf("%sdepth=%d exceeds the limit of %d", st.prefix, st.opt.Depth, MaxStreamDepth)
+		}
+	}
+	return nil
 }
 
 // parseOneConfig parses one semicolon-separated element of a config

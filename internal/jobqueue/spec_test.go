@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -171,6 +172,41 @@ func TestParseConfigsGrammar(t *testing.T) {
 	} {
 		if _, err := ParseConfigs(bad); err == nil {
 			t.Errorf("ParseConfigs(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseConfigsLimits pins every size and count key at its limit
+// (accepted) and one step past it (rejected by the limit check, before
+// any system is built).
+func TestParseConfigsLimits(t *testing.T) {
+	bytesAt, bytesPast := fmt.Sprint(MaxCacheBytes), fmt.Sprint(2*MaxCacheBytes)
+	auxAt, auxPast := fmt.Sprint(MaxAuxEntries), fmt.Sprint(MaxAuxEntries+1)
+	waysAt, waysPast := fmt.Sprint(MaxStreamWays), fmt.Sprint(MaxStreamWays+1)
+	depthAt, depthPast := fmt.Sprint(MaxStreamDepth), fmt.Sprint(MaxStreamDepth+1)
+	// A 1 MiB cache with 4-byte lines holds exactly MaxCacheLines lines.
+	for _, tc := range []struct{ at, past string }{
+		{"size=" + bytesAt, "size=" + bytesPast},
+		{"isize=" + bytesAt, "isize=" + bytesPast},
+		{"dsize=" + bytesAt, "dsize=" + bytesPast},
+		{"l2size=" + bytesAt, "l2size=" + bytesPast},
+		{"size=1048576,line=4", "size=1048576,line=2"},
+		{"l2line=4", "l2line=2"},
+		{"misscache=" + auxAt, "misscache=" + auxPast},
+		{"imisscache=" + auxAt, "imisscache=" + auxPast},
+		{"victim=" + auxAt, "victim=" + auxPast},
+		{"ivictim=" + auxAt, "ivictim=" + auxPast},
+		{"l2victim=" + auxAt, "l2victim=" + auxPast},
+		{"ways=" + waysAt, "ways=" + waysPast},
+		{"iways=" + waysAt, "iways=" + waysPast},
+		{"ways=4,depth=" + depthAt, "ways=4,depth=" + depthPast},
+		{"iways=1,idepth=" + depthAt, "iways=1,idepth=" + depthPast},
+	} {
+		if _, err := ParseConfigs(tc.at); err != nil {
+			t.Errorf("ParseConfigs(%q) at the limit: %v", tc.at, err)
+		}
+		if _, err := ParseConfigs(tc.past); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("ParseConfigs(%q) past the limit: err %v, want a limit error", tc.past, err)
 		}
 	}
 }
