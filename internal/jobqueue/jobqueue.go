@@ -475,12 +475,6 @@ func (q *Queue) runJob(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	job.mu.Unlock()
-	job.queueWait.End()
-	q.tel.depth.Add(-1)
-	q.tel.running.Add(1)
-	defer q.tel.running.Add(-1)
-	q.log.Info("job running", "job", job.id, "span", job.root.ID(),
-		"queue_wait_s", job.started.Sub(job.created).Seconds())
 
 	// The root span rides the worker's context from here on: every stage
 	// below — attempts, backoff sleeps, trace decode, fan-out replay,
@@ -491,16 +485,24 @@ func (q *Queue) runJob(job *Job) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
+
+	// "run" covers everything between queue wait and settlement: all
+	// attempts, the backoff sleeps between them, and the result-store
+	// write. It opens just before queue-wait closes, so the two abut and
+	// the cost of publishing the queue-wait span falls inside run:
+	// together they account for the root's wall-clock to within
+	// scheduling noise.
+	rctx, runSpan := trace.Start(ctx, "run")
+	job.queueWait.End()
+	q.tel.depth.Add(-1)
+	q.tel.running.Add(1)
+	defer q.tel.running.Add(-1)
+	q.log.Info("job running", "job", job.id, "span", job.root.ID(),
+		"queue_wait_s", job.started.Sub(job.created).Seconds())
 	retries := job.spec.Retries
 	if retries < 0 {
 		retries = q.opts.Retries
 	}
-
-	// "run" covers everything between queue wait and settlement: all
-	// attempts, the backoff sleeps between them, and the result-store
-	// write. Together with queue-wait it accounts for the root's
-	// wall-clock to within scheduling noise.
-	rctx, runSpan := trace.Start(ctx, "run")
 
 	var (
 		body    []byte
@@ -603,9 +605,10 @@ func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 		"state", string(state), "attempts", attempts,
 		"elapsed_s", elapsed.Seconds(), "err", errText)
 
-	job.events.Close()
-	close(job.done)
-
+	// Unpublish the job and count it before waking its waiters: a caller
+	// that returns from Wait must see the metrics already updated, and an
+	// identical resubmission must go to the result store, not join this
+	// finished job.
 	q.mu.Lock()
 	if q.byKey[job.key] == job {
 		delete(q.byKey, job.key)
@@ -624,6 +627,9 @@ func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 		q.tel.retries.Add(uint64(attempts - 1))
 	}
 	q.tel.duration.Observe(elapsed.Seconds())
+
+	job.events.Close()
+	close(job.done)
 }
 
 // DrainSummary reports what a drain did.
