@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test shuffle cover bench bench-json bench-gate fuzz loadtest loadtest-full trace-e2e
+.PHONY: all check fmt vet build test bench-check shuffle cover bench bench-json bench-gate fuzz loadtest loadtest-full trace-e2e
 
 all: check
 
 # check chains every gate in order: formatting, vet, build, the full test
-# suite under the race detector, a fuzz smoke pass, then a short benchmark
-# pass.
-check: fmt vet build test fuzz bench
+# suite under the race detector, the bench module's vet and tests, a fuzz
+# smoke pass, then a short benchmark pass.
+check: fmt vet build test bench-check fuzz bench
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -21,6 +21,12 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# bench-check vets and tests the benchmark harness. bench/ is its own
+# module (it imports sim and internal packages through a replace
+# directive), so the root build and test never compile it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # shuffle reruns the whole suite in randomized test and subtest order to
 # flush out inter-test state dependence.
@@ -47,7 +53,8 @@ cover:
 	awk -v got="$$total" -v min="$(JOBQUEUE_COVER_MIN)" \
 		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
 
-# fuzz gives each trace-decoder and job-request fuzz target a short budget
+# fuzz gives each trace-decoder, configuration-grammar and job-request
+# fuzz target a short budget
 # — a smoke pass that exercises the corpus plus a few seconds of mutation,
 # not a soak.
 FUZZTIME ?= 5s
@@ -55,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadDinero -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzLenientReaders -fuzztime $(FUZZTIME)
+	$(GO) test ./sim -run '^$$' -fuzz FuzzConfigGrammar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME)
 
 # loadtest runs the cachesimd chaos/load test under the race detector:

@@ -4,119 +4,65 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/fanout"
+	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
+	"jouppi/sim"
 )
 
-// feSpec is one first-level configuration of a fan-out replay. Fields
-// default to the main command-line flags, so a spec only names what it
-// changes.
-type feSpec struct {
-	size, line, assoc              int
-	missCache, victim, ways, depth int
-	quasi, stride                  bool
+// frontEnds parses list over base (the main-flag configuration) and
+// builds each configuration's front end. The single replay is the empty
+// list.
+func frontEnds(list string, base sim.Config) ([]string, []core.FrontEnd, error) {
+	cfgs, err := sim.ParseConfigs(list, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	var labels []string
+	var fes []core.FrontEnd
+	for _, c := range cfgs {
+		fe, err := frontEnd(c.Config, base)
+		if err != nil {
+			return nil, nil, fmt.Errorf("config %q: %w", c.Label, err)
+		}
+		labels, fes = append(labels, c.Label), append(fes, fe)
+	}
+	return labels, fes, nil
 }
 
-// parseFanoutSpec parses one semicolon-separated element of -fanout: a
-// comma-separated key=value list over the feSpec fields. The empty spec
-// is the main-flag configuration, labelled "baseline".
-func parseFanoutSpec(s string, def feSpec) (feSpec, string, error) {
-	sp := def
-	label := strings.TrimSpace(s)
-	if label == "" {
-		label = "baseline"
+// frontEnd builds the one cache cachesim replays: the data side of cfg.
+// cachesim has no instruction side and no L2, so a spec that would
+// change either is an error rather than ignored.
+func frontEnd(cfg, base sim.Config) (core.FrontEnd, error) {
+	rest := cfg
+	rest.L1D, rest.D = base.L1D, base.D
+	// size, line and assoc set both sides: the I side may follow the D side.
+	if rest.L1I.Size == cfg.L1D.Size {
+		rest.L1I.Size = base.L1I.Size
 	}
-	for _, kv := range strings.Split(s, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return sp, "", fmt.Errorf("fanout spec %q: want key=value, got %q", s, kv)
-		}
-		bad := func(err error) (feSpec, string, error) {
-			return sp, "", fmt.Errorf("fanout spec %q: %s: %v", s, key, err)
-		}
-		switch key {
-		case "quasi", "stride":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return bad(err)
-			}
-			if key == "quasi" {
-				sp.quasi = b
-			} else {
-				sp.stride = b
-			}
-		case "size", "line", "assoc", "misscache", "victim", "ways", "depth":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return bad(err)
-			}
-			switch key {
-			case "size":
-				sp.size = n
-			case "line":
-				sp.line = n
-			case "assoc":
-				sp.assoc = n
-			case "misscache":
-				sp.missCache = n
-			case "victim":
-				sp.victim = n
-			case "ways":
-				sp.ways = n
-			case "depth":
-				sp.depth = n
-			}
-		default:
-			return sp, "", fmt.Errorf("fanout spec %q: unknown key %q (have size, line, assoc, misscache, victim, ways, depth, quasi, stride)", s, key)
-		}
+	if rest.L1I.LineSize == cfg.L1D.LineSize {
+		rest.L1I.LineSize = base.L1I.LineSize
 	}
-	return sp, label, nil
-}
-
-// frontEnd builds the configured first-level system. The
-// single-configuration replay and every fan-out spec build through it,
-// so both reject the same flag values.
-func (sp feSpec) frontEnd() (core.FrontEnd, error) {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"misscache", sp.missCache}, {"victim", sp.victim}, {"ways", sp.ways}, {"depth", sp.depth}} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("%s must not be negative, got %d", f.name, f.v)
-		}
+	if rest.L1I.Assoc == cfg.L1D.Assoc {
+		rest.L1I.Assoc = base.L1I.Assoc
 	}
-	if sp.missCache > 0 && (sp.victim > 0 || sp.ways > 0) {
-		return nil, fmt.Errorf("misscache cannot be combined with victim or ways")
+	if sim.Format(rest) != sim.Format(base) {
+		return nil, fmt.Errorf("cachesim replays one cache; it takes no instruction-side or L2 keys (have size, line, assoc, misscache, victim, ways, depth, quasi, stride)")
 	}
-	l1cfg := cache.Config{Name: "L1", Size: sp.size, LineSize: sp.line, Assoc: sp.assoc}
-	if err := l1cfg.Validate(); err != nil {
+	hc, err := cfg.Hierarchy()
+	if err != nil {
 		return nil, err
 	}
-	l1 := cache.MustNew(l1cfg)
-	timing := core.DefaultTiming()
-	streamCfg := core.StreamConfig{Ways: sp.ways, Depth: sp.depth, Quasi: sp.quasi, DetectStride: sp.stride}
-	switch {
-	case sp.missCache > 0:
-		return core.NewMissCache(l1, sp.missCache, nil, timing), nil
-	case sp.victim > 0 && sp.ways > 0:
-		return core.NewCombined(l1, sp.victim, streamCfg, nil, timing), nil
-	case sp.victim > 0:
-		return core.NewVictimCache(l1, sp.victim, nil, timing), nil
-	case sp.ways > 0:
-		return core.NewStreamBuffer(l1, streamCfg, nil, timing), nil
-	default:
-		return core.NewBaseline(l1, nil, timing), nil
+	hc.L1D.Name = "L1"
+	l1, err := cache.New(hc.L1D)
+	if err != nil {
+		return nil, err
 	}
+	return hierarchy.BuildFrontEnd(l1, hc.DAugment, nil, hc.Timing)
 }
 
 // feConsumer replays the kept references of each broadcast chunk into one
@@ -138,27 +84,13 @@ func (c *feConsumer) Consume(chunk []memtrace.Access) {
 // configuration via the fan-out engine, printing one summary row per
 // configuration. Statistics are bit-identical to running cachesim once
 // per configuration; the decode cost is paid once.
-func runFanout(stdout, stderr io.Writer, specs string, def feSpec,
+func runFanout(stdout, stderr io.Writer, labels []string, fes []core.FrontEnd,
 	src memtrace.Source, keep func(memtrace.Access) bool,
 	reg *telemetry.Registry, srcErr func() error,
 	degr func() memtrace.Degradation, lenient bool) int {
-	var labels []string
-	var consumers []fanout.Consumer
-	var fes []core.FrontEnd
-	for _, s := range strings.Split(specs, ";") {
-		sp, label, err := parseFanoutSpec(s, def)
-		if err != nil {
-			fmt.Fprintln(stderr, "cachesim:", err)
-			return 2
-		}
-		fe, err := sp.frontEnd()
-		if err != nil {
-			fmt.Fprintf(stderr, "cachesim: fanout spec %q: %v\n", label, err)
-			return 2
-		}
-		labels = append(labels, label)
-		fes = append(fes, fe)
-		consumers = append(consumers, &feConsumer{fe: fe, keep: keep})
+	consumers := make([]fanout.Consumer, len(fes))
+	for i, fe := range fes {
+		consumers[i] = &feConsumer{fe: fe, keep: keep}
 	}
 
 	eng := fanout.New(fanout.Config{})

@@ -141,3 +141,76 @@ func TestFanoutDineroAndTelemetry(t *testing.T) {
 		t.Errorf("banner missing:\n%s", out)
 	}
 }
+
+// TestStreamBuffersNeedWays pins the grammar's stream-buffer rule: ways=0
+// and a depth on its own build no stream buffer, on the fan-out path and
+// the single path alike, while quasi or stride with no ways is an error.
+func TestStreamBuffersNeedWays(t *testing.T) {
+	path := writeTestTrace(t)
+	code, out, errOut := runCmd(t, "-trace", path, "-side", "data", "-fanout", ";ways=0;depth=8")
+	if code != 0 {
+		t.Fatalf("fanout run failed (%d): %s", code, errOut)
+	}
+	want := fanoutRow(t, out, "baseline")
+	if want[2] != "0" {
+		t.Fatalf("baseline row has aux hits: %v", want)
+	}
+	for _, label := range []string{"ways=0", "depth=8"} {
+		if got := fanoutRow(t, out, label); strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s row %v, want the baseline's %v", label, got, want)
+		}
+	}
+	_, base, _ := runCmd(t, "-trace", path, "-side", "data")
+	if _, single, _ := runCmd(t, "-trace", path, "-side", "data", "-ways", "0", "-depth", "8"); single != base {
+		t.Errorf("-ways 0 -depth 8 differs from the baseline:\n%s\nwant:\n%s", single, base)
+	}
+
+	for _, args := range [][]string{{"-quasi"}, {"-stride"}, {"-fanout", "quasi=true"}, {"-fanout", "ways=0,stride=true"}} {
+		code, out, errOut := runCmd(t, append([]string{"-trace", path}, args...)...)
+		if code != 2 || !strings.Contains(errOut, "need stream buffers") || out != "" {
+			t.Errorf("%v: exit %d, stderr %q (want exit 2: quasi/stride need ways)", args, code, errOut)
+		}
+	}
+}
+
+// TestFanoutSpecOverMainFlags pins that a -fanout spec is applied over
+// the main flags: -depth 8 with a spec of ways=4 builds 4 buffers of
+// depth 8, exactly the single replay with -ways 4 -depth 8. The buffers
+// are quasi-sequential, whose hits depend on depth.
+func TestFanoutSpecOverMainFlags(t *testing.T) {
+	path := writeTestTrace(t)
+	code, out, errOut := runCmd(t, "-trace", path, "-side", "data", "-depth", "8", "-fanout", "ways=4,quasi=true")
+	if code != 0 {
+		t.Fatalf("fanout run failed (%d): %s", code, errOut)
+	}
+	_, single, _ := runCmd(t, "-trace", path, "-side", "data", "-ways", "4", "-depth", "8", "-quasi")
+	if !strings.Contains(single, "quasi-stream-4way-8deep") {
+		t.Fatalf("single run is not a 4x8 stream buffer:\n%s", single)
+	}
+	row := fanoutRow(t, out, "ways=4,quasi=true")
+	if got, want := row[2], singleStat(t, single, "aux hits:"); got != want {
+		t.Errorf("ways=4 over -depth 8: aux hits %s, want the 4x8 buffer's %s", got, want)
+	}
+	_, depth4, _ := runCmd(t, "-trace", path, "-side", "data", "-ways", "4", "-quasi")
+	if singleStat(t, depth4, "aux hits:") == row[2] {
+		t.Errorf("ways=4 over -depth 8 matches the depth-4 buffer; -depth was not applied")
+	}
+}
+
+// TestFanoutRejectsOtherLevels pins that cachesim, which replays one
+// cache, rejects specs that would configure the instruction side or the
+// L2 instead of ignoring them.
+func TestFanoutRejectsOtherLevels(t *testing.T) {
+	path := writeTestTrace(t)
+	for _, spec := range []string{"sys=improved", "isize=2048", "iways=1", "ivictim=4", "l2size=2097152", "l2victim=4"} {
+		code, out, errOut := runCmd(t, "-trace", path, "-fanout", ";"+spec)
+		if code != 2 || !strings.Contains(errOut, "no instruction-side or L2 keys") || out != "" {
+			t.Errorf("-fanout %q: exit %d, stderr %q (want exit 2)", spec, code, errOut)
+		}
+	}
+	for _, spec := range []string{"size=8192", "dsize=8192", "line=32,dassoc=2", "sys=baseline"} {
+		if code, _, errOut := runCmd(t, "-trace", path, "-fanout", spec); code != 0 {
+			t.Errorf("-fanout %q: exit %d, stderr %q (a data-side spec)", spec, code, errOut)
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"jouppi/internal/telemetry"
 	"jouppi/internal/textplot"
 	"jouppi/internal/version"
+	"jouppi/sim"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quasi      = fs.Bool("quasi", false, "quasi-sequential stream buffer lookup")
 		stride     = fs.Bool("stride", false, "stride-detecting stream buffers")
 		classify3  = fs.Bool("classify", false, "also report the 3C miss classification of the plain cache")
-		fanouts    = fs.String("fanout", "", "decode the trace once and replay it through multiple configurations: semicolon-separated specs, each a comma-separated key=value list over size, line, assoc, misscache, victim, ways, depth, quasi, stride (empty spec = the main-flag configuration)")
+		fanouts    = fs.String("fanout", "", "decode the trace once and replay it through multiple configurations: semicolon-separated specs in the configuration grammar, each a comma-separated key=value list over size, line, assoc, misscache, victim, ways, depth, quasi, stride applied over the main flags (empty spec = the main-flag configuration)")
 		phase      = fs.Int("phase", 0, "render a phase plot: miss rate per window of this many kept accesses (0 = off)")
 		heatmap    = fs.Bool("heatmap", false, "render per-set access/miss/eviction heatmaps and the hottest-set table")
 		missSample = fs.Int("misssample", 0, "sample every Nth L1 miss into a bounded event ring (0 = off)")
@@ -93,18 +94,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The single configuration is built (and so validated) before any
-	// I/O; a fan-out validates each of its specs the same way.
-	def := feSpec{size: *size, line: *line, assoc: *assoc,
-		missCache: *missCache, victim: *victim,
-		ways: *ways, depth: *depth, quasi: *quasi, stride: *stride}
-	var fe core.FrontEnd
-	if *fanouts == "" {
-		var err error
-		if fe, err = def.frontEnd(); err != nil {
-			fmt.Fprintln(stderr, "cachesim:", err)
-			return 2
-		}
+	// The main flags are the base every -fanout spec is parsed over; the
+	// single configuration is the empty spec over them. Every
+	// configuration is built, and so validated, before any I/O.
+	geom := sim.CacheGeometry{Size: *size, LineSize: *line, Assoc: *assoc}
+	base := sim.Config{L1I: geom, L1D: geom, D: sim.Augmentation{
+		MissCacheEntries: *missCache, VictimCacheEntries: *victim,
+		Stream: &sim.StreamOptions{Ways: *ways, Depth: *depth, Quasi: *quasi, DetectStride: *stride}}}
+	labels, fes, err := frontEnds(*fanouts, base)
+	if err != nil {
+		fmt.Fprintln(stderr, "cachesim:", err)
+		return 2
 	}
 
 	// Observability plumbing. The registry backs both the /metrics
@@ -183,15 +183,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			prog.Start(200 * time.Millisecond)
 			defer prog.Stop()
 		}
-		return runFanout(stdout, stderr, *fanouts, def, src, keep, reg, srcErr, degr, *lenient)
+		return runFanout(stdout, stderr, labels, fes, src, keep, reg, srcErr, degr, *lenient)
 	}
 
+	fe := fes[0]
 	l1 := fe.Cache()
 	l1cfg := l1.Config()
 
 	var cl *classify.Classifier
 	if *classify3 {
-		cl = classify.MustNew(*size, *line)
+		cl = classify.MustNew(l1cfg.Size, l1cfg.LineSize)
 	}
 
 	// The introspection probe is a pure reader riding the replay loop:
@@ -281,7 +282,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// inputs are visible, never silent.
 		degraded = fmt.Sprint(degr())
 	}
-	printStats(stdout, fe.Name(), *size, *line, *assoc, st, degraded)
+	printStats(stdout, fe.Name(), l1cfg.Size, l1cfg.LineSize, l1cfg.Assoc, st, degraded)
 	if cl != nil {
 		c := cl.Counts()
 		total := max(1, c.Total())

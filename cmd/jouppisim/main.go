@@ -10,7 +10,11 @@
 // Single-system replay with introspection (phase plot, per-set heatmaps,
 // a full miss-event dump):
 //
-//	jouppisim -replay ccom -system victim:4 -phase 8192 -heatmap -missdump miss.jsonl
+//	jouppisim -replay ccom -system victim=4 -phase 8192 -heatmap -missdump miss.jsonl
+//
+// -system takes one spec in the configuration grammar shared with
+// cachesim -fanout and cachesimd (see sim.ParseConfig), e.g.
+// sys=improved, victim=4, or ways=4,depth=8.
 //
 // Long sweeps are resilient: each experiment runs isolated (a crash in
 // one reports a failure and the suite continues), -timeout bounds each
@@ -77,7 +81,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		journalTo  = fs.String("journal", "", "append one JSON line per run event (experiment start/finish/panic/retry, checkpoint saves) to this file")
 		progress   = fs.Bool("progress", false, "render a live progress line (experiments done, accesses/sec, ETA) on stderr")
 		replay     = fs.String("replay", "", "replay one benchmark through a single system (see -system) instead of running experiments")
-		system     = fs.String("system", "baseline", "system for -replay: baseline | improved | victim:N | misscache:N | stream:WxD")
+		system     = fs.String("system", "sys=baseline", "system for -replay: a comma-separated key=value configuration spec, e.g. sys=improved, victim=4, ways=4,depth=8")
 		phase      = fs.Int("phase", 0, "with -replay: render a phase plot, miss rate per window of this many per-side accesses (0 = off)")
 		heatmap    = fs.Bool("heatmap", false, "with -replay: render per-set miss/eviction heatmaps and the hottest-set table for both L1 sides")
 		missDump   = fs.String("missdump", "", "with -replay: write every L1 miss event as JSONL to this file")

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"jouppi/internal/introspect"
 	"jouppi/internal/telemetry"
@@ -15,53 +13,14 @@ import (
 	"jouppi/sim"
 )
 
-// parseSystem turns a -system spec into a simulator configuration. The
-// specs cover the paper's interesting single-system points; anything
-// richer belongs in the experiment suite or the sim library.
-func parseSystem(spec string) (sim.Config, error) {
-	switch spec {
-	case "", "baseline":
-		return sim.BaselineSystem(), nil
-	case "improved":
-		return sim.ImprovedSystem(), nil
-	}
-	kind, arg, ok := strings.Cut(spec, ":")
-	if ok {
-		switch kind {
-		case "victim":
-			n, err := strconv.Atoi(arg)
-			if err == nil && n > 0 {
-				return sim.Config{D: sim.Augmentation{VictimCacheEntries: n}}, nil
-			}
-		case "misscache":
-			n, err := strconv.Atoi(arg)
-			if err == nil && n > 0 {
-				return sim.Config{D: sim.Augmentation{MissCacheEntries: n}}, nil
-			}
-		case "stream":
-			w, d, ok := strings.Cut(arg, "x")
-			if ok {
-				ways, werr := strconv.Atoi(w)
-				depth, derr := strconv.Atoi(d)
-				if werr == nil && derr == nil && ways > 0 && depth > 0 {
-					return sim.Config{D: sim.Augmentation{
-						Stream: &sim.StreamOptions{Ways: ways, Depth: depth}}}, nil
-				}
-			}
-		}
-	}
-	return sim.Config{}, fmt.Errorf(
-		"bad -system %q (want baseline | improved | victim:N | misscache:N | stream:WxD)", spec)
-}
-
 // runReplay is jouppisim's single-system mode: replay one benchmark
 // through one configuration with an introspection probe attached and
 // print the run summary plus the requested time/space views.
 func runReplay(ctx context.Context, stdout, stderr io.Writer,
 	bench, spec string, scale float64, phase int, heatmap bool, missDump string) int {
-	cfg, err := parseSystem(spec)
+	cfg, err := sim.ParseConfig(spec, sim.BaselineSystem())
 	if err != nil {
-		fmt.Fprintln(stderr, "jouppisim:", err)
+		fmt.Fprintf(stderr, "jouppisim: bad -system %q: %v (want a configuration spec such as sys=improved, victim=4 or ways=4,depth=8)\n", spec, err)
 		return exitUsage
 	}
 	intro := sim.Introspection{Window: phase, Heatmap: heatmap}

@@ -7,51 +7,56 @@ import (
 	"testing"
 
 	"jouppi/internal/telemetry"
-	"jouppi/sim"
 )
 
+// TestParseSystem drives -system through the shared configuration
+// grammar: the forms it documents replay, and the retired
+// victim:N / stream:WxD forms, bare preset names, and specs the grammar
+// rejects are usage errors.
 func TestParseSystem(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want sim.Config
-	}{
-		{"", sim.BaselineSystem()},
-		{"baseline", sim.BaselineSystem()},
-		{"victim:4", sim.Config{D: sim.Augmentation{VictimCacheEntries: 4}}},
-		{"misscache:2", sim.Config{D: sim.Augmentation{MissCacheEntries: 2}}},
-	} {
-		got, err := parseSystem(tc.spec)
-		if err != nil {
-			t.Errorf("parseSystem(%q): %v", tc.spec, err)
-		} else if got != tc.want {
-			t.Errorf("parseSystem(%q) = %+v, want %+v", tc.spec, got, tc.want)
+	for _, spec := range []string{"sys=baseline", "sys=improved", "victim=4", "misscache=2", "ways=4,depth=8", " ways = 4 , quasi = true "} {
+		code, out, errOut := runCmd(t, "-replay", "met", "-scale", "0.01", "-system", spec)
+		if code != exitOK || !strings.Contains(out, "through "+spec) {
+			t.Errorf("-system %q: exit %d, stderr %q, output:\n%s", spec, code, errOut, out)
 		}
 	}
-	// ImprovedSystem carries stream pointers, so compare its shape.
-	imp, err := parseSystem("improved")
-	if err != nil || imp.D.VictimCacheEntries != 4 || imp.I.Stream == nil || imp.D.Stream == nil {
-		t.Errorf("parseSystem(improved) = %+v, %v", imp, err)
+	for _, bad := range []string{"victim", "victim:4", "misscache:2", "stream:4x8", "improved", "victim=x", "ways=-1", "quasi=true", "iways=1,misscache=2,imisscache=2"} {
+		code, _, errOut := runCmd(t, "-replay", "met", "-scale", "0.01", "-system", bad)
+		if code != exitUsage || !strings.Contains(errOut, "bad -system") {
+			t.Errorf("-system %q: exit %d, stderr %q (want a usage error)", bad, code, errOut)
+		}
 	}
-	got, err := parseSystem("stream:4x8")
-	if err != nil || got.D.Stream == nil || got.D.Stream.Ways != 4 || got.D.Stream.Depth != 8 {
-		t.Errorf("parseSystem(stream:4x8) = %+v, %v", got, err)
+}
+
+// TestReplayNoStreamWithoutWays pins the grammar's stream-buffer rule in
+// jouppisim: ways=0 and a bare depth build no stream buffer, so they
+// replay exactly the baseline.
+func TestReplayNoStreamWithoutWays(t *testing.T) {
+	replay := func(spec string) string {
+		code, out, errOut := runCmd(t, "-replay", "ccom", "-scale", "0.05", "-system", spec)
+		if code != exitOK {
+			t.Fatalf("-system %q: exit %d, stderr %q", spec, code, errOut)
+		}
+		_, body, _ := strings.Cut(out, "\n") // drop the header naming the spec
+		return body
 	}
-	for _, bad := range []string{"victim", "victim:0", "victim:x", "stream:4", "stream:0x4", "turbo:9"} {
-		if _, err := parseSystem(bad); err == nil {
-			t.Errorf("parseSystem(%q) accepted", bad)
+	want := replay("sys=baseline")
+	for _, spec := range []string{"ways=0", "depth=8"} {
+		if got := replay(spec); got != want {
+			t.Errorf("-system %s replays differently from the baseline:\n%s\nwant:\n%s", spec, got, want)
 		}
 	}
 }
 
 func TestReplayMode(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "miss.jsonl")
-	code, out, errOut := runCmd(t, "-replay", "met", "-system", "victim:4",
+	code, out, errOut := runCmd(t, "-replay", "met", "-system", "victim=4",
 		"-scale", "0.02", "-phase", "2048", "-heatmap", "-missdump", dump)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
 	for _, want := range []string{
-		"benchmark met at scale 0.02 through victim:4",
+		"benchmark met at scale 0.02 through victim=4",
 		"L1I:", "L1D:", "% of potential",
 		"miss rate per 2048-access window",
 		"L1I misses per set",

@@ -297,7 +297,7 @@ func New(cfg Config) (*System, error) {
 			s.mem.DemandFetches++
 		}
 	}
-	s.l2fe, err = buildFrontEnd(l2, l2aug, memFetch, cfg.Timing)
+	s.l2fe, err = BuildFrontEnd(l2, l2aug, memFetch, cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
@@ -313,15 +313,15 @@ func New(cfg Config) (*System, error) {
 	s.l1iShift = shiftFor(cfg.L1I.LineSize)
 	s.l1dShift = shiftFor(cfg.L1D.LineSize)
 
-	s.ife, err = buildFrontEnd(l1i, cfg.IAugment, s.fetcher(&s.l2i, s.l1iShift), cfg.Timing)
+	s.ife, err = BuildFrontEnd(l1i, cfg.IAugment, s.fetcher(&s.l2i, s.l1iShift), cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
-	s.dfe, err = buildFrontEnd(l1d, cfg.DAugment, s.fetcher(&s.l2d, s.l1dShift), cfg.Timing)
+	s.dfe, err = BuildFrontEnd(l1d, cfg.DAugment, s.fetcher(&s.l2d, s.l1dShift), cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
-	// buildFrontEnd only constructs core front-end types, so the counter
+	// BuildFrontEnd only constructs core front-end types, so the counter
 	// pointers are always available.
 	s.iAcc = core.AccessCounter(s.ife)
 	s.dAcc = core.AccessCounter(s.dfe)
@@ -345,7 +345,11 @@ func shiftFor(lineSize int) uint {
 	return shift
 }
 
-func buildFrontEnd(l1 *cache.Cache, aug Augment, fetch core.Fetcher, timing core.Timing) (core.FrontEnd, error) {
+// BuildFrontEnd attaches aug to l1, sending its fetches (demand and
+// prefetch) to fetch. It is the one place an augmentation becomes a
+// front end: every level of a System and cachesim's single cache are
+// built here.
+func BuildFrontEnd(l1 *cache.Cache, aug Augment, fetch core.Fetcher, timing core.Timing) (core.FrontEnd, error) {
 	switch aug.Kind {
 	case None:
 		return core.NewBaseline(l1, fetch, timing), nil

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,6 +27,7 @@ import (
 	"jouppi/internal/experiments"
 	"jouppi/internal/telemetry"
 	"jouppi/internal/trace"
+	"jouppi/sim"
 )
 
 // Queue admission errors.
@@ -350,6 +352,12 @@ func (q *Queue) Submit(spec *Spec) (*Job, error) {
 	// recorded retroactively as a store-read span once the job exists.
 	probeStart := time.Now()
 	cached, hit := q.opts.Store.Get(key)
+	if hit {
+		var err error
+		if cached, err = relabel(cached, spec.Configs); err != nil {
+			hit = false
+		}
+	}
 	probeEnd := time.Now()
 
 	q.mu.Lock()
@@ -357,10 +365,12 @@ func (q *Queue) Submit(spec *Spec) (*Job, error) {
 	if q.draining {
 		return nil, ErrDraining
 	}
-	if primary, ok := q.byKey[key]; ok {
-		// An identical job is already queued or running: join it. The
-		// join is marked on the primary's trace and journal so its
-		// timeline shows who it answered for.
+	sameLabels := func(a, b sim.LabeledConfig) bool { return a.Label == b.Label }
+	if primary, ok := q.byKey[key]; ok && slices.EqualFunc(primary.spec.Configs, spec.Configs, sameLabels) {
+		// An identical job is already queued or running: join it. A job
+		// ID names one labelled result, so only a submission with the
+		// same labels joins. The join is marked on the primary's trace
+		// and journal so its timeline shows who it answered for.
 		q.tel.submitted.Inc()
 		q.tel.joined.Inc()
 		now := time.Now()

@@ -202,6 +202,108 @@ func TestQueueJoinsIdenticalInFlightSubmissions(t *testing.T) {
 	}
 }
 
+// TestQueueCacheHitAnswersWithSubmitterLabels pins that the store
+// answers a spec spelled differently from the one that populated it
+// with the stored numbers under the new submitter's own labels.
+func TestQueueCacheHitAnswersWithSubmitterLabels(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(Options{Workers: 1, Store: store, Version: "test"})
+	defer q.Drain(time.Second)
+
+	first, err := q.Submit(uploadSpec(t, testTraceDin(100), ";victim=4,size=4096"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, first)
+	second, err := q.Submit(uploadSpec(t, testTraceDin(100), "sys=baseline;size=4096,victim=4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Status(); st.State != StateDone || !st.CacheHit {
+		t.Fatalf("respelled submission: state %s, cacheHit %v", st.State, st.CacheHit)
+	}
+	a, err := DecodeResult(first.Result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeResult(second.Result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"sys=baseline", "size=4096,victim=4"} {
+		if b.Configs[i].Label != want {
+			t.Errorf("config %d answered as %q, want the submitter's label %q", i, b.Configs[i].Label, want)
+		}
+		if b.Configs[i].Results != a.Configs[i].Results {
+			t.Errorf("config %d: cached numbers changed", i)
+		}
+	}
+	if a.Configs[0].Label != "baseline" {
+		t.Errorf("first job's label rewritten to %q", a.Configs[0].Label)
+	}
+}
+
+// TestQueueJoinRequiresIdenticalLabels pins that an in-flight job is
+// joined only by a submission with the same labels: a job ID names one
+// labelled result, even though differently spelled specs share a key.
+func TestQueueJoinRequiresIdenticalLabels(t *testing.T) {
+	release := make(chan struct{})
+	q := NewQueue(Options{
+		Workers: 1,
+		Version: "test",
+		Runner: func(ctx context.Context, spec *Spec, version string) (*ResultBody, error) {
+			<-release
+			return &ResultBody{Version: version, TraceDigest: spec.TraceDigest()}, nil
+		},
+	})
+	defer q.Drain(time.Second)
+
+	a, err := q.Submit(uploadSpec(t, testTraceDin(10), "victim=4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := q.Submit(uploadSpec(t, testTraceDin(10), "victim=4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	respelled, err := q.Submit(uploadSpec(t, testTraceDin(10), "victim=4,size=4096"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != a {
+		t.Error("identically labelled submission did not join the in-flight job")
+	}
+	if respelled == a {
+		t.Error("a submission under other labels joined the in-flight job")
+	}
+	close(release)
+	waitJob(t, a)
+	waitJob(t, respelled)
+}
+
+// TestStreamBuffersNeedWays pins the grammar's stream-buffer rule on the
+// daemon path: ways=0 and a depth on its own build no stream buffer, so
+// they replay exactly the baseline.
+func TestStreamBuffersNeedWays(t *testing.T) {
+	cfgs, err := ParseConfigs(";ways=0;depth=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := DefaultRunner(context.Background(), &Spec{Benchmark: "ccom", Scale: 0.05, Configs: cfgs}, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := body.Configs[0].Results
+	for _, c := range body.Configs[1:] {
+		if c.Results.D.AuxHits != 0 || c.Results != base {
+			t.Errorf("%s: %d data aux hits; want the baseline's numbers exactly", c.Label, c.Results.D.AuxHits)
+		}
+	}
+}
+
 func TestQueueFullRejectsWithErrQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	reg := telemetry.NewRegistry()

@@ -62,6 +62,25 @@ func DecodeResult(data []byte) (*ResultBody, error) {
 	return &b, nil
 }
 
+// relabel returns a stored result body under the labels of cfgs. The
+// cache key leaves labels out, so the submission that stored the body
+// may have spelled the same configurations differently; its numbers are
+// reused, its labels are not. Encode is deterministic, so a body that
+// already carries cfgs' labels comes back byte-identical.
+func relabel(body []byte, cfgs []sim.LabeledConfig) ([]byte, error) {
+	b, err := DecodeResult(body)
+	if err != nil {
+		return nil, err
+	}
+	if len(b.Configs) != len(cfgs) {
+		return nil, fmt.Errorf("jobqueue: stored result has %d configurations, want %d", len(b.Configs), len(cfgs))
+	}
+	for i, c := range cfgs {
+		b.Configs[i].Label = c.Label
+	}
+	return b.Encode()
+}
+
 // permanentError wraps a failure that retrying cannot fix: corrupt
 // uploaded bytes, an invalid configuration. The queue accepts such
 // failures immediately instead of burning retry attempts and backoff

@@ -1,7 +1,9 @@
 package jobqueue
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -12,7 +14,7 @@ func validSpec() *Spec {
 	return &Spec{
 		TraceData:   []byte("0 1000\n1 2000\n2 3000\n"),
 		TraceFormat: FormatDinero,
-		Configs:     []ConfigSpec{{Label: "baseline", Config: sim.BaselineSystem()}},
+		Configs:     []sim.LabeledConfig{{Label: "baseline", Config: sim.BaselineSystem()}},
 	}
 }
 
@@ -72,7 +74,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 			s.Configs[0].Config.D.VictimCacheEntries = 4
 			return s
 		}(),
-		"label": func() *Spec { s := validSpec(); s.Configs[0].Label = "other"; return s }(),
 	}
 	for name, v := range variants {
 		if v.CacheKey("v1") == key {
@@ -84,11 +85,17 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 
 	// Timeout/retry policy must NOT change the key: they affect how hard
-	// the daemon tries, not what the result is.
+	// the daemon tries, not what the result is. Nor must a label: it
+	// names a result without changing it.
 	s := validSpec()
 	s.Timeout, s.Deadline, s.Retries = 1000, 2000, 3
 	if s.CacheKey("v1") != key {
 		t.Error("execution policy leaked into the cache key")
+	}
+	s = validSpec()
+	s.Configs[0].Label = "other"
+	if s.CacheKey("v1") != key {
+		t.Error("the label leaked into the cache key")
 	}
 }
 
@@ -207,6 +214,79 @@ func TestParseConfigsLimits(t *testing.T) {
 		}
 		if _, err := ParseConfigs(tc.past); err == nil || !strings.Contains(err.Error(), "limit") {
 			t.Errorf("ParseConfigs(%q) past the limit: err %v, want a limit error", tc.past, err)
+		}
+	}
+}
+
+// TestCacheKeyCanonical is the cache key's property test: specs that
+// build the same systems share one key however they are spelled, and
+// specs that share a key replay to bit-identical results.
+func TestCacheKeyCanonical(t *testing.T) {
+	groups := [][]string{
+		{"", "sys=baseline", "size=4096", "line=16,assoc=1", "ways=0", "depth=8", "victim=0,misscache=0"},
+		{"victim=4,size=4096", "size=4096,victim=4", " victim = 4 "},
+		{"ways=4", "ways=4,depth=4", "depth=8,ways=4,depth=4"},
+		{"sys=improved", "victim=4,ways=4,iways=1", "iways=1,idepth=4,ways=4,victim=4,sys=baseline,sys=improved"},
+		{"size=8192,line=32", "line=32,isize=8192,dsize=8192"},
+	}
+	// Random spellings of random systems: a subset of the pool in two
+	// shuffled orders, and once more behind the baseline's own values.
+	pool := []string{"size=8192", "line=32", "assoc=2", "victim=2", "ways=2", "depth=8", "iways=1", "ivictim=4", "l2assoc=2"}
+	rng := rand.New(rand.NewSource(1))
+	for g := 0; g < 8; g++ {
+		var kvs []string
+		for _, kv := range pool {
+			if rng.Intn(2) == 0 {
+				kvs = append(kvs, kv)
+			}
+		}
+		var group []string
+		for i := 0; i < 2; i++ {
+			rng.Shuffle(len(kvs), func(a, b int) { kvs[a], kvs[b] = kvs[b], kvs[a] })
+			group = append(group, strings.Join(kvs, ","))
+		}
+		group = append(group, strings.Join(append([]string{"size=4096,line=16,assoc=1,depth=4,victim=0"}, kvs...), ","))
+		groups = append(groups, group)
+	}
+
+	var all []string
+	for _, g := range groups {
+		all = append(all, g...)
+	}
+	cfgs, err := ParseConfigs(strings.Join(all, ";"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(cfgs))
+	for i := range cfgs {
+		keys[i] = (&Spec{Benchmark: "ccom", Scale: 0.02, Configs: cfgs[i : i+1]}).CacheKey("v1")
+	}
+	start, fixed := 0, map[string]int{}
+	for gi, g := range groups {
+		for i, spec := range g {
+			if keys[start+i] != keys[start] {
+				t.Errorf("group %d: %q and %q build the same system but key differently", gi, g[0], spec)
+			}
+		}
+		if gi < 5 { // the hand-written groups are distinct systems
+			if prev, ok := fixed[keys[start]]; ok {
+				t.Errorf("groups %d and %d build different systems but share a key", prev, gi)
+			}
+			fixed[keys[start]] = gi
+		}
+		start += len(g)
+	}
+
+	body, err := DefaultRunner(context.Background(), &Spec{Benchmark: "ccom", Scale: 0.02, Configs: cfgs}, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := range cfgs {
+		for b := a + 1; b < len(cfgs); b++ {
+			if keys[a] == keys[b] && body.Configs[a].Results != body.Configs[b].Results {
+				t.Errorf("%q and %q share a key but replay differently:\n%+v\n%+v",
+					cfgs[a].Label, cfgs[b].Label, body.Configs[a].Results, body.Configs[b].Results)
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -45,7 +46,8 @@ type CacheGeometry struct {
 // StreamOptions configures a set of stream buffers.
 type StreamOptions struct {
 	// Ways is the number of parallel buffers (1 = the paper's single
-	// sequential buffer; 4 = its multi-way buffer).
+	// sequential buffer; 4 = its multi-way buffer). Zero builds no
+	// stream buffers.
 	Ways int
 	// Depth is entries per buffer; 4 when zero.
 	Depth int
@@ -60,7 +62,8 @@ type StreamOptions struct {
 // Augmentation attaches the paper's helper structures to one first-level
 // cache. At most one of MissCacheEntries / VictimCacheEntries may be set;
 // a victim cache may be combined with stream buffers (the paper's §5
-// improved data cache), a miss cache may not.
+// improved data cache), a miss cache may not. Stream counts as stream
+// buffers only when its Ways is positive.
 type Augmentation struct {
 	MissCacheEntries   int
 	VictimCacheEntries int
@@ -110,44 +113,60 @@ func (g CacheGeometry) toCache(name string, def cache.Config) cache.Config {
 	return out
 }
 
-func (a Augmentation) toAugment() (hierarchy.Augment, error) {
-	if a.MissCacheEntries < 0 || a.VictimCacheEntries < 0 {
-		return hierarchy.Augment{}, fmt.Errorf("sim: negative augmentation entry count")
-	}
-	if a.MissCacheEntries > 0 && a.VictimCacheEntries > 0 {
-		return hierarchy.Augment{}, fmt.Errorf("sim: a cache cannot have both a miss cache and a victim cache")
-	}
+// defaultStreamDepth is the stream buffer depth a zero Depth takes (the
+// paper's four entries per buffer).
+const defaultStreamDepth = 4
+
+// toAugment converts one cache's augmentation. key prefixes the grammar
+// keys its errors name: "" for the data side, "i" for the instruction
+// side, "l2" for the second level.
+func (a Augmentation) toAugment(key string) (hierarchy.Augment, error) {
 	var stream core.StreamConfig
 	if a.Stream != nil {
 		stream = core.StreamConfig{
 			Ways:         a.Stream.Ways,
-			Depth:        a.Stream.Depth,
+			Depth:        cmp.Or(a.Stream.Depth, defaultStreamDepth),
 			RunLimit:     a.Stream.RunLimit,
 			Quasi:        a.Stream.Quasi,
 			DetectStride: a.Stream.DetectStride,
 		}
-		if stream.Ways == 0 {
-			stream.Ways = 1
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"misscache", a.MissCacheEntries}, {"victim", a.VictimCacheEntries},
+		{"ways", stream.Ways}, {"depth", stream.Depth}, {"runlimit", stream.RunLimit},
+	} {
+		if f.n < 0 {
+			return hierarchy.Augment{}, fmt.Errorf("%s%s must not be negative, got %d", key, f.name, f.n)
 		}
 	}
+	// Stream buffers exist only with at least one way: a depth on its own
+	// builds nothing.
+	hasStream := stream.Ways > 0
 	switch {
-	case a.MissCacheEntries > 0 && a.Stream != nil:
-		return hierarchy.Augment{}, fmt.Errorf("sim: miss caches cannot be combined with stream buffers (use a victim cache)")
+	case a.MissCacheEntries > 0 && (a.VictimCacheEntries > 0 || hasStream):
+		return hierarchy.Augment{}, fmt.Errorf("%[1]smisscache cannot be combined with %[1]svictim or %[1]sways", key)
 	case a.MissCacheEntries > 0:
 		return hierarchy.Augment{Kind: hierarchy.MissCache, Entries: a.MissCacheEntries}, nil
-	case a.VictimCacheEntries > 0 && a.Stream != nil:
+	case a.VictimCacheEntries > 0 && hasStream:
 		return hierarchy.Augment{Kind: hierarchy.VictimAndStream,
 			Entries: a.VictimCacheEntries, Stream: stream}, nil
 	case a.VictimCacheEntries > 0:
 		return hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: a.VictimCacheEntries}, nil
-	case a.Stream != nil:
+	case hasStream:
 		return hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream}, nil
 	default:
 		return hierarchy.Augment{Kind: hierarchy.None}, nil
 	}
 }
 
-func (c Config) toHierarchy() (hierarchy.Config, error) {
+// Hierarchy returns the two-level configuration c builds, with every
+// default filled in, so two configurations with equal Hierarchy results
+// build the same system. Its errors name the configuration grammar's
+// keys (see ParseConfig).
+func (c Config) Hierarchy() (hierarchy.Config, error) {
 	def := hierarchy.DefaultConfig()
 	out := hierarchy.Config{
 		L1I:             c.L1I.toCache("L1I", def.L1I),
@@ -157,15 +176,17 @@ func (c Config) toHierarchy() (hierarchy.Config, error) {
 		Timing:          def.Timing,
 		Perf:            def.Perf,
 	}
+	if c.L2VictimEntries < 0 {
+		return out, fmt.Errorf("l2victim must not be negative, got %d", c.L2VictimEntries)
+	}
+	var err error
 	if c.L2Stream != nil {
-		l2aug, err := (Augmentation{
+		if out.L2Augment, err = (Augmentation{
 			VictimCacheEntries: c.L2VictimEntries,
 			Stream:             c.L2Stream,
-		}).toAugment()
-		if err != nil {
-			return out, fmt.Errorf("second-level cache: %w", err)
+		}).toAugment("l2"); err != nil {
+			return out, err
 		}
-		out.L2Augment = l2aug
 		out.L2VictimEntries = 0
 	}
 	if c.L1MissPenalty != 0 {
@@ -176,12 +197,11 @@ func (c Config) toHierarchy() (hierarchy.Config, error) {
 	if c.L2MissPenalty != 0 {
 		out.Perf.L2MissPenalty = c.L2MissPenalty
 	}
-	var err error
-	if out.IAugment, err = c.I.toAugment(); err != nil {
-		return out, fmt.Errorf("instruction cache: %w", err)
+	if out.IAugment, err = c.I.toAugment("i"); err != nil {
+		return out, err
 	}
-	if out.DAugment, err = c.D.toAugment(); err != nil {
-		return out, fmt.Errorf("data cache: %w", err)
+	if out.DAugment, err = c.D.toAugment(""); err != nil {
+		return out, err
 	}
 	return out, nil
 }
@@ -261,9 +281,9 @@ type System struct {
 
 // NewSystem builds a system from cfg.
 func NewSystem(cfg Config) (*System, error) {
-	hc, err := cfg.toHierarchy()
+	hc, err := cfg.Hierarchy()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	sys, err := hierarchy.New(hc)
 	if err != nil {
