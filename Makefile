@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test bench-check shuffle cover bench bench-json bench-gate fuzz loadtest loadtest-full trace-e2e
+.PHONY: all check fmt vet build test bench-check shuffle cover bench bench-json bench-gate fuzz loadtest loadtest-full trace-e2e lines
 
 all: check
 
@@ -27,6 +27,13 @@ test:
 # directive), so the root build and test never compile it.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# lines prints the net non-test Go line count, the size metric ROADMAP
+# tracks, leaving out the separate bench/ module and the benchmark's
+# build directory. It is informational: no floor, no failure.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		-exec cat {} + | wc -l
 
 # shuffle reruns the whole suite in randomized test and subtest order to
 # flush out inter-test state dependence.

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -30,15 +29,22 @@ func runReplay(ctx context.Context, stdout, stderr io.Writer,
 	if missDump != "" {
 		intro.MissEvery = 1
 	}
-	res, probe, err := sim.RunBenchmarkIntrospected(ctx, bench, scale, cfg, intro)
+	src, err := sim.Benchmark(bench, scale)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintln(stderr, "jouppisim: interrupted:", err)
-			return exitInterrupted
-		}
 		fmt.Fprintln(stderr, "jouppisim:", err)
 		return exitUsage
 	}
+	sys, err := sim.NewSystem(cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, "jouppisim:", err)
+		return exitUsage
+	}
+	probe := sys.AttachIntrospection(intro)
+	if err := sim.Replay(ctx, src, sys); err != nil {
+		fmt.Fprintln(stderr, "jouppisim: interrupted:", err)
+		return exitInterrupted
+	}
+	res := sys.Results()
 
 	fmt.Fprintf(stdout, "benchmark %s at scale %g through %s\n", bench, scale, spec)
 	side := func(name string, s sim.SideResults) {

@@ -11,15 +11,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
-	"jouppi/internal/memtrace"
 	"jouppi/internal/version"
-	"jouppi/internal/workload"
+	"jouppi/sim"
 )
 
 func main() {
@@ -47,8 +46,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, b := range append(workload.All(), workload.Strided(), workload.PointerChase()) {
-			fmt.Fprintf(stdout, "  %-10s %s\n", b.Name(), b.Description())
+		for _, name := range sim.Benchmarks() {
+			desc, _ := sim.BenchmarkDescription(name)
+			fmt.Fprintf(stdout, "  %-10s %s\n", name, desc)
 		}
 		return 0
 	}
@@ -56,57 +56,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tracegen: -bench and -o are required; see -list")
 		return 2
 	}
-	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fmt.Fprintf(stderr, "tracegen: -scale must be a positive finite number, got %v\n", *scale)
+	if _, err := sim.Benchmark(*bench, *scale); err != nil {
+		fmt.Fprintf(stderr, "tracegen: %v; see -list\n", err)
 		return 2
 	}
-
-	var b workload.Benchmark
-	switch *bench {
-	case "strided":
-		b = workload.Strided()
-	case "ptrchase":
-		b = workload.PointerChase()
-	default:
-		var ok bool
-		if b, ok = workload.ByName(*bench); !ok {
-			fmt.Fprintf(stderr, "tracegen: unknown benchmark %q; see -list\n", *bench)
-			return 2
-		}
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(stderr, "tracegen:", err)
-		return 1
-	}
-	var count uint64
-	switch *format {
-	case "jtr":
-		sw, err := memtrace.NewStreamWriter(f)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		b.Generate(*scale, sw)
-		if err := sw.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		count = sw.Count()
-	case "din":
-		dw := memtrace.NewDineroWriter(f)
-		b.Generate(*scale, dw)
-		if err := dw.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		count = dw.Count()
-	default:
+	count, err := sim.WriteTraceFile(*bench, *scale, *out, *format)
+	if errors.Is(err, sim.ErrUnknownFormat) {
 		fmt.Fprintln(stderr, "tracegen: -format must be jtr or din")
 		return 2
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,5 +22,24 @@ func TestUnwritableOutputFails(t *testing.T) {
 	code, _, errOut := runCmd(t, "-bench", "met", "-scale", "0.01", "-o", "/nonexistent-dir/x.jtr")
 	if code != 1 || errOut == "" {
 		t.Errorf("code %d, stderr %q, want runtime failure on stderr", code, errOut)
+	}
+}
+
+// TestUnknownFormatKeepsExistingOutput pins that a rejected -format
+// leaves an existing output file byte-identical instead of truncating it.
+func TestUnknownFormatKeepsExistingOutput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "existing.jtr")
+	if code, _, errOut := runCmd(t, "-bench", "met", "-scale", "0.01", "-o", path); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, errOut := runCmd(t, "-bench", "met", "-scale", "0.01", "-o", path, "-format", "xml"); code != 2 {
+		t.Fatalf("-format xml: exit %d, stderr %q", code, errOut)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("existing output changed by a rejected -format (err %v, %d bytes, want %d)", err, len(got), len(want))
 	}
 }

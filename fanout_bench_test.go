@@ -67,7 +67,7 @@ func replaySequentialDinero(tb testing.TB, din []byte, cfgs []hierarchy.Config) 
 	for i, cfg := range cfgs {
 		counting := memtrace.NewCountingSource(memtrace.NewDineroReader(bytes.NewReader(din)))
 		sys := hierarchy.MustNew(cfg)
-		sys.RunSource(counting)
+		memtrace.Each(counting, sys.Access)
 		out[i] = sys.Results(counting.Instructions())
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
+	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/prefetch"
@@ -318,16 +319,14 @@ func AblationMultiprog() Experiment {
 			cfg.parallelFor(len(quanta), func(qi int) {
 				bench := workload.Multiprogram(quanta[qi],
 					workload.Ccom(), workload.Grr(), workload.Yacc())
-				runCfg := func(sysCfg hierarchy.Config) hierarchy.Results {
-					sys := hierarchy.MustNew(sysCfg)
-					src := workload.NewSource(bench, cfg.Scale)
-					defer src.Close()
-					cs := memtrace.NewCountingSource(src)
-					sys.RunSource(cs)
-					return sys.Results(cs.Instructions())
-				}
-				base := runCfg(hierarchy.Config{})
-				imp := runCfg(improvedConfig())
+				baseSys := hierarchy.MustNew(hierarchy.Config{})
+				impSys := hierarchy.MustNew(improvedConfig())
+				src := workload.NewSource(bench, cfg.Scale)
+				cs := memtrace.NewCountingSource(src)
+				replayGroup(cfg, cs, fanout.Sink(baseSys), fanout.Sink(impSys))
+				src.Close()
+				base := baseSys.Results(cs.Instructions())
+				imp := impSys.Results(cs.Instructions())
 				out[qi] = row{
 					baseI: base.I.MissRate(), baseD: base.D.MissRate(),
 					impI: imp.I.MissRate(), impD: imp.D.MissRate(),

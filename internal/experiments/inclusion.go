@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/textplot"
 )
@@ -47,7 +48,7 @@ func AblationInclusion() Experiment {
 					sysCfg = mkVictim()
 				}
 				sys := hierarchy.MustNew(sysCfg)
-				sys.RunSource(tr.Source())
+				replayGroup(cfg, tr.Source(), fanout.Sink(sys))
 				if v == 0 {
 					out[i].plain = sys.Inclusion()
 				} else {

@@ -76,17 +76,15 @@ func diffValue(t *testing.T, path string, want, got reflect.Value) {
 	}
 }
 
-// replaySequential is the reference path: one hierarchy.System pulled
-// straight off a cursor.
+// replaySequential is the reference path: one hierarchy.System fed
+// straight from the trace, with no engine in between.
 func replaySequential(t *testing.T, cfg hierarchy.Config, tr *memtrace.Trace) hierarchy.Results {
 	t.Helper()
 	sys, err := hierarchy.New(cfg)
 	if err != nil {
 		t.Fatalf("hierarchy.New: %v", err)
 	}
-	if err := sys.RunSourceContext(context.Background(), tr.Source()); err != nil {
-		t.Fatalf("sequential replay: %v", err)
-	}
+	tr.Each(sys.Access)
 	return sys.Results(tr.Instructions())
 }
 

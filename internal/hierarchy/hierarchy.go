@@ -12,7 +12,6 @@
 package hierarchy
 
 import (
-	"context"
 	"fmt"
 
 	"jouppi/internal/cache"
@@ -451,30 +450,6 @@ func (s *System) Access(a memtrace.Access) {
 			s.FlushTelemetry()
 		}
 	}
-}
-
-// Run replays an entire in-memory trace.
-func (s *System) Run(t *memtrace.Trace) {
-	t.Each(s.Access)
-	s.FlushTelemetry()
-}
-
-// RunSource pulls src dry through the system. Replay memory is O(1) in
-// stream length, so arbitrarily long traces (file readers, live workload
-// generators) can be replayed without materializing them.
-func (s *System) RunSource(src memtrace.Source) {
-	memtrace.Each(src, s.Access)
-	s.FlushTelemetry()
-}
-
-// RunSourceContext is RunSource with cooperative cancellation: the drain
-// loop polls ctx and stops early with its error once the context is done,
-// so multi-hour replays of huge traces stay interruptible. A completed
-// replay returns nil.
-func (s *System) RunSourceContext(ctx context.Context, src memtrace.Source) error {
-	err := memtrace.EachContext(ctx, src, s.Access)
-	s.FlushTelemetry()
-	return err
 }
 
 // Access also satisfies memtrace.Sink, so a *System can be the direct

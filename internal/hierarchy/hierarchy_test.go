@@ -81,7 +81,7 @@ func TestRoutingByKind(t *testing.T) {
 	tr.Append(memtrace.Access{Addr: 0x1000, Kind: memtrace.Ifetch})
 	tr.Append(memtrace.Access{Addr: 0x2000, Kind: memtrace.Load})
 	tr.Append(memtrace.Access{Addr: 0x3000, Kind: memtrace.Store})
-	s.Run(tr)
+	tr.Each(s.Access)
 	if got := s.IFrontEnd().Stats().Accesses; got != 1 {
 		t.Errorf("I accesses = %d, want 1", got)
 	}
@@ -151,7 +151,7 @@ func TestResultsBreakdownConsistency(t *testing.T) {
 		}
 		tr.Append(memtrace.Access{Addr: addr, Kind: kind})
 	}
-	s.Run(tr)
+	tr.Each(s.Access)
 	r := s.Results(tr.Instructions())
 	if r.Instructions != tr.Instructions() {
 		t.Errorf("instructions = %d, want %d", r.Instructions, tr.Instructions())
@@ -189,9 +189,9 @@ func TestVictimCacheAugmentReducesConflicts(t *testing.T) {
 		return tr
 	}
 	base := MustNew(Config{})
-	base.Run(mkTrace())
+	mkTrace().Each(base.Access)
 	vc := MustNew(Config{DAugment: Augment{Kind: VictimCache, Entries: 4}})
-	vc.Run(mkTrace())
+	mkTrace().Each(vc.Access)
 	if b, v := base.Results(0).D.FullMisses(), vc.Results(0).D.FullMisses(); v*10 > b {
 		t.Errorf("victim cache misses %d not ≪ baseline %d", v, b)
 	}
@@ -290,7 +290,7 @@ func TestImprovedSystemBeatsBaseline(t *testing.T) {
 	}
 
 	base := MustNew(Config{})
-	base.Run(mkTrace())
+	mkTrace().Each(base.Access)
 	rb := base.Results(mkTrace().Instructions())
 
 	improved := MustNew(Config{
@@ -298,7 +298,7 @@ func TestImprovedSystemBeatsBaseline(t *testing.T) {
 		DAugment: Augment{Kind: VictimAndStream, Entries: 4,
 			Stream: core.StreamConfig{Ways: 4, Depth: 4}},
 	})
-	improved.Run(mkTrace())
+	mkTrace().Each(improved.Access)
 	ri := improved.Results(mkTrace().Instructions())
 
 	if ri.Breakdown.PercentOfPotential() <= rb.Breakdown.PercentOfPotential() {

@@ -10,8 +10,8 @@ import (
 // simulator's own (non-atomic, single-writer) stats structs are the only
 // counters the hot path touches; telemetry is published by copying the
 // delta of those stats into the shared registry counters every
-// telFlushEvery routed references, at the end of every Run/RunSource
-// replay, and whenever Results or FlushTelemetry is called. A /metrics
+// telFlushEvery routed references, at the end of every sim.Replay, and
+// whenever Results or FlushTelemetry is called. A /metrics
 // scrape taken mid-replay therefore lags the live run by at most this
 // many accesses; completed runs are exact.
 const telFlushEvery = 4096

@@ -26,7 +26,8 @@ func TestAttachTelemetryMatchesStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sys.AttachTelemetry(reg)
 
-	sys.Run(telemetryTestTrace(t))
+	telemetryTestTrace(t).Each(sys.Access)
+	sys.FlushTelemetry()
 
 	snap := reg.Snapshot()
 	res := sys.Results(0)
@@ -103,8 +104,8 @@ func TestAttachTelemetryIdentical(t *testing.T) {
 	instr := MustNew(cfg)
 	instr.AttachTelemetry(telemetry.NewRegistry())
 
-	plain.Run(tr)
-	instr.Run(tr)
+	tr.Each(plain.Access)
+	tr.Each(instr.Access)
 
 	if a, b := plain.Results(tr.Instructions()), instr.Results(tr.Instructions()); a != b {
 		t.Errorf("telemetry changed results:\nplain: %+v\ninstr: %+v", a, b)
@@ -119,7 +120,7 @@ func TestAttachTelemetryDetach(t *testing.T) {
 	sys.AttachTelemetry(reg)
 	sys.AttachTelemetry(nil)
 
-	sys.Run(telemetryTestTrace(t))
+	telemetryTestTrace(t).Each(sys.Access)
 
 	if got := reg.Snapshot()["sim_l1i_accesses_total"]; got != 0 {
 		t.Errorf("detached system still counted %v accesses", got)

@@ -178,7 +178,7 @@ func replaySystem(t *testing.T, sys *hierarchy.System, name string) {
 		t.Fatalf("unknown workload %q", name)
 	}
 	b.Generate(0.02, memtrace.SinkFunc(sys.Access))
-	// A manual Access loop must flush, like Run/RunSource do: probes on
+	// A manual Access loop must flush, like sim.Replay does: probes on
 	// the cheap miss-observer tap receive their final access-count sync
 	// at flush time.
 	sys.FlushTelemetry()

@@ -124,16 +124,21 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 		TraceDigest: spec.TraceDigest(),
 	}
 	if spec.Benchmark != "" {
-		cfgs := make([]sim.Config, len(spec.Configs))
-		for i, c := range spec.Configs {
-			cfgs[i] = c.Config
-		}
-		results, err := sim.ReplayManyContext(ctx, spec.Benchmark, spec.Scale, nil, cfgs)
+		src, err := sim.Benchmark(spec.Benchmark, spec.Scale)
 		if err != nil {
+			return nil, Permanent(err)
+		}
+		systems := make([]*sim.System, len(spec.Configs))
+		for i, c := range spec.Configs {
+			if systems[i], err = newSystem(c); err != nil {
+				return nil, err
+			}
+		}
+		if err := sim.Replay(ctx, src, systems...); err != nil {
 			return nil, err
 		}
-		for i, r := range results {
-			body.Configs = append(body.Configs, ConfigResult{Label: spec.Configs[i].Label, Results: r})
+		for i, sys := range systems {
+			body.Configs = append(body.Configs, ConfigResult{Label: spec.Configs[i].Label, Results: sys.Results()})
 		}
 		return body, nil
 	}
@@ -156,33 +161,31 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 	if degr != nil && degr.Degraded() {
 		body.Degradation = degr
 	}
+	// One replay, and so one replay span, per configuration over the
+	// materialized trace, each system built only for its own replay:
+	// fanning an upload out would hold every system live at once for a
+	// small saving in time.
 	for _, c := range spec.Configs {
-		_, csp := trace.Start(ctx, "replay", trace.String("config", c.Label))
-		sys, err := sim.NewSystem(c.Config)
+		sys, err := newSystem(c)
 		if err != nil {
-			csp.End()
-			// Configs are validated at submission; reaching this means a
-			// bug, but it is still not retryable.
-			return nil, Permanent(fmt.Errorf("jobqueue: config %q: %w", c.Label, err))
-		}
-		if err := memtrace.EachContext(ctx, tr.Source(), func(a memtrace.Access) {
-			switch a.Kind {
-			case memtrace.Ifetch:
-				sys.Ifetch(uint64(a.Addr))
-			case memtrace.Load:
-				sys.Load(uint64(a.Addr))
-			case memtrace.Store:
-				sys.Store(uint64(a.Addr))
-			}
-		}); err != nil {
-			csp.SetAttr("err", err.Error())
-			csp.End()
 			return nil, err
 		}
-		csp.End()
+		if err := sim.Replay(ctx, sim.Stream(tr.Source(), trace.String("config", c.Label)), sys); err != nil {
+			return nil, err
+		}
 		body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: sys.Results()})
 	}
 	return body, nil
+}
+
+// newSystem builds c's system. Configurations are validated at
+// submission; a failure here means a bug, but it is still not retryable.
+func newSystem(c sim.LabeledConfig) (*sim.System, error) {
+	sys, err := sim.NewSystem(c.Config)
+	if err != nil {
+		return nil, Permanent(fmt.Errorf("jobqueue: config %q: %w", c.Label, err))
+	}
+	return sys, nil
 }
 
 // decodeUpload decodes the spec's uploaded bytes into a materialized

@@ -5,35 +5,67 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"jouppi/internal/workload"
 )
 
-// The cancellable replay path (goroutine-fed source) must produce results
-// identical to the direct push path RunBenchmark uses.
-func TestRunBenchmarkContextMatchesRunBenchmark(t *testing.T) {
-	cfg := BaselineSystem()
-	plain, err := RunBenchmark("linpack", 0.05, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// context.Background has a nil Done channel, so force the pull-based
-	// path with a cancellable (but never cancelled) context.
+// TestReplayCancelled pins that an already-cancelled context stops every
+// replay path before it runs the trace: generated benchmarks through one
+// system and through fan-out, and a decoded stream.
+func TestReplayCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	withCtx, err := RunBenchmarkContext(ctx, "linpack", 0.05, cfg)
+	cancel()
+	bench, err := Benchmark("linpack", 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain != withCtx {
-		t.Errorf("results differ:\n push: %+v\n pull: %+v", plain, withCtx)
+	stream := func() *Source {
+		return Stream(workload.GenerateTrace(workload.MustByName("linpack"), 0.05).Source())
+	}
+	for _, tc := range []struct {
+		name    string
+		src     *Source
+		systems int
+	}{
+		{"one system", bench, 1},
+		{"fan-out", bench, 2},
+		{"stream", stream(), 1},
+	} {
+		systems := make([]*System, tc.systems)
+		for i := range systems {
+			if systems[i], err = NewSystem(ImprovedSystem()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := Replay(ctx, tc.src, systems...); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
 	}
 }
 
-func TestRunBenchmarkContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunBenchmarkContext(ctx, "linpack", 0.5, BaselineSystem())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+// TestReplayDeadline pins that a deadline cuts a long replay short
+// promptly, with the deadline's error.
+func TestReplayDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	// A scale this large would run for a long time uninterrupted.
+	src, err := Benchmark("linpack", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(BaselineSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := Replay(ctx, src, sys); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("deadline took %v to take effect", elapsed)
 	}
 }
 
@@ -43,23 +75,5 @@ func TestRunExperimentContextCancelled(t *testing.T) {
 	_, err := RunExperimentContext(ctx, "table2-1", 0.05)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunBenchmarkContextTimeoutStopsLongRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	// A scale this large would run for a long time uninterrupted; the
-	// deadline must cut it short promptly.
-	_, err := RunBenchmarkContext(ctx, "linpack", 500, BaselineSystem())
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("deadline took %v to take effect", elapsed)
 	}
 }

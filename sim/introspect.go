@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"context"
-
-	"jouppi/internal/introspect"
-	"jouppi/internal/telemetry"
-)
+import "jouppi/internal/introspect"
 
 // Introspection configures the optional time- and space-resolved probe a
 // replay can carry: phase windows (miss rate and hit attribution per N
@@ -44,46 +39,4 @@ func (o Introspection) toOptions() introspect.Options {
 // set per system (fan-out replays attach one per consumer).
 func (s *System) AttachIntrospection(o Introspection) *introspect.SystemProbe {
 	return introspect.Attach(s.sys, o.toOptions())
-}
-
-// RunBenchmarkIntrospected is RunBenchmarkContext plus an attached
-// introspection probe. The access stream and all simulated numbers are
-// bit-identical to the un-introspected replay; the returned probe holds
-// the phase windows, heatmaps, and sampled miss events accumulated
-// during the run.
-func RunBenchmarkIntrospected(ctx context.Context, name string, scale float64,
-	cfg Config, o Introspection) (Results, *introspect.SystemProbe, error) {
-	if err := checkScale(scale); err != nil {
-		return Results{}, nil, err
-	}
-	b, err := benchmark(name)
-	if err != nil {
-		return Results{}, nil, err
-	}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return Results{}, nil, err
-	}
-	probe := sys.AttachIntrospection(o)
-	if err := sys.replayBenchmark(ctx, b, scale); err != nil {
-		return Results{}, nil, err
-	}
-	return sys.Results(), probe, nil
-}
-
-// ReplayManyIntrospected is ReplayManyContext plus one introspection
-// probe set per configuration: every consumer system gets its own probe,
-// so the fan-out replay stays bit-identical to per-config replays while
-// each configuration's time/space behaviour is captured independently.
-// The returned probes are index-aligned with cfgs and the results.
-func ReplayManyIntrospected(ctx context.Context, name string, scale float64,
-	reg *telemetry.Registry, cfgs []Config, o Introspection) ([]Results, []*introspect.SystemProbe, error) {
-	probes := make([]*introspect.SystemProbe, len(cfgs))
-	results, err := replayMany(ctx, name, scale, reg, cfgs, func(i int, sys *System) {
-		probes[i] = sys.AttachIntrospection(o)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, probes, nil
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"testing"
+
+	"jouppi/internal/introspect"
 )
 
 // fullIntrospection enables every probe view (classification included,
@@ -15,8 +17,35 @@ var fullIntrospection = Introspection{
 	Classify:  true,
 }
 
-// TestIntrospectionEquivalence pins the tentpole guarantee at the public
-// API: an introspected replay returns bit-identical Results.
+// introspectedReplay replays ccom at scale 0.05 through one system per
+// configuration, in one Replay call, with o attached to every system.
+func introspectedReplay(t *testing.T, ctx context.Context, o Introspection, cfgs ...Config) ([]Results, []*introspect.SystemProbe, error) {
+	t.Helper()
+	src, err := Benchmark("ccom", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := make([]*System, len(cfgs))
+	probes := make([]*introspect.SystemProbe, len(cfgs))
+	for i, cfg := range cfgs {
+		if systems[i], err = NewSystem(cfg); err != nil {
+			t.Fatal(err)
+		}
+		probes[i] = systems[i].AttachIntrospection(o)
+	}
+	if err := Replay(ctx, src, systems...); err != nil {
+		return nil, nil, err
+	}
+	results := make([]Results, len(systems))
+	for i, sys := range systems {
+		results[i] = sys.Results()
+	}
+	return results, probes, nil
+}
+
+// TestIntrospectionEquivalence pins introspection at the public API: a
+// system with every probe view attached replays to bit-identical
+// Results, and its probe sees every access.
 func TestIntrospectionEquivalence(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"baseline": BaselineSystem(),
@@ -27,13 +56,14 @@ func TestIntrospectionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probed, probe, err := RunBenchmarkIntrospected(context.Background(), "ccom", 0.05, cfg, fullIntrospection)
+			probed, probes, err := introspectedReplay(t, context.Background(), fullIntrospection, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plain != probed {
-				t.Errorf("introspection changed simulated numbers:\nplain  %+v\nprobed %+v", plain, probed)
+			if bitsOf(plain) != bitsOf(probed[0]) {
+				t.Errorf("introspection changed simulated numbers:\nplain  %+v\nprobed %+v", plain, probed[0])
 			}
+			probe := probes[0]
 			if probe.I.Accesses()+probe.D.Accesses() != plain.I.Accesses+plain.D.Accesses {
 				t.Error("probe did not see every access")
 			}
@@ -54,18 +84,16 @@ func TestIntrospectionFanoutBitIdentical(t *testing.T) {
 		{D: Augmentation{VictimCacheEntries: 4}},
 	}
 	o := Introspection{Window: 1 << 12, Heatmap: true, MissEvery: 8}
-	results, probes, err := ReplayManyIntrospected(context.Background(), "ccom", 0.05, nil, cfgs, o)
+	results, probes, err := introspectedReplay(t, context.Background(), o, cfgs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(cfgs) || len(probes) != len(cfgs) {
-		t.Fatalf("got %d results / %d probes for %d configs", len(results), len(probes), len(cfgs))
-	}
 	for i, cfg := range cfgs {
-		seq, seqProbe, err := RunBenchmarkIntrospected(context.Background(), "ccom", 0.05, cfg, o)
+		seqs, seqProbes, err := introspectedReplay(t, context.Background(), o, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seq, seqProbe := seqs[0], seqProbes[0]
 		if results[i] != seq {
 			t.Errorf("config %d: fan-out results differ from sequential:\nfan-out    %+v\nsequential %+v", i, results[i], seq)
 		}
@@ -93,26 +121,10 @@ func TestIntrospectionFanoutBitIdentical(t *testing.T) {
 	}
 }
 
-func TestIntrospectionErrors(t *testing.T) {
-	if _, _, err := RunBenchmarkIntrospected(context.Background(), "ccom", 0, Config{}, Introspection{}); err == nil {
-		t.Error("zero scale must fail")
-	}
-	if _, _, err := RunBenchmarkIntrospected(context.Background(), "nope", 1, Config{}, Introspection{}); err == nil {
-		t.Error("unknown benchmark must fail")
-	}
-	bad := Config{I: Augmentation{MissCacheEntries: 2, VictimCacheEntries: 2}}
-	if _, _, err := RunBenchmarkIntrospected(context.Background(), "ccom", 1, bad, Introspection{}); err == nil {
-		t.Error("invalid config must fail")
-	}
-	if _, _, err := ReplayManyIntrospected(context.Background(), "ccom", -1, nil, []Config{{}}, Introspection{}); err == nil {
-		t.Error("negative scale must fail in fan-out")
-	}
-}
-
 func TestIntrospectionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := RunBenchmarkIntrospected(ctx, "ccom", 0.05, Config{}, Introspection{}); err == nil {
+	if _, _, err := introspectedReplay(t, ctx, Introspection{}, Config{}); err == nil {
 		t.Error("cancelled context must abort the introspected replay")
 	}
 }

@@ -2,84 +2,156 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"os"
+	"slices"
 
 	"jouppi/internal/fanout"
 	"jouppi/internal/memtrace"
-	"jouppi/internal/telemetry"
 	"jouppi/internal/trace"
 	"jouppi/internal/workload"
 )
 
-// ReplayMany generates the named workload once and replays that single
-// trace pass through a system built from each configuration, returning
-// one Results per configuration in order. The numbers are bit-identical
-// to running RunBenchmark once per configuration — the trace production
-// cost is simply paid once instead of len(cfgs) times, which is where
-// per-config sweeps spend most of their wall-clock.
-func ReplayMany(name string, scale float64, cfgs []Config) ([]Results, error) {
-	return ReplayManyContext(context.Background(), name, scale, nil, cfgs)
+// ErrUnknownFormat is returned, wrapped with the rejected name, for a
+// trace format other than "jtr" (compact binary) or "din" (dinero text).
+var ErrUnknownFormat = errors.New("sim: unknown trace format (want jtr or din)")
+
+func checkFormat(format string) error {
+	if format != "jtr" && format != "din" {
+		return fmt.Errorf("%w: %q", ErrUnknownFormat, format)
+	}
+	return nil
 }
 
-// ReplayManyContext is ReplayMany with cooperative cancellation and
-// optional telemetry: the replay stops early with ctx's error once the
-// context is done, and a non-nil registry receives the fan-out engine's
-// broadcast metrics (fanout_chunks_total, fanout_records_total,
-// fanout_consumers, fanout_broadcast_depth, fanout_consumer_lag_*).
-func ReplayManyContext(ctx context.Context, name string, scale float64,
-	reg *telemetry.Registry, cfgs []Config) ([]Results, error) {
-	return replayMany(ctx, name, scale, reg, cfgs, nil)
+// Source is a stream of memory references for Replay: a generated
+// benchmark (Benchmark), a trace file (OpenTrace) or a decoded stream
+// (Stream).
+type Source struct {
+	// attrs name the source on the replay span.
+	attrs []trace.Attr
+	// bench, when set, is generated afresh at scale by every Replay.
+	bench workload.Benchmark
+	scale float64
+	// stream is a single-pass stream; err, when set, reports what ended
+	// it early (a decode error) and closer releases what backs it.
+	stream memtrace.Source
+	err    func() error
+	closer io.Closer
 }
 
-// replayMany is the shared fan-out replay body. attach, when non-nil, is
-// called once per freshly built consumer system before the replay starts
-// (the introspection hook); it must not touch the access stream.
-func replayMany(ctx context.Context, name string, scale float64,
-	reg *telemetry.Registry, cfgs []Config, attach func(i int, sys *System)) ([]Results, error) {
-	if err := checkScale(scale); err != nil {
-		return nil, err
+// Benchmark returns the named workload at the given scale as a Source.
+// Scale 1.0 is roughly 1–4M instructions depending on the benchmark; it
+// must be positive and finite. The source generates the workload afresh
+// on every Replay and never materializes it, so replay memory is O(1) in
+// trace length.
+func Benchmark(name string, scale float64) (*Source, error) {
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("sim: scale must be a positive finite number, got %v", scale)
 	}
 	b, err := benchmark(name)
 	if err != nil {
 		return nil, err
 	}
-	systems := make([]*System, len(cfgs))
-	consumers := make([]fanout.Consumer, len(cfgs))
-	for i, cfg := range cfgs {
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: config %d: %w", i, err)
-		}
-		if attach != nil {
-			attach(i, sys)
-		}
-		systems[i] = sys
-		consumers[i] = fanout.Sink(sys.sys)
-	}
+	return &Source{attrs: []trace.Attr{trace.String("benchmark", name)}, bench: b, scale: scale}, nil
+}
 
-	// The whole fan-out pass is one "replay" span: trace decode/production
-	// and broadcast are a single stage of a job's wall-clock, and the
-	// record count lands as an attribute at close. Span granularity is
-	// per replay, never per access, so tracing stays off the hot path.
-	ctx, rsp := trace.Start(ctx, "replay",
-		trace.String("benchmark", name), trace.Int("configs", len(cfgs)))
-	defer rsp.End()
-
-	// Instructions are counted once on the producer side; every consumer
-	// sees the same stream, so they all share the count.
-	src := workload.NewSource(b, scale)
-	defer src.Close()
-	counting := memtrace.NewCountingSource(src)
-	eng := fanout.New(fanout.Config{})
-	eng.AttachTelemetry(reg)
-	if err := eng.Replay(ctx, counting, consumers...); err != nil {
+// OpenTrace opens a trace file (format "jtr" or "din") as a Source.
+// Instruction counts are taken from the trace's ifetch records. The file
+// is decoded in buffered chunks as Replay pulls it, so replay memory is
+// O(1) in file size. The source is single-pass; Close it when done.
+func OpenTrace(path, format string) (*Source, error) {
+	if err := checkFormat(format); err != nil {
 		return nil, err
 	}
-	out := make([]Results, len(systems))
-	for i, sys := range systems {
-		sys.instructions = counting.Instructions()
-		out[i] = sys.Results()
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	rsp.SetAttr("records", fmt.Sprint(counting.Total()))
-	return out, nil
+	src := &Source{attrs: []trace.Attr{trace.String("trace", path)}, closer: f}
+	if format == "din" {
+		dr := memtrace.NewDineroReader(f)
+		src.stream, src.err = dr, dr.Err
+		return src, nil
+	}
+	r, err := memtrace.NewReader(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	src.stream, src.err = r, r.Err
+	return src, nil
+}
+
+// Stream wraps an already-decoded single-pass stream as a Source; attrs
+// annotate its replay span.
+func Stream(s memtrace.Source, attrs ...trace.Attr) *Source {
+	return &Source{attrs: attrs, stream: s}
+}
+
+// Close releases the file behind an OpenTrace source; it is a no-op for
+// other sources.
+func (s *Source) Close() error {
+	if s.closer == nil {
+		return nil
+	}
+	return s.closer.Close()
+}
+
+// Replay drives one pass of src through every system and books the
+// pass's instruction count on each. Several systems share that one pass
+// through the fan-out engine, with numbers bit-identical to replaying
+// each on its own. The replay polls ctx and stops early with its error
+// once the context is done; the systems then hold a prefix of the trace.
+// Introspection and telemetry are attached to a system before Replay.
+//
+// The whole pass is one "replay" span: trace production or decode and
+// the broadcast are a single stage of a job's wall-clock, and the record
+// count lands as an attribute at close. Span granularity is per replay,
+// never per access, so tracing stays off the hot path.
+func Replay(ctx context.Context, src *Source, systems ...*System) error {
+	ctx, sp := trace.Start(ctx, "replay",
+		slices.Concat(src.attrs, []trace.Attr{trace.Int("configs", len(systems))})...)
+	defer sp.End()
+	var counts memtrace.Counts
+	if src.bench != nil && len(systems) == 1 && ctx.Done() == nil {
+		// One system under a context that can never be cancelled:
+		// generate straight into the hierarchy with no goroutine hand-off.
+		sys := systems[0].sys
+		src.bench.Generate(src.scale, memtrace.SinkFunc(func(a memtrace.Access) {
+			counts.Observe(a)
+			sys.Access(a)
+		}))
+	} else {
+		stream := src.stream
+		if src.bench != nil {
+			// The workload generates in a goroutine that Close releases
+			// if the replay is cut short.
+			ws := workload.NewSource(src.bench, src.scale)
+			defer ws.Close()
+			stream = ws
+		}
+		counting := memtrace.NewCountingSource(stream)
+		consumers := make([]fanout.Consumer, len(systems))
+		for i, s := range systems {
+			consumers[i] = fanout.Sink(s.sys)
+		}
+		err := fanout.Replay(ctx, counting, consumers...)
+		if err == nil && src.err != nil {
+			err = src.err()
+		}
+		if err != nil {
+			sp.SetAttr("err", err.Error())
+			return err
+		}
+		counts = counting.Counts
+	}
+	for _, s := range systems {
+		s.instructions += counts.Instructions()
+		s.sys.FlushTelemetry()
+	}
+	sp.SetAttr("records", fmt.Sprint(counts.Total()))
+	return nil
 }

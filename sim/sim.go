@@ -21,7 +21,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
@@ -336,14 +335,6 @@ func BenchmarkDescription(name string) (string, error) {
 	return b.Description(), nil
 }
 
-// checkScale rejects non-positive and non-finite workload scales.
-func checkScale(scale float64) error {
-	if !(scale > 0) || math.IsInf(scale, 0) {
-		return fmt.Errorf("sim: scale must be a positive finite number, got %v", scale)
-	}
-	return nil
-}
-
 func benchmark(name string) (workload.Benchmark, error) {
 	switch name {
 	case "strided":
@@ -357,27 +348,10 @@ func benchmark(name string) (workload.Benchmark, error) {
 	return nil, fmt.Errorf("sim: unknown benchmark %q (have %v)", name, Benchmarks())
 }
 
-// RunBenchmark generates the named workload at the given scale and replays
-// it through a system built from cfg. Scale 1.0 is roughly 1–4M
-// instructions depending on the benchmark; it must be positive and finite.
-//
-// The workload streams directly into the simulated hierarchy — the trace
-// is never materialized — so replay memory is O(1) in trace length and
-// arbitrarily large scales are feasible.
+// RunBenchmark replays the named workload at the given scale through a
+// system built from cfg; see Benchmark and Replay.
 func RunBenchmark(name string, scale float64, cfg Config) (Results, error) {
-	return RunBenchmarkContext(context.Background(), name, scale, cfg)
-}
-
-// RunBenchmarkContext is RunBenchmark with cooperative cancellation: the
-// replay polls ctx and stops early with its error once the context is
-// done, so long runs at large scales stay interruptible and can be
-// time-bounded with context.WithTimeout. The access sequence is
-// bit-identical to RunBenchmark's.
-func RunBenchmarkContext(ctx context.Context, name string, scale float64, cfg Config) (Results, error) {
-	if err := checkScale(scale); err != nil {
-		return Results{}, err
-	}
-	b, err := benchmark(name)
+	src, err := Benchmark(name, scale)
 	if err != nil {
 		return Results{}, err
 	}
@@ -385,38 +359,10 @@ func RunBenchmarkContext(ctx context.Context, name string, scale float64, cfg Co
 	if err != nil {
 		return Results{}, err
 	}
-	if err := sys.replayBenchmark(ctx, b, scale); err != nil {
+	if err := Replay(context.Background(), src, sys); err != nil {
 		return Results{}, err
 	}
 	return sys.Results(), nil
-}
-
-// replayBenchmark streams b at scale through the system, booking the
-// instruction count. It is the shared body of RunBenchmarkContext and
-// RunBenchmarkIntrospected, so both replay bit-identically.
-func (s *System) replayBenchmark(ctx context.Context, b workload.Benchmark, scale float64) error {
-	if ctx.Done() == nil {
-		// The context can never be cancelled (Background/TODO): generate
-		// straight into the hierarchy with no goroutine hand-off.
-		var counts memtrace.Counts
-		b.Generate(scale, memtrace.SinkFunc(func(a memtrace.Access) {
-			counts.Observe(a)
-			s.sys.Access(a)
-		}))
-		s.instructions = counts.Instructions()
-		return nil
-	}
-	// A cancellable context needs a pull-based replay loop that can stop
-	// between accesses; the workload source generates in a goroutine that
-	// Close releases if the replay is cut short.
-	src := workload.NewSource(b, scale)
-	defer src.Close()
-	counting := memtrace.NewCountingSource(src)
-	if err := memtrace.EachContext(ctx, counting, s.sys.Access); err != nil {
-		return err
-	}
-	s.instructions = counting.Instructions()
-	return nil
 }
 
 // ExperimentInfo names one reproducible paper exhibit.

@@ -50,11 +50,11 @@ func toKind(k memtrace.Kind) AccessKind {
 // streams every reference to visit, without materializing the trace. Use
 // it to drive custom simulators or exporters off the paper's workloads.
 func VisitBenchmark(name string, scale float64, visit TraceVisitor) error {
-	b, err := benchmark(name)
+	src, err := Benchmark(name, scale)
 	if err != nil {
 		return err
 	}
-	b.Generate(scale, memtrace.SinkFunc(func(a memtrace.Access) {
+	src.bench.Generate(scale, memtrace.SinkFunc(func(a memtrace.Access) {
 		visit(toKind(a.Kind), uint64(a.Addr))
 	}))
 	return nil
@@ -62,10 +62,15 @@ func VisitBenchmark(name string, scale float64, visit TraceVisitor) error {
 
 // WriteTraceFile generates the named workload and writes its trace to
 // path. format is "jtr" (compact binary) or "din" (dinero text). It
-// returns the number of records written.
+// returns the number of records written. Every argument is checked
+// before path is created, so a rejected call leaves an existing file
+// untouched.
 func WriteTraceFile(name string, scale float64, path, format string) (uint64, error) {
-	b, err := benchmark(name)
+	src, err := Benchmark(name, scale)
 	if err != nil {
+		return 0, err
+	}
+	if err := checkFormat(format); err != nil {
 		return 0, err
 	}
 	f, err := os.Create(path)
@@ -73,69 +78,19 @@ func WriteTraceFile(name string, scale float64, path, format string) (uint64, er
 		return 0, err
 	}
 	defer f.Close()
-
-	switch format {
-	case "jtr":
-		sw, err := memtrace.NewStreamWriter(f)
-		if err != nil {
-			return 0, err
-		}
-		b.Generate(scale, sw)
-		if err := sw.Close(); err != nil {
-			return 0, err
-		}
-		return sw.Count(), f.Close()
-	case "din":
-		dw := memtrace.NewDineroWriter(f)
-		b.Generate(scale, dw)
-		if err := dw.Close(); err != nil {
-			return 0, err
-		}
-		return dw.Count(), f.Close()
-	default:
-		return 0, fmt.Errorf("sim: unknown trace format %q (want jtr or din)", format)
+	var w interface {
+		memtrace.Sink
+		Close() error
+		Count() uint64
 	}
-}
-
-// ReplayTraceFile reads a trace file (format "jtr" or "din") and replays
-// it through a system built from cfg, returning the results. Instruction
-// counts are taken from the trace's ifetch records. The file is decoded
-// in buffered chunks and streamed through the system, so replay memory is
-// O(1) in file size.
-func ReplayTraceFile(path, format string, cfg Config) (Results, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Results{}, err
+	if format == "din" {
+		w = memtrace.NewDineroWriter(f)
+	} else if w, err = memtrace.NewStreamWriter(f); err != nil {
+		return 0, err
 	}
-	defer f.Close()
-
-	var (
-		src    memtrace.Source
-		srcErr func() error
-	)
-	switch format {
-	case "jtr":
-		r, err := memtrace.NewReader(f)
-		if err != nil {
-			return Results{}, err
-		}
-		src, srcErr = r, r.Err
-	case "din":
-		dr := memtrace.NewDineroReader(f)
-		src, srcErr = dr, dr.Err
-	default:
-		return Results{}, fmt.Errorf("sim: unknown trace format %q (want jtr or din)", format)
+	src.bench.Generate(scale, w)
+	if err := w.Close(); err != nil {
+		return 0, err
 	}
-
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return Results{}, err
-	}
-	cs := memtrace.NewCountingSource(src)
-	sys.sys.RunSource(cs)
-	if err := srcErr(); err != nil {
-		return Results{}, err
-	}
-	sys.instructions = cs.Instructions()
-	return sys.Results(), nil
+	return w.Count(), f.Close()
 }

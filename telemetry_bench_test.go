@@ -180,7 +180,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		counting := memtrace.NewCountingSource(memtrace.NewDineroReader(bytes.NewReader(din)))
 		sys := hierarchy.MustNew(fileCfg)
 		sys.AttachTelemetry(reg)
-		sys.RunSource(counting)
+		memtrace.Each(counting, sys.Access)
 		return sys.Results(counting.Instructions())
 	}
 
@@ -308,15 +308,25 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	// fast path. Spans exist only at replay/consumer granularity, so this
 	// prices a handful of span closes amortized over a full trace pass.
 	tracer := trace.New(trace.Options{Capacity: 4})
-	traceCfgs := []sim.Config{sim.ImprovedSystem()}
+	ccom, err := sim.Benchmark("ccom", benchScale)
+	if err != nil {
+		t.Fatal(err)
+	}
 	replayTraced := func(attach bool) {
-		ctx := context.Background()
+		// A cancellable context, as every cachesimd job carries, keeps
+		// the replay on the goroutine-fed path a job runs.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		var root *trace.Span
 		if attach {
 			root = tracer.Root("bench", "", nil)
 			ctx = trace.ContextWith(ctx, root)
 		}
-		if _, err := sim.ReplayManyContext(ctx, "ccom", benchScale, nil, traceCfgs); err != nil {
+		sys, err := sim.NewSystem(sim.ImprovedSystem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Replay(ctx, ccom, sys); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
