@@ -9,6 +9,31 @@ import (
 	"jouppi/internal/workload"
 )
 
+// TestRunBenchmarkContextMatchesRunBenchmark pins that the cancellable
+// replay path (a goroutine-fed source, chosen because the context can be
+// cancelled) produces results bit-identical to RunBenchmark's direct push
+// path. The name is kept from the context-taking RunBenchmark variant that
+// Replay replaced.
+func TestRunBenchmarkContextMatchesRunBenchmark(t *testing.T) {
+	cfg := BaselineSystem()
+	plain, err := RunBenchmark("linpack", 0.05, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// context.Background has a nil Done channel, so force the pull-based
+	// path with a cancellable (but never cancelled) context.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src, err := Benchmark("linpack", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCtx := replayOnce(t, ctx, src, false, cfg)[0]
+	if bitsOf(plain) != bitsOf(withCtx) {
+		t.Errorf("results differ:\n push: %+v\n pull: %+v", plain, withCtx)
+	}
+}
+
 // TestReplayCancelled pins that an already-cancelled context stops every
 // replay path before it runs the trace: generated benchmarks through one
 // system and through fan-out, and a decoded stream.

@@ -156,6 +156,33 @@ func TestReplayPathsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestReplayManyMatchesRunBenchmark is the facade-level bit-identity pin:
+// one fan-out Replay across eight configurations must reproduce exactly
+// the Results of eight independent RunBenchmark replays. The name is kept
+// from the multi-configuration entry point that Replay replaced.
+func TestReplayManyMatchesRunBenchmark(t *testing.T) {
+	const scale = 0.02
+	cfgs := replayConfigs()
+	src, err := Benchmark("ccom", scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := replayOnce(t, context.Background(), src, false, cfgs...)
+	if len(got) != len(cfgs) {
+		t.Fatalf("got %d results, want %d", len(got), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		want, err := RunBenchmark("ccom", scale, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bitsOf(got[i]) != bitsOf(want) {
+			t.Errorf("config %d (%s): fan-out results differ from RunBenchmark:\n got %+v\nwant %+v",
+				i, Format(cfg), got[i], want)
+		}
+	}
+}
+
 // TestReplayErrors covers the source and configuration checks.
 func TestReplayErrors(t *testing.T) {
 	if _, err := Benchmark("ccom", 0); err == nil {
