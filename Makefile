@@ -60,9 +60,9 @@ cover:
 	awk -v got="$$total" -v min="$(JOBQUEUE_COVER_MIN)" \
 		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
 
-# fuzz gives each trace-decoder, configuration-grammar and job-request
-# fuzz target a short budget
-# — a smoke pass that exercises the corpus plus a few seconds of mutation,
+# fuzz gives each trace-decoder, configuration-grammar, job-request and
+# front-end-versus-reference-model fuzz target a short budget — a smoke
+# pass that exercises the corpus plus a few seconds of mutation,
 # not a soak.
 FUZZTIME ?= 5s
 fuzz:
@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzLenientReaders -fuzztime $(FUZZTIME)
 	$(GO) test ./sim -run '^$$' -fuzz FuzzConfigGrammar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFrontEndVsReference -fuzztime $(FUZZTIME)
 
 # loadtest runs the cachesimd chaos/load test under the race detector:
 # concurrent clients flood the daemon's HTTP API, a tenth of them with
