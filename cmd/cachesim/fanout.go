@@ -8,7 +8,6 @@ import (
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/fanout"
-	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
 	"jouppi/sim"
@@ -17,13 +16,13 @@ import (
 // frontEnds parses list over base (the main-flag configuration) and
 // builds each configuration's front end. The single replay is the empty
 // list.
-func frontEnds(list string, base sim.Config) ([]string, []core.FrontEnd, error) {
+func frontEnds(list string, base sim.Config) ([]string, []*core.Level, error) {
 	cfgs, err := sim.ParseConfigs(list, base)
 	if err != nil {
 		return nil, nil, err
 	}
 	var labels []string
-	var fes []core.FrontEnd
+	var fes []*core.Level
 	for _, c := range cfgs {
 		fe, err := frontEnd(c.Config, base)
 		if err != nil {
@@ -37,7 +36,7 @@ func frontEnds(list string, base sim.Config) ([]string, []core.FrontEnd, error) 
 // frontEnd builds the one cache cachesim replays: the data side of cfg.
 // cachesim has no instruction side and no L2, so a spec that would
 // change either is an error rather than ignored.
-func frontEnd(cfg, base sim.Config) (core.FrontEnd, error) {
+func frontEnd(cfg, base sim.Config) (*core.Level, error) {
 	rest := cfg
 	rest.L1D, rest.D = base.L1D, base.D
 	// size, line and assoc set both sides: the I side may follow the D side.
@@ -62,13 +61,13 @@ func frontEnd(cfg, base sim.Config) (core.FrontEnd, error) {
 	if err != nil {
 		return nil, err
 	}
-	return hierarchy.BuildFrontEnd(l1, hc.DAugment, nil, hc.Timing)
+	return core.NewLevel(l1, hc.DAugment, nil, hc.Timing)
 }
 
 // feConsumer replays the kept references of each broadcast chunk into one
 // front end.
 type feConsumer struct {
-	fe   core.FrontEnd
+	fe   *core.Level
 	keep func(memtrace.Access) bool
 }
 
@@ -84,7 +83,7 @@ func (c *feConsumer) Consume(chunk []memtrace.Access) {
 // configuration via the fan-out engine, printing one summary row per
 // configuration. Statistics are bit-identical to running cachesim once
 // per configuration; the decode cost is paid once.
-func runFanout(stdout, stderr io.Writer, labels []string, fes []core.FrontEnd,
+func runFanout(stdout, stderr io.Writer, labels []string, fes []*core.Level,
 	src memtrace.Source, keep func(memtrace.Access) bool,
 	reg *telemetry.Registry, srcErr func() error,
 	degr func() memtrace.Degradation, lenient bool) int {

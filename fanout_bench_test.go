@@ -32,15 +32,15 @@ func fanoutBenchConfigs() []hierarchy.Config {
 	stream4 := core.StreamConfig{Ways: 4, Depth: 4}
 	return []hierarchy.Config{
 		{}, // paper baseline
-		{DAugment: hierarchy.Augment{Kind: hierarchy.MissCache, Entries: 2}},
-		{DAugment: hierarchy.Augment{Kind: hierarchy.MissCache, Entries: 4}},
-		{DAugment: hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 2}},
-		{DAugment: hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4}},
-		{IAugment: hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream1}},
-		{DAugment: hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream4}},
+		{DAugment: core.Aux{MissCache: 2}},
+		{DAugment: core.Aux{MissCache: 4}},
+		{DAugment: core.Aux{Victim: 2}},
+		{DAugment: core.Aux{Victim: 4}},
+		{IAugment: core.Aux{Stream: stream1}},
+		{DAugment: core.Aux{Stream: stream4}},
 		{
-			IAugment: hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream1},
-			DAugment: hierarchy.Augment{Kind: hierarchy.VictimAndStream, Entries: 4, Stream: stream4},
+			IAugment: core.Aux{Stream: stream1},
+			DAugment: core.Aux{Victim: 4, Stream: stream4},
 		},
 	}
 }

@@ -31,7 +31,7 @@ func Example() {
 
 // A stream buffer turns a sequential sweep into a single demand miss: the
 // buffer prefetches the following lines and supplies each in one cycle.
-func ExampleStreamBuffer() {
+func ExampleNewStreamBuffer() {
 	fe := core.NewStreamBuffer(newL1(), core.StreamConfig{Ways: 1, Depth: 4}, nil,
 		core.Timing{MissPenalty: 24, AuxPenalty: 1, FillLatency: 1, FillInterval: 1})
 	for i := 0; i < 1000; i++ {

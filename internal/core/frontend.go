@@ -1,9 +1,9 @@
 // Package core implements the paper's hardware contributions: miss caches
 // (§3.1), victim caches (§3.2), single- and multi-way stream buffers
-// (§4.1–4.2), and the front-ends that attach them to a first-level
-// direct-mapped cache. It also implements the extensions the paper lists
-// as future work: quasi-sequential lookup and stride-predicting stream
-// buffers.
+// (§4.1–4.2), and Level, which attaches the ones an Aux declares to a
+// first-level direct-mapped cache. It also implements the extensions the
+// paper lists as future work: quasi-sequential lookup and
+// stride-predicting stream buffers.
 //
 // A FrontEnd models one first-level cache (instruction or data) plus its
 // augmentation. Every access is classified as an L1 hit, an augmentation
@@ -186,104 +186,9 @@ type FrontEnd interface {
 	Access(addr uint64, write bool) Result
 	// Stats returns accumulated counters.
 	Stats() Stats
-	// Accesses returns the running Stats().Accesses count without
-	// copying the whole stats block. Reference paths that need the
-	// count per event — the hierarchy's miss-observer tap reads it on
-	// every first-level miss — use this instead of Stats.
-	Accesses() uint64
 	// Cache exposes the underlying L1 array (for inspection and
 	// invariant checking in tests).
 	Cache() *cache.Cache
 	// Name identifies the configuration for reports.
 	Name() string
-}
-
-// Baseline is a FrontEnd with no augmentation: a plain direct-mapped (or
-// other) first-level cache in front of the next level.
-type Baseline struct {
-	l1     *cache.Cache
-	fetch  Fetcher
-	timing Timing
-	stats  Stats
-	now    uint64
-}
-
-// NewBaseline wraps l1 as an unaugmented front-end. fetch may be nil when
-// next-level traffic is not modelled.
-func NewBaseline(l1 *cache.Cache, fetch Fetcher, timing Timing) *Baseline {
-	return &Baseline{l1: l1, fetch: fetch, timing: timing.withDefaults()}
-}
-
-// Access implements FrontEnd.
-func (b *Baseline) Access(addr uint64, write bool) Result {
-	b.stats.Accesses++
-	b.now++
-	if b.l1.Probe(addr, write) {
-		b.stats.L1Hits++
-		return Result{L1Hit: true}
-	}
-	b.stats.L1Misses++
-	b.stats.Fetches++
-	if b.fetch != nil {
-		b.fetch(b.l1.LineAddr(addr), false)
-	}
-	dirty := write && b.l1.Config().WritePolicy == cache.WriteBack
-	victim := b.l1.Fill(addr, dirty)
-	if victim.Dirty {
-		b.stats.Writebacks++
-	}
-	stall := b.timing.MissPenalty
-	b.stats.StallCycles += uint64(stall)
-	b.now += uint64(stall)
-	return Result{Stall: stall, Served: ServedMemory}
-}
-
-// Stats implements FrontEnd.
-func (b *Baseline) Stats() Stats { return b.stats }
-
-// Accesses implements FrontEnd.
-func (b *Baseline) Accesses() uint64 { return b.stats.Accesses }
-
-// Cache implements FrontEnd.
-func (b *Baseline) Cache() *cache.Cache { return b.l1 }
-
-// Name implements FrontEnd.
-func (b *Baseline) Name() string { return "baseline" }
-
-var _ FrontEnd = (*Baseline)(nil)
-
-// AccessCounter returns a pointer to fe's live access counter — the
-// word behind Stats().Accesses, which every Access call increments — for
-// the front-end types of this package, unwrapping WithWriteBuffer; it
-// returns nil for foreign FrontEnd implementations. The pointer lets a
-// per-event consumer (the hierarchy's miss-observer tap reads it on
-// every first-level miss) load the count without an interface call,
-// under the usual single-writer discipline: read-only, replay goroutine
-// only.
-func AccessCounter(fe FrontEnd) *uint64 {
-	switch f := fe.(type) {
-	case *Baseline:
-		return &f.stats.Accesses
-	case *MissCache:
-		return &f.stats.Accesses
-	case *VictimCache:
-		return &f.stats.Accesses
-	case *StreamBuffer:
-		return &f.stats.Accesses
-	case *Combined:
-		return &f.stats.Accesses
-	case *WithWriteBuffer:
-		return AccessCounter(f.inner)
-	}
-	return nil
-}
-
-// AuxResidents is implemented by front-ends whose auxiliary structure
-// holds whole cache lines (miss caches and victim caches). It exposes the
-// line addresses currently resident in the structure, for content
-// analyses such as the §3.5 inclusion-property study.
-type AuxResidents interface {
-	// AuxResidentLines returns line addresses (in L1 line units) held by
-	// the auxiliary structure.
-	AuxResidentLines() []uint64
 }

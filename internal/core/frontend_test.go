@@ -307,3 +307,45 @@ func TestWritebackAccountingWriteBackL1(t *testing.T) {
 		t.Errorf("dirty bit lost across swap: writebacks = %d, want 1", wb)
 	}
 }
+
+func TestNewLevelRejectsBadAux(t *testing.T) {
+	for _, aux := range []Aux{
+		{MissCache: -1},
+		{Victim: -2},
+		{Victim: -1, Stream: StreamConfig{Ways: 4}},
+		{Stream: StreamConfig{Ways: 1, Depth: -1}},
+		{Stream: StreamConfig{RunLimit: -1}},
+		{MissCache: 2, Victim: 2},
+		{MissCache: 2, Stream: StreamConfig{Ways: 1}},
+	} {
+		if l, err := NewLevel(newL1(64), aux, nil, Timing{}); err == nil {
+			t.Errorf("%+v accepted as %s", aux, l.Name())
+		}
+	}
+	// A miss cache alongside a zero-way stream config is a plain miss cache.
+	if _, err := NewLevel(newL1(64), Aux{MissCache: 2, Stream: StreamConfig{Depth: 8}}, nil, Timing{}); err != nil {
+		t.Errorf("miss cache with depth only: %v", err)
+	}
+}
+
+// Every shape keeps the name it had as its own front-end type.
+func TestLevelNames(t *testing.T) {
+	for aux, want := range map[Aux]string{
+		{}:                               "baseline",
+		{Stream: StreamConfig{Depth: 8}}: "baseline",
+		{MissCache: 2}:                   "miss-cache-2",
+		{Victim: 4}:                      "victim-cache-4",
+		{Stream: StreamConfig{Ways: 4}}:  "stream-4way-4deep",
+		{Stream: StreamConfig{Ways: 1, Depth: 8, Quasi: true}}:           "quasi-stream-1way-8deep",
+		{Stream: StreamConfig{Ways: 2, Quasi: true, DetectStride: true}}: "stride-stream-2way-4deep",
+		{Victim: 4, Stream: StreamConfig{Ways: 4}}:                       "combined-vc4-sb4x4",
+	} {
+		l, err := NewLevel(newL1(64), aux, nil, Timing{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Name(); got != want {
+			t.Errorf("%+v: name %q, want %q", aux, got, want)
+		}
+	}
+}

@@ -1,0 +1,291 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"jouppi/internal/cache"
+)
+
+// Aux declares the helper structures on a cache's refill path. The zero
+// Aux is a plain cache.
+type Aux struct {
+	// MissCache is the number of miss-cache entries (§3.1); 0 for none.
+	// A miss cache cannot be combined with the other structures.
+	MissCache int
+	// Victim is the number of victim-cache entries (§3.2); 0 for none.
+	Victim int
+	// Stream configures the stream buffers (§4). Ways 0 builds none; a
+	// zero Depth takes the default of four entries.
+	Stream StreamConfig
+}
+
+// validate reports a negative count, an invalid stream configuration, or
+// a miss cache combined with a victim cache or stream buffers.
+func (a Aux) validate() error {
+	if a.MissCache < 0 {
+		return fmt.Errorf("core: negative miss cache size %d", a.MissCache)
+	}
+	if a.Victim < 0 {
+		return fmt.Errorf("core: negative victim cache size %d", a.Victim)
+	}
+	if err := a.Stream.Validate(); err != nil {
+		return err
+	}
+	if a.MissCache > 0 && (a.Victim > 0 || a.Stream.Ways > 0) {
+		return errors.New("core: a miss cache cannot be combined with a victim cache or stream buffers")
+	}
+	return nil
+}
+
+// Level is one cache — a first-level cache in the paper, the L2 in its
+// extension — and the helper structures its Aux declares, probed in the
+// paper's order (§5): on a cache miss the miss or victim cache first (a
+// one-cycle reload or swap is the cheapest recovery), then the stream
+// buffers, and only then a demand fetch from the next level.
+//
+// A miss cache (§3.1) holds the most recently missed lines, so a line can
+// sit in both the cache and the miss cache. A victim cache (§3.2) instead
+// takes every line the cache displaces — by a swap, a stream-buffer fill
+// or a demand fill — so no line is ever in both, and a hit swaps the two.
+// Stream buffers (§4) hold prefetched lines outside the cache, avoiding
+// pollution; a hit moves the line into the cache in one cycle plus any
+// remaining fill latency.
+//
+// The paper's improved system (§5) puts a 4-entry victim cache and a
+// 4-way stream buffer on the data cache and a single stream buffer on
+// the instruction cache.
+type Level struct {
+	// The words every access touches come first.
+	l1        *cache.Cache
+	stats     Stats
+	now       uint64
+	mc        *assocBuf  // miss cache, or nil
+	vc        *assocBuf  // victim cache, or nil
+	set       *streamSet // stream buffers, or nil
+	writeBack bool
+	fetch     Fetcher
+	timing    Timing
+	aux       Aux // as declared, stream defaults filled in
+}
+
+// NewLevel attaches the structures aux declares to l1. fetch receives the
+// level's demand fetches and prefetches; it may be nil when next-level
+// traffic is not modelled.
+func NewLevel(l1 *cache.Cache, aux Aux, fetch Fetcher, timing Timing) (*Level, error) {
+	if err := aux.validate(); err != nil {
+		return nil, err
+	}
+	timing = timing.withDefaults()
+	l := &Level{
+		l1:        l1,
+		fetch:     fetch,
+		timing:    timing,
+		writeBack: l1.Config().WritePolicy == cache.WriteBack,
+	}
+	if aux.MissCache > 0 {
+		l.mc = newAssocBuf(aux.MissCache)
+	}
+	if aux.Victim > 0 {
+		l.vc = newAssocBuf(aux.Victim)
+	}
+	if aux.Stream.Ways > 0 {
+		aux.Stream = aux.Stream.withDefaults()
+		l.set = newStreamSet(aux.Stream, fetch, timing)
+	}
+	l.aux = aux
+	return l, nil
+}
+
+func mustLevel(l *Level, err error) *Level {
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// NewBaseline wraps l1 as a level with no helper structures. It panics on
+// what NewLevel rejects.
+func NewBaseline(l1 *cache.Cache, fetch Fetcher, timing Timing) *Level {
+	return mustLevel(NewLevel(l1, Aux{}, fetch, timing))
+}
+
+// NewMissCache builds a level with a miss cache of the given number of
+// entries (§3.1). It panics on what NewLevel rejects.
+func NewMissCache(l1 *cache.Cache, entries int, fetch Fetcher, timing Timing) *Level {
+	return mustLevel(NewLevel(l1, Aux{MissCache: entries}, fetch, timing))
+}
+
+// NewVictimCache builds a level with a victim cache of the given number
+// of entries (§3.2). It panics on what NewLevel rejects.
+func NewVictimCache(l1 *cache.Cache, entries int, fetch Fetcher, timing Timing) *Level {
+	return mustLevel(NewLevel(l1, Aux{Victim: entries}, fetch, timing))
+}
+
+// NewStreamBuffer builds a level with stream buffers (§4); a zero Ways
+// builds one. It panics on what NewLevel rejects.
+func NewStreamBuffer(l1 *cache.Cache, cfg StreamConfig, fetch Fetcher, timing Timing) *Level {
+	return mustLevel(NewLevel(l1, Aux{Stream: cfg.withDefaults()}, fetch, timing))
+}
+
+// NewCombined builds the §5 level: a victim cache plus stream buffers.
+// It panics on what NewLevel rejects.
+func NewCombined(l1 *cache.Cache, victimEntries int, streamCfg StreamConfig, fetch Fetcher, timing Timing) *Level {
+	return mustLevel(NewLevel(l1, Aux{Victim: victimEntries, Stream: streamCfg}, fetch, timing))
+}
+
+// Access implements FrontEnd.
+func (l *Level) Access(addr uint64, write bool) Result {
+	l.stats.Accesses++
+	l.now++
+	if l.l1.Probe(addr, write) {
+		l.stats.L1Hits++
+		return Result{L1Hit: true}
+	}
+	l.stats.L1Misses++
+	la := l.l1.LineAddr(addr)
+
+	// 1. Miss cache: reload the cache; the line stays in the miss cache
+	// too (it is a cache, not a queue).
+	if l.mc != nil {
+		if hit, _ := l.mc.probe(la); hit {
+			l.stats.MissCacheHits++
+			l.fill(addr, write, false)
+			return l.auxHit(ServedMissCache, l.timing.AuxPenalty)
+		}
+	}
+
+	// 2. Victim cache: swap.
+	if l.vc != nil {
+		if present, dirty := l.vc.remove(la); present {
+			l.stats.VictimHits++
+			if l.set != nil && l.set.contains(la) {
+				l.stats.OverlapHits++
+			}
+			l.fill(addr, write, dirty)
+			return l.auxHit(ServedVictim, l.timing.AuxPenalty)
+		}
+	}
+
+	// 3. Stream buffers.
+	if l.set != nil {
+		if hit, inFlight, stall := l.set.probe(la, l.now); hit {
+			l.stats.StreamHits++
+			l.stats.PrefetchUsed++
+			if inFlight {
+				l.stats.StreamInFlightHits++
+			}
+			l.fill(addr, write, false)
+			l.stats.PrefetchIssued = l.set.issued
+			return l.auxHit(ServedStream, stall)
+		}
+	}
+
+	// 4. Full miss: demand-fetch the line; the miss cache keeps a copy and
+	// a stream buffer restarts after it.
+	l.stats.Fetches++
+	if l.fetch != nil {
+		l.fetch(la, false)
+	}
+	l.fill(addr, write, false)
+	if l.mc != nil {
+		l.mc.insert(la, false)
+	}
+	stall := l.timing.MissPenalty
+	l.stats.StallCycles += uint64(stall)
+	l.now += uint64(stall)
+	if l.set != nil {
+		l.set.allocate(la, l.now)
+		l.stats.PrefetchIssued = l.set.issued
+	}
+	return Result{Stall: stall, Served: ServedMemory}
+}
+
+func (l *Level) auxHit(by ServedBy, stall int) Result {
+	l.stats.AuxHits++
+	l.stats.StallCycles += uint64(stall)
+	l.now += uint64(stall)
+	return Result{AuxHit: true, Stall: stall, Served: by}
+}
+
+// fill installs addr's line in the cache, dirty under write-back when a
+// store wrote it or it was dirty where it came from, and moves the line
+// it displaces into the victim cache — or, without one, writes it back
+// if dirty.
+func (l *Level) fill(addr uint64, write, wasDirty bool) {
+	victim := l.l1.Fill(addr, (write || wasDirty) && l.writeBack)
+	if !victim.Valid {
+		return
+	}
+	if l.vc == nil {
+		if victim.Dirty {
+			l.stats.Writebacks++
+		}
+		return
+	}
+	if ev, evicted := l.vc.insert(victim.LineAddr, victim.Dirty); evicted && ev.dirty {
+		l.stats.Writebacks++
+	}
+}
+
+// Stats implements FrontEnd.
+func (l *Level) Stats() Stats { return l.stats }
+
+// Cache implements FrontEnd.
+func (l *Level) Cache() *cache.Cache { return l.l1 }
+
+// Name implements FrontEnd: "baseline", "miss-cache-N", "victim-cache-N",
+// "[quasi-|stride-]stream-Wway-Ddeep" or "combined-vcN-sbWxD".
+func (l *Level) Name() string {
+	a := l.aux
+	switch {
+	case a.MissCache > 0:
+		return fmt.Sprintf("miss-cache-%d", a.MissCache)
+	case a.Victim > 0 && a.Stream.Ways > 0:
+		return fmt.Sprintf("combined-vc%d-sb%dx%d", a.Victim, a.Stream.Ways, a.Stream.Depth)
+	case a.Victim > 0:
+		return fmt.Sprintf("victim-cache-%d", a.Victim)
+	case a.Stream.Ways > 0:
+		kind := "stream"
+		if a.Stream.Quasi {
+			kind = "quasi-stream"
+		}
+		if a.Stream.DetectStride {
+			kind = "stride-stream"
+		}
+		return fmt.Sprintf("%s-%dway-%ddeep", kind, a.Stream.Ways, a.Stream.Depth)
+	}
+	return "baseline"
+}
+
+// ContainsAux reports whether a helper structure holds addr's line: the
+// miss or victim cache, or a stream buffer's comparators (the head only,
+// unless Quasi). Intended for tests and invariant checks.
+func (l *Level) ContainsAux(addr uint64) bool {
+	la := l.l1.LineAddr(addr)
+	return (l.mc != nil && l.mc.contains(la)) ||
+		(l.vc != nil && l.vc.contains(la)) ||
+		(l.set != nil && l.set.contains(la))
+}
+
+// Exclusive verifies the victim-cache invariant for addr's line: it is
+// not in both the cache and the victim cache.
+func (l *Level) Exclusive(addr uint64) bool {
+	return l.vc == nil || !(l.l1.Contains(addr) && l.vc.contains(l.l1.LineAddr(addr)))
+}
+
+// AuxResidentLines returns the line addresses (in cache line units) held
+// by the miss or victim cache, for content analyses such as the §3.5
+// inclusion study. Stream-buffer entries are prefetched lines, not
+// displaced cache lines, and are not included.
+func (l *Level) AuxResidentLines() []uint64 {
+	switch {
+	case l.mc != nil:
+		return l.mc.residents()
+	case l.vc != nil:
+		return l.vc.residents()
+	}
+	return nil
+}
+
+var _ FrontEnd = (*Level)(nil)

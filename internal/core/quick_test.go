@@ -14,7 +14,7 @@ import (
 
 // residentMultiset returns the sorted combined multiset of L1-resident
 // and auxiliary-resident line addresses.
-func residentMultiset(l1 *cache.Cache, aux AuxResidents) []uint64 {
+func residentMultiset(l1 *cache.Cache, aux *Level) []uint64 {
 	out := append(l1.ResidentLines(), aux.AuxResidentLines()...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -82,7 +82,7 @@ func TestQuickMissCacheOccupancyBounded(t *testing.T) {
 // progression. Holds for the unit-stride paper model and the
 // stride-detecting extension alike.
 func TestQuickStreamBufferStrideMonotone(t *testing.T) {
-	check := func(sb *StreamBuffer) bool {
+	check := func(sb *Level) bool {
 		for w := range sb.set.ways {
 			way := &sb.set.ways[w]
 			if !way.active || way.stride == 0 {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"jouppi/internal/cache"
-)
+import "fmt"
 
 // StreamConfig configures a stream-buffer set.
 type StreamConfig struct {
@@ -88,7 +84,7 @@ func nextLineAddr(cur uint64, stride int64) (next uint64, ok bool) {
 }
 
 // streamSet is a group of stream buffers sharing the pipelined next-level
-// port. It contains all the buffer mechanics; the front-end types wrap it.
+// port. It contains all the buffer mechanics; Level wraps it.
 type streamSet struct {
 	cfg      StreamConfig
 	ways     []streamWay
@@ -105,11 +101,9 @@ type streamSet struct {
 	issued uint64 // prefetches issued, reported up into Stats
 }
 
+// newStreamSet builds the buffers of a validated cfg with defaults
+// filled in.
 func newStreamSet(cfg StreamConfig, fetch Fetcher, timing Timing) *streamSet {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	s := &streamSet{cfg: cfg, fetch: fetch, timing: timing}
 	s.ways = make([]streamWay, cfg.Ways)
 	for i := range s.ways {
@@ -270,103 +264,3 @@ func (s *streamSet) detectStride(missLine uint64) int64 {
 	s.noteMiss(missLine)
 	return stride
 }
-
-// StreamBuffer is the §4 front-end: a first-level cache backed by one or
-// more sequential stream buffers. Prefetched lines live in the buffer, not
-// the cache, avoiding pollution; a buffer hit moves the line into the
-// cache in one cycle (plus any remaining fill latency).
-type StreamBuffer struct {
-	l1     *cache.Cache
-	set    *streamSet
-	cfg    StreamConfig
-	timing Timing
-	stats  Stats
-	now    uint64
-}
-
-// NewStreamBuffer builds a stream-buffer front-end.
-func NewStreamBuffer(l1 *cache.Cache, cfg StreamConfig, fetch Fetcher, timing Timing) *StreamBuffer {
-	timing = timing.withDefaults()
-	return &StreamBuffer{
-		l1:     l1,
-		set:    newStreamSet(cfg, fetch, timing),
-		cfg:    cfg.withDefaults(),
-		timing: timing,
-	}
-}
-
-// Access implements FrontEnd.
-func (sb *StreamBuffer) Access(addr uint64, write bool) Result {
-	sb.stats.Accesses++
-	sb.now++
-	if sb.l1.Probe(addr, write) {
-		sb.stats.L1Hits++
-		return Result{L1Hit: true}
-	}
-	sb.stats.L1Misses++
-	la := sb.l1.LineAddr(addr)
-
-	if hit, inFlight, stall := sb.set.probe(la, sb.now); hit {
-		sb.stats.AuxHits++
-		sb.stats.StreamHits++
-		sb.stats.PrefetchUsed++
-		if inFlight {
-			sb.stats.StreamInFlightHits++
-		}
-		sb.fillL1(addr, write)
-		sb.stats.StallCycles += uint64(stall)
-		sb.now += uint64(stall)
-		sb.stats.PrefetchIssued = sb.set.issued
-		return Result{AuxHit: true, Stall: stall, Served: ServedStream}
-	}
-
-	// Full miss: demand-fetch the line and restart a buffer after it.
-	sb.stats.Fetches++
-	if sb.set.fetch != nil {
-		sb.set.fetch(la, false)
-	}
-	sb.fillL1(addr, write)
-	stall := sb.timing.MissPenalty
-	sb.stats.StallCycles += uint64(stall)
-	sb.now += uint64(stall)
-	sb.set.allocate(la, sb.now)
-	sb.stats.PrefetchIssued = sb.set.issued
-	return Result{Stall: stall, Served: ServedMemory}
-}
-
-func (sb *StreamBuffer) fillL1(addr uint64, write bool) {
-	dirty := write && sb.l1.Config().WritePolicy == cache.WriteBack
-	victim := sb.l1.Fill(addr, dirty)
-	if victim.Dirty {
-		sb.stats.Writebacks++
-	}
-}
-
-// Stats implements FrontEnd.
-func (sb *StreamBuffer) Stats() Stats { return sb.stats }
-
-// Accesses implements FrontEnd.
-func (sb *StreamBuffer) Accesses() uint64 { return sb.stats.Accesses }
-
-// Cache implements FrontEnd.
-func (sb *StreamBuffer) Cache() *cache.Cache { return sb.l1 }
-
-// Name implements FrontEnd.
-func (sb *StreamBuffer) Name() string {
-	kind := "stream"
-	if sb.cfg.Quasi {
-		kind = "quasi-stream"
-	}
-	if sb.cfg.DetectStride {
-		kind = "stride-stream"
-	}
-	return fmt.Sprintf("%s-%dway-%ddeep", kind, sb.cfg.Ways, sb.cfg.Depth)
-}
-
-// ContainsAux reports whether any stream buffer currently holds addr's
-// line (respecting the head-only comparator unless Quasi).
-func (sb *StreamBuffer) ContainsAux(addr uint64) bool {
-	return sb.set.contains(sb.l1.LineAddr(addr))
-}
-
-var _ FrontEnd = (*StreamBuffer)(nil)

@@ -23,12 +23,9 @@ func TestStreamConfigDefaultsAndValidate(t *testing.T) {
 			t.Errorf("config %+v accepted", bad)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("newStreamSet did not panic on invalid config")
-		}
-	}()
-	newStreamSet(StreamConfig{Ways: -1}, nil, DefaultTiming())
+	if _, err := NewLevel(newL1(64), Aux{Stream: StreamConfig{Ways: -1}}, nil, DefaultTiming()); err == nil {
+		t.Error("NewLevel accepted negative stream buffer ways")
+	}
 }
 
 func TestSequentialStreamCaughtByBuffer(t *testing.T) {
@@ -132,7 +129,7 @@ func TestSingleBufferThrashesOnInterleavedStreams(t *testing.T) {
 	// Two interleaved sequential streams (the saxpy pattern): a single
 	// buffer is re-allocated on every access and removes nothing, while
 	// a 2-way buffer captures both streams. This is the §4.2 motivation.
-	mk := func(ways int) *StreamBuffer {
+	mk := func(ways int) *Level {
 		return NewStreamBuffer(newL1(64), StreamConfig{Ways: ways, Depth: 4}, nil, fastFill())
 	}
 	single, multi := mk(1), mk(2)
@@ -258,7 +255,7 @@ func TestStrideDetection(t *testing.T) {
 	// Column-major walk: constant stride of 8 lines. The stride
 	// extension should lock on after two confirming deltas; the plain
 	// buffer never hits.
-	mk := func(detect bool) *StreamBuffer {
+	mk := func(detect bool) *Level {
 		return NewStreamBuffer(newL1(64),
 			StreamConfig{Ways: 1, Depth: 4, DetectStride: detect}, nil, fastFill())
 	}
@@ -532,7 +529,7 @@ func TestCombinedExclusivity(t *testing.T) {
 		touched = append(touched, addr)
 		if i%101 == 0 {
 			for _, a := range touched {
-				if fe.Cache().Contains(a) && fe.ContainsVictim(a) {
+				if !fe.Exclusive(a) {
 					t.Fatalf("access %d: line %#x in both L1 and victim cache", i, a)
 				}
 			}

@@ -146,9 +146,6 @@ func (f *WithWriteBuffer) Stats() Stats {
 	return st
 }
 
-// Accesses implements FrontEnd.
-func (f *WithWriteBuffer) Accesses() uint64 { return f.inner.Accesses() }
-
 // Cache implements FrontEnd.
 func (f *WithWriteBuffer) Cache() *cache.Cache { return f.inner.Cache() }
 

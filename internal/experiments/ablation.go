@@ -139,8 +139,8 @@ func AblationL2Victim() Experiment {
 				for _, size := range sizes {
 					for _, entries := range []int{0, 8} {
 						sysCfgs = append(sysCfgs, hierarchy.Config{
-							L2:              cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1},
-							L2VictimEntries: entries,
+							L2:        cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1},
+							L2Augment: core.Aux{Victim: entries},
 						})
 					}
 				}

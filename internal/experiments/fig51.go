@@ -15,15 +15,8 @@ import (
 // stream buffer on the data cache.
 func improvedConfig() hierarchy.Config {
 	return hierarchy.Config{
-		IAugment: hierarchy.Augment{
-			Kind:   hierarchy.StreamBuffers,
-			Stream: core.StreamConfig{Ways: 1, Depth: 4},
-		},
-		DAugment: hierarchy.Augment{
-			Kind:    hierarchy.VictimAndStream,
-			Entries: 4,
-			Stream:  core.StreamConfig{Ways: 4, Depth: 4},
-		},
+		IAugment: core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}},
+		DAugment: core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/core"
 	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/textplot"
@@ -29,10 +30,8 @@ func AblationInclusion() Experiment {
 			}
 			mkVictim := func() hierarchy.Config {
 				return hierarchy.Config{
-					L2: smallL2,
-					DAugment: hierarchy.Augment{
-						Kind: hierarchy.VictimCache, Entries: 15,
-					},
+					L2:       smallL2,
+					DAugment: core.Aux{Victim: 15},
 				}
 			}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"jouppi/internal/core"
 	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/introspect"
@@ -40,7 +41,7 @@ func runIntrospectPhase(cfg Config) *Result {
 	names := []string{"baseline", "victim-4"}
 	sysCfgs := []hierarchy.Config{
 		{},
-		{DAugment: hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4}},
+		{DAugment: core.Aux{Victim: 4}},
 	}
 	systems := make([]*hierarchy.System, len(sysCfgs))
 	probes := make([]*introspect.SystemProbe, len(sysCfgs))

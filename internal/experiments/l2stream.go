@@ -28,10 +28,7 @@ func AblationL2Stream() Experiment {
 					L2: cache.Config{Name: "L2", Size: l2Size, LineSize: 128, Assoc: 1},
 				}
 				if buffers {
-					sysCfg.L2Augment = hierarchy.Augment{
-						Kind:   hierarchy.StreamBuffers,
-						Stream: core.StreamConfig{Ways: 4, Depth: 4},
-					}
+					sysCfg.L2Augment = core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}
 				}
 				return runSystem(cfg, name, sysCfg)
 			}

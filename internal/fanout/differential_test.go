@@ -133,25 +133,25 @@ func goldenCases() []diffCase {
 		}),
 		// Figure 3-1: miss caches.
 		mk("fig3-1/miss-cache-4", func(c *hierarchy.Config) {
-			c.DAugment = hierarchy.Augment{Kind: hierarchy.MissCache, Entries: 4}
+			c.DAugment = core.Aux{MissCache: 4}
 		}),
 		// Figure 3-3: victim caches.
 		mk("fig3-3/victim-4", func(c *hierarchy.Config) {
-			c.DAugment = hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4}
+			c.DAugment = core.Aux{Victim: 4}
 		}),
 		// Figure 4-1: instruction stream buffer.
 		mk("fig4-1/i-stream", func(c *hierarchy.Config) {
-			c.IAugment = hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream}
+			c.IAugment = core.Aux{Stream: stream}
 		}),
 		// Figure 4-3: data stream buffer.
 		mk("fig4-3/d-stream", func(c *hierarchy.Config) {
-			c.DAugment = hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream}
+			c.DAugment = core.Aux{Stream: stream}
 		}),
 		// Figure 4-6 sweeps stream-buffer gain over cache size; pin the
 		// buffered and the bare cache at one point of that sweep.
 		mk("fig4-6/stream-16k", func(c *hierarchy.Config) {
 			c.L1I, c.L1D = l1(16<<10, 16, 1), l1(16<<10, 16, 1)
-			c.IAugment = hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream}
+			c.IAugment = core.Aux{Stream: stream}
 		}),
 		mk("fig4-6/bare-16k", func(c *hierarchy.Config) {
 			c.L1I, c.L1D = l1(16<<10, 16, 1), l1(16<<10, 16, 1)
@@ -166,7 +166,7 @@ func goldenCases() []diffCase {
 		}),
 		// The L2 victim cache extension.
 		mk("l2/victim", func(c *hierarchy.Config) {
-			c.L2VictimEntries = 4
+			c.L2Augment = core.Aux{Victim: 4}
 		}),
 		// Random replacement draws from the cache's own generator, so a
 		// consumer's results must not depend on the others beside it.

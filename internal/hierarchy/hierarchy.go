@@ -2,8 +2,8 @@
 // paper's §2 — split 4KB direct-mapped first-level instruction and data
 // caches with 16B lines, a pipelined 1MB direct-mapped second-level cache
 // with 128B lines, and main memory — together with the augmentations of
-// §3–5 attached to either first-level cache and, as an extension, a victim
-// cache behind the second level.
+// §3–5 attached to either first-level cache and, as an extension, to the
+// second level. Every level is a core.Level declared by a core.Aux.
 //
 // The hierarchy routes a memory-reference trace to the right first-level
 // front-end, forwards first-level fetch traffic (demand and prefetch) into
@@ -12,53 +12,11 @@
 package hierarchy
 
 import (
-	"fmt"
-
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/perfmodel"
 )
-
-// AugmentKind selects the augmentation attached to a first-level cache.
-type AugmentKind uint8
-
-// The available first-level augmentations.
-const (
-	None AugmentKind = iota
-	MissCache
-	VictimCache
-	StreamBuffers
-	VictimAndStream
-)
-
-// String returns the augmentation name.
-func (k AugmentKind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case MissCache:
-		return "miss-cache"
-	case VictimCache:
-		return "victim-cache"
-	case StreamBuffers:
-		return "stream-buffers"
-	case VictimAndStream:
-		return "victim+stream"
-	default:
-		return fmt.Sprintf("AugmentKind(%d)", uint8(k))
-	}
-}
-
-// Augment configures one first-level cache's helper hardware.
-type Augment struct {
-	Kind AugmentKind
-	// Entries sizes the miss or victim cache (ignored otherwise).
-	Entries int
-	// Stream configures the stream buffers (ignored unless Kind includes
-	// stream buffers).
-	Stream core.StreamConfig
-}
 
 // Config describes a complete two-level system. Zero-valued cache configs
 // default to the paper's baseline geometry.
@@ -67,19 +25,15 @@ type Config struct {
 	L1D cache.Config
 	L2  cache.Config
 
-	// IAugment / DAugment attach helper hardware to the first-level
-	// caches.
-	IAugment Augment
-	DAugment Augment
+	// IAugment / DAugment declare the first-level caches' helper
+	// hardware.
+	IAugment core.Aux
+	DAugment core.Aux
 
-	// L2Augment attaches helper hardware to the second-level cache —
+	// L2Augment declares helper hardware for the second-level cache —
 	// the §3.5/§5 "apply these techniques to second-level caches" future
 	// work. Its stream buffers prefetch from main memory.
-	L2Augment Augment
-
-	// L2VictimEntries is shorthand for L2Augment{Kind: VictimCache,
-	// Entries: n}; ignored when L2Augment is set.
-	L2VictimEntries int
+	L2Augment core.Aux
 
 	// Timing carries the first-level penalties; Perf the system-level
 	// penalties. Zero values take the paper's baseline.
@@ -143,8 +97,8 @@ type MemStats struct {
 type System struct {
 	cfg Config
 
-	ife core.FrontEnd
-	dfe core.FrontEnd
+	ife *core.Level
+	dfe *core.Level
 
 	// The optional replay taps live right after the front-end words so
 	// the nil checks Access performs per reference share the front-ends'
@@ -155,17 +109,12 @@ type System struct {
 	obs  Observer
 	mobs MissObserver
 	// imc/dmc are the miss observer's per-side hot counters (nil when
-	// detached or not exposed), booked inline by Access; iAcc/dAcc
-	// point at the front-ends' live access counters (core.AccessCounter)
-	// so the tap reads the index the access just counted without an
-	// interface call.
-	imc  *MissCounters
-	dmc  *MissCounters
-	iAcc *uint64
-	dAcc *uint64
+	// detached or not exposed), booked inline by Access.
+	imc *MissCounters
+	dmc *MissCounters
 
 	l2   *cache.Cache
-	l2fe core.FrontEnd // wraps l2, possibly with a victim cache
+	l2fe *core.Level // wraps l2 with its helper hardware
 
 	l2i L2Stats // L2 traffic caused by the instruction side
 	l2d L2Stats // L2 traffic caused by the data side
@@ -285,10 +234,6 @@ func New(cfg Config) (*System, error) {
 	// The L2 front-end's timing is irrelevant to the system performance
 	// model (which works from counts), so baseline timing is fine. Its
 	// fetch callback is main-memory traffic.
-	l2aug := cfg.L2Augment
-	if l2aug.Kind == None && cfg.L2VictimEntries > 0 {
-		l2aug = Augment{Kind: VictimCache, Entries: cfg.L2VictimEntries}
-	}
 	memFetch := func(lineAddr uint64, prefetch bool) {
 		if prefetch {
 			s.mem.PrefetchFetches++
@@ -296,7 +241,7 @@ func New(cfg Config) (*System, error) {
 			s.mem.DemandFetches++
 		}
 	}
-	s.l2fe, err = BuildFrontEnd(l2, l2aug, memFetch, cfg.Timing)
+	s.l2fe, err = core.NewLevel(l2, cfg.L2Augment, memFetch, cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
@@ -312,18 +257,14 @@ func New(cfg Config) (*System, error) {
 	s.l1iShift = shiftFor(cfg.L1I.LineSize)
 	s.l1dShift = shiftFor(cfg.L1D.LineSize)
 
-	s.ife, err = BuildFrontEnd(l1i, cfg.IAugment, s.fetcher(&s.l2i, s.l1iShift), cfg.Timing)
+	s.ife, err = core.NewLevel(l1i, cfg.IAugment, s.fetcher(&s.l2i, s.l1iShift), cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
-	s.dfe, err = BuildFrontEnd(l1d, cfg.DAugment, s.fetcher(&s.l2d, s.l1dShift), cfg.Timing)
+	s.dfe, err = core.NewLevel(l1d, cfg.DAugment, s.fetcher(&s.l2d, s.l1dShift), cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
-	// BuildFrontEnd only constructs core front-end types, so the counter
-	// pointers are always available.
-	s.iAcc = core.AccessCounter(s.ife)
-	s.dAcc = core.AccessCounter(s.dfe)
 	return s, nil
 }
 
@@ -344,41 +285,17 @@ func shiftFor(lineSize int) uint {
 	return shift
 }
 
-// BuildFrontEnd attaches aug to l1, sending its fetches (demand and
-// prefetch) to fetch. It is the one place an augmentation becomes a
-// front end: every level of a System and cachesim's single cache are
-// built here.
-func BuildFrontEnd(l1 *cache.Cache, aug Augment, fetch core.Fetcher, timing core.Timing) (core.FrontEnd, error) {
-	switch aug.Kind {
-	case None:
-		return core.NewBaseline(l1, fetch, timing), nil
-	case MissCache:
-		return core.NewMissCache(l1, aug.Entries, fetch, timing), nil
-	case VictimCache:
-		return core.NewVictimCache(l1, aug.Entries, fetch, timing), nil
-	case StreamBuffers:
-		if err := aug.Stream.Validate(); err != nil {
-			return nil, err
-		}
-		return core.NewStreamBuffer(l1, aug.Stream, fetch, timing), nil
-	case VictimAndStream:
-		if err := aug.Stream.Validate(); err != nil {
-			return nil, err
-		}
-		return core.NewCombined(l1, aug.Entries, aug.Stream, fetch, timing), nil
-	default:
-		return nil, fmt.Errorf("hierarchy: unknown augmentation kind %d", aug.Kind)
-	}
-}
-
 // fetcher routes a first-level fetch into the second level, attributing
 // traffic to stats.
 func (s *System) fetcher(stats *L2Stats, l1Shift uint) core.Fetcher {
 	return func(lineAddr uint64, prefetch bool) {
-		addr := lineAddr << l1Shift
-		vcBefore := s.l2VictimHits()
-		sbBefore := s.l2StreamHits()
-		r := s.l2fe.Access(addr, false)
+		r := s.l2fe.Access(lineAddr<<l1Shift, false)
+		switch r.Served {
+		case core.ServedVictim:
+			stats.VictimHits++
+		case core.ServedStream:
+			stats.StreamHits++
+		}
 		if prefetch {
 			stats.PrefetchAccesses++
 			if r.FullMiss() {
@@ -390,14 +307,8 @@ func (s *System) fetcher(stats *L2Stats, l1Shift uint) core.Fetcher {
 				stats.DemandMisses++
 			}
 		}
-		stats.VictimHits += s.l2VictimHits() - vcBefore
-		stats.StreamHits += s.l2StreamHits() - sbBefore
 	}
 }
-
-func (s *System) l2VictimHits() uint64 { return s.l2fe.Stats().VictimHits }
-
-func (s *System) l2StreamHits() uint64 { return s.l2fe.Stats().StreamHits }
 
 // Access routes one trace reference. With telemetry attached, the only
 // per-access telemetry cost is one pending-count increment; the outcome
@@ -413,20 +324,20 @@ func (s *System) Access(a memtrace.Access) {
 	// observer's slow path must see (a period boundary or a due sample).
 	var r core.Result
 	var mc *MissCounters
-	var acc *uint64
+	var side *core.Level
 	switch a.Kind {
 	case memtrace.Ifetch:
-		r = s.ife.Access(uint64(a.Addr), false)
-		mc, acc = s.imc, s.iAcc
+		side, mc = s.ife, s.imc
+		r = side.Access(uint64(a.Addr), false)
 	case memtrace.Load:
-		r = s.dfe.Access(uint64(a.Addr), false)
-		mc, acc = s.dmc, s.dAcc
+		side, mc = s.dfe, s.dmc
+		r = side.Access(uint64(a.Addr), false)
 	case memtrace.Store:
-		r = s.dfe.Access(uint64(a.Addr), true)
-		mc, acc = s.dmc, s.dAcc
+		side, mc = s.dfe, s.dmc
+		r = side.Access(uint64(a.Addr), true)
 	}
-	if s.mobs != nil && !r.L1Hit && acc != nil {
-		idx := *acc - 1
+	if s.mobs != nil && !r.L1Hit && side != nil {
+		idx := side.Stats().Accesses - 1
 		if mc != nil && idx < mc.NextWin && mc.SampleIn > 0 {
 			if idx >= mc.Accesses {
 				mc.Accesses = idx + 1
@@ -497,11 +408,11 @@ func (s *System) Results(instructions uint64) Results {
 	}
 }
 
-// IFrontEnd returns the instruction-side front-end (for inspection).
-func (s *System) IFrontEnd() core.FrontEnd { return s.ife }
+// IFrontEnd returns the instruction-side level (for inspection).
+func (s *System) IFrontEnd() *core.Level { return s.ife }
 
-// DFrontEnd returns the data-side front-end (for inspection).
-func (s *System) DFrontEnd() core.FrontEnd { return s.dfe }
+// DFrontEnd returns the data-side level (for inspection).
+func (s *System) DFrontEnd() *core.Level { return s.dfe }
 
 // L2Cache returns the second-level cache array.
 func (s *System) L2Cache() *cache.Cache { return s.l2 }
@@ -528,11 +439,8 @@ type InclusionReport struct {
 // Inclusion scans current cache contents and reports violations.
 func (s *System) Inclusion() InclusionReport {
 	var r InclusionReport
-	count := func(fe core.FrontEnd, shift uint) (lines, violations int) {
-		resident := fe.Cache().ResidentLines()
-		if aux, ok := fe.(core.AuxResidents); ok {
-			resident = append(resident, aux.AuxResidentLines()...)
-		}
+	count := func(l *core.Level, shift uint) (lines, violations int) {
+		resident := append(l.Cache().ResidentLines(), l.AuxResidentLines()...)
 		for _, la := range resident {
 			lines++
 			if !s.l2.Contains(la << shift) {

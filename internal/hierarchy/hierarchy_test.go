@@ -25,22 +25,6 @@ func TestDefaultConfigIsPaperBaseline(t *testing.T) {
 	}
 }
 
-func TestAugmentKindString(t *testing.T) {
-	names := map[AugmentKind]string{
-		None:            "none",
-		MissCache:       "miss-cache",
-		VictimCache:     "victim-cache",
-		StreamBuffers:   "stream-buffers",
-		VictimAndStream: "victim+stream",
-		AugmentKind(42): "AugmentKind(42)",
-	}
-	for k, want := range names {
-		if got := k.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", k, got, want)
-		}
-	}
-}
-
 func TestNewRejectsBadConfigs(t *testing.T) {
 	bad := DefaultConfig()
 	bad.L1I.Size = 100 // not a power of two
@@ -48,14 +32,25 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		t.Error("accepted invalid L1I")
 	}
 	bad = DefaultConfig()
-	bad.IAugment = Augment{Kind: StreamBuffers, Stream: core.StreamConfig{Ways: -1}}
+	bad.IAugment = core.Aux{Stream: core.StreamConfig{Ways: -1}}
 	if _, err := New(bad); err == nil {
 		t.Error("accepted invalid stream config")
 	}
-	bad = DefaultConfig()
-	bad.DAugment = Augment{Kind: AugmentKind(99)}
-	if _, err := New(bad); err == nil {
-		t.Error("accepted unknown augment kind")
+	// Negative helper sizes and a miss cache beside other helpers are
+	// errors on every level, never a panic inside core.
+	for name, set := range map[string]func(*Config){
+		"negative miss cache":           func(c *Config) { c.DAugment = core.Aux{MissCache: -1} },
+		"negative victim cache":         func(c *Config) { c.IAugment = core.Aux{Victim: -4} },
+		"negative victim with stream":   func(c *Config) { c.DAugment = core.Aux{Victim: -1, Stream: core.StreamConfig{Ways: 4}} },
+		"negative L2 victim cache":      func(c *Config) { c.L2Augment = core.Aux{Victim: -1} },
+		"miss cache with victim cache":  func(c *Config) { c.DAugment = core.Aux{MissCache: 2, Victim: 2} },
+		"miss cache with stream buffer": func(c *Config) { c.IAugment = core.Aux{MissCache: 2, Stream: core.StreamConfig{Ways: 1}} },
+	} {
+		bad = DefaultConfig()
+		set(&bad)
+		if _, err := New(bad); err == nil {
+			t.Errorf("accepted %s", name)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -119,7 +114,7 @@ func TestL2LineGranularity(t *testing.T) {
 
 func TestPrefetchTrafficAttributed(t *testing.T) {
 	cfg := Config{
-		DAugment: Augment{Kind: StreamBuffers, Stream: core.StreamConfig{Ways: 1, Depth: 4}},
+		DAugment: core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}},
 	}
 	s := MustNew(cfg)
 	for i := 0; i < 100; i++ {
@@ -190,7 +185,7 @@ func TestVictimCacheAugmentReducesConflicts(t *testing.T) {
 	}
 	base := MustNew(Config{})
 	mkTrace().Each(base.Access)
-	vc := MustNew(Config{DAugment: Augment{Kind: VictimCache, Entries: 4}})
+	vc := MustNew(Config{DAugment: core.Aux{Victim: 4}})
 	mkTrace().Each(vc.Access)
 	if b, v := base.Results(0).D.FullMisses(), vc.Results(0).D.FullMisses(); v*10 > b {
 		t.Errorf("victim cache misses %d not ≪ baseline %d", v, b)
@@ -199,9 +194,8 @@ func TestVictimCacheAugmentReducesConflicts(t *testing.T) {
 
 func TestCombinedAugment(t *testing.T) {
 	cfg := Config{
-		IAugment: Augment{Kind: StreamBuffers, Stream: core.StreamConfig{Ways: 1, Depth: 4}},
-		DAugment: Augment{Kind: VictimAndStream, Entries: 4,
-			Stream: core.StreamConfig{Ways: 4, Depth: 4}},
+		IAugment: core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}},
+		DAugment: core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}},
 	}
 	s := MustNew(cfg)
 	for i := 0; i < 2000; i++ {
@@ -215,7 +209,7 @@ func TestCombinedAugment(t *testing.T) {
 }
 
 func TestMissCacheAugment(t *testing.T) {
-	s := MustNew(Config{DAugment: Augment{Kind: MissCache, Entries: 2}})
+	s := MustNew(Config{DAugment: core.Aux{MissCache: 2}})
 	for i := 0; i < 100; i++ {
 		s.Access(memtrace.Access{Addr: 0x0000, Kind: memtrace.Load})
 		s.Access(memtrace.Access{Addr: 0x1000, Kind: memtrace.Load})
@@ -237,7 +231,7 @@ func TestL2VictimCacheExtension(t *testing.T) {
 	}
 	base := MustNew(cfg)
 	cfgV := cfg
-	cfgV.L2VictimEntries = 4
+	cfgV.L2Augment = core.Aux{Victim: 4}
 	withVC := MustNew(cfgV)
 
 	run := func(s *System) Results {
@@ -294,9 +288,8 @@ func TestImprovedSystemBeatsBaseline(t *testing.T) {
 	rb := base.Results(mkTrace().Instructions())
 
 	improved := MustNew(Config{
-		IAugment: Augment{Kind: StreamBuffers, Stream: core.StreamConfig{Ways: 1, Depth: 4}},
-		DAugment: Augment{Kind: VictimAndStream, Entries: 4,
-			Stream: core.StreamConfig{Ways: 4, Depth: 4}},
+		IAugment: core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}},
+		DAugment: core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}},
 	})
 	mkTrace().Each(improved.Access)
 	ri := improved.Results(mkTrace().Instructions())
@@ -316,7 +309,7 @@ func TestInclusionReport(t *testing.T) {
 	// lines so the victim cache retains lines and the small L2 evicts.
 	cfg := Config{
 		L2:       cache.Config{Name: "L2", Size: 1024, LineSize: 128, Assoc: 1},
-		DAugment: Augment{Kind: VictimCache, Entries: 8},
+		DAugment: core.Aux{Victim: 8},
 	}
 	s := MustNew(cfg)
 	// Touch widely spaced lines: the 8-line L2 cycles constantly while
@@ -357,9 +350,8 @@ func TestL2StreamBufferExtension(t *testing.T) {
 	// should convert most L2 misses into buffer hits, with the prefetch
 	// traffic visible at memory.
 	cfg := Config{
-		L2: cache.Config{Name: "L2", Size: 8 << 10, LineSize: 128, Assoc: 1},
-		L2Augment: Augment{Kind: StreamBuffers,
-			Stream: core.StreamConfig{Ways: 2, Depth: 4}},
+		L2:        cache.Config{Name: "L2", Size: 8 << 10, LineSize: 128, Assoc: 1},
+		L2Augment: core.Aux{Stream: core.StreamConfig{Ways: 2, Depth: 4}},
 	}
 	s := MustNew(cfg)
 	for i := 0; i < 4000; i++ {
@@ -389,10 +381,46 @@ func TestL2StreamBufferExtension(t *testing.T) {
 	}
 }
 
-func TestL2VictimShorthandStillWorks(t *testing.T) {
-	s := MustNew(Config{L2VictimEntries: 4})
-	if got := s.Config().L2VictimEntries; got != 4 {
-		t.Errorf("config lost shorthand: %d", got)
+// The L2 victim and stream hits booked per side from each L2 access's
+// result add up to the L2 level's own counts.
+func TestL2HitsAttributedFromResult(t *testing.T) {
+	s := MustNew(Config{
+		L1I:       cache.Config{Name: "L1I", Size: 256, LineSize: 16, Assoc: 1},
+		L1D:       cache.Config{Name: "L1D", Size: 256, LineSize: 16, Assoc: 1},
+		L2:        cache.Config{Name: "L2", Size: 4096, LineSize: 128, Assoc: 1},
+		IAugment:  core.Aux{Stream: core.StreamConfig{Ways: 1}},
+		DAugment:  core.Aux{Victim: 2, Stream: core.StreamConfig{Ways: 2}},
+		L2Augment: core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 2, Depth: 2}},
+	})
+	rng := rand.New(rand.NewSource(9))
+	pc := uint64(0x100000)
+	for i := 0; i < 50000; i++ {
+		pc += 4
+		if rng.Intn(50) == 0 {
+			pc = 0x100000 + uint64(rng.Intn(1<<16))&^3
+		}
+		s.Access(memtrace.Access{Addr: memtrace.Addr(pc), Kind: memtrace.Ifetch})
+		if rng.Intn(3) == 0 {
+			addr := memtrace.Addr(0x800000 + rng.Intn(1<<15))
+			kind := memtrace.Load
+			if rng.Intn(4) == 0 {
+				kind = memtrace.Store
+			}
+			s.Access(memtrace.Access{Addr: addr, Kind: kind})
+		}
 	}
-	s.Access(memtrace.Access{Addr: 0x1000, Kind: memtrace.Load})
+	r := s.Results(0)
+	l2 := s.l2fe.Stats()
+	if l2.VictimHits == 0 || l2.StreamHits == 0 {
+		t.Fatalf("trace exercised too little: L2 victim hits %d, stream hits %d", l2.VictimHits, l2.StreamHits)
+	}
+	if got := r.L2I.VictimHits + r.L2D.VictimHits; got != l2.VictimHits {
+		t.Errorf("L2 victim hits: I+D %d, L2 level %d", got, l2.VictimHits)
+	}
+	if got := r.L2I.StreamHits + r.L2D.StreamHits; got != l2.StreamHits {
+		t.Errorf("L2 stream hits: I+D %d, L2 level %d", got, l2.StreamHits)
+	}
+	if r.L2I.StreamHits == 0 || r.L2D.StreamHits == 0 {
+		t.Errorf("L2 stream hits not split across sides: I %d, D %d", r.L2I.StreamHits, r.L2D.StreamHits)
+	}
 }

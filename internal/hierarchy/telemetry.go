@@ -177,7 +177,7 @@ func (s *System) FlushTelemetry() {
 		s.flushTel()
 	}
 	if s.mobs != nil {
-		s.mobs.SyncAccesses(true, *s.iAcc)
-		s.mobs.SyncAccesses(false, *s.dAcc)
+		s.mobs.SyncAccesses(true, s.ife.Stats().Accesses)
+		s.mobs.SyncAccesses(false, s.dfe.Stats().Accesses)
 	}
 }

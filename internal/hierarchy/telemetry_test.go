@@ -20,8 +20,8 @@ func telemetryTestTrace(t *testing.T) *memtrace.Trace {
 // the same run accumulated.
 func TestAttachTelemetryMatchesStats(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.IAugment = Augment{Kind: StreamBuffers, Stream: core.StreamConfig{Ways: 1}}
-	cfg.DAugment = Augment{Kind: VictimAndStream, Entries: 4, Stream: core.StreamConfig{Ways: 4}}
+	cfg.IAugment = core.Aux{Stream: core.StreamConfig{Ways: 1}}
+	cfg.DAugment = core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4}}
 	sys := MustNew(cfg)
 	reg := telemetry.NewRegistry()
 	sys.AttachTelemetry(reg)
@@ -98,7 +98,7 @@ func TestAttachTelemetryMatchesStats(t *testing.T) {
 func TestAttachTelemetryIdentical(t *testing.T) {
 	tr := telemetryTestTrace(t)
 	cfg := DefaultConfig()
-	cfg.DAugment = Augment{Kind: VictimAndStream, Entries: 4, Stream: core.StreamConfig{Ways: 4}}
+	cfg.DAugment = core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4}}
 
 	plain := MustNew(cfg)
 	instr := MustNew(cfg)

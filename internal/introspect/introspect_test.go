@@ -190,15 +190,15 @@ func probeConfigs() map[string]hierarchy.Config {
 	return map[string]hierarchy.Config{
 		"baseline": {},
 		"misscache4": {
-			DAugment: hierarchy.Augment{Kind: hierarchy.MissCache, Entries: 4},
+			DAugment: core.Aux{MissCache: 4},
 		},
 		"victim4": {
-			IAugment: hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4},
-			DAugment: hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4},
+			IAugment: core.Aux{Victim: 4},
+			DAugment: core.Aux{Victim: 4},
 		},
 		"improved": {
-			IAugment: hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: core.StreamConfig{Ways: 1, Depth: 4}},
-			DAugment: hierarchy.Augment{Kind: hierarchy.VictimAndStream, Entries: 4, Stream: stream},
+			IAugment: core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}},
+			DAugment: core.Aux{Victim: 4, Stream: stream},
 		},
 	}
 }

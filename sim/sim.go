@@ -116,13 +116,13 @@ func (g CacheGeometry) toCache(name string, def cache.Config) cache.Config {
 // paper's four entries per buffer).
 const defaultStreamDepth = 4
 
-// toAugment converts one cache's augmentation. key prefixes the grammar
-// keys its errors name: "" for the data side, "i" for the instruction
-// side, "l2" for the second level.
-func (a Augmentation) toAugment(key string) (hierarchy.Augment, error) {
-	var stream core.StreamConfig
+// toAux converts one cache's augmentation. key prefixes the grammar keys
+// its errors name: "" for the data side, "i" for the instruction side,
+// "l2" for the second level.
+func (a Augmentation) toAux(key string) (core.Aux, error) {
+	aux := core.Aux{MissCache: a.MissCacheEntries, Victim: a.VictimCacheEntries}
 	if a.Stream != nil {
-		stream = core.StreamConfig{
+		aux.Stream = core.StreamConfig{
 			Ways:         a.Stream.Ways,
 			Depth:        cmp.Or(a.Stream.Depth, defaultStreamDepth),
 			RunLimit:     a.Stream.RunLimit,
@@ -134,31 +134,22 @@ func (a Augmentation) toAugment(key string) (hierarchy.Augment, error) {
 		name string
 		n    int
 	}{
-		{"misscache", a.MissCacheEntries}, {"victim", a.VictimCacheEntries},
-		{"ways", stream.Ways}, {"depth", stream.Depth}, {"runlimit", stream.RunLimit},
+		{"misscache", aux.MissCache}, {"victim", aux.Victim},
+		{"ways", aux.Stream.Ways}, {"depth", aux.Stream.Depth}, {"runlimit", aux.Stream.RunLimit},
 	} {
 		if f.n < 0 {
-			return hierarchy.Augment{}, fmt.Errorf("%s%s must not be negative, got %d", key, f.name, f.n)
+			return core.Aux{}, fmt.Errorf("%s%s must not be negative, got %d", key, f.name, f.n)
 		}
 	}
 	// Stream buffers exist only with at least one way: a depth on its own
-	// builds nothing.
-	hasStream := stream.Ways > 0
-	switch {
-	case a.MissCacheEntries > 0 && (a.VictimCacheEntries > 0 || hasStream):
-		return hierarchy.Augment{}, fmt.Errorf("%[1]smisscache cannot be combined with %[1]svictim or %[1]sways", key)
-	case a.MissCacheEntries > 0:
-		return hierarchy.Augment{Kind: hierarchy.MissCache, Entries: a.MissCacheEntries}, nil
-	case a.VictimCacheEntries > 0 && hasStream:
-		return hierarchy.Augment{Kind: hierarchy.VictimAndStream,
-			Entries: a.VictimCacheEntries, Stream: stream}, nil
-	case a.VictimCacheEntries > 0:
-		return hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: a.VictimCacheEntries}, nil
-	case hasStream:
-		return hierarchy.Augment{Kind: hierarchy.StreamBuffers, Stream: stream}, nil
-	default:
-		return hierarchy.Augment{Kind: hierarchy.None}, nil
+	// builds nothing, and is dropped so equal systems compare equal.
+	if aux.Stream.Ways == 0 {
+		aux.Stream = core.StreamConfig{}
 	}
+	if aux.MissCache > 0 && (aux.Victim > 0 || aux.Stream.Ways > 0) {
+		return core.Aux{}, fmt.Errorf("%[1]smisscache cannot be combined with %[1]svictim or %[1]sways", key)
+	}
+	return aux, nil
 }
 
 // Hierarchy returns the two-level configuration c builds, with every
@@ -168,25 +159,18 @@ func (a Augmentation) toAugment(key string) (hierarchy.Augment, error) {
 func (c Config) Hierarchy() (hierarchy.Config, error) {
 	def := hierarchy.DefaultConfig()
 	out := hierarchy.Config{
-		L1I:             c.L1I.toCache("L1I", def.L1I),
-		L1D:             c.L1D.toCache("L1D", def.L1D),
-		L2:              c.L2.toCache("L2", def.L2),
-		L2VictimEntries: c.L2VictimEntries,
-		Timing:          def.Timing,
-		Perf:            def.Perf,
-	}
-	if c.L2VictimEntries < 0 {
-		return out, fmt.Errorf("l2victim must not be negative, got %d", c.L2VictimEntries)
+		L1I:    c.L1I.toCache("L1I", def.L1I),
+		L1D:    c.L1D.toCache("L1D", def.L1D),
+		L2:     c.L2.toCache("L2", def.L2),
+		Timing: def.Timing,
+		Perf:   def.Perf,
 	}
 	var err error
-	if c.L2Stream != nil {
-		if out.L2Augment, err = (Augmentation{
-			VictimCacheEntries: c.L2VictimEntries,
-			Stream:             c.L2Stream,
-		}).toAugment("l2"); err != nil {
-			return out, err
-		}
-		out.L2VictimEntries = 0
+	if out.L2Augment, err = (Augmentation{
+		VictimCacheEntries: c.L2VictimEntries,
+		Stream:             c.L2Stream,
+	}).toAux("l2"); err != nil {
+		return out, err
 	}
 	if c.L1MissPenalty != 0 {
 		out.Timing.MissPenalty = c.L1MissPenalty
@@ -196,10 +180,10 @@ func (c Config) Hierarchy() (hierarchy.Config, error) {
 	if c.L2MissPenalty != 0 {
 		out.Perf.L2MissPenalty = c.L2MissPenalty
 	}
-	if out.IAugment, err = c.I.toAugment("i"); err != nil {
+	if out.IAugment, err = c.I.toAux("i"); err != nil {
 		return out, err
 	}
-	if out.DAugment, err = c.D.toAugment(""); err != nil {
+	if out.DAugment, err = c.D.toAux(""); err != nil {
 		return out, err
 	}
 	return out, nil
