@@ -195,29 +195,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cl = classify.MustNew(l1cfg.Size, l1cfg.LineSize)
 	}
 
-	// The introspection probe is a pure reader riding the replay loop:
-	// attaching it changes none of the numbers reported below (when
-	// -classify is on, its sampled events reuse that classifier instead
-	// of shadowing the stream twice).
+	// The introspection probe is the level's tap, a pure reader:
+	// attaching it changes none of the numbers reported below. With
+	// -classify its sampled events read their class from cl.
 	var probe *introspect.Probe
 	if introOn {
 		opts := introspect.Options{Window: *phase, Heatmap: *heatmap,
-			MissEvery: *missSample, MissCap: *missCap}
+			MissEvery: *missSample, MissCap: *missCap, Classifier: cl}
 		if *phase == 0 {
 			opts.Window = -1
 		}
-		probe = introspect.NewProbe(l1cfg, opts)
+		probe = introspect.AttachLevel(fe, opts)
 		probe.AttachTelemetry(reg, "l1")
 	}
 
-	// Live replay counters, published as deltas of the front-end's own
-	// stats at flush boundaries (every telFlushEvery kept accesses and at
-	// end of replay), so the hot loop carries no telemetry work beyond a
-	// pending-count increment. With reg nil tel stays nil and even that
-	// disappears.
+	// Live replay counters, published as deltas of the level's own stats
+	// every telFlushEvery kept accesses and at end of replay, so the hot
+	// loop carries no telemetry work beyond a pending-count increment.
 	const telFlushEvery = 4096
-	tel := newFETel(reg)
+	var tel *core.Counters
+	pending := 0
 	if reg != nil {
+		tel = core.NewCounters(reg, "sim_")
 		l1.Instrument(cache.NewCounters(reg, l1cfg.Name))
 		if cl != nil {
 			cl.Instrument(
@@ -227,10 +226,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	flushTel := func() {
+		pending = 0
 		if tel == nil {
 			return
 		}
-		tel.publish(fe.Stats())
+		tel.Publish(fe.Stats())
 		l1.FlushTelemetry()
 		if cl != nil {
 			cl.Flush()
@@ -249,21 +249,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		r := fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
 		if cl != nil {
-			c := cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
-			if probe != nil {
-				probe.ObserveClassified(uint64(a.Addr), r, c)
-			}
-		} else if probe != nil {
-			probe.Observe(uint64(a.Addr), r)
+			cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
 		}
 		if tel != nil {
-			tel.pending++
-			if tel.pending >= telFlushEvery {
+			pending++
+			if pending >= telFlushEvery {
 				flushTel()
 			}
 		}
 	})
 	flushTel()
+	fe.Flush()
 	if prog != nil {
 		prog.Stop()
 	}
@@ -335,48 +331,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// feTel publishes the replayed front-end's outcome counters as deltas
-// of its own stats, flushed every telFlushEvery kept accesses and at end
-// of replay.
-type feTel struct {
-	accesses, l1Hits, auxHits, missCacheHits, victimHits, streamHits, fullMisses *telemetry.Counter
-	last                                                                         core.Stats
-	pending                                                                      int
-}
-
-func newFETel(reg *telemetry.Registry) *feTel {
-	if reg == nil {
-		return nil
-	}
-	return &feTel{
-		accesses:      reg.Counter("sim_replay_accesses_total", "references replayed through the cache under study"),
-		l1Hits:        reg.Counter("sim_l1_hits_total", "first-level cache hits"),
-		auxHits:       reg.Counter("sim_aux_hits_total", "hits in any auxiliary structure"),
-		missCacheHits: reg.Counter("sim_miss_cache_hits_total", "miss-cache hits"),
-		victimHits:    reg.Counter("sim_victim_hits_total", "victim-cache hits"),
-		streamHits:    reg.Counter("sim_stream_hits_total", "stream-buffer hits"),
-		fullMisses:    reg.Counter("sim_full_misses_total", "misses served by the next level"),
-	}
-}
-
-func addDelta(c *telemetry.Counter, cur, last uint64) {
-	if cur != last {
-		c.Add(cur - last)
-	}
-}
-
-func (t *feTel) publish(cur core.Stats) {
-	addDelta(t.accesses, cur.Accesses, t.last.Accesses)
-	addDelta(t.l1Hits, cur.L1Hits, t.last.L1Hits)
-	addDelta(t.auxHits, cur.AuxHits, t.last.AuxHits)
-	addDelta(t.missCacheHits, cur.MissCacheHits, t.last.MissCacheHits)
-	addDelta(t.victimHits, cur.VictimHits, t.last.VictimHits)
-	addDelta(t.streamHits, cur.StreamHits, t.last.StreamHits)
-	addDelta(t.fullMisses, cur.FullMisses(), t.last.FullMisses())
-	t.last = cur
-	t.pending = 0
 }
 
 // printStats renders the replayed front-end's counters.

@@ -240,10 +240,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *pressure {
-		// Set pressure replays each side through a plain probe cache of the
-		// -size/-line geometry and feeds an introspection probe synthesized
-		// Results (there is no augmentation here, so a miss is served by
-		// memory), yielding the same per-set heat views the simulators print.
+		// Set pressure replays each side through a plain cache of the
+		// -size/-line geometry with an introspection probe on it, yielding
+		// the same per-set heat views the simulators print.
 		probeCfg := cache.Config{Name: "probe", Size: *size, LineSize: *line, Assoc: 1}
 		if err := probeCfg.Validate(); err != nil {
 			fmt.Fprintln(stderr, "tracestat:", err)
@@ -251,19 +250,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, sideName := range []string{"instruction", "data"} {
 			instr := sideName == "instruction"
-			c := cache.MustNew(probeCfg)
-			probe := introspect.NewProbe(probeCfg, introspect.Options{Window: -1, Heatmap: true})
+			l := core.NewBaseline(cache.MustNew(probeCfg), nil, core.Timing{})
+			probe := introspect.AttachLevel(l, introspect.Options{Window: -1, Heatmap: true})
 			if err := pass(func(src memtrace.Source) error {
 				memtrace.Each(src, func(a memtrace.Access) {
-					if (a.Kind == memtrace.Ifetch) != instr {
-						return
+					if (a.Kind == memtrace.Ifetch) == instr {
+						l.Access(uint64(a.Addr), a.Kind == memtrace.Store)
 					}
-					hit, _ := c.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-					r := core.Result{L1Hit: hit}
-					if !hit {
-						r.Served = core.ServedMemory
-					}
-					probe.Observe(uint64(a.Addr), r)
 				})
 				return nil
 			}); err != nil {

@@ -168,6 +168,19 @@ func (c *Classifier) Observe(addr uint64) Class {
 	}
 }
 
+// Class returns the class Observe would give a miss to addr now,
+// without observing it: a read-only peek at the shadow state.
+func (c *Classifier) Class(addr uint64) Class {
+	la := addr >> c.lineShift
+	if _, ok := c.seen[la]; !ok {
+		return Compulsory
+	}
+	if _, ok := c.nodes[la]; ok {
+		return Conflict
+	}
+	return Capacity
+}
+
 // Instrument attaches live per-class miss counters, fed by publishing
 // the delta of the internal Counts at flush time. Any counter may be nil
 // (that class is simply not exported). Flushes happen every

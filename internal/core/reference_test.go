@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -13,7 +14,9 @@ import (
 // prose, as naive slices searched linearly, and share no code with the
 // package under test or with internal/cache. FuzzFrontEndVsReference
 // replays fuzzer-derived address streams through both and demands the
-// same resolution for every access and the same final counts.
+// same resolution for every access and the same final counts. It also
+// pins the core.Tap contract: a tap sees exactly the misses it asks for,
+// and attaching one changes no count.
 
 // refL1 is a direct-mapped cache (§2): each line address maps to exactly
 // one slot, line mod slots, and a fill replaces whatever the slot held.
@@ -203,13 +206,13 @@ func (s refShape) String() string {
 }
 
 // build returns the front end under test and its reference model.
-func (s refShape) build() (core.FrontEnd, *refModel) {
+func (s refShape) build() (*core.Level, *refModel) {
 	l1 := cache.MustNew(cache.Config{Size: s.size, LineSize: s.line, Assoc: 1})
 	timing := core.DefaultTiming()
 	stream := core.StreamConfig{Ways: s.ways, Depth: s.depth}
 	m := &refModel{l1: newRefL1(s.size / s.line), depth: s.depth}
 	ways := 0
-	var fe core.FrontEnd
+	var fe *core.Level
 	switch s.kind {
 	case 0:
 		fe = core.NewBaseline(l1, nil, timing)
@@ -259,18 +262,91 @@ func refAddrs(data []byte, size, line int) (addrs []uint64, writes []bool) {
 	return addrs, writes
 }
 
+// tapMiss is one miss as a tap saw it, or as the reference model
+// predicts it.
+type tapMiss struct {
+	addr   uint64
+	served core.ServedBy
+	index  uint64
+}
+
+// recordingTap asks for every miss, keeping its Due one ahead: one
+// access ahead when byAccess is set, one miss ahead otherwise.
+type recordingTap struct {
+	byAccess bool
+	misses   []tapMiss
+}
+
+func (r *recordingTap) Miss(addr uint64, res core.Result, st *core.Stats) core.Due {
+	r.misses = append(r.misses, tapMiss{addr, res.Served, st.Accesses - 1})
+	return r.Sync(st)
+}
+
+func (r *recordingTap) Sync(st *core.Stats) core.Due {
+	if r.byAccess {
+		return core.Due{Accesses: st.Accesses + 1, Misses: math.MaxUint64}
+	}
+	return core.Due{Accesses: math.MaxUint64, Misses: st.L1Misses + 1}
+}
+
+// idleTap never comes due; its Miss must never run.
+type idleTap struct{ calls int }
+
+func (r *idleTap) Miss(uint64, core.Result, *core.Stats) core.Due {
+	r.calls++
+	return r.Sync(nil)
+}
+
+func (r *idleTap) Sync(*core.Stats) core.Due {
+	return core.Due{Accesses: math.MaxUint64, Misses: math.MaxUint64}
+}
+
 // checkAgainstReference replays data through shape's front end and its
-// reference model and reports the first disagreement.
+// reference model and reports the first disagreement. Three more copies
+// of the front end carry taps: two recording taps, one kept due by
+// accesses and one by misses, must each see exactly the reference
+// model's misses; an idle tap must never be called; and no tap may
+// change the front end's Stats.
 func checkAgainstReference(t *testing.T, shape refShape, data []byte) {
 	fe, ref := shape.build()
+	recs := []*recordingTap{{byAccess: true}, {byAccess: false}}
+	quiet := &idleTap{}
+	var tapped []*core.Level
+	for _, tap := range []core.Tap{recs[0], recs[1], quiet} {
+		l, _ := shape.build()
+		l.SetTap(tap)
+		tapped = append(tapped, l)
+	}
+	var want []tapMiss
 	addrs, writes := refAddrs(data, shape.size, shape.line)
 	for i, addr := range addrs {
 		got := fe.Access(addr, writes[i]).Served
-		if want := ref.access(addr / uint64(shape.line)); got != want {
-			t.Fatalf("%v: access %d (%#x): served by %v, reference says %v", shape, i, addr, got, want)
+		for _, l := range tapped {
+			l.Access(addr, writes[i])
+		}
+		served := ref.access(addr / uint64(shape.line))
+		if got != served {
+			t.Fatalf("%v: access %d (%#x): served by %v, reference says %v", shape, i, addr, got, served)
+		}
+		if served != core.ServedL1 {
+			want = append(want, tapMiss{addr, served, uint64(i)})
 		}
 	}
+	for _, rec := range recs {
+		if !slices.Equal(rec.misses, want) {
+			t.Errorf("%v: recording tap (by access %v) saw %d misses, reference has %d",
+				shape, rec.byAccess, len(rec.misses), len(want))
+		}
+	}
+	if quiet.calls != 0 {
+		t.Errorf("%v: a tap that never came due was called %d times", shape, quiet.calls)
+	}
 	st := fe.Stats()
+	for _, l := range tapped {
+		if l.Stats() != st {
+			t.Errorf("%v: attaching a tap changed Stats:\nplain  %+v\ntapped %+v", shape, st, l.Stats())
+		}
+	}
 	c := ref.counts
 	for _, f := range []struct {
 		name      string

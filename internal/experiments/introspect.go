@@ -53,6 +53,8 @@ func runIntrospectPhase(cfg Config) *Result {
 	}
 	replayGroup(cfg, tr.Source(), consumers...)
 	cfg.Accesses.Add(uint64(len(sysCfgs)) * uint64(tr.Len()))
+	// Results flushes each system, syncing the probes to the final count.
+	baseStats, victStats := systems[0].Results(tr.Instructions()), systems[1].Results(tr.Instructions())
 
 	series := make([]textplot.Series, len(probes))
 	for i, p := range probes {
@@ -73,7 +75,6 @@ func runIntrospectPhase(cfg Config) *Result {
 	// demand fetches into one-cycle swaps).
 	headers := []string{"set", "accesses", "base evictions", "base full-miss%", "victim full-miss%"}
 	var rows [][]string
-	baseStats, victStats := systems[0].Results(tr.Instructions()), systems[1].Results(tr.Instructions())
 	for _, s := range introspect.TopSets(baseHeat, introspect.HeatEvictions, 8) {
 		b, v := baseHeat[s], victHeat[s]
 		rows = append(rows, []string{

@@ -65,7 +65,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 	if got := s.Config().L1I.Size; got != 4096 {
 		t.Errorf("defaulted L1I size = %d", got)
 	}
-	if s.IFrontEnd() == nil || s.DFrontEnd() == nil || s.L2Cache() == nil {
+	if s.IFrontEnd() == nil || s.DFrontEnd() == nil || s.L2Level() == nil {
 		t.Error("components missing")
 	}
 }

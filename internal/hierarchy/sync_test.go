@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math"
 	"testing"
 
 	"jouppi/internal/core"
@@ -8,34 +9,37 @@ import (
 	"jouppi/internal/telemetry"
 )
 
-// syncRecorder is a MissObserver that records every SyncAccesses call.
+// syncRecorder is a core.Tap that records the access count of every
+// Sync after the one SetTap makes, and asks for no misses.
 type syncRecorder struct {
-	syncs []uint64 // instruction-side counts, in delivery order
+	attached bool
+	syncs    []uint64
 }
 
-func (r *syncRecorder) ObserveMiss(memtrace.Access, core.Result, uint64) {}
-func (r *syncRecorder) Counters(bool) *MissCounters                      { return nil }
-func (r *syncRecorder) SyncAccesses(instr bool, accesses uint64) {
-	if instr {
-		r.syncs = append(r.syncs, accesses)
+func (r *syncRecorder) Miss(uint64, core.Result, *core.Stats) core.Due { return r.never() }
+func (r *syncRecorder) Sync(st *core.Stats) core.Due {
+	if r.attached {
+		r.syncs = append(r.syncs, st.Accesses)
 	}
+	r.attached = true
+	return r.never()
+}
+func (r *syncRecorder) never() core.Due {
+	return core.Due{Accesses: math.MaxUint64, Misses: math.MaxUint64}
 }
 
-// TestPeriodicFlushSyncsMissObserver pins the MissObserver contract at
-// the periodic mid-replay flush: with telemetry attached, every
-// telFlushEvery-access flush must also deliver SyncAccesses, so an
-// observer's windows keep closing through miss-free stretches of a long
-// replay. This failed before Access was changed to run the full
-// FlushTelemetry at the periodic boundary instead of the
-// telemetry-only flushTel — the observer then saw no sync until the
-// replay ended.
+// TestPeriodicFlushSyncsMissObserver pins the tap contract at the
+// periodic mid-replay flush: with telemetry attached, every
+// telFlushEvery-access flush must also sync the levels' taps, so a
+// probe's windows keep closing through miss-free stretches of a long
+// replay.
 func TestPeriodicFlushSyncsMissObserver(t *testing.T) {
 	sys, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &syncRecorder{}
-	sys.AttachMissObserver(rec)
+	sys.IFrontEnd().SetTap(rec)
 	sys.AttachTelemetry(telemetry.NewRegistry())
 
 	// Two full flush periods of instruction fetches, fed one Access at a
@@ -64,7 +68,7 @@ func TestPeriodicFlushWithoutTelemetryStaysLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &syncRecorder{}
-	sys.AttachMissObserver(rec)
+	sys.IFrontEnd().SetTap(rec)
 	for i := 0; i < telFlushEvery+1; i++ {
 		sys.Access(memtrace.Access{Kind: memtrace.Ifetch, Addr: memtrace.Addr(uint64(i%64) * 16)})
 	}

@@ -23,48 +23,9 @@ func addDelta(c *telemetry.Counter, cur, last uint64) {
 	}
 }
 
-// sideTel publishes one first-level side's reference outcomes, derived
-// from the front-end's core.Stats rather than counted separately: the
-// last published snapshot is kept and each flush emits the difference.
-type sideTel struct {
-	accesses      *telemetry.Counter
-	l1Hits        *telemetry.Counter
-	auxHits       *telemetry.Counter
-	missCacheHits *telemetry.Counter
-	victimHits    *telemetry.Counter
-	streamHits    *telemetry.Counter
-	fullMisses    *telemetry.Counter
-
-	last core.Stats // stats already published to the registry
-}
-
-func newSideTel(reg *telemetry.Registry, side string) sideTel {
-	p := "sim_" + side + "_"
-	return sideTel{
-		accesses:      reg.Counter(p+"accesses_total", side+": references routed to this side"),
-		l1Hits:        reg.Counter(p+"l1_hits_total", side+": first-level cache hits"),
-		auxHits:       reg.Counter(p+"aux_hits_total", side+": hits in any auxiliary structure"),
-		missCacheHits: reg.Counter(p+"miss_cache_hits_total", side+": miss-cache hits"),
-		victimHits:    reg.Counter(p+"victim_hits_total", side+": victim-cache hits"),
-		streamHits:    reg.Counter(p+"stream_hits_total", side+": stream-buffer hits"),
-		fullMisses:    reg.Counter(p+"full_misses_total", side+": misses served by the next level"),
-	}
-}
-
-func (t *sideTel) publish(cur core.Stats) {
-	addDelta(t.accesses, cur.Accesses, t.last.Accesses)
-	addDelta(t.l1Hits, cur.L1Hits, t.last.L1Hits)
-	addDelta(t.auxHits, cur.AuxHits, t.last.AuxHits)
-	addDelta(t.missCacheHits, cur.MissCacheHits, t.last.MissCacheHits)
-	addDelta(t.victimHits, cur.VictimHits, t.last.VictimHits)
-	addDelta(t.streamHits, cur.StreamHits, t.last.StreamHits)
-	addDelta(t.fullMisses, cur.FullMisses(), t.last.FullMisses())
-	t.last = cur
-}
-
 // sysTel is the system-level counter set AttachTelemetry installs.
 type sysTel struct {
-	i, d sideTel
+	i, d *core.Counters // per-side reference outcomes
 
 	l2DemandAccesses   *telemetry.Counter
 	l2DemandMisses     *telemetry.Counter
@@ -99,8 +60,8 @@ func (s *System) combinedL2() L2Stats {
 // into the shared registry.
 func (s *System) flushTel() {
 	t := s.tel
-	t.i.publish(s.ife.Stats())
-	t.d.publish(s.dfe.Stats())
+	t.i.Publish(s.ife.Stats())
+	t.d.Publish(s.dfe.Stats())
 
 	l2 := s.combinedL2()
 	addDelta(t.l2DemandAccesses, l2.DemandAccesses, t.lastL2.DemandAccesses)
@@ -143,8 +104,8 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	s.tel = &sysTel{
-		i: newSideTel(reg, "l1i"),
-		d: newSideTel(reg, "l1d"),
+		i: core.NewCounters(reg, "sim_l1i_"),
+		d: core.NewCounters(reg, "sim_l1d_"),
 
 		l2DemandAccesses:   reg.Counter("sim_l2_demand_accesses_total", "L2: demand accesses from either first-level side"),
 		l2DemandMisses:     reg.Counter("sim_l2_demand_misses_total", "L2: demand accesses that missed everywhere"),
@@ -155,8 +116,8 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 		memPrefetchFetches: reg.Counter("sim_mem_prefetch_fetches_total", "memory: prefetch line fetches below the L2"),
 	}
 	// Count from attach time forward: mark the current stats published.
-	s.tel.i.last = s.ife.Stats()
-	s.tel.d.last = s.dfe.Stats()
+	s.tel.i.Rebase(s.ife.Stats())
+	s.tel.d.Rebase(s.dfe.Stats())
 	s.tel.lastL2 = s.combinedL2()
 	s.tel.lastMem = s.mem
 	s.tel.caches = [3]*cache.Counters{
@@ -170,14 +131,14 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // FlushTelemetry publishes all pending telemetry deltas to the attached
-// registry immediately. Replay and results paths call it automatically;
-// call it directly before reading the registry at a custom boundary.
+// registry immediately and syncs the taps of all three levels. Replay
+// and results paths call it automatically; call it directly before
+// reading the registry or a tap at a custom boundary.
 func (s *System) FlushTelemetry() {
 	if s.tel != nil {
 		s.flushTel()
 	}
-	if s.mobs != nil {
-		s.mobs.SyncAccesses(true, s.ife.Stats().Accesses)
-		s.mobs.SyncAccesses(false, s.dfe.Stats().Accesses)
-	}
+	s.ife.Flush()
+	s.dfe.Flush()
+	s.l2fe.Flush()
 }

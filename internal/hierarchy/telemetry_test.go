@@ -74,7 +74,7 @@ func TestAttachTelemetryMatchesStats(t *testing.T) {
 	if got := snap["sim_cache_L1D_misses_total"]; got != float64(l1d.Misses) {
 		t.Errorf("sim_cache_L1D_misses_total = %v, want %d", got, l1d.Misses)
 	}
-	l2 := sys.L2Cache().Stats()
+	l2 := sys.L2Level().Cache().Stats()
 	if got := snap["sim_cache_L2_fills_total"]; got != float64(l2.Fills) {
 		t.Errorf("sim_cache_L2_fills_total = %v, want %d", got, l2.Fills)
 	}

@@ -2,51 +2,46 @@
 // replay: where the end-of-run aggregates say *how often* a cache
 // configuration missed, the probes here say *when* and *where*.
 //
-// A Probe taps the per-access core.Result of one first-level front-end
-// and accumulates three views:
+// A Probe is the tap (core.Tap) of one core.Level — a first-level cache
+// or the L2 — and accumulates three views:
 //
 //   - phase windows — a time series, one sample per N accesses, of the
 //     window's miss rate and hit attribution (L1 / miss cache / victim
 //     cache / stream buffer / memory). Sequential phases that a stream
 //     buffer absorbs, or conflict phases a victim cache flattens, show
 //     up as dips the aggregate miss rate averages away.
-//   - per-set heatmaps — per-L1-set access, miss, and conflict-eviction
+//   - per-set heatmaps — per-set access, miss, and conflict-eviction
 //     counts. The sets a victim cache relieves are exactly the hot rows
 //     of the baseline's eviction heatmap.
 //   - a sampled miss-event trace — a bounded ring holding every Nth L1
 //     miss (access index, address, set, tag, serving structure, and the
-//     3C class when classification is on), exportable as JSONL through
-//     the telemetry journal.
+//     3C class when a classifier is supplied), exportable as JSONL
+//     through the telemetry journal.
 //
-// The probe follows the telemetry layer's delta-publication discipline:
-// the per-access path touches only plain single-writer structs, and
-// anything shared — registry gauges — is published on window boundaries.
-// When attached to a hierarchy.System the probe goes further and removes
-// itself from the hit path entirely: per-set heat is counted by the L1
-// cache arrays themselves (cache.InstrumentSets increments a probe-owned
-// counter array exactly where the cache has already computed the set
-// index), and window hit attribution comes from a miss-only tap — hits
-// cost one nil check on the result the hierarchy already holds. The tap
-// itself is split hot/cold: the hierarchy updates the probe's exported
-// hierarchy.MissCounters inline (a handful of plain stores, no call) for
-// the common miss, and calls MissObserver.ObserveMiss only when a miss
-// crosses a window boundary or is due for sampling. Boundary crossings
-// close earlier windows retroactively — misses arrive in access order,
-// so an index at a boundary proves the preceding windows are complete —
-// and a flush-time access sync makes the in-progress window exact.
-// Attaching a probe reads the replay, it never writes it: the
-// equivalence tests pin that an introspected run produces bit-identical
-// simulated numbers.
+// The probe adds nothing to the hit path and almost nothing to the miss
+// path. Per-set heat is counted by the cache array itself
+// (cache.InstrumentSets increments probe-owned arrays where the cache
+// has already computed the set index). Window attribution is read from
+// the level's own Stats, which already count every access by the
+// structure that served it: a window's counts are the difference
+// between two Stats snapshots. The probe asks the level (through
+// core.Due) for only the misses it must see — the first miss past a
+// window boundary and each miss due for sampling — plus a Sync at every
+// flush. A miss past a boundary proves every earlier window complete,
+// since all accesses between the boundary and that miss hit; the probe
+// takes the miss's own access off the snapshot and closes those windows
+// at their exact boundaries. Attaching a probe reads the replay, it
+// never writes it: the equivalence tests pin that an introspected run
+// produces bit-identical simulated numbers.
 package introspect
 
 import (
 	"fmt"
+	"math"
 
-	"jouppi/internal/cache"
 	"jouppi/internal/classify"
 	"jouppi/internal/core"
 	"jouppi/internal/hierarchy"
-	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
 )
 
@@ -73,12 +68,11 @@ type Options struct {
 	// full, the ring keeps the most recent MissCap samples and counts
 	// the overwritten ones as dropped.
 	MissCap int
-	// Classify tags sampled miss events with their 3C class by running
-	// a shadow classifier over the probe's access stream. The shadow
-	// needs to see every access, so enabling it keeps the hierarchy on
-	// the full per-access observer tap instead of the cheap miss-only
-	// one; leave it off when measuring overhead.
-	Classify bool
+	// Classifier, when set, tags each sampled miss event with the 3C
+	// class Classifier.Class reads for it. The caller feeds the
+	// classifier the level's accesses, each after the level has
+	// resolved it, so a sample's class is the one the caller counts.
+	Classifier *classify.Classifier
 }
 
 func (o Options) withDefaults() Options {
@@ -128,11 +122,11 @@ func (w Window) RawMissRate() float64 {
 	return float64(w.Accesses-w.Served[core.ServedL1]) / float64(w.Accesses)
 }
 
-// SetCounts is one L1 set's heatmap row: accesses mapping to the set,
-// the subset that missed in L1, and the fills that displaced a valid
-// line — the direct-mapped conflict signature. Heat assembles rows from
-// the probe's split per-metric arrays (the layout cache.InstrumentSets
-// counts into).
+// SetCounts is one set's heatmap row: accesses mapping to the set, the
+// subset that missed, and the fills that displaced a valid line — the
+// direct-mapped conflict signature. Heat assembles rows from the
+// probe's per-metric arrays (the layout cache.InstrumentSets counts
+// into).
 type SetCounts struct {
 	Accesses  uint64
 	Misses    uint64
@@ -151,251 +145,190 @@ type MissEvent struct {
 	// Served names the structure that satisfied the miss.
 	Served core.ServedBy
 	// Class is the 3C classification; valid only when HasClass is set
-	// (Options.Classify was on).
+	// (Options.Classifier was supplied).
 	Class    classify.Class
 	HasClass bool
 }
 
-// Probe observes one first-level front-end's access stream. It is a
-// pure reader — it never touches the simulated structures — and is not
-// safe for concurrent use (one probe per replay consumer).
+// served tallies a level's accesses by the structure that served them,
+// indexed by core.ServedBy; the entries sum to the access count.
+type served [5]uint64
+
+func servedOf(st *core.Stats) served {
+	return served{st.L1Hits, st.MissCacheHits, st.VictimHits, st.StreamHits, st.FullMisses()}
+}
+
+func (s served) accesses() uint64 { return s[0] + s[1] + s[2] + s[3] + s[4] }
+
+// never is a core.Due threshold no replay reaches.
+const never = math.MaxUint64
+
+// Probe is the tap of one core.Level. It is a pure reader — it never
+// touches the simulated structures — and is not safe for concurrent use
+// (one probe per level, one level per replay consumer).
 type Probe struct {
 	opts Options
 
-	sets      int
-	assoc     int
 	lineShift uint
+	setShift  uint
 	setMask   uint64
 
-	// mc is the probe's hot miss-bookkeeping state, in the concrete
-	// layout the hierarchy books inline (hierarchy.MissCounters): the
-	// access high-water mark, the in-progress window's per-structure
-	// miss counts (mc.Served counts only *misses* — L1 hits are derived
-	// at snapshot time as accesses minus misses, so the hit path touches
-	// no attribution state), the index at which that window closes
-	// (MaxUint64 when windows are off), and the countdown to the next
-	// ring sample (sampleNever when sampling is off, so the miss path
-	// needs no separate enabled test). The manual Observe path updates
-	// the same fields, so both ingestion modes share one state machine.
-	mc hierarchy.MissCounters
-
+	// The probe's position on the level's own Stats. org is the level's
+	// access count at attach (probe-local index 0); start and now are the
+	// level's served tallies at the in-progress window's first access
+	// and at the latest Miss or Sync.
+	org      uint64
 	winSize  uint64 // 0 = windows disabled
-	winStart uint64
+	winStart uint64 // level access count at the in-progress window's start
+	start    served
+	now      served
 	windows  []Window
 
-	// The heatmap counters, split per metric (nil unless Options.Heatmap):
-	// only heatAcc is touched on every access, so the hot extra working
-	// set is 8 bytes per set.
+	// nextSample is the level's L1Misses count at the next sampled miss
+	// (never when sampling is off).
+	nextSample uint64
+
+	// The heatmap counters, split per metric (nil unless Options.Heatmap)
+	// and counted by the cache array.
 	heatAcc   []uint64
 	heatMiss  []uint64
 	heatEvict []uint64
-	// extHeat marks the heat arrays as maintained externally by an
-	// instrumented cache array (the hierarchy attach path); the probe's
-	// own observe path then leaves them alone.
-	extHeat  bool
-	resident []uint16 // valid lines per set; fills past assoc are evictions
 
 	ring      []MissEvent
 	ringNext  int
 	ringCount int
 	dropped   uint64
 
-	cl *classify.Classifier // nil unless Options.Classify
-
 	tel *probeTel // window gauges, nil unless AttachTelemetry
 }
 
-// NewProbe builds a probe for a front-end over an L1 with cfg's
-// geometry. The config must be valid (cache.New accepted it).
-func NewProbe(cfg cache.Config, opts Options) *Probe {
+// AttachLevel builds a probe for l and installs it as l's tap,
+// replacing any previous one; with Options.Heatmap it also hands the
+// probe's per-set arrays to l's cache (cache.InstrumentSets). Views
+// count from attach time. Attach before the replay starts.
+func AttachLevel(l *core.Level, opts Options) *Probe {
 	opts = opts.withDefaults()
-	assoc := cfg.Assoc
-	if assoc == cache.FullyAssociative {
-		assoc = cfg.Lines()
-	}
+	cfg := l.Cache().Config()
+	sets := cfg.Sets()
+	st := l.Stats()
 	p := &Probe{
-		opts:      opts,
-		sets:      cfg.Sets(),
-		assoc:     assoc,
-		lineShift: shiftFor(cfg.LineSize),
-		setMask:   uint64(cfg.Sets() - 1),
+		opts:       opts,
+		lineShift:  shiftFor(cfg.LineSize),
+		setShift:   shiftFor(sets),
+		setMask:    uint64(sets - 1),
+		org:        st.Accesses,
+		winStart:   st.Accesses,
+		start:      servedOf(&st),
+		now:        servedOf(&st),
+		nextSample: never,
 	}
-	p.mc.NextWin = ^uint64(0)
 	if opts.Window > 0 {
 		p.winSize = uint64(opts.Window)
-		p.mc.NextWin = p.winSize
+	}
+	if opts.MissEvery > 0 {
+		p.nextSample = st.L1Misses + 1
 	}
 	if opts.Heatmap {
-		p.heatAcc = make([]uint64, p.sets)
-		p.heatMiss = make([]uint64, p.sets)
-		p.heatEvict = make([]uint64, p.sets)
-		p.resident = make([]uint16, p.sets)
+		p.heatAcc = make([]uint64, sets)
+		p.heatMiss = make([]uint64, sets)
+		p.heatEvict = make([]uint64, sets)
+		l.Cache().InstrumentSets(p.heatAcc, p.heatMiss, p.heatEvict)
 	}
-	if opts.MissEvery <= 0 {
-		// The ring itself is allocated lazily by sample — it grows with
-		// the events actually taken instead of committing MissCap slots
-		// up front, so a short replay doesn't pay for the bound.
-		p.mc.SampleIn = sampleNever
-	}
-	if opts.Classify {
-		p.cl = classify.MustNew(cfg.Size, cfg.LineSize)
-	}
+	l.SetTap(p)
 	return p
 }
 
-func shiftFor(lineSize int) uint {
+func shiftFor(n int) uint {
 	shift := uint(0)
-	for ls := lineSize; ls > 1; ls >>= 1 {
+	for ; n > 1; n >>= 1 {
 		shift++
 	}
 	return shift
 }
 
-// Observe records one access and its resolution. The caller passes the
-// byte address it gave the front-end and the Result the front-end
-// returned; the probe derives set/tag itself so it works for any L1
-// geometry.
-func (p *Probe) Observe(addr uint64, r core.Result) {
-	var cl classify.Class
-	has := false
-	if p.cl != nil {
-		cl = p.cl.ObserveMiss(addr, !r.L1Hit)
-		has = true
+// Miss implements core.Tap: it receives the first miss past a window
+// boundary and each miss due for sampling.
+func (p *Probe) Miss(addr uint64, r core.Result, st *core.Stats) core.Due {
+	p.now = servedOf(st)
+	idx := st.Accesses - 1
+	if p.winSize > 0 && idx >= p.winStart+p.winSize {
+		// Close the windows before this miss on the tallies just before
+		// it.
+		before := p.now
+		before[r.Served]--
+		p.closeThrough(before)
 	}
-	p.observe(addr, r, cl, has)
+	if st.L1Misses >= p.nextSample {
+		p.sample(addr, r, idx)
+		p.nextSample = st.L1Misses + uint64(p.opts.MissEvery)
+	}
+	return p.due()
 }
 
-// ObserveClassified is Observe for callers that already run their own 3C
-// classifier over the same stream: cl tags any sampled miss event, and
-// the probe skips its internal shadow classifier (Options.Classify
-// should be off to avoid paying for it twice).
-func (p *Probe) ObserveClassified(addr uint64, r core.Result, cl classify.Class) {
-	p.observe(addr, r, cl, true)
+// Sync implements core.Tap: it adopts the level's exact counts at a
+// flush, closing every window they complete.
+func (p *Probe) Sync(st *core.Stats) core.Due {
+	p.now = servedOf(st)
+	p.closeThrough(p.now)
+	return p.due()
 }
 
-// observe is the per-access path of the manual (Observe-driven) mode:
-// on the overwhelmingly common L1 hit it is two counter increments and
-// one compare; everything a miss needs lives in missPath so its code
-// never dilutes the hit path.
-func (p *Probe) observe(addr uint64, r core.Result, cl classify.Class, hasClass bool) {
-	p.mc.Accesses++
-	if p.heatAcc != nil && !p.extHeat {
-		p.heatAcc[(addr>>p.lineShift)&p.setMask]++
+// due asks for the first miss at or past the in-progress window's end
+// and for the next sampled miss.
+func (p *Probe) due() core.Due {
+	d := core.Due{Accesses: never, Misses: p.nextSample}
+	if p.winSize > 0 {
+		d.Accesses = p.winStart + p.winSize + 1
 	}
-	if !r.L1Hit {
-		p.missPath(addr, r, cl, hasClass)
-	}
-	if p.mc.Accesses >= p.mc.NextWin {
-		p.closeWindow()
-	}
+	return d
 }
 
-// missPath books the manual mode's miss-only state: per-set miss and
-// eviction counts (unless an instrumented cache maintains them) plus the
-// shared served/ring bookkeeping.
-func (p *Probe) missPath(addr uint64, r core.Result, cl classify.Class, hasClass bool) {
-	if p.heatMiss != nil && !p.extHeat {
-		set := int((addr >> p.lineShift) & p.setMask)
-		p.heatMiss[set]++
-		// Every L1 miss — full miss or augmentation hit — installs the
-		// line with exactly one L1 fill in every front-end, so a miss to
-		// a set already holding assoc valid lines must displace one of
-		// them.
-		if p.resident[set] >= uint16(p.assoc) {
-			p.heatEvict[set]++
-		} else {
-			p.resident[set]++
+// closeThrough closes every window that ends at or before to's access
+// count, each at its exact boundary. No access between the first such
+// boundary and to missed — the level passes the first miss past a
+// boundary to Miss — so a window's end tallies are to less the L1 hits
+// past its boundary.
+func (p *Probe) closeThrough(to served) {
+	n := to.accesses()
+	for p.winSize > 0 && p.winStart+p.winSize <= n {
+		end := to
+		end[core.ServedL1] -= n - (p.winStart + p.winSize)
+		w := p.window(end)
+		p.windows = append(p.windows, w)
+		if p.tel != nil {
+			p.tel.publish(w)
 		}
-	}
-	p.recordMiss(addr, r, p.mc.Accesses-1, cl, hasClass)
-}
-
-// sampleNever is the countdown re-arm distance when sampling is off:
-// far enough that no replay reaches it, so the miss path can decrement
-// unconditionally instead of testing whether sampling is enabled.
-const sampleNever = int64(1) << 62
-
-// recordMiss books one L1 miss into the window attribution counters and,
-// when sampling is on, the event ring. idx is the probe-local (per-side)
-// access index of the missing access. The manual per-access path funnels
-// here; SystemProbe.ObserveMiss open-codes the same three lines so the
-// cheap tap pays no extra call.
-func (p *Probe) recordMiss(addr uint64, r core.Result, idx uint64, cl classify.Class, hasClass bool) {
-	p.mc.Served[r.Served&7]++
-	p.mc.SampleIn--
-	if p.mc.SampleIn < 0 {
-		p.sampleMiss(addr, r, idx, cl, hasClass)
+		p.winStart += p.winSize
+		p.start = end
 	}
 }
 
-// sampleMiss stores one miss event and re-arms the sampling countdown:
-// the first miss is sampled, then every MissEvery-th. It also absorbs
-// the sampling-off case (re-arming to sampleNever) so recordMiss carries
-// no enabled test.
-func (p *Probe) sampleMiss(addr uint64, r core.Result, idx uint64, cl classify.Class, hasClass bool) {
-	if p.opts.MissEvery <= 0 {
-		p.mc.SampleIn = sampleNever
-		return
+// window is the in-progress window ending at the tallies end.
+func (p *Probe) window(end served) Window {
+	w := Window{Start: p.winStart - p.org}
+	for i := range w.Served {
+		w.Served[i] = end[i] - p.start[i]
+		w.Accesses += w.Served[i]
 	}
+	return w
+}
+
+// sample stores one miss event in the bounded ring, overwriting the
+// oldest sample (and counting it dropped) once the ring holds MissCap
+// events. Growth is by append, so the ring's memory tracks the events
+// actually taken rather than the configured bound.
+func (p *Probe) sample(addr uint64, r core.Result, idx uint64) {
 	la := addr >> p.lineShift
 	e := MissEvent{
-		Access: idx,
+		Access: idx - p.org,
 		Addr:   addr,
 		Served: r.Served,
 		Set:    int(la & p.setMask),
-		Tag:    la >> uint(shiftForSets(p.sets)),
+		Tag:    la >> p.setShift,
 	}
-	if hasClass {
-		e.Class, e.HasClass = cl, true
+	if cl := p.opts.Classifier; cl != nil {
+		e.Class, e.HasClass = cl.Class(addr), true
 	}
-	p.sample(e)
-	p.mc.SampleIn = int64(p.opts.MissEvery) - 1
-}
-
-// The cheap miss-observer ingestion lives open-coded in
-// SystemProbe.ObserveMiss. Misses arrive in ascending index order, so an
-// index at or past the next window boundary proves every earlier window
-// is complete — with all its misses already recorded — and closes it
-// retroactively, at its exact boundary, before the miss is booked into
-// the window it belongs to; nextWin is MaxUint64 when windows are off,
-// so the common case costs one compare. Each miss also rides the access
-// count forward, so a mid-replay Windows() snapshot never holds more
-// misses than accesses (the flush-time sync makes it exact).
-
-// catchUpWindows closes every window whose boundary idx has passed, each
-// at its exact boundary. Out of line to keep the per-miss ingestion in
-// ObserveMiss small.
-func (p *Probe) catchUpWindows(idx uint64) {
-	for idx >= p.mc.NextWin {
-		p.closeWindowAt(p.mc.NextWin)
-	}
-}
-
-// syncAccesses adopts a side's exact access count, delivered by the
-// hierarchy at flush boundaries (replay end, Results, periodic telemetry
-// flushes), closing every window the count completes. Misses arrive
-// strictly before the sync that ends their window, so attribution stays
-// exact; anything past the last boundary stays in the partial window.
-func (p *Probe) syncAccesses(total uint64) {
-	for total >= p.mc.NextWin {
-		p.closeWindowAt(p.mc.NextWin)
-	}
-	p.mc.Accesses = total
-}
-
-func shiftForSets(sets int) int {
-	shift := 0
-	for s := sets; s > 1; s >>= 1 {
-		shift++
-	}
-	return shift
-}
-
-// sample appends e to the bounded ring, overwriting the oldest sample
-// (and counting it dropped) once the ring holds MissCap events. Growth
-// is by append, so the ring's memory tracks the events actually taken
-// rather than the configured bound.
-func (p *Probe) sample(e MissEvent) {
 	if len(p.ring) < p.opts.MissCap {
 		p.ring = append(p.ring, e)
 		p.ringCount++
@@ -406,55 +339,19 @@ func (p *Probe) sample(e MissEvent) {
 	p.dropped++
 }
 
-// snapWindow packages the in-progress counters as a Window. Only misses
-// are counted live; the L1-hit share is what remains of the window's
-// accesses once every miss category is subtracted.
-func (p *Probe) snapWindow() Window {
-	w := Window{Start: p.winStart, Accesses: p.mc.Accesses - p.winStart}
-	copy(w.Served[1:], p.mc.Served[1:len(w.Served)])
-	var misses uint64
-	for _, n := range p.mc.Served[1:] {
-		misses += n
-	}
-	w.Served[core.ServedL1] = w.Accesses - misses
-	return w
-}
-
-// closeWindowAt closes the in-progress window at exactly end accesses —
-// the retroactive form the miss-driven ingestion uses, where the probe's
-// access count advances in jumps rather than one at a time.
-func (p *Probe) closeWindowAt(end uint64) {
-	p.mc.Accesses = end
-	p.closeWindow()
-}
-
-// closeWindow finalizes the in-progress window and publishes its gauges.
-func (p *Probe) closeWindow() {
-	w := p.snapWindow()
-	p.windows = append(p.windows, w)
-	if p.tel != nil {
-		p.tel.publish(w)
-	}
-	p.winStart = p.mc.Accesses
-	p.mc.NextWin = p.mc.Accesses + p.winSize
-	p.mc.Served = [8]uint64{}
-}
-
-// Accesses returns the number of accesses observed so far. For a probe
-// attached through the hierarchy's miss-observer tap the count advances
-// with each delivered miss and at telemetry flushes (replay end,
-// Results), so mid-replay reads may trail the replay; completed replays
-// are exact.
-func (p *Probe) Accesses() uint64 { return p.mc.Accesses }
+// Accesses returns the number of accesses the probe has seen: its
+// level's count at the latest Miss or Sync, so mid-replay reads may
+// trail the replay; after a flush (replay end, Results) it is exact.
+func (p *Probe) Accesses() uint64 { return p.now.accesses() - p.org }
 
 // Windows returns the completed phase windows plus, when it holds any
-// accesses, a copy of the in-progress partial window. The probe's own
-// state is not flushed, so Windows may be called mid-replay.
+// accesses, the in-progress partial window as of the latest Miss or
+// Sync. It is a non-destructive read and may be called mid-replay.
 func (p *Probe) Windows() []Window {
 	out := make([]Window, len(p.windows), len(p.windows)+1)
 	copy(out, p.windows)
-	if p.winSize > 0 && p.mc.Accesses > p.winStart {
-		out = append(out, p.snapWindow())
+	if p.winSize > 0 && p.now.accesses() > p.winStart {
+		out = append(out, p.window(p.now))
 	}
 	return out
 }
@@ -490,15 +387,6 @@ func (p *Probe) Events() []MissEvent {
 
 // Dropped returns the number of sampled events the ring overwrote.
 func (p *Probe) Dropped() uint64 { return p.dropped }
-
-// Classes returns the 3C totals of the probe's shadow classifier, or a
-// zero Counts when Options.Classify was off.
-func (p *Probe) Classes() classify.Counts {
-	if p.cl == nil {
-		return classify.Counts{}
-	}
-	return p.cl.Counts()
-}
 
 // probeTel is the gauge set AttachTelemetry installs; it is written only
 // on window boundaries, per the delta-publication discipline.
@@ -540,113 +428,19 @@ func (p *Probe) AttachTelemetry(reg *telemetry.Registry, side string) {
 }
 
 // SystemProbe introspects both first-level sides of a hierarchy.System.
-// It implements hierarchy.Observer, routing instruction fetches to the I
-// probe and loads/stores to the D probe.
 type SystemProbe struct {
 	I, D *Probe
 }
 
-// Attach builds probes for both first-level caches of sys (per opts)
-// and installs them as the system's observer, replacing any previous
-// one. Probes are per-system — under fan-out every consumer system gets
-// its own Attach call — and reading them never perturbs the simulation.
-//
-// Heatmaps are counted by the L1 arrays themselves: the probes' heat
-// slices are handed to cache.InstrumentSets, so the cache increments
-// them where it has already computed the set index. Without
-// classification the probes ride the hierarchy's cheap miss-observer
-// tap — no per-access observer call at all, misses and window
-// boundaries only. The 3C shadow classifier needs to see every access,
-// so Options.Classify keeps the full per-access tap.
+// Attach attaches a probe (per opts) to each first-level cache of sys.
+// Probes are per-system — under fan-out every consumer system gets its
+// own Attach call — and reading them never perturbs the simulation.
 func Attach(sys *hierarchy.System, opts Options) *SystemProbe {
-	cfg := sys.Config()
-	sp := &SystemProbe{
-		I: NewProbe(cfg.L1I, opts),
-		D: NewProbe(cfg.L1D, opts),
-	}
-	sp.I.externalHeat()
-	sp.D.externalHeat()
-	sys.IFrontEnd().Cache().InstrumentSets(sp.I.heatAcc, sp.I.heatMiss, sp.I.heatEvict)
-	sys.DFrontEnd().Cache().InstrumentSets(sp.D.heatAcc, sp.D.heatMiss, sp.D.heatEvict)
-	if sp.I.cl != nil {
-		sys.AttachObserver(sp)
-		return sp
-	}
-	sys.AttachMissObserver(sp)
-	return sp
-}
-
-// externalHeat marks the heat array as maintained by an instrumented
-// cache; the probe's own paths then neither count into it nor need the
-// resident-lines eviction model.
-func (p *Probe) externalHeat() {
-	p.extHeat = true
-	p.resident = nil
-}
-
-// ObserveAccess implements hierarchy.Observer — the full per-access tap,
-// used only when the 3C shadow classifier must see every access. It
-// routes straight to the side's observe body, adding no intermediate
-// frame.
-func (sp *SystemProbe) ObserveAccess(a memtrace.Access, r core.Result) {
-	p := sp.D
-	if a.Kind == memtrace.Ifetch {
-		p = sp.I
-	}
-	if p.cl != nil {
-		c := p.cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
-		p.observe(uint64(a.Addr), r, c, true)
-		return
-	}
-	p.observe(uint64(a.Addr), r, 0, false)
-}
-
-// ObserveMiss implements hierarchy.MissObserver: the cheap tap's
-// per-miss delivery. The ingestion body (observeMissAt) is open-coded
-// here so the hierarchy's interface dispatch lands directly in the work
-// — a typical miss costs no further call.
-func (sp *SystemProbe) ObserveMiss(a memtrace.Access, r core.Result, index uint64) {
-	p := sp.D
-	if a.Kind == memtrace.Ifetch {
-		p = sp.I
-	}
-	if index >= p.mc.NextWin {
-		p.catchUpWindows(index)
-	}
-	if index >= p.mc.Accesses {
-		p.mc.Accesses = index + 1
-	}
-	p.mc.Served[r.Served&7]++
-	p.mc.SampleIn--
-	if p.mc.SampleIn < 0 {
-		p.sampleMiss(uint64(a.Addr), r, index, 0, false)
+	return &SystemProbe{
+		I: AttachLevel(sys.IFrontEnd(), opts),
+		D: AttachLevel(sys.DFrontEnd(), opts),
 	}
 }
-
-// Counters implements hierarchy.MissObserver: it hands the hierarchy
-// the side's hot counters so the common miss is booked inline and only
-// window-boundary and sample-due misses arrive through ObserveMiss.
-func (sp *SystemProbe) Counters(instr bool) *hierarchy.MissCounters {
-	if instr {
-		return &sp.I.mc
-	}
-	return &sp.D.mc
-}
-
-// SyncAccesses implements hierarchy.MissObserver: flush-time count
-// syncs.
-func (sp *SystemProbe) SyncAccesses(instr bool, accesses uint64) {
-	if instr {
-		sp.I.syncAccesses(accesses)
-	} else {
-		sp.D.syncAccesses(accesses)
-	}
-}
-
-var (
-	_ hierarchy.Observer     = (*SystemProbe)(nil)
-	_ hierarchy.MissObserver = (*SystemProbe)(nil)
-)
 
 // AttachTelemetry registers both sides' window gauges in reg
 // (introspect_l1i_*, introspect_l1d_*). A nil registry detaches.

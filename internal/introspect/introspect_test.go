@@ -1,10 +1,12 @@
 package introspect
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/classify"
 	"jouppi/internal/core"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
@@ -17,17 +19,25 @@ import (
 // lines → 256 sets.
 var l1cfg = cache.Config{Name: "L1", Size: 4096, LineSize: 16, Assoc: 1}
 
-func TestWindowBoundaries(t *testing.T) {
-	p := NewProbe(l1cfg, Options{Window: 4})
-	miss := core.Result{Served: core.ServedMemory}
-	hit := core.Result{L1Hit: true, Served: core.ServedL1}
-	for i := 0; i < 10; i++ {
-		r := hit
-		if i%2 == 0 {
-			r = miss
-		}
-		p.Observe(uint64(i*16), r)
+// newLevel builds a level over an l1cfg cache with the helpers aux
+// declares.
+func newLevel(t *testing.T, aux core.Aux) *core.Level {
+	t.Helper()
+	l, err := core.NewLevel(cache.MustNew(l1cfg), aux, nil, core.Timing{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return l
+}
+
+func TestWindowBoundaries(t *testing.T) {
+	l := newLevel(t, core.Aux{})
+	p := AttachLevel(l, Options{Window: 4})
+	// Even accesses miss on a new line, odd ones hit it again.
+	for i := 0; i < 10; i++ {
+		l.Access(uint64(i/2*16), false)
+	}
+	l.Flush()
 	ws := p.Windows()
 	if len(ws) != 3 {
 		t.Fatalf("10 accesses at window 4 must give 2 full + 1 partial window, got %d", len(ws))
@@ -51,18 +61,16 @@ func TestWindowBoundaries(t *testing.T) {
 }
 
 func TestHeatmapEvictionModel(t *testing.T) {
-	p := NewProbe(l1cfg, Options{Window: -1, Heatmap: true})
+	l := newLevel(t, core.Aux{})
+	p := AttachLevel(l, Options{Window: -1, Heatmap: true})
 	sets := l1cfg.Sets()
-	miss := core.Result{Served: core.ServedMemory}
 	// Two conflicting lines in set 5: first two misses are fills into an
 	// empty set (no eviction), every later miss displaces the resident.
 	a := uint64(5 * 16)
 	b := a + uint64(sets*16)
-	p.Observe(a, miss)
-	p.Observe(b, miss)
-	p.Observe(a, miss)
-	p.Observe(b, miss)
-	p.Observe(a, core.Result{L1Hit: true})
+	for _, addr := range []uint64{a, b, a, b, b} {
+		l.Access(addr, false)
+	}
 	heat := p.Heat()
 	h := heat[5]
 	if h.Accesses != 5 || h.Misses != 4 {
@@ -79,10 +87,10 @@ func TestHeatmapEvictionModel(t *testing.T) {
 }
 
 func TestMissRingSamplingAndBound(t *testing.T) {
-	p := NewProbe(l1cfg, Options{Window: -1, MissEvery: 3, MissCap: 4})
-	miss := core.Result{Served: core.ServedVictim, AuxHit: true}
+	l := newLevel(t, core.Aux{})
+	p := AttachLevel(l, Options{Window: -1, MissEvery: 3, MissCap: 4})
 	for i := 0; i < 30; i++ {
-		p.Observe(uint64(i)*16, miss)
+		l.Access(uint64(i)*16, false)
 	}
 	// Misses 0,3,6,...,27 are sampled (10 samples); the ring keeps the
 	// last 4 and reports 6 dropped.
@@ -95,7 +103,7 @@ func TestMissRingSamplingAndBound(t *testing.T) {
 		if e.Access != want {
 			t.Errorf("event %d at access %d, want %d (chronological tail)", i, e.Access, want)
 		}
-		if e.Served != core.ServedVictim {
+		if e.Served != core.ServedMemory {
 			t.Errorf("event %d served = %v", i, e.Served)
 		}
 	}
@@ -105,13 +113,20 @@ func TestMissRingSamplingAndBound(t *testing.T) {
 	}
 }
 
+// TestClassifyTagsSampledMisses drives a classifier the way cachesim
+// does — each access after the level resolved it — and checks each
+// sampled miss carries the class the classifier counted for it.
 func TestClassifyTagsSampledMisses(t *testing.T) {
-	p := NewProbe(l1cfg, Options{Window: -1, MissEvery: 1, Classify: true})
-	miss := core.Result{Served: core.ServedMemory}
-	p.Observe(0, miss)                      // first touch: compulsory
-	p.Observe(4096, miss)                   // first touch: compulsory
-	p.Observe(0, miss)                      // seen, shadow FA holds it: conflict
-	p.Observe(16, core.Result{L1Hit: true}) // hits feed the shadow too
+	l := newLevel(t, core.Aux{})
+	cl := classify.MustNew(l1cfg.Size, l1cfg.LineSize)
+	p := AttachLevel(l, Options{Window: -1, MissEvery: 1, Classifier: cl})
+	// First touches of 0 and 4096 are compulsory; 0 again is seen and
+	// the shadow FA holds it: conflict. The last access hits, and hits
+	// feed the classifier too.
+	for _, addr := range []uint64{0, 4096, 0, 8} {
+		r := l.Access(addr, false)
+		cl.ObserveMiss(addr, !r.L1Hit)
+	}
 	ev := p.Events()
 	if len(ev) != 3 {
 		t.Fatalf("3 misses must yield 3 samples, got %d", len(ev))
@@ -121,15 +136,16 @@ func TestClassifyTagsSampledMisses(t *testing.T) {
 			t.Errorf("event %d class = %v (has=%v), want %s", i, ev[i].Class, ev[i].HasClass, want)
 		}
 	}
-	if got := p.Classes().Total(); got != 3 {
+	if got := cl.Counts().Total(); got != 3 {
 		t.Errorf("classifier recorded %d misses, want 3", got)
 	}
 }
 
 func TestEmitMissEvents(t *testing.T) {
-	p := NewProbe(l1cfg, Options{Window: -1, MissEvery: 1, MissCap: 2})
+	l := newLevel(t, core.Aux{})
+	p := AttachLevel(l, Options{Window: -1, MissEvery: 1, MissCap: 2})
 	for i := 0; i < 3; i++ {
-		p.Observe(uint64(i)<<12, core.Result{Served: core.ServedMemory})
+		l.Access(uint64(i)<<12, false)
 	}
 	var sb strings.Builder
 	j := telemetry.NewJournal(&sb)
@@ -153,15 +169,16 @@ func TestEmitMissEvents(t *testing.T) {
 
 func TestWindowGauges(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewProbe(l1cfg, Options{Window: 2})
+	l := newLevel(t, core.Aux{})
+	p := AttachLevel(l, Options{Window: 2})
 	p.AttachTelemetry(reg, "l1d")
-	p.Observe(0, core.Result{Served: core.ServedMemory})
-	snap := reg.Snapshot()
-	if snap["introspect_l1d_windows_total"] != 0 {
-		t.Error("gauges must not move before a window boundary")
+	l.Access(0, false) // miss
+	l.Access(0, false) // hit: the window is complete
+	if snap := reg.Snapshot(); snap["introspect_l1d_windows_total"] != 0 {
+		t.Error("gauges must not move before the window closes")
 	}
-	p.Observe(16, core.Result{L1Hit: true})
-	snap = reg.Snapshot()
+	l.Flush()
+	snap := reg.Snapshot()
 	if snap["introspect_l1d_windows_total"] != 1 ||
 		snap["introspect_l1d_window_accesses"] != 2 ||
 		snap["introspect_l1d_window_full_misses"] != 1 ||
@@ -178,9 +195,8 @@ func replaySystem(t *testing.T, sys *hierarchy.System, name string) {
 		t.Fatalf("unknown workload %q", name)
 	}
 	b.Generate(0.02, memtrace.SinkFunc(sys.Access))
-	// A manual Access loop must flush, like sim.Replay does: probes on
-	// the cheap miss-observer tap receive their final access-count sync
-	// at flush time.
+	// A manual Access loop must flush, like sim.Replay does: probes
+	// receive their final access-count sync at flush time.
 	sys.FlushTelemetry()
 }
 
@@ -281,7 +297,7 @@ func TestObserverEquivalence(t *testing.T) {
 		t.Run(cfgName, func(t *testing.T) {
 			plain := hierarchy.MustNew(cfg)
 			probed := hierarchy.MustNew(cfg)
-			Attach(probed, Options{Window: 1 << 10, Heatmap: true, MissEvery: 4, Classify: true})
+			Attach(probed, Options{Window: 1 << 10, Heatmap: true, MissEvery: 4})
 			replaySystem(t, plain, "ccom")
 			replaySystem(t, probed, "ccom")
 			if a, b := plain.Results(0), probed.Results(0); a != b {
@@ -292,14 +308,12 @@ func TestObserverEquivalence(t *testing.T) {
 }
 
 func TestRenderHelpers(t *testing.T) {
-	p := NewProbe(l1cfg, Options{Window: 2, Heatmap: true})
+	l := newLevel(t, core.Aux{})
+	p := AttachLevel(l, Options{Window: 2, Heatmap: true})
 	for i := 0; i < 8; i++ {
-		r := core.Result{L1Hit: true}
-		if i%4 == 0 {
-			r = core.Result{Served: core.ServedMemory}
-		}
-		p.Observe(uint64(i%3)*16, r)
+		l.Access(uint64(i%3)*16, false)
 	}
+	l.Flush()
 	phases := RenderPhases("phases", []textplot.Series{PhaseSeries("base", p.Windows())}, 40, 8)
 	if !strings.Contains(phases, "miss rate %") || !strings.Contains(phases, "base") {
 		t.Errorf("phase render missing labels:\n%s", phases)
@@ -318,5 +332,101 @@ func TestRenderHelpers(t *testing.T) {
 	}
 	if got := TopSets(nil, HeatMisses, 3); len(got) != 0 {
 		t.Errorf("TopSets over nil heat = %v", got)
+	}
+}
+
+// TestL2LevelProbe attaches a probe to the second level of a system with
+// an L2 victim cache and L2 stream buffers: the same tap reads any
+// level. Its windows must account for every L2 access exactly as the
+// level's Stats do, and attaching it must change no simulated number.
+func TestL2LevelProbe(t *testing.T) {
+	cfg := probeConfigs()["improved"]
+	cfg.L2Augment = core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4}}
+	plain := hierarchy.MustNew(cfg)
+	probed := hierarchy.MustNew(cfg)
+	p := AttachLevel(probed.L2Level(), Options{Window: 256, Heatmap: true, MissEvery: 8})
+	replaySystem(t, plain, "ccom")
+	replaySystem(t, probed, "ccom")
+	if a, b := plain.Results(0), probed.Results(0); a != b {
+		t.Errorf("an L2 probe changed simulated numbers:\nplain  %+v\nprobed %+v", a, b)
+	}
+
+	st := probed.L2Level().Stats()
+	ws := p.Windows()
+	var got Window
+	for _, w := range ws {
+		got.Accesses += w.Accesses
+		for i, n := range w.Served {
+			got.Served[i] += n
+		}
+	}
+	want := Window{Accesses: st.Accesses, Served: [5]uint64{
+		st.L1Hits, st.MissCacheHits, st.VictimHits, st.StreamHits, st.FullMisses()}}
+	if got != want {
+		t.Errorf("L2 window sums %+v != level stats %+v", got, want)
+	}
+	if len(ws) < 2 || st.StreamHits == 0 || len(p.Events()) == 0 {
+		t.Errorf("L2 probe views too thin to test: %d windows, %d stream hits, %d events",
+			len(ws), st.StreamHits, len(p.Events()))
+	}
+	var heat SetCounts
+	for _, h := range p.Heat() {
+		heat.Accesses += h.Accesses
+		heat.Misses += h.Misses
+	}
+	if cs := probed.L2Level().Cache().Stats(); heat.Accesses != cs.Accesses || heat.Misses != cs.Misses {
+		t.Errorf("L2 heatmap sums %+v != cache stats %+v", heat, cs)
+	}
+}
+
+// TestWindowsMatchPerAccessOracle bins every access's Result by its
+// index into windows and samples every 7th miss, on a plain copy of the
+// level, and demands the probe's windows and events — built only from
+// the misses it asked for and differences of the level's Stats — equal
+// them exactly, boundary by boundary.
+func TestWindowsMatchPerAccessOracle(t *testing.T) {
+	aux := core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4}}
+	tr := workload.GenerateTrace(workload.MustByName("ccom"), 0.02)
+	for _, size := range []int{64, 1000, 4096} {
+		oracle, probed := newLevel(t, aux), newLevel(t, aux)
+		p := AttachLevel(probed, Options{Window: size, MissEvery: 7, MissCap: 1 << 20})
+		var want []Window
+		var events []MissEvent
+		var i, misses uint64
+		tr.Each(func(a memtrace.Access) {
+			if !a.Kind.IsData() {
+				return
+			}
+			addr, store := uint64(a.Addr), a.Kind == memtrace.Store
+			probed.Access(addr, store)
+			r := oracle.Access(addr, store)
+			if i%uint64(size) == 0 {
+				want = append(want, Window{Start: i})
+			}
+			w := &want[len(want)-1]
+			w.Accesses++
+			w.Served[r.Served]++
+			if !r.L1Hit {
+				if misses%7 == 0 {
+					la := addr >> 4
+					events = append(events, MissEvent{Access: i, Addr: addr, Set: int(la & 255), Tag: la >> 8, Served: r.Served})
+				}
+				misses++
+			}
+			i++
+		})
+		probed.Flush()
+		got := p.Windows()
+		if len(got) != len(want) || len(want) < 3 {
+			t.Fatalf("window %d: %d windows, oracle %d", size, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("window %d: window %d = %+v, oracle %+v", size, k, got[k], want[k])
+			}
+		}
+		if ev := p.Events(); !slices.Equal(ev, events) {
+			t.Errorf("window %d: %d sampled events, oracle %d", size, len(ev), len(events))
+		}
 	}
 }

@@ -6,9 +6,9 @@ import "jouppi/internal/introspect"
 // replay can carry: phase windows (miss rate and hit attribution per N
 // accesses), per-set heatmaps, and a sampled miss-event trace. The probe
 // is a pure reader — the introspection equivalence tests pin that an
-// introspected replay produces bit-identical simulated numbers — and
-// per-access cost is a handful of plain integer increments (the 3C
-// shadow classifier, when enabled, is the one exception).
+// introspected replay produces bit-identical simulated numbers — and it
+// adds nothing to an L1 hit and a nil check and two compares to most
+// misses.
 type Introspection struct {
 	// Window is the phase-window width in accesses
 	// (introspect.DefaultWindow when zero; negative disables windows).
@@ -20,8 +20,6 @@ type Introspection struct {
 	// (introspect.DefaultMissCap when zero).
 	MissEvery int
 	MissCap   int
-	// Classify tags sampled miss events with their 3C class.
-	Classify bool
 }
 
 func (o Introspection) toOptions() introspect.Options {
@@ -30,7 +28,6 @@ func (o Introspection) toOptions() introspect.Options {
 		Heatmap:   o.Heatmap,
 		MissEvery: o.MissEvery,
 		MissCap:   o.MissCap,
-		Classify:  o.Classify,
 	}
 }
 

@@ -7,14 +7,12 @@ import (
 	"jouppi/internal/introspect"
 )
 
-// fullIntrospection enables every probe view (classification included,
-// since equivalence must hold even for the most intrusive options).
+// fullIntrospection enables every probe view.
 var fullIntrospection = Introspection{
 	Window:    1 << 12,
 	Heatmap:   true,
 	MissEvery: 8,
 	MissCap:   256,
-	Classify:  true,
 }
 
 // introspectedReplay replays ccom at scale 0.05 through one system per

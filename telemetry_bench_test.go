@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"os/exec"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,6 +160,30 @@ func pairedOverheadPercent(pairs int, off, on func()) float64 {
 	return 100 * (math.Sqrt(median(offFirst)*median(onFirst)) - 1)
 }
 
+// benchHost records what a measurement ran on, so numbers taken on
+// different machines or at different commits are not compared blind.
+type benchHost struct {
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// Commit is `git describe --always --dirty` of the measured tree, or
+	// "unknown" outside a git checkout.
+	Commit string `json:"commit"`
+}
+
+func currentHost() benchHost {
+	commit := "unknown"
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return benchHost{
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     commit,
+	}
+}
+
 // TestWriteBenchTelemetryJSON measures the off/on replay benchmarks with
 // testing.Benchmark and writes the comparison to the file named by the
 // BENCH_JSON environment variable (wired up as `make bench-json`). Without
@@ -267,6 +294,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	}
 	report := struct {
 		Benchmark  string     `json:"benchmark"`
+		Host       benchHost  `json:"host"`
 		Workload   string     `json:"workload"`
 		Scale      float64    `json:"scale"`
 		Accesses   int        `json:"accesses"`
@@ -280,6 +308,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		File       fileReplay `json:"file_replay"`
 	}{
 		Benchmark: "TelemetryReplay",
+		Host:      currentHost(),
 		Workload:  "ccom",
 		Scale:     benchScale,
 		Accesses:  tr.Len(),
