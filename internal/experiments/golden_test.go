@@ -13,10 +13,11 @@ import (
 	"jouppi/internal/textplot"
 )
 
-// The golden suite pins the reproduced paper numbers bit-for-bit: each
-// figure's full-precision Series is snapshotted to testdata/golden/ at a
-// fixed small scale, and any change that shifts a summary number by even
-// one ULP fails tier-1. Regenerate deliberately with
+// The golden suite pins the reproduced paper numbers bit-for-bit: every
+// exhibit's full-precision Series and its rendered table (Headers, Rows)
+// are snapshotted to testdata/golden/ at a fixed small scale, and any
+// change that shifts a summary number by even one ULP, or one printed
+// cell, fails tier-1. Regenerate deliberately with
 //
 //	go test ./internal/experiments -run TestGoldenFigures -update
 var updateGolden = flag.Bool("update", false, "rewrite golden figure snapshots in testdata/golden")
@@ -27,16 +28,27 @@ const goldenScale = 0.05
 
 var goldenTraces = NewTraceSet(goldenScale)
 
-// goldenIDs lists the paper figures pinned by the suite (≥4 required).
-var goldenIDs = []string{"fig2-2", "fig3-1", "fig3-3", "fig4-1", "fig4-3", "fig4-6"}
+// goldenIDs lists every exhibit pinned by the suite: all of All(). The
+// first entry must carry a Series (TestGoldenDetectsULPPerturbation
+// perturbs it).
+var goldenIDs = []string{"fig2-2", "fig3-1", "fig3-3", "fig4-1", "fig4-3", "fig4-6",
+	"table1-1", "table2-1", "table2-2", "fig3-5", "fig3-6", "fig3-7", "fig4-5",
+	"fig4-7", "fig5-1", "overlap", "ablation-quasi", "ablation-stride",
+	"ablation-l2victim", "ablation-misscmp", "ablation-replacement",
+	"ablation-assoc", "ablation-prefetchcmp", "ablation-depth",
+	"ablation-writepolicy", "ablation-multiprog", "ablation-inclusion",
+	"ablation-latency", "ablation-l2stream", "ablation-bandwidth",
+	"ablation-writebuffer", "introspect-phase"}
 
 // goldenFigure is the on-disk snapshot. JSON round-trips float64 exactly
 // (shortest representation that parses back to the same bits), so exact
 // equality below really is bit equality.
 type goldenFigure struct {
-	ID     string            `json:"id"`
-	Scale  float64           `json:"scale"`
-	Series []textplot.Series `json:"series"`
+	ID      string            `json:"id"`
+	Scale   float64           `json:"scale"`
+	Series  []textplot.Series `json:"series,omitempty"`
+	Headers []string          `json:"headers,omitempty"`
+	Rows    [][]string        `json:"rows,omitempty"`
 }
 
 func goldenPath(id string) string {
@@ -57,8 +69,9 @@ func runGoldenFigures(t *testing.T) map[string]goldenFigure {
 			exps = append(exps, e)
 		}
 	}
-	if len(exps) != len(goldenIDs) {
-		t.Fatalf("found %d of %d golden experiments in All()", len(exps), len(goldenIDs))
+	if len(exps) != len(goldenIDs) || len(exps) != len(All()) {
+		t.Fatalf("found %d of %d golden experiments in All(), which has %d",
+			len(exps), len(goldenIDs), len(All()))
 	}
 	cfg := Config{Scale: goldenScale, Traces: goldenTraces}
 	results, err := RunAll(context.Background(), cfg, RunOptions{Experiments: exps})
@@ -70,10 +83,11 @@ func runGoldenFigures(t *testing.T) map[string]goldenFigure {
 		if r.Err != "" {
 			t.Fatalf("experiment %s failed: %s", r.ID, r.Err)
 		}
-		if len(r.Series) == 0 {
-			t.Fatalf("experiment %s has no Series to snapshot", r.ID)
+		if len(r.Series) == 0 && len(r.Rows) == 0 {
+			t.Fatalf("experiment %s has neither Series nor Rows to snapshot", r.ID)
 		}
-		out[r.ID] = goldenFigure{ID: r.ID, Scale: goldenScale, Series: r.Series}
+		out[r.ID] = goldenFigure{ID: r.ID, Scale: goldenScale, Series: r.Series,
+			Headers: r.Headers, Rows: r.Rows}
 	}
 	return out
 }
@@ -101,6 +115,29 @@ func diffGolden(want, got goldenFigure) string {
 		}
 		if d := diffFloats(fmt.Sprintf("series[%d]=%s Y", i, ws.Name), ws.Y, gs.Y); d != "" {
 			return d
+		}
+	}
+	if d := diffStrings("headers", want.Headers, got.Headers); d != "" {
+		return d
+	}
+	if len(want.Rows) != len(got.Rows) {
+		return fmt.Sprintf("row count: %d != %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		if d := diffStrings(fmt.Sprintf("rows[%d]", i), want.Rows[i], got.Rows[i]); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
+func diffStrings(label string, want, got []string) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("%s: length %d != %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			return fmt.Sprintf("%s[%d]: %q != golden %q", label, i, got[i], want[i])
 		}
 	}
 	return ""
