@@ -5,7 +5,6 @@ import (
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
-	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
@@ -25,19 +24,15 @@ func AblationQuasi() Experiment {
 
 			type row struct{ base, head, quasi uint64 }
 			out := make([]row, len(names))
-			// One pass per benchmark: the classified baseline and both
-			// stream-buffer variants ride the same trace broadcast.
+			// One pass per benchmark: the baseline and both stream-buffer
+			// variants ride the same trace broadcast.
 			cfg.parallelFor(len(names), func(i int) {
-				bc := newClassifiedRun(dSide, 4096, 16)
-				mk := func(quasi bool) *frontRun {
-					return newFrontRun(dSide, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-						core.StreamConfig{Ways: 4, Depth: 4, Quasi: quasi},
-						nil, core.DefaultTiming()))
-				}
-				head, quasi := mk(false), mk(true)
-				replayGroup(cfg, cfg.Traces.Source(names[i]), bc, head, quasi)
-				out[i] = row{bc.counts(cfg).misses,
-					head.stats(cfg).FullMisses(), quasi.stats(cfg).FullMisses()}
+				l1 := cache.MustNew(l1Config(4096, 16))
+				head := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}})
+				quasi := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4, Quasi: true}})
+				cfg.replay(cfg.Traces.Source(names[i]),
+					feedL1(dSide, l1, nil), feedLevel(dSide, head), feedLevel(dSide, quasi))
+				out[i] = row{l1.Stats().Misses, head.Stats().FullMisses(), quasi.Stats().FullMisses()}
 			})
 
 			headers := []string{"program", "head-only removed", "quasi removed", "gain (pp)"}
@@ -80,28 +75,22 @@ func AblationStride() Experiment {
 
 			headers := []string{"pattern", "baseline D misses",
 				"sequential 4-way", "stride-detecting 4-way"}
-			var rows [][]string
-			for _, p := range patterns {
-				// Generate each pattern once; the baseline and both
-				// buffer variants consume the same streamed trace.
-				mk := func(detect bool) *frontRun {
-					return newFrontRun(dSide, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-						core.StreamConfig{Ways: 4, Depth: 4, DetectStride: detect},
-						nil, core.DefaultTiming()))
-				}
-				bc := newClassifiedRun(dSide, 4096, 16)
-				seq, det := mk(false), mk(true)
-				src := workload.NewSource(p.bench, cfg.Scale)
-				replayGroup(cfg, src, bc, seq, det)
+			rows := make([][]string, len(patterns))
+			// Generate each pattern once; the baseline and both buffer
+			// variants consume the same streamed trace.
+			cfg.parallelFor(len(patterns), func(i int) {
+				l1 := cache.MustNew(l1Config(4096, 16))
+				seq := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}})
+				det := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4, DetectStride: true}})
+				src := workload.NewSource(patterns[i].bench, cfg.Scale)
+				cfg.replay(src, feedL1(dSide, l1, nil), feedLevel(dSide, seq), feedLevel(dSide, det))
 				src.Close()
-				base := bc.counts(cfg)
-				reduced := func(f *frontRun) string {
-					return fmtPct(stats.PercentReduction(float64(base.misses),
-						float64(f.stats(cfg).FullMisses())))
+				base := l1.Stats().Misses
+				reduced := func(fe *core.Level) string {
+					return fmtPct(stats.PercentReduction(float64(base), float64(fe.Stats().FullMisses())))
 				}
-				rows = append(rows, []string{p.label, fmt.Sprint(base.misses),
-					reduced(seq), reduced(det)})
-			}
+				rows[i] = []string{patterns[i].label, fmt.Sprint(base), reduced(seq), reduced(det)}
+			})
 			text := textplot.Table(headers, rows) +
 				"\n(% of baseline D misses removed. Sequential streams are the paper's\n" +
 				" case; the two-delta stride detector adds the column-major sweep; the\n" +
@@ -144,7 +133,7 @@ func AblationL2Victim() Experiment {
 						})
 					}
 				}
-				rs := runSystemsFanout(cfg, names[b], sysCfgs)
+				rs := cfg.systemResults(names[b], sysCfgs...)
 				for s := range sizes {
 					results[b][s][0] = rs[2*s]
 					results[b][s][1] = rs[2*s+1]
@@ -189,25 +178,22 @@ func AblationMissCmp() Experiment {
 			for i := range grid {
 				grid[i] = make([]cell, len(entries))
 			}
-			// Nine configurations per benchmark (classified baseline plus
-			// a miss and a victim cache at each entry count) ride one
-			// trace pass — the widest fan-out in the suite.
+			// Nine configurations per benchmark (the baseline plus a miss
+			// and a victim cache at each entry count) ride one trace pass.
 			cfg.parallelFor(len(names), func(i int) {
-				bc := newClassifiedRun(dSide, 4096, 16)
-				consumers := []fanout.Consumer{bc}
-				mcs := make([]*frontRun, len(entries))
-				vcs := make([]*frontRun, len(entries))
+				l1 := cache.MustNew(l1Config(4096, 16))
+				runs := []*run{feedL1(dSide, l1, nil)}
+				mcs := make([]*core.Level, len(entries))
+				vcs := make([]*core.Level, len(entries))
 				for ei, e := range entries {
-					mcs[ei] = newFrontRun(dSide,
-						core.NewMissCache(cache.MustNew(l1Config(4096, 16)), e, nil, core.DefaultTiming()))
-					vcs[ei] = newFrontRun(dSide,
-						core.NewVictimCache(cache.MustNew(l1Config(4096, 16)), e, nil, core.DefaultTiming()))
-					consumers = append(consumers, mcs[ei], vcs[ei])
+					mcs[ei] = level(4096, 16, core.Aux{MissCache: e})
+					vcs[ei] = level(4096, 16, core.Aux{Victim: e})
+					runs = append(runs, feedLevel(dSide, mcs[ei]), feedLevel(dSide, vcs[ei]))
 				}
-				replayGroup(cfg, cfg.Traces.Source(names[i]), consumers...)
-				base[i] = bc.counts(cfg).misses
+				cfg.replay(cfg.Traces.Source(names[i]), runs...)
+				base[i] = l1.Stats().Misses
 				for ei := range entries {
-					grid[i][ei] = cell{mcs[ei].stats(cfg).FullMisses(), vcs[ei].stats(cfg).FullMisses()}
+					grid[i][ei] = cell{mcs[ei].Stats().FullMisses(), vcs[ei].Stats().FullMisses()}
 				}
 			})
 
@@ -258,17 +244,17 @@ func AblationReplacement() Experiment {
 			}
 			// All three policies of a benchmark share one trace pass.
 			cfg.parallelFor(len(names), func(b int) {
-				runs := make([]*frontRun, len(policies))
-				consumers := make([]fanout.Consumer, len(policies))
+				fes := make([]*core.Level, len(policies))
+				runs := make([]*run, len(policies))
 				for p, pol := range policies {
 					l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: 4,
 						Replacement: pol, RandomSeed: 12345})
-					runs[p] = newFrontRun(dSide, core.NewBaseline(l1, nil, core.DefaultTiming()))
-					consumers[p] = runs[p]
+					fes[p] = core.NewBaseline(l1, nil, core.DefaultTiming())
+					runs[p] = feedLevel(dSide, fes[p])
 				}
-				replayGroup(cfg, cfg.Traces.Source(names[b]), consumers...)
-				for p := range policies {
-					miss[b][p] = runs[p].stats(cfg).MissRate()
+				cfg.replay(cfg.Traces.Source(names[b]), runs...)
+				for p, fe := range fes {
+					miss[b][p] = fe.Stats().MissRate()
 				}
 			})
 

@@ -5,7 +5,6 @@ import (
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
-	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/prefetch"
@@ -28,24 +27,20 @@ func AblationAssoc() Experiment {
 
 			type row [5]float64 // dm, dm+vc4, 2-way, 4-way, fully-assoc
 			out := make([]row, len(names))
+			// One pass per benchmark feeds all five caches.
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
-				run := func(assoc, victim int) float64 {
+				mk := func(assoc, victim int) *core.Level {
 					l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: assoc})
-					var fe core.FrontEnd
-					if victim > 0 {
-						fe = core.NewVictimCache(l1, victim, nil, core.DefaultTiming())
-					} else {
-						fe = core.NewBaseline(l1, nil, core.DefaultTiming())
-					}
-					return runFrontOn(tr.Source(), dSide, fe).MissRate()
+					return core.NewVictimCache(l1, victim, nil, core.DefaultTiming())
 				}
-				out[i] = row{
-					run(1, 0),
-					run(1, 4),
-					run(2, 0),
-					run(4, 0),
-					run(cache.FullyAssociative, 0),
+				fes := []*core.Level{mk(1, 0), mk(1, 4), mk(2, 0), mk(4, 0), mk(cache.FullyAssociative, 0)}
+				runs := make([]*run, len(fes))
+				for j, fe := range fes {
+					runs[j] = feedLevel(dSide, fe)
+				}
+				cfg.replay(cfg.Traces.Source(names[i]), runs...)
+				for j, fe := range fes {
+					out[i][j] = fe.Stats().MissRate()
 				}
 			})
 
@@ -70,17 +65,6 @@ func AblationAssoc() Experiment {
 	}
 }
 
-// runFrontOn replays one side of an access stream through an existing
-// front-end.
-func runFrontOn(src memtrace.Source, s side, fe core.FrontEnd) core.Stats {
-	memtrace.Each(src, func(a memtrace.Access) {
-		if s.keep(a) {
-			fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		}
-	})
-	return fe.Stats()
-}
-
 // AblationPrefetchCmp tests the paper's claim that stream buffers beat the
 // classic prefetch techniques: per benchmark and side, the percentage of
 // demand misses removed by prefetch-on-miss, tagged prefetch, prefetch-
@@ -102,33 +86,45 @@ func AblationPrefetchCmp() Experiment {
 			// [bench][side][0..2 prefetch policies, 3 = single stream
 			// buffer, 4 = 4-way stream buffers]
 			out := make([][2][5]cell, len(names))
-			cfg.parallelFor(len(names)*2, func(k int) {
-				b, sd := k/2, side(k%2)
-				tr := cfg.Traces.Get(names[b])
-				bc := runBaselineClassified(cfg, tr.Source(), sd, 4096, 16)
-
-				for pi, pol := range []prefetch.Policy{prefetch.OnMiss, prefetch.Tagged, prefetch.Always} {
-					fe := prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
-						prefetch.Timing{MissPenalty: 24, FillLatency: 24}, nil)
-					memtrace.Each(tr.Source(), func(a memtrace.Access) {
-						if sd.keep(a) {
-							fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-						}
-					})
-					st := fe.Stats()
-					out[b][sd][pi] = cell{
-						removed: stats.PercentReduction(float64(bc.misses), float64(st.Misses)),
-						stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+			// One pass per benchmark: on each side a baseline, the three
+			// prefetchers and the two stream buffers.
+			policies := []prefetch.Policy{prefetch.OnMiss, prefetch.Tagged, prefetch.Always}
+			cfg.parallelFor(len(names), func(b int) {
+				var runs []*run
+				var l1s [2]*cache.Cache
+				var pfs [2][]*prefetch.FrontEnd
+				var sbs [2][]*core.Level
+				for sd := iSide; sd <= dSide; sd++ {
+					l1s[sd] = cache.MustNew(l1Config(4096, 16))
+					runs = append(runs, feedL1(sd, l1s[sd], nil))
+					for _, pol := range policies {
+						fe := prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
+							prefetch.Timing{MissPenalty: 24, FillLatency: 24}, nil)
+						pfs[sd] = append(pfs[sd], fe)
+						runs = append(runs, feedPrefetch(sd, fe))
+					}
+					for _, ways := range []int{1, 4} {
+						fe := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
+						sbs[sd] = append(sbs[sd], fe)
+						runs = append(runs, feedLevel(sd, fe))
 					}
 				}
-				for wi, ways := range []int{1, 4} {
-					st := runFront(cfg, tr.Source(), sd, func() core.FrontEnd {
-						return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-							core.StreamConfig{Ways: ways, Depth: 4}, nil, core.DefaultTiming())
-					})
-					out[b][sd][3+wi] = cell{
-						removed: stats.PercentReduction(float64(bc.misses), float64(st.FullMisses())),
-						stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+				cfg.replay(cfg.Traces.Source(names[b]), runs...)
+				for sd := range l1s {
+					base := l1s[sd].Stats().Misses
+					for pi, fe := range pfs[sd] {
+						st := fe.Stats()
+						out[b][sd][pi] = cell{
+							removed: stats.PercentReduction(float64(base), float64(st.Misses)),
+							stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+						}
+					}
+					for wi, fe := range sbs[sd] {
+						st := fe.Stats()
+						out[b][sd][3+wi] = cell{
+							removed: stats.PercentReduction(float64(base), float64(st.FullMisses())),
+							stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+						}
 					}
 				}
 			})
@@ -188,19 +184,22 @@ func AblationDepth() Experiment {
 				out[i] = make([]cell, len(depths))
 			}
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
-				bc := runBaselineClassified(cfg, tr.Source(), dSide, 4096, 16)
+				l1 := cache.MustNew(l1Config(4096, 16))
+				runs := []*run{feedL1(dSide, l1, nil)}
+				fes := make([]*core.Level, len(depths))
 				for di, d := range depths {
-					st := runFront(cfg, tr.Source(), dSide, func() core.FrontEnd {
-						return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-							core.StreamConfig{Ways: 4, Depth: d}, nil, core.DefaultTiming())
-					})
+					fes[di] = level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: d}})
+					runs = append(runs, feedLevel(dSide, fes[di]))
+				}
+				cfg.replay(cfg.Traces.Source(names[i]), runs...)
+				for di, fe := range fes {
+					st := fe.Stats()
 					inflight := 0.0
 					if st.StreamHits > 0 {
 						inflight = 100 * float64(st.StreamInFlightHits) / float64(st.StreamHits)
 					}
 					out[i][di] = cell{
-						removed:  stats.PercentReduction(float64(bc.misses), float64(st.FullMisses())),
+						removed:  stats.PercentReduction(float64(l1.Stats().Misses), float64(st.FullMisses())),
 						inflight: inflight,
 						stall:    float64(st.StallCycles) / float64(max(1, st.Accesses)),
 					}
@@ -252,19 +251,12 @@ func AblationWritePolicy() Experiment {
 			}
 			out := make([]row, len(names))
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
-				run := func(pol cache.WritePolicy) cache.Stats {
-					l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: 1,
-						WritePolicy: pol})
-					memtrace.Each(tr.Source(), func(a memtrace.Access) {
-						if a.Kind.IsData() {
-							l1.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-						}
-					})
-					return l1.Stats()
+				mk := func(pol cache.WritePolicy) *cache.Cache {
+					return cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: 1, WritePolicy: pol})
 				}
-				wt := run(cache.WriteThrough)
-				wb := run(cache.WriteBack)
+				wtc, wbc := mk(cache.WriteThrough), mk(cache.WriteBack)
+				cfg.replay(cfg.Traces.Source(names[i]), feedL1(dSide, wtc, nil), feedL1(dSide, wbc, nil))
+				wt, wb := wtc.Stats(), wbc.Stats()
 				out[i] = row{
 					stores:     wt.Writes,
 					writebacks: wb.Writebacks,
@@ -319,14 +311,13 @@ func AblationMultiprog() Experiment {
 			cfg.parallelFor(len(quanta), func(qi int) {
 				bench := workload.Multiprogram(quanta[qi],
 					workload.Ccom(), workload.Grr(), workload.Yacc())
-				baseSys := hierarchy.MustNew(hierarchy.Config{})
-				impSys := hierarchy.MustNew(improvedConfig())
+				systems, runs := feedSystems(hierarchy.Config{}, improvedConfig())
 				src := workload.NewSource(bench, cfg.Scale)
 				cs := memtrace.NewCountingSource(src)
-				replayGroup(cfg, cs, fanout.Sink(baseSys), fanout.Sink(impSys))
+				cfg.replay(cs, runs...)
 				src.Close()
-				base := baseSys.Results(cs.Instructions())
-				imp := impSys.Results(cs.Instructions())
+				base := systems[0].Results(cs.Instructions())
+				imp := systems[1].Results(cs.Instructions())
 				out[qi] = row{
 					baseI: base.I.MissRate(), baseD: base.D.MissRate(),
 					impI: imp.I.MissRate(), impD: imp.D.MissRate(),

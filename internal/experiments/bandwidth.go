@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"jouppi/internal/fanout"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/textplot"
 )
@@ -29,7 +28,7 @@ func AblationBandwidth() Experiment {
 			cfg.parallelFor(len(names), func(i int) {
 				tr := cfg.Traces.Get(names[i])
 				var stores uint64
-				replayGroup(cfg, tr.Source(), fanout.Func(func(a memtrace.Access) {
+				cfg.replay(tr.Source(), feedFunc(func(a memtrace.Access) {
 					if a.Kind == memtrace.Store {
 						stores++
 					}

@@ -14,8 +14,6 @@ import (
 	"sync"
 
 	"jouppi/internal/cache"
-	"jouppi/internal/classify"
-	"jouppi/internal/core"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
 	"jouppi/internal/textplot"
@@ -30,22 +28,23 @@ type Config struct {
 	// Traces supplies the benchmark traces; NewTraceSet(Scale) if nil.
 	Traces *TraceSet
 
-	// Accesses, when non-nil, is bumped by the number of trace references
-	// each replay loop consumed (added in bulk at end of replay, so
-	// parallel sweep workers do not contend per access). It is what a
-	// live progress display watches. RunAll wires it automatically when
-	// RunOptions.Telemetry is set.
+	// Accesses, when non-nil, is bumped by the number of references each
+	// replay pass simulated: a side run books its side's references and
+	// a system or whole-trace run books all of them. They are added in
+	// bulk at the end of the pass, so parallel sweep workers do not
+	// contend per access. It is what a live progress display watches.
+	// RunAll wires it automatically when RunOptions.Telemetry is set.
 	Accesses *telemetry.Counter
 
-	// ctx carries the run's cancellation signal into the shared exhibit
-	// helpers (replay loops and parameter sweeps poll it). It lives in
-	// Config because the Experiment.Run signature predates cancellation
-	// and every exhibit already threads cfg; nil means context.Background.
+	// ctx carries the run's cancellation signal into replay and
+	// parallelFor, which poll it. It lives in Config because the
+	// Experiment.Run signature predates cancellation and every exhibit
+	// already threads cfg; nil means context.Background.
 	ctx context.Context
 }
 
-// WithContext returns a copy of c whose helpers observe ctx: replay
-// loops and parameter sweeps stop early once it is cancelled. An
+// WithContext returns a copy of c whose replay passes and parameter
+// sweeps observe ctx: they stop early once it is cancelled. An
 // experiment cut short this way returns untrustworthy partial numbers —
 // RunAll discards them and reports the cancellation instead.
 func (c Config) WithContext(ctx context.Context) Config {
@@ -204,12 +203,14 @@ func (ts *TraceSet) Source(name string) memtrace.Source { return ts.Get(name).So
 // benchNames is the paper-order benchmark list.
 func benchNames() []string { return workload.Names() }
 
-// side selects which cache a sweep studies.
+// side selects which references a run simulates: one cache's, or the
+// whole trace's.
 type side int
 
 const (
 	iSide side = iota
 	dSide
+	allRefs
 )
 
 func (s side) String() string {
@@ -221,60 +222,18 @@ func (s side) String() string {
 
 // keep reports whether the access belongs to this side.
 func (s side) keep(a memtrace.Access) bool {
-	if s == iSide {
+	switch s {
+	case iSide:
 		return a.Kind == memtrace.Ifetch
+	case dSide:
+		return a.Kind.IsData()
 	}
-	return a.Kind.IsData()
+	return true
 }
 
 // l1Config returns a first-level cache configuration.
 func l1Config(size, lineSize int) cache.Config {
 	return cache.Config{Name: "L1", Size: size, LineSize: lineSize, Assoc: 1}
-}
-
-// runFront replays one side of an access stream through the front-end
-// built by mk and returns its stats. Cancellation of cfg's context stops
-// the replay early; the partial stats only surface if the caller ignores
-// the cancellation, which RunAll never does.
-func runFront(cfg Config, src memtrace.Source, s side, mk func() core.FrontEnd) core.Stats {
-	fe := mk()
-	var replayed uint64
-	_ = memtrace.EachContext(cfg.context(), src, func(a memtrace.Access) {
-		if s.keep(a) {
-			fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-			replayed++
-		}
-	})
-	cfg.Accesses.Add(replayed)
-	return fe.Stats()
-}
-
-// baselineCounts replays one side through a plain direct-mapped cache and
-// its 3C classifier, returning total misses and the per-class counts.
-type baseCounts struct {
-	accesses uint64
-	misses   uint64
-	classes  classify.Counts
-}
-
-func runBaselineClassified(cfg Config, src memtrace.Source, s side, size, lineSize int) baseCounts {
-	l1 := cache.MustNew(l1Config(size, lineSize))
-	cl := classify.MustNew(size, lineSize)
-	var out baseCounts
-	_ = memtrace.EachContext(cfg.context(), src, func(a memtrace.Access) {
-		if !s.keep(a) {
-			return
-		}
-		out.accesses++
-		hit, _ := l1.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		cl.ObserveMiss(uint64(a.Addr), !hit)
-		if !hit {
-			out.misses++
-		}
-	})
-	out.classes = cl.Counts()
-	cfg.Accesses.Add(out.accesses)
-	return out
 }
 
 // workerPanic carries a panic out of a parallelFor worker goroutine into

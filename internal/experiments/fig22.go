@@ -8,15 +8,6 @@ import (
 	"jouppi/internal/textplot"
 )
 
-// runSystem replays a benchmark through a full two-level system and
-// returns the results. It is the one-config case of runSystemsFanout
-// (the engine runs it inline, no goroutines). Cancellation of cfg's
-// context stops the replay early; RunAll discards the partial results it
-// would yield.
-func runSystem(cfg Config, name string, sysCfg hierarchy.Config) hierarchy.Results {
-	return runSystemsFanout(cfg, name, []hierarchy.Config{sysCfg})[0]
-}
-
 // bandsRows renders per-benchmark performance bands as stacked bars.
 func bandsRows(bands []perfmodel.Bands) [][]textplot.Segment {
 	rows := make([][]textplot.Segment, len(bands))
@@ -44,7 +35,7 @@ func Fig22() Experiment {
 			names := benchNames()
 			bands := make([]perfmodel.Bands, len(names))
 			cfg.parallelFor(len(names), func(i int) {
-				r := runSystem(cfg, names[i], hierarchy.Config{})
+				r := cfg.systemResults(names[i], hierarchy.Config{})[0]
 				bands[i] = r.Breakdown.LossBands()
 			})
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"jouppi/internal/cache"
+	"jouppi/internal/classify"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
 )
@@ -18,12 +20,11 @@ func Fig31() Experiment {
 			out := make([]pcts, len(names))
 			// One trace pass per benchmark feeds both sides' classifiers.
 			cfg.parallelFor(len(names), func(idx int) {
-				ic := newClassifiedRun(iSide, 4096, 16)
-				dc := newClassifiedRun(dSide, 4096, 16)
-				replayGroup(cfg, cfg.Traces.Source(names[idx]), ic, dc)
-				bi, bd := ic.counts(cfg), dc.counts(cfg)
-				out[idx].i = stats.Percent(float64(bi.classes.Conflict), float64(bi.misses))
-				out[idx].d = stats.Percent(float64(bd.classes.Conflict), float64(bd.misses))
+				l1i, cli := cache.MustNew(l1Config(4096, 16)), classify.MustNew(4096, 16)
+				l1d, cld := cache.MustNew(l1Config(4096, 16)), classify.MustNew(4096, 16)
+				cfg.replay(cfg.Traces.Source(names[idx]), feedL1(iSide, l1i, cli), feedL1(dSide, l1d, cld))
+				out[idx].i = stats.Percent(float64(cli.Counts().Conflict), float64(l1i.Stats().Misses))
+				out[idx].d = stats.Percent(float64(cld.Counts().Conflict), float64(l1d.Stats().Misses))
 			})
 
 			headers := []string{"program", "I conflict %", "D conflict %"}

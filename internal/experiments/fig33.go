@@ -4,84 +4,67 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/classify"
 	"jouppi/internal/core"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
 )
 
-// auxKind selects the small fully-associative structure under study.
-type auxKind int
-
-const (
-	missCacheKind auxKind = iota
-	victimCacheKind
-)
-
-func (k auxKind) String() string {
-	if k == missCacheKind {
-		return "miss cache"
-	}
-	return "victim cache"
-}
-
-func (k auxKind) build(l1 *cache.Cache, entries int) core.FrontEnd {
-	if k == missCacheKind {
-		return core.NewMissCache(l1, entries, nil, core.DefaultTiming())
-	}
-	return core.NewVictimCache(l1, entries, nil, core.DefaultTiming())
-}
-
 // conflictRemovalSweep runs the Figure 3-3/3-5 methodology: for each
 // benchmark, side, and entry count, the percentage of the baseline's
-// conflict misses removed by the structure. Benchmarks with almost no
-// conflict misses on a side (liver/linpack instruction caches) are
-// excluded from the cross-benchmark average, mirroring the paper's
-// treatment of programs whose miss rates it reports as 0.000.
-func conflictRemovalSweep(cfg Config, kind auxKind, entries []int, cacheSize, lineSize int) *Result {
+// conflict misses removed by the structure aux(entries) declares.
+// Benchmarks with almost no conflict misses on a side (liver/linpack
+// instruction caches) are excluded from the cross-benchmark average,
+// mirroring the paper's treatment of programs whose miss rates it reports
+// as 0.000.
+func conflictRemovalSweep(cfg Config, id, title string, aux func(entries int) core.Aux,
+	entries []int, cacheSize, lineSize int) *Result {
 	cfg = cfg.withDefaults()
 	names := benchNames()
 
-	// Baselines per benchmark and side, indexed bench*2 + side.
-	baseArr := make([]baseCounts, len(names)*2)
-	cfg.parallelFor(len(names)*2, func(k int) {
-		idx, s := k/2, side(k%2)
-		baseArr[k] = runBaselineClassified(cfg, cfg.Traces.Source(names[idx]), s, cacheSize, lineSize)
-	})
-
-	// Sweep: per (benchmark, side, entry count) → percent of conflict
-	// misses removed.
+	// Per (benchmark, side, entry count) → percent of conflict misses
+	// removed, and each baseline's conflict count.
 	removed := make([][]float64, 2) // [side][entryIdx] average
 	perBench := make([][][]float64, 2)
+	conflicts := make([][]uint64, 2) // [side][bench]
 	for s := 0; s < 2; s++ {
 		removed[s] = make([]float64, len(entries))
 		perBench[s] = make([][]float64, len(entries))
 		for e := range entries {
 			perBench[s][e] = make([]float64, len(names))
 		}
+		conflicts[s] = make([]uint64, len(names))
 	}
 
-	type job struct{ bench, entryIdx, sideIdx int }
-	var jobs []job
-	for b := range names {
-		for e := range entries {
-			jobs = append(jobs, job{b, e, 0}, job{b, e, 1})
+	// One pass per benchmark: both sides' classified baselines and every
+	// entry count.
+	cfg.parallelFor(len(names), func(b int) {
+		var runs []*run
+		var l1s [2]*cache.Cache
+		var cls [2]*classify.Classifier
+		var fes [2][]*core.Level
+		for s := iSide; s <= dSide; s++ {
+			l1s[s], cls[s] = cache.MustNew(l1Config(cacheSize, lineSize)), classify.MustNew(cacheSize, lineSize)
+			runs = append(runs, feedL1(s, l1s[s], cls[s]))
+			for _, e := range entries {
+				fe := level(cacheSize, lineSize, aux(e))
+				fes[s] = append(fes[s], fe)
+				runs = append(runs, feedLevel(s, fe))
+			}
 		}
-	}
-	cfg.parallelFor(len(jobs), func(j int) {
-		jb := jobs[j]
-		tr := cfg.Traces.Get(names[jb.bench])
-		s := side(jb.sideIdx)
-		st := runFront(cfg, tr.Source(), s, func() core.FrontEnd {
-			return kind.build(cache.MustNew(l1Config(cacheSize, lineSize)), entries[jb.entryIdx])
-		})
-		b := baseArr[jb.bench*2+jb.sideIdx]
-		removedMisses := float64(b.misses) - float64(st.FullMisses())
-		// A large victim cache adds real capacity, so on benchmarks with
-		// few conflict misses (liver) it can remove more misses than the
-		// baseline had conflicts; clamp to 100% as the figure's metric
-		// is a share of conflict misses.
-		perBench[jb.sideIdx][jb.entryIdx][jb.bench] =
-			min(100, stats.Percent(removedMisses, float64(b.classes.Conflict)))
+		cfg.replay(cfg.Traces.Source(names[b]), runs...)
+		for s := range fes {
+			misses, conflict := l1s[s].Stats().Misses, cls[s].Counts().Conflict
+			conflicts[s][b] = conflict
+			for e, fe := range fes[s] {
+				removedMisses := float64(misses) - float64(fe.Stats().FullMisses())
+				// A large victim cache adds real capacity, so on benchmarks
+				// with few conflict misses (liver) it can remove more misses
+				// than the baseline had conflicts; clamp to 100% as the
+				// figure's metric is a share of conflict misses.
+				perBench[s][e][b] = min(100, stats.Percent(removedMisses, float64(conflict)))
+			}
+		}
 	})
 
 	// Cross-benchmark averages with the low-conflict exclusion.
@@ -89,7 +72,7 @@ func conflictRemovalSweep(cfg Config, kind auxKind, entries []int, cacheSize, li
 	for s := 0; s < 2; s++ {
 		include[s] = make([]bool, len(names))
 		for b := range names {
-			include[s][b] = baseArr[b*2+s].classes.Conflict >= minConflictsForAverage
+			include[s][b] = conflicts[s][b] >= minConflictsForAverage
 		}
 		for e := range entries {
 			removed[s][e] = meanOver(perBench[s][e], include[s])
@@ -103,13 +86,6 @@ func conflictRemovalSweep(cfg Config, kind auxKind, entries []int, cacheSize, li
 	series := []textplot.Series{
 		{Name: "L1 I-cache (avg)", X: xs, Y: removed[0]},
 		{Name: "L1 D-cache (avg)", X: xs, Y: removed[1]},
-	}
-
-	id := "fig3-3"
-	title := "Figure 3-3: Conflict misses removed by miss caching"
-	if kind == victimCacheKind {
-		id = "fig3-5"
-		title = "Figure 3-5: Conflict misses removed by victim caching"
 	}
 
 	headers := []string{"program", "side"}
@@ -141,7 +117,8 @@ func Fig33() Experiment {
 		ID:    "fig3-3",
 		Title: "Figure 3-3: Conflict misses removed by miss caching",
 		Run: func(cfg Config) *Result {
-			return conflictRemovalSweep(cfg, missCacheKind,
+			return conflictRemovalSweep(cfg, "fig3-3", "Figure 3-3: Conflict misses removed by miss caching",
+				func(e int) core.Aux { return core.Aux{MissCache: e} },
 				[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 4096, 16)
 		},
 	}
@@ -153,7 +130,8 @@ func Fig35() Experiment {
 		ID:    "fig3-5",
 		Title: "Figure 3-5: Conflict misses removed by victim caching",
 		Run: func(cfg Config) *Result {
-			return conflictRemovalSweep(cfg, victimCacheKind,
+			return conflictRemovalSweep(cfg, "fig3-5", "Figure 3-5: Conflict misses removed by victim caching",
+				func(e int) core.Aux { return core.Aux{Victim: e} },
 				[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 4096, 16)
 		},
 	}

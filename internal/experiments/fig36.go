@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/classify"
 	"jouppi/internal/core"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
@@ -26,33 +27,62 @@ func victimVsParamSweep(cfg Config, id, title, xLabel string,
 	}
 	points := make([]point, len(params))
 
-	cfg.parallelFor(len(params), func(pi int) {
-		size, line := mkGeom(params[pi])
-		baseArr := make([]baseCounts, len(names))
-		for b := range names {
-			baseArr[b] = runBaselineClassified(cfg, cfg.Traces.Source(names[b]), dSide, size, line)
+	// cell is one benchmark at one parameter value: its baseline misses
+	// and conflicts, and the full misses left at each entry count.
+	type cell struct {
+		misses, conflicts uint64
+		full              [4]uint64
+	}
+	cells := make([][]cell, len(names)) // [bench][param]
+	for b := range cells {
+		cells[b] = make([]cell, len(params))
+	}
+	// One pass per benchmark covers every parameter value.
+	cfg.parallelFor(len(names), func(b int) {
+		l1s := make([]*cache.Cache, len(params))
+		cls := make([]*classify.Classifier, len(params))
+		fes := make([][]*core.Level, len(params))
+		var runs []*run
+		for pi, p := range params {
+			size, line := mkGeom(p)
+			l1s[pi], cls[pi] = cache.MustNew(l1Config(size, line)), classify.MustNew(size, line)
+			runs = append(runs, feedL1(dSide, l1s[pi], cls[pi]))
+			for _, e := range entries {
+				fe := level(size, line, core.Aux{Victim: e})
+				fes[pi] = append(fes[pi], fe)
+				runs = append(runs, feedLevel(dSide, fe))
+			}
 		}
+		cfg.replay(cfg.Traces.Source(names[b]), runs...)
+		for pi := range params {
+			c := &cells[b][pi]
+			c.misses, c.conflicts = l1s[pi].Stats().Misses, cls[pi].Counts().Conflict
+			for ei, fe := range fes[pi] {
+				c.full[ei] = fe.Stats().FullMisses()
+			}
+		}
+	})
+
+	for pi := range params {
 		include := make([]bool, len(names))
 		var conflictPcts []float64
 		for b := range names {
-			include[b] = baseArr[b].classes.Conflict >= minConflictsForAverage
+			c := cells[b][pi]
+			include[b] = c.conflicts >= minConflictsForAverage
 			conflictPcts = append(conflictPcts,
-				stats.Percent(float64(baseArr[b].classes.Conflict), float64(baseArr[b].misses)))
+				stats.Percent(float64(c.conflicts), float64(c.misses)))
 		}
 		points[pi].conflict = stats.Mean(conflictPcts)
-		for ei, e := range entries {
+		for ei := range entries {
 			vals := make([]float64, len(names))
 			for b := range names {
-				st := runFront(cfg, cfg.Traces.Source(names[b]), dSide, func() core.FrontEnd {
-					return core.NewVictimCache(cache.MustNew(l1Config(size, line)), e,
-						nil, core.DefaultTiming())
-				})
-				removedMisses := float64(baseArr[b].misses) - float64(st.FullMisses())
-				vals[b] = min(100, stats.Percent(removedMisses, float64(baseArr[b].classes.Conflict)))
+				c := cells[b][pi]
+				removedMisses := float64(c.misses) - float64(c.full[ei])
+				vals[b] = min(100, stats.Percent(removedMisses, float64(c.conflicts)))
 			}
 			points[pi].removed[ei] = meanOver(vals, include)
 		}
-	})
+	}
 
 	xs := make([]float64, len(params))
 	for i, p := range params {

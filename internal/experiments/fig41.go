@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
-	"jouppi/internal/memtrace"
 	"jouppi/internal/prefetch"
 	"jouppi/internal/textplot"
 )
@@ -25,18 +24,15 @@ func Fig41() Experiment {
 			const buckets = 27
 
 			policies := []prefetch.Policy{prefetch.OnMiss, prefetch.Tagged, prefetch.Always}
+			// One pass over ccom feeds all three prefetchers.
 			hists := make([]*prefetch.TimeToUse, len(policies))
-			cfg.parallelFor(len(policies), func(i int) {
-				hist := prefetch.NewTimeToUse(buckets)
-				fe := prefetch.New(cache.MustNew(l1Config(4096, 16)), policies[i],
-					prefetch.Timing{MissPenalty: 24, FillLatency: 24}, hist)
-				memtrace.Each(tr.Source(), func(a memtrace.Access) {
-					if a.Kind == memtrace.Ifetch {
-						fe.Access(uint64(a.Addr), false)
-					}
-				})
-				hists[i] = hist
-			})
+			runs := make([]*run, len(policies))
+			for i, pol := range policies {
+				hists[i] = prefetch.NewTimeToUse(buckets)
+				runs[i] = feedPrefetch(iSide, prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
+					prefetch.Timing{MissPenalty: 24, FillLatency: 24}, hists[i]))
+			}
+			cfg.replay(tr.Source(), runs...)
 
 			xs := make([]float64, buckets)
 			for i := range xs {

@@ -17,60 +17,55 @@ import (
 func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 	cfg = cfg.withDefaults()
 	names := benchNames()
-	runs := []int{0, 1, 2, 4, 6, 8, 10, 12, 16}
+	limits := []int{0, 1, 2, 4, 6, 8, 10, 12, 16}
 
 	perBench := make([][][]float64, 2) // [side][runIdx][bench]
 	baseMisses := make([][]uint64, 2)  // [side][bench]
 	for s := 0; s < 2; s++ {
-		perBench[s] = make([][]float64, len(runs))
-		for r := range runs {
+		perBench[s] = make([][]float64, len(limits))
+		for r := range limits {
 			perBench[s][r] = make([]float64, len(names))
 		}
 		baseMisses[s] = make([]uint64, len(names))
 	}
-	cfg.parallelFor(len(names)*2, func(k int) {
-		idx, s := k/2, k%2
-		bc := runBaselineClassified(cfg, cfg.Traces.Source(names[idx]), side(s), 4096, 16)
-		baseMisses[s][idx] = bc.misses
+	// One pass per benchmark: both sides' baselines and a stream buffer
+	// per run limit. A run limit of 0 is no prefetching at all: the
+	// baseline itself.
+	cfg.parallelFor(len(names), func(b int) {
+		var runs []*run
+		var l1s [2]*cache.Cache
+		var fes [2][]*core.Level
+		for s := iSide; s <= dSide; s++ {
+			l1s[s] = cache.MustNew(l1Config(4096, 16))
+			runs = append(runs, feedL1(s, l1s[s], nil))
+			for _, r := range limits[1:] {
+				fe := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4, RunLimit: r}})
+				fes[s] = append(fes[s], fe)
+				runs = append(runs, feedLevel(s, fe))
+			}
+		}
+		cfg.replay(cfg.Traces.Source(names[b]), runs...)
+		for s := range fes {
+			base := l1s[s].Stats().Misses
+			baseMisses[s][b] = base
+			perBench[s][0][b] = stats.PercentReduction(float64(base), float64(base))
+			for r, fe := range fes[s] {
+				perBench[s][r+1][b] = stats.PercentReduction(float64(base), float64(fe.Stats().FullMisses()))
+			}
+		}
 	})
 
-	type job struct{ bench, runIdx, sideIdx int }
-	var jobs []job
-	for b := range names {
-		for r := range runs {
-			jobs = append(jobs, job{b, r, 0}, job{b, r, 1})
-		}
-	}
-	cfg.parallelFor(len(jobs), func(j int) {
-		jb := jobs[j]
-		runLimit := runs[jb.runIdx]
-		var misses uint64
-		if runLimit == 0 {
-			misses = baseMisses[jb.sideIdx][jb.bench] // no prefetching at all
-		} else {
-			st := runFront(cfg, cfg.Traces.Source(names[jb.bench]), side(jb.sideIdx), func() core.FrontEnd {
-				return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-					core.StreamConfig{Ways: ways, Depth: 4, RunLimit: runLimit},
-					nil, core.DefaultTiming())
-			})
-			misses = st.FullMisses()
-		}
-		base := baseMisses[jb.sideIdx][jb.bench]
-		perBench[jb.sideIdx][jb.runIdx][jb.bench] =
-			stats.PercentReduction(float64(base), float64(misses))
-	})
-
-	xs := make([]float64, len(runs))
-	for i, r := range runs {
+	xs := make([]float64, len(limits))
+	for i, r := range limits {
 		xs[i] = float64(r)
 	}
 	avg := func(s int) []float64 {
-		ys := make([]float64, len(runs))
+		ys := make([]float64, len(limits))
 		include := make([]bool, len(names))
 		for b := range names {
 			include[b] = baseMisses[s][b] >= minConflictsForAverage
 		}
-		for r := range runs {
+		for r := range limits {
 			ys[r] = meanOver(perBench[s][r], include)
 		}
 		return ys
@@ -81,14 +76,14 @@ func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 	}
 
 	headers := []string{"program", "side"}
-	for _, r := range runs {
+	for _, r := range limits {
 		headers = append(headers, fmt.Sprint(r))
 	}
 	var rows [][]string
 	for b, name := range names {
 		for s := 0; s < 2; s++ {
 			row := []string{name, map[int]string{0: "I", 1: "D"}[s]}
-			for r := range runs {
+			for r := range limits {
 				row = append(row, fmtPct(perBench[s][r][b]))
 			}
 			rows = append(rows, row)

@@ -27,29 +27,61 @@ func streamParamSweep(cfg Config, id, title, xLabel string,
 		}
 	}
 
-	cfg.parallelFor(len(params), func(pi int) {
-		size, line := mkGeom(params[pi])
+	// cell is one benchmark, side and parameter value: the baseline's
+	// misses and the full misses each stream buffer leaves.
+	type cell struct {
+		base uint64
+		full [2]uint64
+	}
+	cells := make([][2][]cell, len(names)) // [bench][side][param]
+	for b := range cells {
+		cells[b] = [2][]cell{make([]cell, len(params)), make([]cell, len(params))}
+	}
+	// One pass per benchmark feeds every parameter value on both sides.
+	cfg.parallelFor(len(names), func(b int) {
+		var runs []*run
+		var l1s [2][]*cache.Cache
+		var fes [2][][2]*core.Level
+		for _, p := range params {
+			size, line := mkGeom(p)
+			for s := iSide; s <= dSide; s++ {
+				l1 := cache.MustNew(l1Config(size, line))
+				runs = append(runs, feedL1(s, l1, nil))
+				var fe [2]*core.Level
+				for wi, w := range ways {
+					fe[wi] = level(size, line, core.Aux{Stream: core.StreamConfig{Ways: w, Depth: 4}})
+					runs = append(runs, feedLevel(s, fe[wi]))
+				}
+				l1s[s], fes[s] = append(l1s[s], l1), append(fes[s], fe)
+			}
+		}
+		cfg.replay(cfg.Traces.Source(names[b]), runs...)
+		for s := range l1s {
+			for pi := range params {
+				c := &cells[b][s][pi]
+				c.base = l1s[s][pi].Stats().Misses
+				for wi, fe := range fes[s][pi] {
+					c.full[wi] = fe.Stats().FullMisses()
+				}
+			}
+		}
+	})
+	for pi := range params {
 		for s := 0; s < 2; s++ {
-			base := make([]uint64, len(names))
 			include := make([]bool, len(names))
 			for b := range names {
-				bc := runBaselineClassified(cfg, cfg.Traces.Source(names[b]), side(s), size, line)
-				base[b] = bc.misses
-				include[b] = bc.misses >= minConflictsForAverage
+				include[b] = cells[b][s][pi].base >= minConflictsForAverage
 			}
-			for wi, w := range ways {
+			for wi := range ways {
 				vals := make([]float64, len(names))
 				for b := range names {
-					st := runFront(cfg, cfg.Traces.Source(names[b]), side(s), func() core.FrontEnd {
-						return core.NewStreamBuffer(cache.MustNew(l1Config(size, line)),
-							core.StreamConfig{Ways: w, Depth: 4}, nil, core.DefaultTiming())
-					})
-					vals[b] = stats.PercentReduction(float64(base[b]), float64(st.FullMisses()))
+					c := cells[b][s][pi]
+					vals[b] = stats.PercentReduction(float64(c.base), float64(c.full[wi]))
 				}
 				results[s][wi][pi] = meanOver(vals, include)
 			}
 		}
-	})
+	}
 
 	xs := make([]float64, len(params))
 	for i, p := range params {

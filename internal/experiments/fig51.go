@@ -35,13 +35,9 @@ func Fig51() Experiment {
 				base, improved hierarchy.Results
 			}
 			out := make([]pair, len(names))
-			cfg.parallelFor(len(names)*2, func(k int) {
-				idx := k / 2
-				if k%2 == 0 {
-					out[idx].base = runSystem(cfg, names[idx], hierarchy.Config{})
-				} else {
-					out[idx].improved = runSystem(cfg, names[idx], improvedConfig())
-				}
+			cfg.parallelFor(len(names), func(i int) {
+				rs := cfg.systemResults(names[i], hierarchy.Config{}, improvedConfig())
+				out[i] = pair{rs[0], rs[1]}
 			})
 
 			headers := []string{"program", "base perf %", "improved perf %", "speedup",

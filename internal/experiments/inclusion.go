@@ -5,7 +5,6 @@ import (
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
-	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/textplot"
 )
@@ -39,20 +38,10 @@ func AblationInclusion() Experiment {
 				plain, victim hierarchy.InclusionReport
 			}
 			out := make([]row, len(names))
-			cfg.parallelFor(len(names)*2, func(k int) {
-				i, v := k/2, k%2
-				tr := cfg.Traces.Get(names[i])
-				sysCfg := mkPlain()
-				if v == 1 {
-					sysCfg = mkVictim()
-				}
-				sys := hierarchy.MustNew(sysCfg)
-				replayGroup(cfg, tr.Source(), fanout.Sink(sys))
-				if v == 0 {
-					out[i].plain = sys.Inclusion()
-				} else {
-					out[i].victim = sys.Inclusion()
-				}
+			cfg.parallelFor(len(names), func(i int) {
+				systems, runs := feedSystems(mkPlain(), mkVictim())
+				cfg.replay(cfg.Traces.Source(names[i]), runs...)
+				out[i] = row{systems[0].Inclusion(), systems[1].Inclusion()}
 			})
 
 			pct := func(violations, lines int) string {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jouppi/internal/core"
-	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/introspect"
 	"jouppi/internal/textplot"
@@ -43,16 +42,12 @@ func runIntrospectPhase(cfg Config) *Result {
 		{},
 		{DAugment: core.Aux{Victim: 4}},
 	}
-	systems := make([]*hierarchy.System, len(sysCfgs))
-	probes := make([]*introspect.SystemProbe, len(sysCfgs))
-	consumers := make([]fanout.Consumer, len(sysCfgs))
-	for i, sc := range sysCfgs {
-		systems[i] = hierarchy.MustNew(sc)
-		probes[i] = introspect.Attach(systems[i], opts)
-		consumers[i] = fanout.Sink(systems[i])
+	systems, runs := feedSystems(sysCfgs...)
+	probes := make([]*introspect.SystemProbe, len(systems))
+	for i, sys := range systems {
+		probes[i] = introspect.Attach(sys, opts)
 	}
-	replayGroup(cfg, tr.Source(), consumers...)
-	cfg.Accesses.Add(uint64(len(sysCfgs)) * uint64(tr.Len()))
+	cfg.replay(tr.Source(), runs...)
 	// Results flushes each system, syncing the probes to the final count.
 	baseStats, victStats := systems[0].Results(tr.Instructions()), systems[1].Results(tr.Instructions())
 

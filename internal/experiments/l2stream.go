@@ -23,26 +23,23 @@ func AblationL2Stream() Experiment {
 			names := benchNames()
 			sizes := []int{1 << 20, 64 << 10}
 
-			run := func(name string, l2Size int, buffers bool) hierarchy.Results {
-				sysCfg := hierarchy.Config{
-					L2: cache.Config{Name: "L2", Size: l2Size, LineSize: 128, Assoc: 1},
-				}
-				if buffers {
-					sysCfg.L2Augment = core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}
-				}
-				return runSystem(cfg, name, sysCfg)
-			}
-
-			// results[bench][size][0=base,1=buffers]
+			// results[bench][size][0=base,1=buffers]. All four systems of
+			// a benchmark share one trace pass.
 			results := make([][][2]hierarchy.Results, len(names))
 			for i := range results {
 				results[i] = make([][2]hierarchy.Results, len(sizes))
 			}
-			cfg.parallelFor(len(names)*len(sizes)*2, func(k int) {
-				b := k / (len(sizes) * 2)
-				si := (k / 2) % len(sizes)
-				v := k % 2
-				results[b][si][v] = run(names[b], sizes[si], v == 1)
+			cfg.parallelFor(len(names), func(b int) {
+				var sysCfgs []hierarchy.Config
+				for _, size := range sizes {
+					l2 := cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1}
+					sysCfgs = append(sysCfgs, hierarchy.Config{L2: l2}, hierarchy.Config{L2: l2,
+						L2Augment: core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}})
+				}
+				rs := cfg.systemResults(names[b], sysCfgs...)
+				for si := range sizes {
+					results[b][si] = [2]hierarchy.Results{rs[2*si], rs[2*si+1]}
+				}
 			})
 
 			headers := []string{"program", "L2 size", "L2 misses (base)",

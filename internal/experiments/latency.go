@@ -38,25 +38,36 @@ func AblationLatency() Experiment {
 				impPct  float64 // mean % of potential, improved
 				speedup float64 // mean speedup
 			}
+			mk := func(pt point, base hierarchy.Config) hierarchy.Config {
+				base.Timing.MissPenalty = pt.l1Pen
+				base.Timing.FillLatency = pt.l1Pen
+				base.Timing.AuxPenalty = 1
+				base.Timing.FillInterval = 4
+				base.Perf = perfmodel.Params{
+					L1MissPenalty: pt.l1Pen,
+					L2MissPenalty: pt.l2Pen,
+					AuxHitPenalty: 1,
+				}
+				return base
+			}
+			// One pass per benchmark: a baseline and an improved system
+			// at every latency point.
+			rs := make([][]hierarchy.Results, len(names))
+			cfg.parallelFor(len(names), func(b int) {
+				var sysCfgs []hierarchy.Config
+				for _, pt := range points {
+					sysCfgs = append(sysCfgs, mk(pt, hierarchy.Config{}), mk(pt, improvedConfig()))
+				}
+				rs[b] = cfg.systemResults(names[b], sysCfgs...)
+			})
 			out := make([]cell, len(points))
-			cfg.parallelFor(len(points), func(pi int) {
-				pt := points[pi]
+			for pi := range points {
 				var basePcts, impPcts, speedups []float64
-				for _, name := range names {
-					mk := func(base hierarchy.Config) hierarchy.Config {
-						base.Timing.MissPenalty = pt.l1Pen
-						base.Timing.FillLatency = pt.l1Pen
-						base.Timing.AuxPenalty = 1
-						base.Timing.FillInterval = 4
-						base.Perf = perfmodel.Params{
-							L1MissPenalty: pt.l1Pen,
-							L2MissPenalty: pt.l2Pen,
-							AuxHitPenalty: 1,
-						}
-						return base
+				for b := range names {
+					if rs[b] == nil {
+						continue // cancelled before this benchmark ran
 					}
-					rb := runSystem(cfg, name, mk(hierarchy.Config{}))
-					ri := runSystem(cfg, name, mk(improvedConfig()))
+					rb, ri := rs[b][2*pi], rs[b][2*pi+1]
 					basePcts = append(basePcts, rb.Breakdown.PercentOfPotential())
 					impPcts = append(impPcts, ri.Breakdown.PercentOfPotential())
 					speedups = append(speedups, perfmodel.Speedup(rb.Breakdown, ri.Breakdown))
@@ -66,7 +77,7 @@ func AblationLatency() Experiment {
 					impPct:  stats.Mean(impPcts),
 					speedup: stats.Mean(speedups),
 				}
-			})
+			}
 
 			headers := []string{"L1/L2 penalty", "baseline % potential", "improved % potential", "mean speedup"}
 			var rows [][]string

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
@@ -28,10 +27,9 @@ func Overlap() Experiment {
 			}
 			out := make([]row, len(names))
 			cfg.parallelFor(len(names), func(i int) {
-				st := runFront(cfg, cfg.Traces.Source(names[i]), dSide, func() core.FrontEnd {
-					return core.NewCombined(cache.MustNew(l1Config(4096, 16)), 4,
-						core.StreamConfig{Ways: 4, Depth: 4}, nil, core.DefaultTiming())
-				})
+				fe := level(4096, 16, core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}})
+				cfg.replay(cfg.Traces.Source(names[i]), feedLevel(dSide, fe))
+				st := fe.Stats()
 				out[i] = row{st.VictimHits, st.OverlapHits, st.L1Misses}
 			})
 

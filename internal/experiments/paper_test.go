@@ -28,14 +28,12 @@ func TestPaperStreamBufferHeadlines(t *testing.T) {
 		vals := make([]float64, len(names))
 		include := make([]bool, len(names))
 		cfg.parallelFor(len(names), func(i int) {
-			tr := cfg.Traces.Get(names[i])
-			bc := runBaselineClassified(cfg, tr.Source(), s, 4096, 16)
-			st := runFront(cfg, tr.Source(), s, func() core.FrontEnd {
-				return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-					core.StreamConfig{Ways: ways, Depth: 4}, nil, core.DefaultTiming())
-			})
-			vals[i] = stats.PercentReduction(float64(bc.misses), float64(st.FullMisses()))
-			include[i] = bc.misses >= minConflictsForAverage
+			l1 := cache.MustNew(l1Config(4096, 16))
+			fe := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
+			cfg.replay(cfg.Traces.Source(names[i]), feedL1(s, l1, nil), feedLevel(s, fe))
+			misses := l1.Stats().Misses
+			vals[i] = stats.PercentReduction(float64(misses), float64(fe.Stats().FullMisses()))
+			include[i] = misses >= minConflictsForAverage
 		})
 		return meanOver(vals, include)
 	}
@@ -69,16 +67,16 @@ func TestPaperLiverMultiWayShowcase(t *testing.T) {
 		t.Skip("paper-shape tests skipped in -short mode")
 	}
 	cfg := smallCfg()
-	tr := cfg.Traces.Get("liver")
-	bc := runBaselineClassified(cfg, tr.Source(), dSide, 4096, 16)
-	removed := func(ways int) float64 {
-		st := runFront(cfg, tr.Source(), dSide, func() core.FrontEnd {
-			return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-				core.StreamConfig{Ways: ways, Depth: 4}, nil, core.DefaultTiming())
-		})
-		return stats.PercentReduction(float64(bc.misses), float64(st.FullMisses()))
+	l1 := cache.MustNew(l1Config(4096, 16))
+	fes := []*core.Level{
+		level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}}),
+		level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}),
 	}
-	single, four := removed(1), removed(4)
+	cfg.replay(cfg.Traces.Source("liver"), feedL1(dSide, l1, nil), feedLevel(dSide, fes[0]), feedLevel(dSide, fes[1]))
+	removed := func(fe *core.Level) float64 {
+		return stats.PercentReduction(float64(l1.Stats().Misses), float64(fe.Stats().FullMisses()))
+	}
+	single, four := removed(fes[0]), removed(fes[1])
 	if single > 20 {
 		t.Errorf("liver single-buffer removal = %.1f%%, paper ≈7%%", single)
 	}

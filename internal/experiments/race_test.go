@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/memtrace"
 )
@@ -42,9 +41,9 @@ func TestParallelSweepOverSharedTraces(t *testing.T) {
 	cfg := Config{Scale: 0.02, Traces: ts}
 	cfg.parallelFor(len(stats), func(i int) {
 		name := names[i%len(names)]
-		stats[i] = runFront(cfg, ts.Source(name), dSide, func() core.FrontEnd {
-			return core.NewBaseline(cache.MustNew(l1Config(4096, 16)), nil, core.DefaultTiming())
-		})
+		fe := level(4096, 16, core.Aux{})
+		cfg.replay(ts.Source(name), feedLevel(dSide, fe))
+		stats[i] = fe.Stats()
 	})
 	for i := range names {
 		if stats[i] != stats[i+len(names)] {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
-	"jouppi/internal/memtrace"
 	"jouppi/internal/textplot"
 	"jouppi/internal/workload"
 )
@@ -103,16 +102,9 @@ func Table22() Experiment {
 			type rates struct{ i, d float64 }
 			out := make([]rates, len(names))
 			cfg.parallelFor(len(names), func(idx int) {
-				tr := cfg.Traces.Get(names[idx])
 				l1i := cache.MustNew(l1Config(4096, 16))
 				l1d := cache.MustNew(l1Config(4096, 16))
-				memtrace.Each(tr.Source(), func(a memtrace.Access) {
-					if a.Kind == memtrace.Ifetch {
-						l1i.Access(uint64(a.Addr), false)
-					} else {
-						l1d.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-					}
-				})
+				cfg.replay(cfg.Traces.Source(names[idx]), feedL1(iSide, l1i, nil), feedL1(dSide, l1d, nil))
 				out[idx] = rates{l1i.Stats().MissRate(), l1d.Stats().MissRate()}
 			})
 			headers := []string{"program", "instr. miss rate", "data miss rate"}

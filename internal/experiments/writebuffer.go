@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"jouppi/internal/cache"
 	"jouppi/internal/core"
+	"jouppi/internal/memtrace"
 	"jouppi/internal/textplot"
 )
 
@@ -33,24 +33,29 @@ func AblationWriteBuffer() Experiment {
 					out[i][j] = make([]float64, len(depths))
 				}
 			}
+			// One pass per benchmark: a plain baseline and a write-buffered
+			// front end per (port speed, depth).
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
-				for ii, interval := range intervals {
-					for di, depth := range depths {
-						inner := core.NewBaseline(
-							cache.MustNew(l1Config(4096, 16)), nil, core.DefaultTiming())
-						fe := core.NewWithWriteBuffer(inner,
+				base := level(4096, 16, core.Aux{})
+				runs := []*run{feedLevel(dSide, base)}
+				var fes []*core.WithWriteBuffer
+				for _, interval := range intervals {
+					for _, depth := range depths {
+						fe := core.NewWithWriteBuffer(level(4096, 16, core.Aux{}),
 							core.NewWriteBuffer(depth, interval))
-						st := runFrontOn(tr.Source(), dSide, fe)
-						// Isolate the buffer's contribution: stalls beyond
-						// the plain front-end's.
-						base := runFront(cfg, tr.Source(), dSide, func() core.FrontEnd {
-							return core.NewBaseline(cache.MustNew(l1Config(4096, 16)),
-								nil, core.DefaultTiming())
-						})
-						out[i][ii][di] = float64(st.StallCycles-base.StallCycles) /
-							float64(max(1, st.Accesses))
+						fes = append(fes, fe)
+						runs = append(runs, &run{side: dSide, step: func(a memtrace.Access) {
+							fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+						}})
 					}
+				}
+				cfg.replay(cfg.Traces.Source(names[i]), runs...)
+				for k, fe := range fes {
+					st := fe.Stats()
+					// Isolate the buffer's contribution: stalls beyond the
+					// plain front end's.
+					out[i][k/len(depths)][k%len(depths)] = float64(st.StallCycles-base.Stats().StallCycles) /
+						float64(max(1, st.Accesses))
 				}
 			})
 
