@@ -28,12 +28,14 @@ test:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# lines prints the net non-test Go line count, the size metric ROADMAP
-# tracks, leaving out the separate bench/ module and the benchmark's
-# build directory. It is informational: no floor, no failure.
+# lines prints the non-test Go line count of each directory, then the
+# net total on the last line: the size metric ROADMAP tracks. It leaves
+# out the separate bench/ module and the benchmark's build directory. It
+# is informational: no floor, no failure.
 lines:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
-		-exec cat {} + | wc -l
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; sum += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); print sum }'
 
 # shuffle reruns the whole suite in randomized test and subtest order to
 # flush out inter-test state dependence.

@@ -43,7 +43,11 @@ func TestSIGTERMDrainEndToEnd(t *testing.T) {
 		stderr bytes.Buffer
 	)
 	addrCh := make(chan string, 1)
+	// scanned closes once the daemon's stderr reaches EOF. cmd.Wait closes
+	// the pipe, so it must not run before then or the last lines are lost.
+	scanned := make(chan struct{})
 	go func() {
+		defer close(scanned)
 		sc := bufio.NewScanner(stderrPipe)
 		for sc.Scan() {
 			line := sc.Text()
@@ -84,7 +88,10 @@ func TestSIGTERMDrainEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	go func() {
+		<-scanned
+		done <- cmd.Wait()
+	}()
 	select {
 	case err := <-done:
 		if err != nil {

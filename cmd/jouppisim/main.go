@@ -274,7 +274,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// registers (the registry is idempotent by name), so the line
 		// tracks the run with no extra plumbing.
 		prog = telemetry.NewProgress(stderr,
-			reg.Counter("sim_replay_accesses_total", "trace references replayed across all experiments"),
+			reg.Counter("sim_replay_accesses_total", "trace references simulated across all experiments, once per structure fed"),
 			reg.Gauge("experiments_done", "experiments finished so far this run"),
 			reg.Gauge("experiments_total", "experiments in this run"))
 		prog.Start(200 * time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -23,12 +24,28 @@ func repoFile(t *testing.T, name string) string {
 }
 
 // Every registered experiment must be documented in DESIGN.md's
-// per-experiment index and runnable from the documented CLI.
+// per-experiment index and runnable from the documented CLI, and every
+// experiments/ or core/ path the index names must exist.
 func TestDesignIndexesEveryExperiment(t *testing.T) {
 	design := repoFile(t, "DESIGN.md")
 	for _, e := range All() {
 		if !strings.Contains(design, "`"+e.ID+"`") {
 			t.Errorf("DESIGN.md does not index experiment %q", e.ID)
+		}
+	}
+	start := strings.Index(design, "## 3. Per-experiment index")
+	end := strings.Index(design, "## 4. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §3 per-experiment index")
+	}
+	paths := regexp.MustCompile("`((?:experiments|core)/[^`]*)`").FindAllStringSubmatch(design[start:end], -1)
+	if len(paths) == 0 {
+		t.Fatal("DESIGN.md §3 names no experiments/ or core/ paths")
+	}
+	for _, m := range paths {
+		// This package is internal/experiments; the paths are under internal/.
+		if _, err := os.Stat(filepath.Join("..", m[1])); err != nil {
+			t.Errorf("DESIGN.md §3 names %s, which does not exist", m[1])
 		}
 	}
 }

@@ -108,7 +108,7 @@ func RunAll(ctx context.Context, cfg Config, opts RunOptions) ([]*Result, error)
 		tel.queueDepth.Set(int64(len(exps)))
 		if cfg.Accesses == nil {
 			cfg.Accesses = opts.Telemetry.Counter("sim_replay_accesses_total",
-				"trace references replayed across all experiments")
+				"trace references simulated across all experiments, once per structure fed")
 		}
 	}
 	jnl := opts.Journal
