@@ -54,6 +54,8 @@ func (cfg Config) replay(src memtrace.Source, runs ...*run) {
 	for i, r := range runs {
 		consumers[i] = r
 	}
+	// The only error a non-nil source and runs can cause is ctx's, which
+	// RunAll reports itself.
 	_ = fanout.Replay(ctx, src, consumers...)
 	for _, r := range runs {
 		cfg.Accesses.Add(r.n)
