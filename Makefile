@@ -65,7 +65,9 @@ cover:
 # fuzz gives each trace-decoder, configuration-grammar, job-request and
 # front-end-versus-reference-model fuzz target a short budget — a smoke
 # pass that exercises the corpus plus a few seconds of mutation,
-# not a soak.
+# not a soak. FuzzReadTrace and FuzzReadDinero round-trip each format;
+# FuzzLenientReaders checks memtrace.NewDecoder's strict, lenient and
+# chunked decodes of both formats against each other.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"jouppi/internal/cache"
 	"jouppi/internal/classify"
 	"jouppi/internal/core"
+	"jouppi/internal/fanout"
 	"jouppi/internal/introspect"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
@@ -94,6 +96,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	tf, err := memtrace.ParseFormat(*format)
+	if err != nil {
+		fmt.Fprintln(stderr, "cachesim: -format must be jtr or din")
+		return 2
+	}
+	keep := func(a memtrace.Access) bool { return true }
+	switch *sideStr {
+	case "instr":
+		keep = func(a memtrace.Access) bool { return a.Kind == memtrace.Ifetch }
+	case "data":
+		keep = func(a memtrace.Access) bool { return a.Kind.IsData() }
+	case "all":
+	default:
+		fmt.Fprintln(stderr, "cachesim: -side must be instr, data, or all")
+		return 2
+	}
+
 	// The main flags are the base every -fanout spec is parsed over; the
 	// single configuration is the empty spec over them. Every
 	// configuration is built, and so validated, before any I/O.
@@ -123,8 +142,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer srv.Close()
 		fmt.Fprintf(stderr, "cachesim: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", srv.Addr())
 	}
-	decoded := reg.Counter("memtrace_records_total", "trace records decoded")
-	dropped := reg.Counter("memtrace_dropped_total", "trace records dropped in lenient mode")
+
+	// Every configuration replays the kept references in one pass. The
+	// first also carries the -classify classifier, the introspection
+	// probe and the live replay counters; -fanout allows none of them.
+	fe := fes[0]
+	l1 := fe.Cache()
+	l1cfg := l1.Config()
+	first := &levelConsumer{fe: fe, keep: keep}
+	if *classify3 {
+		first.cl = classify.MustNew(l1cfg.Size, l1cfg.LineSize)
+	}
+
+	// The introspection probe is the level's tap, a pure reader:
+	// attaching it changes none of the numbers reported below. With
+	// -classify its sampled events read their class from the classifier.
+	var probe *introspect.Probe
+	if introOn {
+		opts := introspect.Options{Window: *phase, Heatmap: *heatmap,
+			MissEvery: *missSample, MissCap: *missCap, Classifier: first.cl}
+		if *phase == 0 {
+			opts.Window = -1
+		}
+		probe = introspect.AttachLevel(fe, opts)
+		probe.AttachTelemetry(reg, "l1")
+	}
+	if reg != nil {
+		first.tel = core.NewCounters(reg, "sim_")
+		l1.Instrument(cache.NewCounters(reg, l1cfg.Name))
+		if first.cl != nil {
+			first.cl.Instrument(
+				reg.Counter("sim_3c_compulsory_misses_total", "plain-cache misses classified compulsory"),
+				reg.Counter("sim_3c_capacity_misses_total", "plain-cache misses classified capacity"),
+				reg.Counter("sim_3c_conflict_misses_total", "plain-cache misses classified conflict"))
+		}
+	}
+	consumers := []fanout.Consumer{first}
+	for _, other := range fes[1:] {
+		consumers = append(consumers, &levelConsumer{fe: other, keep: keep})
+	}
 
 	// The trace streams through the simulator in buffered chunks — it is
 	// never materialized, so file size does not bound what cachesim can
@@ -135,152 +191,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-	var (
-		src    memtrace.Source
-		srcErr func() error
-		degr   func() memtrace.Degradation
-	)
-	switch *format {
-	case "jtr":
-		r, err := memtrace.NewReader(f)
-		if err != nil {
-			fmt.Fprintln(stderr, "cachesim:", err)
-			return 1
-		}
-		if *lenient {
-			r.Lenient(*maxDrops)
-		}
-		r.Instrument(decoded, dropped)
-		src, srcErr, degr = r, r.Err, r.Degradation
-	case "din":
-		dr := memtrace.NewDineroReader(f)
-		if *lenient {
-			dr.Lenient(*maxDrops)
-		}
-		dr.Instrument(decoded, dropped)
-		src, srcErr, degr = dr, dr.Err, dr.Degradation
-	default:
-		fmt.Fprintln(stderr, "cachesim: -format must be jtr or din")
-		return 2
+	dec, err := memtrace.NewDecoder(f, tf)
+	if err != nil {
+		fmt.Fprintln(stderr, "cachesim:", err)
+		return 1
 	}
+	if *lenient {
+		dec.Lenient(*maxDrops)
+	}
+	decoded := reg.Counter("memtrace_records_total", "trace records decoded")
+	dec.Instrument(decoded, reg.Counter("memtrace_dropped_total", "trace records dropped in lenient mode"))
 
-	keep := func(a memtrace.Access) bool { return true }
-	switch *sideStr {
-	case "instr":
-		keep = func(a memtrace.Access) bool { return a.Kind == memtrace.Ifetch }
-	case "data":
-		keep = func(a memtrace.Access) bool { return a.Kind.IsData() }
-	case "all":
-	default:
-		fmt.Fprintln(stderr, "cachesim: -side must be instr, data, or all")
-		return 2
-	}
-
-	if *fanouts != "" {
-		var prog *telemetry.Progress
-		if *progress {
-			prog = telemetry.NewProgress(stderr, decoded, nil, nil)
-			prog.Start(200 * time.Millisecond)
-			defer prog.Stop()
-		}
-		return runFanout(stdout, stderr, labels, fes, src, keep, reg, srcErr, degr, *lenient)
-	}
-
-	fe := fes[0]
-	l1 := fe.Cache()
-	l1cfg := l1.Config()
-
-	var cl *classify.Classifier
-	if *classify3 {
-		cl = classify.MustNew(l1cfg.Size, l1cfg.LineSize)
-	}
-
-	// The introspection probe is the level's tap, a pure reader:
-	// attaching it changes none of the numbers reported below. With
-	// -classify its sampled events read their class from cl.
-	var probe *introspect.Probe
-	if introOn {
-		opts := introspect.Options{Window: *phase, Heatmap: *heatmap,
-			MissEvery: *missSample, MissCap: *missCap, Classifier: cl}
-		if *phase == 0 {
-			opts.Window = -1
-		}
-		probe = introspect.AttachLevel(fe, opts)
-		probe.AttachTelemetry(reg, "l1")
-	}
-
-	// Live replay counters, published as deltas of the level's own stats
-	// every telFlushEvery kept accesses and at end of replay, so the hot
-	// loop carries no telemetry work beyond a pending-count increment.
-	const telFlushEvery = 4096
-	var tel *core.Counters
-	pending := 0
-	if reg != nil {
-		tel = core.NewCounters(reg, "sim_")
-		l1.Instrument(cache.NewCounters(reg, l1cfg.Name))
-		if cl != nil {
-			cl.Instrument(
-				reg.Counter("sim_3c_compulsory_misses_total", "plain-cache misses classified compulsory"),
-				reg.Counter("sim_3c_capacity_misses_total", "plain-cache misses classified capacity"),
-				reg.Counter("sim_3c_conflict_misses_total", "plain-cache misses classified conflict"))
-		}
-	}
-	flushTel := func() {
-		pending = 0
-		if tel == nil {
-			return
-		}
-		tel.Publish(fe.Stats())
-		l1.FlushTelemetry()
-		if cl != nil {
-			cl.Flush()
-		}
-	}
 	var prog *telemetry.Progress
 	if *progress {
 		prog = telemetry.NewProgress(stderr, decoded, nil, nil)
 		prog.Start(200 * time.Millisecond)
 		defer prog.Stop()
 	}
-
-	memtrace.Each(src, func(a memtrace.Access) {
-		if !keep(a) {
-			return
-		}
-		r := fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		if cl != nil {
-			cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
-		}
-		if tel != nil {
-			pending++
-			if pending >= telFlushEvery {
-				flushTel()
-			}
-		}
-	})
-	flushTel()
+	eng := fanout.New(fanout.Config{})
+	eng.AttachTelemetry(reg)
+	err = eng.Replay(context.Background(), dec, consumers...)
+	if err == nil {
+		err = dec.Err()
+	}
 	fe.Flush()
 	if prog != nil {
 		prog.Stop()
 	}
 	if *lenient {
-		memtrace.PublishDegradation(reg, degr())
+		memtrace.PublishDegradation(reg, dec.Degradation())
 	}
-	if err := srcErr(); err != nil {
+	if err != nil {
 		fmt.Fprintln(stderr, "cachesim:", err)
 		return 1
 	}
 
-	st := fe.Stats()
+	if *fanouts != "" {
+		if *lenient {
+			fmt.Fprintf(stdout, "degradation:     %s\n", dec.Degradation())
+		}
+		printFanout(stdout, labels, fes)
+		return 0
+	}
 	degraded := ""
 	if *lenient {
-		// The degradation report rides alongside the results so damaged
-		// inputs are visible, never silent.
-		degraded = fmt.Sprint(degr())
+		degraded = fmt.Sprint(dec.Degradation())
 	}
-	printStats(stdout, fe.Name(), l1cfg.Size, l1cfg.LineSize, l1cfg.Assoc, st, degraded)
-	if cl != nil {
-		c := cl.Counts()
+	printStats(stdout, fe.Name(), l1cfg.Size, l1cfg.LineSize, l1cfg.Assoc, fe.Stats(), degraded)
+	if first.cl != nil {
+		c := first.cl.Counts()
 		total := max(1, c.Total())
 		fmt.Fprintf(stdout, "3C (plain L1):   compulsory %d (%.1f%%), capacity %d (%.1f%%), conflict %d (%.1f%%)\n",
 			c.Compulsory, 100*float64(c.Compulsory)/float64(total),

@@ -66,6 +66,23 @@ func TestBadSideAndGeometry(t *testing.T) {
 	}
 }
 
+// TestUsageErrorsBeforeIO pins that a bad -format or -side is a usage
+// error even when the trace cannot be opened: flags are checked before
+// any I/O.
+func TestUsageErrorsBeforeIO(t *testing.T) {
+	for _, tc := range []struct {
+		flag, want string
+	}{
+		{"-format", "-format must be jtr or din"},
+		{"-side", "-side must be instr, data, or all"},
+	} {
+		code, out, errOut := runCmd(t, "-trace", "/definitely/missing.jtr", tc.flag, "bogus")
+		if code != 2 || !strings.Contains(errOut, tc.want) || out != "" {
+			t.Errorf("%s bogus: exit %d, stderr %q (want exit 2 containing %q)", tc.flag, code, errOut, tc.want)
+		}
+	}
+}
+
 func TestMissingFile(t *testing.T) {
 	if code, _, _ := runCmd(t, "-trace", "/definitely/missing.jtr"); code != 1 {
 		t.Error("missing file not reported")

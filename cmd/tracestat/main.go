@@ -30,56 +30,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// traceSource is one streaming pass over a trace file.
-type traceSource struct {
-	memtrace.Source
-	f    *os.File
-	err  func() error
-	degr func() memtrace.Degradation
-}
-
-// lenientOpts carries the count-and-skip decode settings into
-// openTraceSource; a nil value means strict decoding.
-type lenientOpts struct {
-	maxDrops uint64
-}
-
-// openTraceSource opens path and positions a streaming reader at the first
-// record. Callers must Close it and should check Err after consuming.
-func openTraceSource(path, format string, lenient *lenientOpts) (*traceSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	switch format {
-	case "jtr":
-		r, err := memtrace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if lenient != nil {
-			r.Lenient(lenient.maxDrops)
-		}
-		return &traceSource{Source: r, f: f, err: r.Err, degr: r.Degradation}, nil
-	case "din":
-		dr := memtrace.NewDineroReader(f)
-		if lenient != nil {
-			dr.Lenient(lenient.maxDrops)
-		}
-		return &traceSource{Source: dr, f: f, err: dr.Err, degr: dr.Degradation}, nil
-	default:
-		f.Close()
-		return nil, fmt.Errorf("-format must be jtr or din")
-	}
-}
-
-// Close releases the underlying file.
-func (ts *traceSource) Close() error { return ts.f.Close() }
-
-// Err reports the decoding error that ended the pass, if any.
-func (ts *traceSource) Err() error { return ts.err() }
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -110,14 +60,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tracestat: -trace is required")
 		return 2
 	}
-	if *format != "jtr" && *format != "din" {
+	tf, err := memtrace.ParseFormat(*format)
+	if err != nil {
 		fmt.Fprintln(stderr, "tracestat: -format must be jtr or din")
 		return 2
-	}
-
-	var lopts *lenientOpts
-	if *lenient {
-		lopts = &lenientOpts{maxDrops: *maxDrops}
 	}
 
 	// pass runs one streaming analysis over the file and folds decoding
@@ -126,19 +72,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// degradation report of the first pass is printed once.
 	var degradation *memtrace.Degradation
 	pass := func(analyze func(src memtrace.Source) error) error {
-		src, err := openTraceSource(*tracePath, *format, lopts)
+		f, err := os.Open(*tracePath)
 		if err != nil {
 			return err
 		}
-		defer src.Close()
-		if err := analyze(src); err != nil {
+		defer f.Close()
+		dec, err := memtrace.NewDecoder(f, tf)
+		if err != nil {
 			return err
 		}
-		if err := src.Err(); err != nil {
+		if *lenient {
+			dec.Lenient(*maxDrops)
+		}
+		if err := analyze(dec); err != nil {
+			return err
+		}
+		if err := dec.Err(); err != nil {
 			return err
 		}
 		if degradation == nil {
-			d := src.degr()
+			d := dec.Degradation()
 			degradation = &d
 		}
 		return nil

@@ -58,7 +58,8 @@ func directReplay(t *testing.T, spec *Spec) expectedOutcome {
 		degr memtrace.Degradation
 	)
 	if spec.Lenient {
-		dr := memtrace.NewDineroReader(bytes.NewReader(spec.TraceData)).Lenient(spec.MaxDrops)
+		dr := memtrace.NewDineroReader(bytes.NewReader(spec.TraceData))
+		dr.Lenient(spec.MaxDrops)
 		tr = memtrace.NewTrace(0)
 		memtrace.Each(dr, tr.Append)
 		if dr.Err() != nil {

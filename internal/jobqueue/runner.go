@@ -158,8 +158,8 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 	trace.FromContext(ctx).Record("decode", decStart, time.Now(),
 		trace.String("format", spec.TraceFormat), trace.Int("records", tr.Len()))
 	body.Records = uint64(tr.Len())
-	if degr != nil && degr.Degraded() {
-		body.Degradation = degr
+	if degr.Degraded() {
+		body.Degradation = &degr
 	}
 	// One replay, and so one replay span, per configuration over the
 	// materialized trace, each system built only for its own replay:
@@ -190,47 +190,25 @@ func newSystem(c sim.LabeledConfig) (*sim.System, error) {
 
 // decodeUpload decodes the spec's uploaded bytes into a materialized
 // trace, once, applying the lenient count-and-skip policy if requested.
-func decodeUpload(spec *Spec) (*memtrace.Trace, *memtrace.Degradation, error) {
-	r := bytes.NewReader(spec.TraceData)
-	if !spec.Lenient {
-		var (
-			tr  *memtrace.Trace
-			err error
-		)
-		if spec.TraceFormat == FormatJTR1 {
-			tr, err = memtrace.ReadTrace(r)
-		} else {
-			tr, err = memtrace.ReadDinero(r)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return tr, nil, nil
-	}
-
-	var (
-		src    memtrace.Source
-		errFn  func() error
-		degrFn func() memtrace.Degradation
-	)
+func decodeUpload(spec *Spec) (*memtrace.Trace, memtrace.Degradation, error) {
+	format := memtrace.Din
 	if spec.TraceFormat == FormatJTR1 {
-		// Lenient decode tolerates record-level damage; a damaged JTR1
-		// header is rejected before any record exists to salvage.
-		jr, err := memtrace.NewReader(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		jr.Lenient(spec.MaxDrops)
-		src, errFn, degrFn = jr, jr.Err, jr.Degradation
-	} else {
-		dr := memtrace.NewDineroReader(r).Lenient(spec.MaxDrops)
-		src, errFn, degrFn = dr, dr.Err, dr.Degradation
+		format = memtrace.JTR
 	}
-	tr := memtrace.NewTrace(0)
-	memtrace.Each(src, tr.Append)
-	if err := errFn(); err != nil {
-		return nil, nil, err
+	// A damaged JTR1 header fails here even in lenient mode: no record
+	// exists yet to salvage.
+	dec, err := memtrace.NewDecoder(bytes.NewReader(spec.TraceData), format)
+	if err != nil {
+		return nil, memtrace.Degradation{}, err
 	}
-	degr := degrFn()
-	return tr, &degr, nil
+	if spec.Lenient {
+		dec.Lenient(spec.MaxDrops)
+	}
+	// A JTR1 record takes 8 bytes, a din line about as many.
+	tr := memtrace.NewTrace(len(spec.TraceData) / 8)
+	memtrace.Drain(dec, tr)
+	if err := dec.Err(); err != nil {
+		return nil, memtrace.Degradation{}, err
+	}
+	return tr, dec.Degradation(), nil
 }

@@ -2,12 +2,11 @@ package memtrace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
-
-	"jouppi/internal/telemetry"
 )
 
 // Dinero "din" text trace format interoperability. The classic dineroIII
@@ -73,7 +72,7 @@ const maxDinLine = 1 << 20
 // at most this many records.
 const telFlushEvery = 4096
 
-// DineroReader is a streaming Source over din-format text. Blank lines
+// DineroReader is a streaming Decoder over din-format text. Blank lines
 // are skipped; trailing fields after the address are ignored. In strict
 // mode (the default) a malformed line terminates the stream with an error
 // reported by Err, including the line number; in lenient mode (see
@@ -88,35 +87,13 @@ type DineroReader struct {
 	br      *bufio.Reader
 	lineBuf []byte // reusable spill for lines straddling a buffer refill
 	lineNo  int
-	err     error
-	done    bool
-	len     lenient
-
-	telDecoded telemetry.LocalCounter // live decoded-record counter, see Instrument
+	decodeState
 }
 
 // NewDineroReader returns a streaming reader over din records in r.
 func NewDineroReader(r io.Reader) *DineroReader {
 	return &DineroReader{br: bufio.NewReaderSize(r, 1<<16)}
 }
-
-// Lenient switches the reader to count-and-skip mode: malformed lines are
-// recorded in the Degradation report and skipped instead of terminating
-// the stream. maxDrops caps how much damage is tolerated (0 = unlimited);
-// exceeding the cap fails the stream like strict mode would. It returns
-// dr for chaining and must be called before the first Next.
-func (dr *DineroReader) Lenient(maxDrops uint64) *DineroReader {
-	dr.len.enabled = true
-	dr.len.maxDrops = maxDrops
-	return dr
-}
-
-// Degradation returns the report of records skipped in lenient mode.
-func (dr *DineroReader) Degradation() Degradation { return dr.len.report }
-
-// Err returns the error that terminated the stream, or nil after a clean
-// end of input.
-func (dr *DineroReader) Err() error { return dr.err }
 
 // dinLineFault classifies one malformed line: reason is the stable fault
 // class used in Degradation.Reasons, detail the human-readable message.
@@ -286,8 +263,7 @@ func (dr *DineroReader) Next() (Access, bool) {
 	for {
 		line, tooLong, eof, err := dr.readLine()
 		if err != nil {
-			dr.telDecoded.Flush()
-			dr.err = fmt.Errorf("memtrace: reading din trace: %w", err)
+			dr.fail(fmt.Errorf("memtrace: reading din trace: %w", err))
 			return Access{}, false
 		}
 		if eof {
@@ -295,18 +271,10 @@ func (dr *DineroReader) Next() (Access, bool) {
 		}
 		dr.lineNo++
 		if tooLong {
-			reason := "line-too-long"
 			detail := fmt.Sprintf("memtrace: din line %d: line exceeds %d bytes", dr.lineNo, maxDinLine)
-			if dr.len.enabled {
-				if err := dr.len.drop(reason, detail); err != nil {
-					dr.telDecoded.Flush()
-					dr.err = err
-					return Access{}, false
-				}
+			if dr.malformed("line-too-long", detail, errors.New(detail)) {
 				continue
 			}
-			dr.telDecoded.Flush()
-			dr.err = fmt.Errorf("%s", detail)
 			return Access{}, false
 		}
 		a, blank, ok := parseDinLine(line)
@@ -326,16 +294,9 @@ func (dr *DineroReader) Next() (Access, bool) {
 				dr.countDecoded()
 				return a2, true
 			}
-			if dr.len.enabled {
-				if err := dr.len.drop(reason, detail); err != nil {
-					dr.telDecoded.Flush()
-					dr.err = err
-					return Access{}, false
-				}
+			if dr.malformed(reason, detail, errors.New(detail)) {
 				continue
 			}
-			dr.telDecoded.Flush()
-			dr.err = fmt.Errorf("%s", detail)
 			return Access{}, false
 		}
 		dr.countDecoded()
@@ -369,8 +330,6 @@ func (dr *DineroReader) NextChunk(dst []Access) int {
 	}
 	return n
 }
-
-var _ ChunkSource = (*DineroReader)(nil)
 
 // ReadDinero reads a complete din-format trace from r, materializing it in
 // memory. For large files prefer NewDineroReader, which streams.

@@ -115,7 +115,8 @@ func TestDineroLenientLineTooLong(t *testing.T) {
 	}
 	in.WriteString("\n2 3000\n")
 
-	dr := NewDineroReader(strings.NewReader(in.String())).Lenient(0)
+	dr := NewDineroReader(strings.NewReader(in.String()))
+	dr.Lenient(0)
 	var got []Access
 	Each(dr, func(a Access) { got = append(got, a) })
 	if err := dr.Err(); err != nil {

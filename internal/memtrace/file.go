@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"jouppi/internal/telemetry"
 )
 
 // Binary trace file format ("JTR1"):
@@ -55,7 +53,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Reader is a streaming Source over the binary trace format. It decodes
+// Reader is a streaming Decoder over the binary trace format. It decodes
 // records in buffered chunks, so replay memory stays O(1) in trace length
 // — multi-gigabyte trace files never need to fit in memory. Check Err
 // after Next reports false: a clean end of trace leaves it nil.
@@ -63,13 +61,9 @@ type Reader struct {
 	br    *bufio.Reader
 	buf   []byte // undecoded tail of the current chunk
 	chunk [8 << 10]byte
-	read  uint64 // records delivered so far
+	read  uint64 // records delivered or dropped so far
 	count uint64 // records the header promised
-	err   error
-	done  bool
-	len   lenient
-
-	telDecoded telemetry.LocalCounter // live decoded-record counter, see Instrument
+	decodeState
 }
 
 // NewReader parses the header and returns a streaming reader positioned at
@@ -95,24 +89,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Count returns the record count promised by the file header.
 func (r *Reader) Count() uint64 { return r.count }
 
-// Err returns the error that terminated the stream, or nil after a clean
-// end of trace.
-func (r *Reader) Err() error { return r.err }
-
-// Lenient switches the reader to count-and-skip mode: records with an
-// invalid kind are recorded in the Degradation report and skipped, and a
-// truncated tail ends the stream cleanly (noted in the report) instead of
-// failing it. maxDrops caps how much damage is tolerated (0 = unlimited).
-// It returns r for chaining and must be called before the first Next.
-func (r *Reader) Lenient(maxDrops uint64) *Reader {
-	r.len.enabled = true
-	r.len.maxDrops = maxDrops
-	return r
-}
-
-// Degradation returns the report of records skipped in lenient mode.
-func (r *Reader) Degradation() Degradation { return r.len.report }
-
 // Next implements Source. It returns ok == false at the end of the trace
 // or on a decoding error (reported by Err).
 func (r *Reader) Next() (Access, bool) {
@@ -133,18 +109,13 @@ func (r *Reader) Next() (Access, bool) {
 			n := copy(r.chunk[:], r.buf)
 			m, err := io.ReadAtLeast(r.br, r.chunk[n:want], 8-n)
 			if err != nil {
-				if r.len.enabled {
-					// A truncated tail is the classic interrupted-copy
-					// fault: salvage everything before it and end the
-					// stream cleanly, noting the loss.
-					r.done = true
-					if derr := r.len.drop("truncated-tail",
-						fmt.Sprintf("trace truncated at record %d of %d", r.read, r.count)); derr != nil {
-						r.err = derr
-					}
-					return Access{}, false
-				}
-				r.err = fmt.Errorf("%w: truncated at record %d: %v", ErrBadFormat, r.read, err)
+				// A truncated tail is the classic interrupted-copy
+				// fault: lenient mode salvages everything before it and
+				// ends the stream cleanly, noting the loss.
+				r.done = true
+				r.malformed("truncated-tail",
+					fmt.Sprintf("trace truncated at record %d of %d", r.read, r.count),
+					fmt.Errorf("%w: truncated at record %d: %v", ErrBadFormat, r.read, err))
 				return Access{}, false
 			}
 			r.buf = r.chunk[:n+m]
@@ -152,22 +123,14 @@ func (r *Reader) Next() (Access, bool) {
 		rec := record(binary.LittleEndian.Uint64(r.buf[:8]))
 		r.buf = r.buf[8:]
 		a := rec.unpack()
+		r.read++
 		if a.Kind >= numKinds {
-			if r.len.enabled {
-				r.read++
-				if err := r.len.drop("invalid-kind",
-					fmt.Sprintf("record %d has invalid kind %d", r.read-1, a.Kind)); err != nil {
-					r.err = err
-					r.telDecoded.Flush()
-					return Access{}, false
-				}
+			detail := fmt.Sprintf("record %d has invalid kind %d", r.read-1, a.Kind)
+			if r.malformed("invalid-kind", detail, fmt.Errorf("%w: %s", ErrBadFormat, detail)) {
 				continue
 			}
-			r.err = fmt.Errorf("%w: record %d has invalid kind %d", ErrBadFormat, r.read, a.Kind)
-			r.telDecoded.Flush()
 			return Access{}, false
 		}
-		r.read++
 		r.telDecoded.Inc()
 		return a, true
 	}
@@ -187,8 +150,6 @@ func (r *Reader) NextChunk(dst []Access) int {
 	}
 	return n
 }
-
-var _ ChunkSource = (*Reader)(nil)
 
 // ReadTrace reads a complete trace in the binary trace format from r,
 // materializing it in memory. For large files prefer NewReader, which

@@ -5,6 +5,9 @@ package memtrace_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"jouppi/internal/faultinject"
@@ -107,9 +110,13 @@ func FuzzReadDinero(f *testing.F) {
 	})
 }
 
-// FuzzLenientReaders checks the count-and-skip decode paths: with an
-// unlimited drop budget a lenient reader must never panic, never error on
-// record-level damage, and keep its degradation report consistent.
+// FuzzLenientReaders checks both formats through NewDecoder. On any
+// input, lenient decoding with an unlimited budget never fails and keeps
+// its report consistent: Dropped is the sum of Reasons, and a drop names
+// its first fault. Input that strict decoding accepts, lenient decoding
+// delivers as the same records with nothing dropped. And NextChunk
+// delivers exactly what Next does, with the same error and report, in
+// strict and lenient mode alike.
 func FuzzLenientReaders(f *testing.F) {
 	valid := validJTR()
 	f.Add(valid)
@@ -118,32 +125,81 @@ func FuzzLenientReaders(f *testing.F) {
 	addFaultSeeds(f, []byte("0 1000\n1 2000\n2 3000\n0 4000\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(name string, src memtrace.Source, errFn func() error, degrFn func() memtrace.Degradation) {
-			delivered := 0
-			memtrace.Each(src, func(memtrace.Access) { delivered++ })
-			if err := errFn(); err != nil {
-				t.Fatalf("%s: lenient reader with unlimited budget errored: %v", name, err)
+		for _, format := range []memtrace.Format{memtrace.JTR, memtrace.Din} {
+			strict, sdec := decodeAll(data, format, false, false)
+			if sdec == nil {
+				// A damaged binary header is rejected before any record
+				// exists, so lenient mode never sees it either.
+				continue
 			}
-			d := degrFn()
+			lenient, ldec := decodeAll(data, format, true, false)
+			if err := ldec.Err(); err != nil {
+				t.Fatalf("%v: lenient decode with unlimited budget failed: %v", format, err)
+			}
+			d := ldec.Degradation()
 			var sum uint64
 			for _, n := range d.Reasons {
 				sum += n
 			}
 			if d.Dropped != sum {
-				t.Fatalf("%s: Dropped = %d but reasons sum to %d", name, d.Dropped, sum)
+				t.Fatalf("%v: Dropped = %d but reasons sum to %d", format, d.Dropped, sum)
 			}
 			if d.Degraded() && d.First == "" {
-				t.Fatalf("%s: drops recorded but no first-diagnostic", name)
+				t.Fatalf("%v: drops recorded but no first diagnostic", format)
+			}
+			if sdec.Err() == nil {
+				if d.Degraded() {
+					t.Fatalf("%v: strict decode accepted what lenient decode dropped: %v", format, d)
+				}
+				if !slices.Equal(lenient, strict) {
+					t.Fatalf("%v: lenient decode delivered %d records, strict %d", format, len(lenient), len(strict))
+				}
+			}
+
+			for _, want := range []struct {
+				lenient bool
+				recs    []memtrace.Access
+				dec     memtrace.Decoder
+			}{{false, strict, sdec}, {true, lenient, ldec}} {
+				got, gdec := decodeAll(data, format, want.lenient, true)
+				if !slices.Equal(got, want.recs) {
+					t.Fatalf("%v lenient=%t: NextChunk delivered %d records, Next %d",
+						format, want.lenient, len(got), len(want.recs))
+				}
+				if g, w := fmt.Sprint(gdec.Err()), fmt.Sprint(want.dec.Err()); g != w {
+					t.Fatalf("%v lenient=%t: NextChunk ended with %s, Next with %s", format, want.lenient, g, w)
+				}
+				if !reflect.DeepEqual(gdec.Degradation(), want.dec.Degradation()) {
+					t.Fatalf("%v lenient=%t: NextChunk reported %v, Next %v",
+						format, want.lenient, gdec.Degradation(), want.dec.Degradation())
+				}
 			}
 		}
-
-		// The binary reader rejects damaged headers before lenient decode
-		// begins; only a successfully-opened stream exercises it.
-		if r, err := memtrace.NewReader(bytes.NewReader(data)); err == nil {
-			r.Lenient(0)
-			check("jtr", r, r.Err, r.Degradation)
-		}
-		dr := memtrace.NewDineroReader(bytes.NewReader(data)).Lenient(0)
-		check("din", dr, dr.Err, dr.Degradation)
 	})
+}
+
+// decodeAll decodes data in format, strictly or leniently with an
+// unlimited budget, through Next or through NextChunk in chunks of three.
+// It returns a nil Decoder when the input cannot be opened.
+func decodeAll(data []byte, format memtrace.Format, lenient, chunked bool) ([]memtrace.Access, memtrace.Decoder) {
+	dec, err := memtrace.NewDecoder(bytes.NewReader(data), format)
+	if err != nil {
+		return nil, nil
+	}
+	if lenient {
+		dec.Lenient(0)
+	}
+	var recs []memtrace.Access
+	if !chunked {
+		memtrace.Each(dec, func(a memtrace.Access) { recs = append(recs, a) })
+		return recs, dec
+	}
+	var buf [3]memtrace.Access
+	for {
+		n := dec.NextChunk(buf[:])
+		recs = append(recs, buf[:n]...)
+		if n < len(buf) {
+			return recs, dec
+		}
+	}
 }

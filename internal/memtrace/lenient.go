@@ -63,23 +63,19 @@ func (d *Degradation) record(reason, detail string) {
 	}
 }
 
-// lenient carries the shared count-and-skip state of the file readers.
-type lenient struct {
-	enabled    bool
-	maxDrops   uint64 // 0 = unlimited
-	report     Degradation
-	telDropped *telemetry.Counter // live drop counter (nil-safe), see Instrument
-}
-
-// drop records one malformed record. It returns an error once the drop
-// cap is exceeded — past that point the input is judged too damaged to
-// trust and the stream fails like strict mode would.
-func (l *lenient) drop(reason, detail string) error {
-	l.report.record(reason, detail)
-	l.telDropped.Inc()
-	if l.maxDrops > 0 && l.report.Dropped > l.maxDrops {
-		return fmt.Errorf("memtrace: %d malformed records exceed the lenient cap of %d (%s)",
-			l.report.Dropped, l.maxDrops, l.report.String())
+// PublishDegradation folds a finished Degradation report's per-reason
+// drop counts into reg as memtrace_dropped_reason_<reason>_total
+// counters (reason names sanitized for the exposition format). Call it
+// once, after the replay that produced d has ended; calling it again
+// with the same report would double-count. A nil registry is a no-op.
+func PublishDegradation(reg *telemetry.Registry, d Degradation) {
+	if reg == nil {
+		return
 	}
-	return nil
+	for reason, n := range d.Reasons {
+		reg.Counter(
+			"memtrace_dropped_reason_"+telemetry.SanitizeName(reason)+"_total",
+			"trace records dropped in lenient mode, reason: "+reason,
+		).Add(n)
+	}
 }

@@ -40,7 +40,8 @@ func TestDineroLenientVsStrictPerFaultClass(t *testing.T) {
 				t.Fatalf("strict mode delivered %d records before failing, want 1", len(got))
 			}
 
-			lenientR := NewDineroReader(strings.NewReader(in)).Lenient(0)
+			lenientR := NewDineroReader(strings.NewReader(in))
+			lenientR.Lenient(0)
 			got = collect(lenientR)
 			if err := lenientR.Err(); err != nil {
 				t.Fatalf("lenient mode failed: %v", err)
@@ -65,7 +66,8 @@ func TestDineroLenientCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sb.WriteString("bogus line\n")
 	}
-	dr := NewDineroReader(strings.NewReader(sb.String())).Lenient(3)
+	dr := NewDineroReader(strings.NewReader(sb.String()))
+	dr.Lenient(3)
 	got := collect(dr)
 	if len(got) != 0 {
 		t.Fatalf("delivered %d records from pure garbage", len(got))

@@ -2,7 +2,6 @@ package memtrace
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -36,84 +35,6 @@ func TestNilSourceSinkGuards(t *testing.T) {
 	mustPanicWith(t, ErrNilSink, func() { Drain(tr.Source(), nil) })
 	mustPanicWith(t, ErrNilSource, func() { NewCountingSource(nil) })
 
-	if err := EachContext(context.Background(), nil, func(Access) {}); !errors.Is(err, ErrNilSource) {
-		t.Errorf("EachContext(nil src) = %v, want ErrNilSource", err)
-	}
-	if err := DrainContext(context.Background(), nil, tr); !errors.Is(err, ErrNilSource) {
-		t.Errorf("DrainContext(nil src) = %v, want ErrNilSource", err)
-	}
-	if err := DrainContext(context.Background(), tr.Source(), nil); !errors.Is(err, ErrNilSink) {
-		t.Errorf("DrainContext(nil sink) = %v, want ErrNilSink", err)
-	}
-}
-
-func TestEachContextCompletes(t *testing.T) {
-	tr := NewTrace(0)
-	for i := 0; i < 100; i++ {
-		tr.Append(Access{Addr: Addr(i), Kind: Load})
-	}
-	n := 0
-	if err := EachContext(context.Background(), tr.Source(), func(Access) { n++ }); err != nil {
-		t.Fatalf("EachContext: %v", err)
-	}
-	if n != 100 {
-		t.Errorf("visited %d accesses, want 100", n)
-	}
-}
-
-func TestEachContextCancelled(t *testing.T) {
-	// Far more records than one cancellation-poll interval, so a cancelled
-	// context must cut the replay well short of the end.
-	tr := NewTrace(0)
-	for i := 0; i < 10*cancelCheckEvery; i++ {
-		tr.Append(Access{Addr: Addr(i), Kind: Load})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	n := 0
-	err := EachContext(ctx, tr.Source(), func(Access) { n++ })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n != 0 {
-		t.Errorf("pre-cancelled context still replayed %d accesses", n)
-	}
-}
-
-func TestEachContextCancelledMidStream(t *testing.T) {
-	tr := NewTrace(0)
-	total := 10 * cancelCheckEvery
-	for i := 0; i < total; i++ {
-		tr.Append(Access{Addr: Addr(i), Kind: Load})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	err := EachContext(ctx, tr.Source(), func(Access) {
-		n++
-		if n == cancelCheckEvery/2 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n >= total {
-		t.Errorf("cancellation did not stop the replay early (visited all %d)", n)
-	}
-}
-
-func TestDrainContextRoundTrip(t *testing.T) {
-	tr := NewTrace(0)
-	for i := 0; i < 10; i++ {
-		tr.Append(Access{Addr: Addr(0x100 * i), Kind: Store})
-	}
-	out := NewTrace(0)
-	if err := DrainContext(context.Background(), tr.Source(), out); err != nil {
-		t.Fatalf("DrainContext: %v", err)
-	}
-	if out.Len() != tr.Len() {
-		t.Errorf("drained %d records, want %d", out.Len(), tr.Len())
-	}
 }
 
 func TestDegradationString(t *testing.T) {

@@ -1,16 +1,12 @@
 package memtrace
 
-import (
-	"context"
-	"errors"
-)
+import "errors"
 
 // ErrNilSource and ErrNilSink report a streaming call handed a nil
-// endpoint. The non-context helpers (Each, Drain, NewCountingSource)
-// panic with these values so the failure names the actual mistake
-// instead of surfacing as an anonymous nil-pointer dereference deep in a
-// drain loop; EachContext and DrainContext return them as ordinary
-// errors.
+// endpoint. Each, Drain and NewCountingSource panic with these values so
+// the failure names the actual mistake instead of surfacing as an
+// anonymous nil-pointer dereference deep in a drain loop; the fan-out
+// engine returns ErrNilSource as an ordinary error.
 var (
 	ErrNilSource = errors.New("memtrace: nil Source")
 	ErrNilSink   = errors.New("memtrace: nil Sink")
@@ -72,34 +68,6 @@ func Each(src Source, fn func(Access)) {
 	}
 }
 
-// cancelCheckEvery is how many accesses flow between context polls in the
-// context-aware drain loops: coarse enough that the poll is free against
-// the per-access simulation work, fine enough that cancelling a replay
-// takes effect within microseconds.
-const cancelCheckEvery = 8192
-
-// EachContext is Each with cooperative cancellation: it polls ctx every
-// cancelCheckEvery accesses and stops early with ctx's error once the
-// context is done. A clean end of stream returns nil; nil arguments
-// return ErrNilSource.
-func EachContext(ctx context.Context, src Source, fn func(Access)) error {
-	if src == nil {
-		return ErrNilSource
-	}
-	for n := uint(0); ; n++ {
-		if n%cancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		a, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		fn(a)
-	}
-}
-
 // Drain pulls src dry, pushing every access into sink. It bridges the
 // pull-based Source world into the push-based Sink world (trace writers,
 // in-memory traces). A nil src or sink panics with ErrNilSource or
@@ -118,19 +86,6 @@ func Drain(src Source, sink Sink) {
 		}
 		sink.Access(a)
 	}
-}
-
-// DrainContext is Drain with cooperative cancellation, polling ctx the
-// same way EachContext does. Nil arguments return ErrNilSource or
-// ErrNilSink.
-func DrainContext(ctx context.Context, src Source, sink Sink) error {
-	if src == nil {
-		return ErrNilSource
-	}
-	if sink == nil {
-		return ErrNilSink
-	}
-	return EachContext(ctx, src, sink.Access)
 }
 
 // Cursor is a Source iterating over an in-memory Trace. The trace must not

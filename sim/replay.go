@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -17,14 +16,7 @@ import (
 
 // ErrUnknownFormat is returned, wrapped with the rejected name, for a
 // trace format other than "jtr" (compact binary) or "din" (dinero text).
-var ErrUnknownFormat = errors.New("sim: unknown trace format (want jtr or din)")
-
-func checkFormat(format string) error {
-	if format != "jtr" && format != "din" {
-		return fmt.Errorf("%w: %q", ErrUnknownFormat, format)
-	}
-	return nil
-}
+var ErrUnknownFormat = memtrace.ErrUnknownFormat
 
 // Source is a stream of memory references for Replay: a generated
 // benchmark (Benchmark), a trace file (OpenTrace) or a decoded stream
@@ -63,26 +55,20 @@ func Benchmark(name string, scale float64) (*Source, error) {
 // is decoded in buffered chunks as Replay pulls it, so replay memory is
 // O(1) in file size. The source is single-pass; Close it when done.
 func OpenTrace(path, format string) (*Source, error) {
-	if err := checkFormat(format); err != nil {
+	tf, err := memtrace.ParseFormat(format)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	src := &Source{attrs: []trace.Attr{trace.String("trace", path)}, closer: f}
-	if format == "din" {
-		dr := memtrace.NewDineroReader(f)
-		src.stream, src.err = dr, dr.Err
-		return src, nil
-	}
-	r, err := memtrace.NewReader(f)
+	dec, err := memtrace.NewDecoder(f, tf)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	src.stream, src.err = r, r.Err
-	return src, nil
+	return &Source{attrs: []trace.Attr{trace.String("trace", path)}, stream: dec, err: dec.Err, closer: f}, nil
 }
 
 // Stream wraps an already-decoded single-pass stream as a Source; attrs

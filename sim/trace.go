@@ -70,7 +70,8 @@ func WriteTraceFile(name string, scale float64, path, format string) (uint64, er
 	if err != nil {
 		return 0, err
 	}
-	if err := checkFormat(format); err != nil {
+	tf, err := memtrace.ParseFormat(format)
+	if err != nil {
 		return 0, err
 	}
 	f, err := os.Create(path)
@@ -83,7 +84,7 @@ func WriteTraceFile(name string, scale float64, path, format string) (uint64, er
 		Close() error
 		Count() uint64
 	}
-	if format == "din" {
+	if tf == memtrace.Din {
 		w = memtrace.NewDineroWriter(f)
 	} else if w, err = memtrace.NewStreamWriter(f); err != nil {
 		return 0, err
