@@ -54,6 +54,8 @@ func TestGoldenStdout(t *testing.T) {
 		{"instr-stream", []string{"-trace", jtr, "-side", "instr", "-ways", "4", "-depth", "2", "-quasi"}},
 		{"lenient-din", []string{"-trace", corrupt, "-format", "din", "-side", "instr", "-lenient"}},
 		{"lenient-din-fanout", []string{"-trace", corrupt, "-format", "din", "-side", "all", "-lenient", "-fanout", ";victim=4"}},
+		{"instr-sweep", []string{"-trace", jtr, "-side", "instr", "-fanout", sweepSpec}},
+		{"lenient-din-data-fanout", []string{"-trace", corrupt, "-format", "din", "-side", "data", "-lenient", "-fanout", ";victim=4"}},
 		{"lenient-jtr-clean", []string{"-trace", jtr, "-side", "data", "-lenient", "-victim", "1"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
