@@ -62,14 +62,14 @@ func frontEnd(cfg, base sim.Config) (*core.Level, error) {
 	return core.NewLevel(l1, hc.DAugment, nil, hc.Timing)
 }
 
-// levelConsumer replays the kept references of each chunk into one front
-// end. cl, when set, classifies the plain cache's misses; tel, when set,
-// publishes the level's counters after every chunk.
+// levelConsumer replays every reference of each chunk into one front
+// end; the side was picked out before the chunk was filled. cl, when
+// set, classifies the plain cache's misses; tel, when set, publishes the
+// level's counters after every chunk.
 type levelConsumer struct {
-	fe   *core.Level
-	keep func(memtrace.Access) bool
-	cl   *classify.Classifier
-	tel  *core.Counters
+	fe  *core.Level
+	cl  *classify.Classifier
+	tel *core.Counters
 }
 
 // Consume replays one chunk. The classifying loop is kept apart, so the
@@ -78,16 +78,12 @@ type levelConsumer struct {
 func (c *levelConsumer) Consume(chunk []memtrace.Access) {
 	if c.cl == nil {
 		for _, a := range chunk {
-			if c.keep(a) {
-				c.fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-			}
+			c.fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
 		}
 	} else {
 		for _, a := range chunk {
-			if c.keep(a) {
-				r := c.fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-				c.cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
-			}
+			r := c.fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+			c.cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
 		}
 	}
 	if c.tel != nil {

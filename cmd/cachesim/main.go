@@ -101,12 +101,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cachesim: -format must be jtr or din")
 		return 2
 	}
-	keep := func(a memtrace.Access) bool { return true }
+	var side []memtrace.Kind // nil: every reference
 	switch *sideStr {
 	case "instr":
-		keep = func(a memtrace.Access) bool { return a.Kind == memtrace.Ifetch }
+		side = []memtrace.Kind{memtrace.Ifetch}
 	case "data":
-		keep = func(a memtrace.Access) bool { return a.Kind.IsData() }
+		side = []memtrace.Kind{memtrace.Load, memtrace.Store}
 	case "all":
 	default:
 		fmt.Fprintln(stderr, "cachesim: -side must be instr, data, or all")
@@ -143,13 +143,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cachesim: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", srv.Addr())
 	}
 
-	// Every configuration replays the kept references in one pass. The
+	// Every configuration replays the side's references in one pass. The
 	// first also carries the -classify classifier, the introspection
 	// probe and the live replay counters; -fanout allows none of them.
 	fe := fes[0]
 	l1 := fe.Cache()
 	l1cfg := l1.Config()
-	first := &levelConsumer{fe: fe, keep: keep}
+	first := &levelConsumer{fe: fe}
 	if *classify3 {
 		first.cl = classify.MustNew(l1cfg.Size, l1cfg.LineSize)
 	}
@@ -179,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	consumers := []fanout.Consumer{first}
 	for _, other := range fes[1:] {
-		consumers = append(consumers, &levelConsumer{fe: other, keep: keep})
+		consumers = append(consumers, &levelConsumer{fe: other})
 	}
 
 	// The trace streams through the simulator in buffered chunks — it is
@@ -208,9 +208,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prog.Start(200 * time.Millisecond)
 		defer prog.Stop()
 	}
+	// The side is picked out once, before the fan-out, so no
+	// configuration tests a reference's kind.
+	var src memtrace.Source = dec
+	if side != nil {
+		src = memtrace.FilterKinds(dec, side...)
+	}
 	eng := fanout.New(fanout.Config{})
 	eng.AttachTelemetry(reg)
-	err = eng.Replay(context.Background(), dec, consumers...)
+	err = eng.Replay(context.Background(), src, consumers...)
 	if err == nil {
 		err = dec.Err()
 	}

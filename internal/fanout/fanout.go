@@ -1,7 +1,9 @@
 // Package fanout implements single-pass trace replay across many
 // consumers: one producer pulls chunks from a memtrace.Source and
-// broadcasts each chunk to N independently-configured consumers running
-// on their own goroutines.
+// delivers each chunk to N independently-configured consumers. With two
+// or more Ps each consumer runs on its own goroutine and the chunks are
+// broadcast to it; with one P, or one consumer, the caller's goroutine
+// hands each chunk to the consumers in turn.
 //
 // The classic trace-driven-simulation observation (Mattson et al., and
 // the sweep shapes in Jouppi's figures) is that producing or decoding the
@@ -164,7 +166,9 @@ func (e *Engine) lagGauge(i int) *telemetry.Gauge {
 // order, to every consumer. It returns ctx's error if the context is
 // cancelled mid-stream (consumers may then have seen a prefix of the
 // trace), and re-panics a *ConsumerPanic if any consumer panics. With a
-// single consumer the replay runs inline on the caller's goroutine.
+// single consumer, or a single P to run goroutines on, the replay runs
+// inline on the caller's goroutine; otherwise each consumer runs on its
+// own goroutine.
 func (e *Engine) Replay(ctx context.Context, src memtrace.Source, consumers ...Consumer) error {
 	if src == nil {
 		return memtrace.ErrNilSource
@@ -180,8 +184,8 @@ func (e *Engine) Replay(ctx context.Context, src memtrace.Source, consumers ...C
 	if len(consumers) == 0 {
 		return nil
 	}
-	if len(consumers) == 1 {
-		return e.replayInline(ctx, src, consumers[0])
+	if len(consumers) == 1 || runtime.GOMAXPROCS(0) == 1 {
+		return e.replayInline(ctx, src, consumers)
 	}
 	return e.replayFanout(ctx, src, consumers)
 }
@@ -197,11 +201,21 @@ func chunkFiller(src memtrace.Source) func(dst []memtrace.Access) int {
 	return func(dst []memtrace.Access) int { return memtrace.FillChunk(src, dst) }
 }
 
-// replayInline is the single-consumer fast path: no goroutines, no
-// channels, just one reused chunk buffer filled in bulk and delivered
-// with periodic cancellation polls.
-func (e *Engine) replayInline(ctx context.Context, src memtrace.Source, c Consumer) error {
+// replayInline is the path with no goroutines and no channels: one
+// reused chunk buffer, filled in bulk and handed to each consumer in
+// turn, with a cancellation poll per chunk. It keeps the broadcast
+// path's contracts: one consumer span each, a panic relayed as a
+// *ConsumerPanic naming its consumer (every consumer then holds a prefix
+// of the stream), and a lag gauge per slot, which reads 0 because no
+// consumer ever falls behind.
+func (e *Engine) replayInline(ctx context.Context, src memtrace.Source, consumers []Consumer) error {
 	cfg := e.cfg.withDefaults()
+	for i := range consumers {
+		_, csp := trace.Start(ctx, "consumer", trace.Int("consumer", i))
+		defer csp.End()
+		e.lagGauge(i).Set(0)
+	}
+	e.depth.Set(0)
 	fill := chunkFiller(src)
 	buf := make([]memtrace.Access, cfg.ChunkSize)
 	done := ctx.Done()
@@ -217,12 +231,30 @@ func (e *Engine) replayInline(ctx context.Context, src memtrace.Source, c Consum
 			default:
 			}
 		}
-		c.Consume(buf[:n])
+		if p := consumeEach(consumers, buf[:n]); p != nil {
+			panic(p)
+		}
 		e.countChunk(n)
 		if n < cfg.ChunkSize {
 			return nil // short fill: source exhausted
 		}
 	}
+}
+
+// consumeEach hands chunk to each consumer in turn. A panic stops the
+// round and comes back as a *ConsumerPanic naming the consumer, with the
+// stack it panicked on.
+func consumeEach(consumers []Consumer, chunk []memtrace.Access) (relayed *ConsumerPanic) {
+	i := 0
+	defer func() {
+		if v := recover(); v != nil {
+			relayed = &ConsumerPanic{Consumer: i, Val: v, Stack: stack()}
+		}
+	}()
+	for ; i < len(consumers); i++ {
+		consumers[i].Consume(chunk)
+	}
+	return nil
 }
 
 // sharedChunk is one pooled broadcast buffer. refs counts the consumers

@@ -172,13 +172,3 @@ type SinkFunc func(Access)
 
 // Access calls f(a).
 func (f SinkFunc) Access(a Access) { f(a) }
-
-// Filter returns a Sink that forwards only accesses for which keep returns
-// true.
-func Filter(dst Sink, keep func(Access) bool) Sink {
-	return SinkFunc(func(a Access) {
-		if keep(a) {
-			dst.Access(a)
-		}
-	})
-}

@@ -158,20 +158,6 @@ func TestTee(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	dst := NewTrace(0)
-	f := Filter(dst, func(a Access) bool { return a.Kind.IsData() })
-	f.Access(Access{0x100, Ifetch})
-	f.Access(Access{0x200, Load})
-	f.Access(Access{0x300, Store})
-	if dst.Len() != 2 {
-		t.Fatalf("filtered len = %d, want 2", dst.Len())
-	}
-	if dst.At(0).Kind != Load || dst.At(1).Kind != Store {
-		t.Errorf("filter kept wrong accesses: %v, %v", dst.At(0), dst.At(1))
-	}
-}
-
 func randomTrace(n int, seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := NewTrace(n)

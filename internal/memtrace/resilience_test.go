@@ -34,6 +34,7 @@ func TestNilSourceSinkGuards(t *testing.T) {
 	mustPanicWith(t, ErrNilSource, func() { Drain(nil, tr) })
 	mustPanicWith(t, ErrNilSink, func() { Drain(tr.Source(), nil) })
 	mustPanicWith(t, ErrNilSource, func() { NewCountingSource(nil) })
+	mustPanicWith(t, ErrNilSource, func() { FilterKinds(nil, Load) })
 
 }
 

@@ -127,6 +127,69 @@ func (c *Cursor) Remaining() int { return len(c.t.recs) - c.i }
 
 var _ ChunkSource = (*Cursor)(nil)
 
+// KindFilter is a ChunkSource over the accesses of a wrapped source whose
+// Kind is in a chosen set: one side of the trace, picked out once before
+// a replay fans it out, so no consumer tests a reference's kind. It reads
+// nothing but records, so the wrapped source's Err and Degradation are
+// read from that source as before.
+type KindFilter struct {
+	src  Source
+	fill func(dst []Access) int
+	// take is 1 for a kept kind and 0 otherwise. Indexed by the Kind's
+	// byte, it needs no bounds check, and any other kind is dropped.
+	take [256]uint8
+}
+
+// FilterKinds wraps src to deliver only the accesses of the given kinds.
+// A nil src panics with ErrNilSource.
+func FilterKinds(src Source, kinds ...Kind) *KindFilter {
+	if src == nil {
+		panic(ErrNilSource)
+	}
+	f := &KindFilter{src: src}
+	if cs, ok := src.(ChunkSource); ok {
+		f.fill = cs.NextChunk
+	} else {
+		f.fill = func(dst []Access) int { return FillChunk(src, dst) }
+	}
+	for _, k := range kinds {
+		f.take[k] = 1
+	}
+	return f
+}
+
+// Next implements Source.
+func (f *KindFilter) Next() (Access, bool) {
+	for {
+		a, ok := f.src.Next()
+		if !ok || f.take[a.Kind] == 1 {
+			return a, ok
+		}
+	}
+}
+
+// NextChunk implements ChunkSource. It fills dst from the wrapped source
+// and compacts the kept accesses to its front in place, without a branch
+// on the kind, refilling the rest until dst is full or the wrapped source
+// ends, so it fills short only at end of stream.
+func (f *KindFilter) NextChunk(dst []Access) int {
+	w := 0
+	for w < len(dst) {
+		want := len(dst) - w
+		n := f.fill(dst[w:])
+		for _, a := range dst[w : w+n] {
+			dst[w] = a
+			w += int(f.take[a.Kind])
+		}
+		if n < want {
+			break
+		}
+	}
+	return w
+}
+
+var _ ChunkSource = (*KindFilter)(nil)
+
 // Counts tallies accesses per kind as they stream past.
 type Counts struct {
 	counts [numKinds]uint64

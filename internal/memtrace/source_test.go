@@ -2,6 +2,9 @@ package memtrace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -189,5 +192,103 @@ func TestDineroReaderRejectsWideAddress(t *testing.T) {
 	Each(dr, func(Access) {})
 	if dr.Err() == nil {
 		t.Fatal("wide address not rejected")
+	}
+}
+
+// kindFilterDin is a din trace of n records of mixed kinds with a
+// malformed line after every 97th record.
+func kindFilterDin(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		// Labels 0, 1, 2 are load, store, ifetch; the label pattern has
+		// runs of each kind longer than the smallest chunk.
+		fmt.Fprintf(&sb, "%d %x\n", (i/5+i/3)%3, 0x1000+i*4)
+		if i%97 == 96 {
+			sb.WriteString("garbage line\n")
+		}
+	}
+	return sb.String()
+}
+
+// onlyNext hides a source's NextChunk, so FilterKinds takes its
+// per-record fallback.
+type onlyNext struct{ Source }
+
+// TestKindFilter pins the filter source against a filtering Next loop
+// over the same decoder: the same records through Next and through
+// NextChunk at several chunk sizes, a short fill only at end of stream,
+// and the wrapped decoder's Err and Degradation unchanged, in lenient
+// mode with drops and in strict mode, which fails at the first malformed
+// line.
+func TestKindFilter(t *testing.T) {
+	in := kindFilterDin(10000)
+	open := func(lenient bool) Decoder {
+		d, err := NewDecoder(strings.NewReader(in), Din)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lenient {
+			d.Lenient(0)
+		}
+		return d
+	}
+	sides := map[string][]Kind{
+		"instr": {Ifetch}, "data": {Load, Store}, "all": {Ifetch, Load, Store}, "none": nil,
+	}
+	for _, lenient := range []bool{true, false} {
+		for name, kinds := range sides {
+			label := fmt.Sprintf("lenient=%v/%s", lenient, name)
+			ref := open(lenient)
+			take := map[Kind]bool{}
+			for _, k := range kinds {
+				take[k] = true
+			}
+			var want []Access
+			Each(ref, func(a Access) {
+				if take[a.Kind] {
+					want = append(want, a)
+				}
+			})
+			same := func(how string, d Decoder, got []Access) {
+				t.Helper()
+				if !slices.Equal(got, want) {
+					t.Errorf("%s %s: %d records differ from the filtered Next loop's %d", label, how, len(got), len(want))
+				}
+				if fmt.Sprint(d.Err()) != fmt.Sprint(ref.Err()) {
+					t.Errorf("%s %s: Err = %v, want %v", label, how, d.Err(), ref.Err())
+				}
+				if !reflect.DeepEqual(d.Degradation(), ref.Degradation()) {
+					t.Errorf("%s %s: Degradation = %+v, want %+v", label, how, d.Degradation(), ref.Degradation())
+				}
+			}
+
+			d := open(lenient)
+			same("Next", d, collect(FilterKinds(d, kinds...)))
+			d = open(lenient)
+			f := FilterKinds(onlyNext{d}, kinds...)
+			same("fallback NextChunk", d, chunks(t, label, f, 7))
+			for _, size := range []int{1, 7, 4096} {
+				d := open(lenient)
+				same(fmt.Sprintf("NextChunk(%d)", size), d, chunks(t, label, FilterKinds(d, kinds...), size))
+			}
+		}
+	}
+}
+
+// chunks drains src through NextChunk with a buffer of size records,
+// failing the test if a fill short of size is not the end of the stream.
+func chunks(t *testing.T, label string, src ChunkSource, size int) []Access {
+	t.Helper()
+	var out []Access
+	buf := make([]Access, size)
+	for {
+		n := src.NextChunk(buf)
+		out = append(out, buf[:n]...)
+		if n < size {
+			if more := src.NextChunk(buf); more != 0 {
+				t.Errorf("%s: NextChunk(%d) filled %d short of the end; the next call gave %d more", label, size, n, more)
+			}
+			return out
+		}
 	}
 }
