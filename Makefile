@@ -19,8 +19,14 @@ vet:
 build:
 	$(GO) build ./...
 
+# test runs the suite under the race detector, then runs the fan-out
+# engine and its two replay callers again at -cpu 1. On one P the engine
+# hands each chunk to every consumer inline, and that is the path a
+# one-CPU host (and the benchmark's pinned cachesim) takes, so a
+# many-core runner must exercise it too.
 test:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1 ./internal/fanout ./sim ./cmd/cachesim
 
 # bench-check vets and tests the benchmark harness. bench/ is its own
 # module (it imports sim and internal packages through a replace

@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"jouppi/internal/core"
@@ -131,7 +132,11 @@ func BenchmarkFanoutReplay(b *testing.B) {
 // TestWriteBenchFanoutJSON measures both arms with testing.Benchmark and
 // writes the comparison — including the decode-once speedup — to the file
 // named by the BENCH_FANOUT_JSON environment variable (wired up as
-// `make bench-json`). Without the variable the test is skipped.
+// `make bench-json`). Without the variable the test is skipped. Both arms
+// are measured twice: at the host's GOMAXPROCS, where the engine
+// broadcasts to a goroutine per configuration, and at GOMAXPROCS 1, where
+// it runs every configuration inline and the speedup does not depend on
+// the host's core count.
 func TestWriteBenchFanoutJSON(t *testing.T) {
 	out := os.Getenv("BENCH_FANOUT_JSON")
 	if out == "" {
@@ -139,24 +144,19 @@ func TestWriteBenchFanoutJSON(t *testing.T) {
 	}
 	din, records := fanoutBenchTrace(t)
 	cfgs := fanoutBenchConfigs()
-	measure := func(replay func(testing.TB, []byte, []hierarchy.Config) []hierarchy.Results) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				replay(b, din, cfgs)
-			}
-		})
-	}
-	seq := measure(replaySequentialDinero)
-	fan := measure(replayFanoutDinero)
-
 	type entry struct {
 		NsPerOp     int64 `json:"ns_per_op"`
 		AllocsPerOp int64 `json:"allocs_per_op"`
 		BytesPerOp  int64 `json:"bytes_per_op"`
 		N           int   `json:"n"`
 	}
-	mk := func(r testing.BenchmarkResult) entry {
+	measure := func(replay func(testing.TB, []byte, []hierarchy.Config) []hierarchy.Results) entry {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				replay(b, din, cfgs)
+			}
+		})
 		return entry{
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
@@ -164,36 +164,50 @@ func TestWriteBenchFanoutJSON(t *testing.T) {
 			N:           r.N,
 		}
 	}
-	report := struct {
-		Benchmark  string  `json:"benchmark"`
-		Workload   string  `json:"workload"`
-		Scale      float64 `json:"scale"`
-		Format     string  `json:"trace_format"`
-		Records    int     `json:"trace_records"`
-		Configs    int     `json:"configurations"`
-		Sequential entry   `json:"decode_per_config"`
-		Fanout     entry   `json:"decode_once_fanout"`
-		Speedup    float64 `json:"speedup"`
-	}{
-		Benchmark:  "FanoutReplay",
-		Workload:   "ccom",
-		Scale:      benchScale,
-		Format:     "din",
-		Records:    records,
-		Configs:    len(cfgs),
-		Sequential: mk(seq),
-		Fanout:     mk(fan),
+	// measureAt measures both arms at procs Ps and returns them with the
+	// speedup of the fan-out arm over the per-configuration one.
+	measureAt := func(procs int) (seq, fan entry, speedup float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		seq, fan = measure(replaySequentialDinero), measure(replayFanoutDinero)
+		if fan.NsPerOp > 0 {
+			speedup = float64(seq.NsPerOp) / float64(fan.NsPerOp)
+		}
+		return seq, fan, speedup
 	}
-	if report.Fanout.NsPerOp > 0 {
-		report.Speedup = float64(report.Sequential.NsPerOp) / float64(report.Fanout.NsPerOp)
+
+	type report struct {
+		Benchmark      string    `json:"benchmark"`
+		Host           benchHost `json:"host"`
+		Workload       string    `json:"workload"`
+		Scale          float64   `json:"scale"`
+		Format         string    `json:"trace_format"`
+		Records        int       `json:"trace_records"`
+		Configs        int       `json:"configurations"`
+		Sequential     entry     `json:"decode_per_config"`
+		Fanout         entry     `json:"decode_once_fanout"`
+		Speedup        float64   `json:"speedup"`
+		Sequential1CPU entry     `json:"decode_per_config_1cpu"`
+		Fanout1CPU     entry     `json:"decode_once_fanout_1cpu"`
+		Speedup1CPU    float64   `json:"speedup_1cpu"`
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
+	r := report{
+		Benchmark: "FanoutReplay",
+		Host:      currentHost(),
+		Workload:  "ccom",
+		Scale:     benchScale,
+		Format:    "din",
+		Records:   records,
+		Configs:   len(cfgs),
+	}
+	r.Sequential, r.Fanout, r.Speedup = measureAt(r.Host.GOMAXPROCS)
+	r.Sequential1CPU, r.Fanout1CPU, r.Speedup1CPU = measureAt(1)
+	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: sequential %d ns/op, fanout %d ns/op, speedup %.2fx over %d configs",
-		out, report.Sequential.NsPerOp, report.Fanout.NsPerOp, report.Speedup, report.Configs)
+	t.Logf("wrote %s: sequential %d ns/op, fanout %d ns/op, speedup %.2fx at GOMAXPROCS %d, %.2fx at 1, over %d configs",
+		out, r.Sequential.NsPerOp, r.Fanout.NsPerOp, r.Speedup, r.Host.GOMAXPROCS, r.Speedup1CPU, r.Configs)
 }

@@ -3,6 +3,7 @@ package fanout
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"jouppi/internal/memtrace"
@@ -132,7 +133,9 @@ func TestReplayArgumentErrors(t *testing.T) {
 // TestReplayTelemetry checks the engine's metrics: chunk and record
 // counters, the consumer-count gauge, and per-consumer lag gauges all
 // registered with valid names; detaching returns every update to a no-op.
-func TestReplayTelemetry(t *testing.T) {
+func TestReplayTelemetry(t *testing.T) { bothPaths(t, testReplayTelemetry) }
+
+func testReplayTelemetry(t *testing.T) {
 	tr := randomTrace(2500)
 	reg := telemetry.NewRegistry()
 	eng := New(Config{ChunkSize: 1000, Ring: 2})
@@ -151,8 +154,13 @@ func TestReplayTelemetry(t *testing.T) {
 		t.Errorf("fanout_consumers = %v, want 2", got)
 	}
 	for _, name := range []string{"fanout_broadcast_depth", "fanout_consumer_lag_0", "fanout_consumer_lag_1"} {
-		if _, ok := snap[name]; !ok {
+		v, ok := snap[name]
+		if !ok {
 			t.Errorf("metric %s not registered; snapshot %v", name, snap)
+		}
+		// On one P the consumers run inline and never fall behind.
+		if runtime.GOMAXPROCS(0) == 1 && v != 0 {
+			t.Errorf("inline replay: %s = %v, want 0", name, v)
 		}
 	}
 

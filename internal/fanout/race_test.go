@@ -2,6 +2,8 @@ package fanout
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +15,20 @@ import (
 // whole suite with the detector on): mixed-speed consumers exercise the
 // backpressure path, cancellation exercises the producer's select, and a
 // panicking consumer exercises the relay and drain logic.
+
+// bothPaths runs test once per dispatch path whatever the host's core
+// count: at GOMAXPROCS 1, where Replay hands each chunk to the consumers
+// in turn on the caller's goroutine, and at GOMAXPROCS 2, where it
+// broadcasts to a goroutine per consumer. Every multi-consumer contract
+// must hold on both.
+func bothPaths(t *testing.T, test func(t *testing.T)) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			test(t)
+		})
+	}
+}
 
 // slowConsumer yields the scheduler on every chunk so faster consumers
 // race ahead to the ring bound.
@@ -29,7 +45,9 @@ func (s *slowConsumer) Consume(chunk []memtrace.Access) {
 // TestReplaySlowFastConsumers pins that backpressure (a slow consumer
 // pinned at the ring bound) never costs correctness: both consumers see
 // the identical full sequence.
-func TestReplaySlowFastConsumers(t *testing.T) {
+func TestReplaySlowFastConsumers(t *testing.T) { bothPaths(t, testReplaySlowFastConsumers) }
+
+func testReplaySlowFastConsumers(t *testing.T) {
 	tr := randomTrace(8192)
 	want := sequential(tr)
 	slow := &slowConsumer{delay: 100 * time.Microsecond}
@@ -61,7 +79,9 @@ func (c *cancelAfter) Consume(chunk []memtrace.Access) {
 // TestReplayCancellation cancels mid-stream from inside a consumer and
 // checks the producer stops promptly with ctx's error while the other
 // consumer exits cleanly having seen only a prefix.
-func TestReplayCancellation(t *testing.T) {
+func TestReplayCancellation(t *testing.T) { bothPaths(t, testReplayCancellation) }
+
+func testReplayCancellation(t *testing.T) {
 	tr := randomTrace(100000)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -116,7 +136,9 @@ func (p *panicky) Consume(chunk []memtrace.Access) {
 // and checks the contract: Replay re-panics a *ConsumerPanic naming the
 // culprit, the producer stops instead of deadlocking, and the surviving
 // consumers exit cleanly with a valid prefix of the stream.
-func TestReplayConsumerPanic(t *testing.T) {
+func TestReplayConsumerPanic(t *testing.T) { bothPaths(t, testReplayConsumerPanic) }
+
+func testReplayConsumerPanic(t *testing.T) {
 	tr := randomTrace(50000)
 	bad := &panicky{n: 2}
 	good1 := &collector{}

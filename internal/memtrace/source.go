@@ -133,8 +133,7 @@ var _ ChunkSource = (*Cursor)(nil)
 // nothing but records, so the wrapped source's Err and Degradation are
 // read from that source as before.
 type KindFilter struct {
-	src  Source
-	fill func(dst []Access) int
+	src ChunkSource
 	// take is 1 for a kept kind and 0 otherwise. Indexed by the Kind's
 	// byte, it needs no bounds check, and any other kind is dropped.
 	take [256]uint8
@@ -142,16 +141,11 @@ type KindFilter struct {
 
 // FilterKinds wraps src to deliver only the accesses of the given kinds.
 // A nil src panics with ErrNilSource.
-func FilterKinds(src Source, kinds ...Kind) *KindFilter {
+func FilterKinds(src ChunkSource, kinds ...Kind) *KindFilter {
 	if src == nil {
 		panic(ErrNilSource)
 	}
 	f := &KindFilter{src: src}
-	if cs, ok := src.(ChunkSource); ok {
-		f.fill = cs.NextChunk
-	} else {
-		f.fill = func(dst []Access) int { return FillChunk(src, dst) }
-	}
 	for _, k := range kinds {
 		f.take[k] = 1
 	}
@@ -176,7 +170,7 @@ func (f *KindFilter) NextChunk(dst []Access) int {
 	w := 0
 	for w < len(dst) {
 		want := len(dst) - w
-		n := f.fill(dst[w:])
+		n := f.src.NextChunk(dst[w:])
 		for _, a := range dst[w : w+n] {
 			dst[w] = a
 			w += int(f.take[a.Kind])

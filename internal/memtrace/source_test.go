@@ -210,10 +210,6 @@ func kindFilterDin(n int) string {
 	return sb.String()
 }
 
-// onlyNext hides a source's NextChunk, so FilterKinds takes its
-// per-record fallback.
-type onlyNext struct{ Source }
-
 // TestKindFilter pins the filter source against a filtering Next loop
 // over the same decoder: the same records through Next and through
 // NextChunk at several chunk sizes, a short fill only at end of stream,
@@ -264,9 +260,6 @@ func TestKindFilter(t *testing.T) {
 
 			d := open(lenient)
 			same("Next", d, collect(FilterKinds(d, kinds...)))
-			d = open(lenient)
-			f := FilterKinds(onlyNext{d}, kinds...)
-			same("fallback NextChunk", d, chunks(t, label, f, 7))
 			for _, size := range []int{1, 7, 4096} {
 				d := open(lenient)
 				same(fmt.Sprintf("NextChunk(%d)", size), d, chunks(t, label, FilterKinds(d, kinds...), size))

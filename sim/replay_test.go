@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -202,8 +204,18 @@ func TestReplayErrors(t *testing.T) {
 // fan-out replay returns the numbers of untraced replays, and leaves one
 // replay span naming its source and carrying the record count, with one
 // consumer span per system (under -race this is the fan-out
-// span-emission safety check).
+// span-emission safety check). It runs on both of the fan-out engine's
+// dispatch paths: inline at GOMAXPROCS 1, broadcast at 2.
 func TestTracedReplayBitIdentical(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testTracedReplayBitIdentical(t)
+		})
+	}
+}
+
+func testTracedReplayBitIdentical(t *testing.T) {
 	tr := trace.New(trace.Options{})
 	root := tr.Root("job", "spans", nil)
 	src, err := Benchmark("met", 0.02)
