@@ -64,15 +64,15 @@ func (f Func) Consume(chunk []memtrace.Access) {
 // Sink adapts a memtrace.Sink to a Consumer.
 func Sink(s memtrace.Sink) Consumer { return Func(s.Access) }
 
-// ConsumerPanic wraps a panic raised inside a consumer goroutine. The
-// engine records the first one, stops producing, lets the surviving
-// consumers drain their queued chunks, and then re-panics the wrapped
-// value on the caller's goroutine — the same relay contract as the
-// experiment runner's workerPanic.
+// ConsumerPanic wraps a panic raised inside a consumer. The engine
+// records the first one, stops producing, lets the surviving consumers
+// drain their queued chunks (inline, none are queued), and then
+// re-panics the wrapped value on the caller's goroutine — the same relay
+// contract as the experiment runner's workerPanic.
 type ConsumerPanic struct {
 	Consumer int    // index of the panicking consumer in the Replay call
 	Val      any    // the recovered panic value
-	Stack    []byte // stack of the consumer goroutine at panic time
+	Stack    []byte // stack of the consumer at panic time
 }
 
 // Error makes the relayed panic presentable when a recovering caller

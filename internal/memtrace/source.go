@@ -127,25 +127,24 @@ func (c *Cursor) Remaining() int { return len(c.t.recs) - c.i }
 
 var _ ChunkSource = (*Cursor)(nil)
 
-// KindFilter is a ChunkSource over the accesses of a wrapped source whose
-// Kind is in a chosen set: one side of the trace, picked out once before
-// a replay fans it out, so no consumer tests a reference's kind. It reads
-// nothing but records, so the wrapped source's Err and Degradation are
-// read from that source as before.
-type KindFilter struct {
+// kindFilter is the ChunkSource FilterKinds returns.
+type kindFilter struct {
 	src ChunkSource
 	// take is 1 for a kept kind and 0 otherwise. Indexed by the Kind's
 	// byte, it needs no bounds check, and any other kind is dropped.
 	take [256]uint8
 }
 
-// FilterKinds wraps src to deliver only the accesses of the given kinds.
+// FilterKinds returns a ChunkSource over the accesses of src whose Kind
+// is one of kinds: one side of the trace, picked out once before a replay
+// fans it out, so no consumer tests a reference's kind. It reads nothing
+// but records, so src's Err and Degradation are read from src as before.
 // A nil src panics with ErrNilSource.
-func FilterKinds(src ChunkSource, kinds ...Kind) *KindFilter {
+func FilterKinds(src ChunkSource, kinds ...Kind) ChunkSource {
 	if src == nil {
 		panic(ErrNilSource)
 	}
-	f := &KindFilter{src: src}
+	f := &kindFilter{src: src}
 	for _, k := range kinds {
 		f.take[k] = 1
 	}
@@ -153,7 +152,7 @@ func FilterKinds(src ChunkSource, kinds ...Kind) *KindFilter {
 }
 
 // Next implements Source.
-func (f *KindFilter) Next() (Access, bool) {
+func (f *kindFilter) Next() (Access, bool) {
 	for {
 		a, ok := f.src.Next()
 		if !ok || f.take[a.Kind] == 1 {
@@ -166,7 +165,7 @@ func (f *KindFilter) Next() (Access, bool) {
 // and compacts the kept accesses to its front in place, without a branch
 // on the kind, refilling the rest until dst is full or the wrapped source
 // ends, so it fills short only at end of stream.
-func (f *KindFilter) NextChunk(dst []Access) int {
+func (f *kindFilter) NextChunk(dst []Access) int {
 	w := 0
 	for w < len(dst) {
 		want := len(dst) - w
@@ -181,8 +180,6 @@ func (f *KindFilter) NextChunk(dst []Access) int {
 	}
 	return w
 }
-
-var _ ChunkSource = (*KindFilter)(nil)
 
 // Counts tallies accesses per kind as they stream past.
 type Counts struct {

@@ -210,13 +210,13 @@ func kindFilterDin(n int) string {
 	return sb.String()
 }
 
-// TestKindFilter pins the filter source against a filtering Next loop
+// TestFilterKinds pins the filter source against a filtering Next loop
 // over the same decoder: the same records through Next and through
 // NextChunk at several chunk sizes, a short fill only at end of stream,
 // and the wrapped decoder's Err and Degradation unchanged, in lenient
 // mode with drops and in strict mode, which fails at the first malformed
 // line.
-func TestKindFilter(t *testing.T) {
+func TestFilterKinds(t *testing.T) {
 	in := kindFilterDin(10000)
 	open := func(lenient bool) Decoder {
 		d, err := NewDecoder(strings.NewReader(in), Din)
