@@ -2,11 +2,14 @@ package memtrace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func buildTrace(n int) *Trace {
@@ -282,6 +285,91 @@ func chunks(t *testing.T, label string, src ChunkSource, size int) []Access {
 				t.Errorf("%s: NextChunk(%d) filled %d short of the end; the next call gave %d more", label, size, n, more)
 			}
 			return out
+		}
+	}
+}
+
+// nextOnly hides any NextChunk of the Source it wraps.
+type nextOnly struct{ Source }
+
+// TestEachDrainMatchNextLoop pins Each and Drain against a plain Next
+// loop: for a plain Source, a ChunkSource, a FilterKinds wrapper and
+// decoders that fail mid-stream, they deliver the same sequence and
+// leave the same Err and Degradation behind.
+func TestEachDrainMatchNextLoop(t *testing.T) {
+	var good bytes.Buffer
+	if _, err := buildTrace(1000).WriteDinero(&good); err != nil {
+		t.Fatal(err)
+	}
+	midFault := good.String() + "0 nothex\n" + good.String()
+	din := func(in string, lenient bool) func() (Source, Decoder) {
+		return func() (Source, Decoder) {
+			d := NewDineroReader(strings.NewReader(in))
+			if lenient {
+				d.Lenient(0)
+			}
+			return d, d
+		}
+	}
+	cases := []struct {
+		name string
+		open func() (Source, Decoder) // the Decoder is nil when there is none
+	}{
+		{"plain Source", func() (Source, Decoder) { return nextOnly{buildTrace(1000).Source()}, nil }},
+		{"ChunkSource", func() (Source, Decoder) { return buildTrace(1000).Source(), nil }},
+		{"FilterKinds", func() (Source, Decoder) {
+			_, d := din(kindFilterDin(3000), true)()
+			return FilterKinds(d, Load, Store), d
+		}},
+		{"lenient decoder", din(midFault, true)},
+		{"strict decoder failing mid-stream", din(midFault, false)},
+		{"decoder failing on read", func() (Source, Decoder) {
+			d := NewDineroReader(io.MultiReader(strings.NewReader(good.String()), iotest.ErrReader(errors.New("disk gone"))))
+			return d, d
+		}},
+		{"plain Source over a failing decoder", func() (Source, Decoder) {
+			_, d := din(midFault, false)()
+			return nextOnly{d}, d
+		}},
+	}
+	outcome := func(d Decoder) string {
+		if d == nil {
+			return ""
+		}
+		return fmt.Sprintf("%v %+v", d.Err(), d.Degradation())
+	}
+	for _, tc := range cases {
+		src, dec := tc.open()
+		var want []Access
+		for {
+			a, ok := src.Next()
+			if !ok {
+				break
+			}
+			want = append(want, a)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: the Next loop delivered nothing", tc.name)
+		}
+
+		src, eachDec := tc.open()
+		if got := collect(src); !slices.Equal(got, want) {
+			t.Errorf("%s: Each delivered %d records, the Next loop %d", tc.name, len(got), len(want))
+		}
+		if g, w := outcome(eachDec), outcome(dec); g != w {
+			t.Errorf("%s: Each left %s, the Next loop %s", tc.name, g, w)
+		}
+
+		src, drainDec := tc.open()
+		tr := NewTrace(0)
+		Drain(src, tr)
+		var got []Access
+		tr.Each(func(a Access) { got = append(got, a) })
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Drain delivered %d records, the Next loop %d", tc.name, len(got), len(want))
+		}
+		if g, w := outcome(drainDec), outcome(dec); g != w {
+			t.Errorf("%s: Drain left %s, the Next loop %s", tc.name, g, w)
 		}
 	}
 }
