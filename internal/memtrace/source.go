@@ -59,13 +59,11 @@ func Each(src Source, fn func(Access)) {
 	if src == nil {
 		panic(ErrNilSource)
 	}
-	for {
-		a, ok := src.Next()
-		if !ok {
-			return
+	pull(src, func(chunk []Access) {
+		for _, a := range chunk {
+			fn(a)
 		}
-		fn(a)
-	}
+	})
 }
 
 // Drain pulls src dry, pushing every access into sink. It bridges the
@@ -79,12 +77,33 @@ func Drain(src Source, sink Sink) {
 	if sink == nil {
 		panic(ErrNilSink)
 	}
+	pull(src, func(chunk []Access) {
+		for _, a := range chunk {
+			sink.Access(a)
+		}
+	})
+}
+
+// pullChunk is how many accesses Each and Drain pull at a time.
+const pullChunk = 256
+
+// pull pulls src dry a chunk at a time, handing each chunk to fn: through
+// NextChunk when src is a ChunkSource, so a decoder fills the chunk in
+// its own loop, and through FillChunk otherwise.
+func pull(src Source, fn func([]Access)) {
+	var buf [pullChunk]Access
+	cs, chunked := src.(ChunkSource)
 	for {
-		a, ok := src.Next()
-		if !ok {
+		var n int
+		if chunked {
+			n = cs.NextChunk(buf[:])
+		} else {
+			n = FillChunk(src, buf[:])
+		}
+		fn(buf[:n])
+		if n < len(buf) {
 			return
 		}
-		sink.Access(a)
 	}
 }
 
