@@ -2,6 +2,8 @@ package memtrace
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -203,5 +205,40 @@ func TestDineroLineAcrossBufferBoundary(t *testing.T) {
 	}
 	if tr.Len() != 2 || tr.At(0).Addr != 0x1000 || tr.At(1).Addr != 0x2000 {
 		t.Fatalf("records = %d %v %v", tr.Len(), tr.At(0), tr.At(1))
+	}
+}
+
+// TestDineroWriterMatchesSprintf pins the din writer's bytes to the
+// "%d %x\n" format it replaced, at the edges of the address range and at
+// random addresses, through both DineroWriter and Trace.WriteDinero.
+func TestDineroWriterMatchesSprintf(t *testing.T) {
+	tr := NewTrace(0)
+	for _, addr := range []Addr{0, 1, 0xf, 0x10, MaxAddr} {
+		for k := Kind(0); k < numKinds; k++ {
+			tr.Append(Access{Addr: addr, Kind: k})
+		}
+	}
+	r := rand.New(rand.NewSource(20))
+	for i := 0; i < 5000; i++ {
+		tr.Append(Access{Addr: Addr(r.Uint64()>>(2+r.Intn(62))) & MaxAddr, Kind: Kind(r.Intn(int(numKinds)))})
+	}
+	var want strings.Builder
+	tr.Each(func(a Access) { fmt.Fprintf(&want, "%d %x\n", dinLabel(a.Kind), uint64(a.Addr)) })
+
+	var streamed bytes.Buffer
+	dw := NewDineroWriter(&streamed)
+	tr.Each(dw.Access)
+	if err := dw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var whole bytes.Buffer
+	n, err := tr.WriteDinero(&whole)
+	if err != nil || n != tr.Len() {
+		t.Fatalf("WriteDinero wrote %d records, %v; want %d", n, err, tr.Len())
+	}
+	for name, got := range map[string]string{"DineroWriter": streamed.String(), "WriteDinero": whole.String()} {
+		if got != want.String() {
+			t.Errorf("%s output differs from %%d %%x formatting", name)
+		}
 	}
 }
