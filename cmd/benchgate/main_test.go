@@ -1,0 +1,54 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// artifact is a BENCH_telemetry.json reduced to the columns the gate
+// reads, with the overheads inside their budgets.
+func artifact(memNs, fileNs, fileAllocs int64) report {
+	return report{
+		Off:        entry{NsPerOp: memNs, AllocsPerOp: 28},
+		OverheadP:  4.0,
+		IntroOverP: 2.6,
+		File: fileReplay{
+			Format:    "din",
+			Off:       entry{NsPerOp: fileNs, AllocsPerOp: fileAllocs},
+			On:        entry{NsPerOp: fileNs, AllocsPerOp: fileAllocs + 172},
+			OverheadP: 1.0,
+		},
+	}
+}
+
+// TestFileRatioBound checks the decode-cost bound on the numbers
+// measured before and after din decoding moved to the window scanner,
+// interleaved on one 2-CPU host: the din replay took 3.09x the
+// in-memory replay before, which fails, and 1.78x after, which passes.
+func TestFileRatioBound(t *testing.T) {
+	before := artifact(2746956, 8487053, 32)
+	after := artifact(2671921, 4749438, 33)
+
+	failures := check(before, before, defaults)
+	if len(failures) != 1 || !strings.Contains(failures[0], "3.09x the in-memory replay exceeds budget 2.20x") {
+		t.Errorf("before: failures %q, want the file-ratio bound alone", failures)
+	}
+	if failures := check(before, after, defaults); len(failures) != 0 {
+		t.Errorf("after: failures %q, want none", failures)
+	}
+	if failures := check(after, after, defaults); len(failures) != 0 {
+		t.Errorf("after, gated against itself: failures %q, want none", failures)
+	}
+}
+
+// TestAllocBound checks that the alloc bound still scales the baseline:
+// 50 allocs/op breaks 33 × 1.5, and the telemetry-on arm's 222 stays
+// under 205 × 1.5.
+func TestAllocBound(t *testing.T) {
+	base := artifact(2671921, 4749438, 33)
+	grown := artifact(2671921, 4749438, 50)
+	failures := check(base, grown, defaults)
+	if len(failures) != 1 || !strings.Contains(failures[0], "(telemetry off): 50 allocs/op exceeds 49") {
+		t.Errorf("failures %q, want the telemetry-off arm over the alloc bound", failures)
+	}
+}
