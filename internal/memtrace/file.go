@@ -136,11 +136,32 @@ func (r *Reader) Next() (Access, bool) {
 	}
 }
 
-// NextChunk implements ChunkSource: it decodes up to len(dst) records
-// into dst with direct (non-interface) Next calls.
+// NextChunk implements ChunkSource: it unpacks the whole records of the
+// buffered chunk straight into dst, and calls Next for a refill or a
+// record with an invalid kind.
 func (r *Reader) NextChunk(dst []Access) int {
 	n := 0
 	for n < len(dst) {
+		if r.err == nil && !r.done {
+			// The chunk never holds more than the header's remaining
+			// records, so this loop cannot read past the count.
+			k := 0
+			for n < len(dst) && k+8 <= len(r.buf) {
+				a := record(binary.LittleEndian.Uint64(r.buf[k:])).unpack()
+				if a.Kind >= numKinds {
+					break
+				}
+				dst[n] = a
+				n++
+				k += 8
+			}
+			r.buf = r.buf[k:]
+			r.read += uint64(k / 8)
+			r.telDecoded.Add(uint64(k / 8))
+			if n == len(dst) {
+				break
+			}
+		}
 		a, ok := r.Next()
 		if !ok {
 			break
