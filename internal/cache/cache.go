@@ -196,24 +196,17 @@ func NewCounters(reg *telemetry.Registry, label string) *Counters {
 	}
 }
 
-// addDelta publishes the growth of one stat since the last flush.
-func addDelta(c *telemetry.Counter, cur, last uint64) {
-	if cur != last {
-		c.Add(cur - last)
-	}
-}
-
 // publish sends the delta between cur and the last published stats to
 // the registry and records cur as published. Nil receivers are no-ops.
 func (t *Counters) publish(cur Stats) {
 	if t == nil {
 		return
 	}
-	addDelta(t.hits, cur.Hits, t.last.Hits)
-	addDelta(t.misses, cur.Misses, t.last.Misses)
-	addDelta(t.fills, cur.Fills, t.last.Fills)
-	addDelta(t.evictions, cur.Evictions, t.last.Evictions)
-	addDelta(t.writebacks, cur.Writebacks, t.last.Writebacks)
+	t.hits.Add(cur.Hits - t.last.Hits)
+	t.misses.Add(cur.Misses - t.last.Misses)
+	t.fills.Add(cur.Fills - t.last.Fills)
+	t.evictions.Add(cur.Evictions - t.last.Evictions)
+	t.writebacks.Add(cur.Writebacks - t.last.Writebacks)
 	t.last = cur
 }
 

@@ -195,19 +195,11 @@ func (c *Classifier) Instrument(compulsory, capacity, conflict *telemetry.Counte
 	c.telLast = c.counts
 }
 
-// addDelta publishes the growth of one class since the last flush; nil
-// counters drop their class.
-func addDelta(tc *telemetry.Counter, cur, last uint64) {
-	if tc != nil && cur != last {
-		tc.Add(cur - last)
-	}
-}
-
 // Flush publishes the per-class miss deltas since the previous flush.
 func (c *Classifier) Flush() {
-	addDelta(c.telCompulsory, c.counts.Compulsory, c.telLast.Compulsory)
-	addDelta(c.telCapacity, c.counts.Capacity, c.telLast.Capacity)
-	addDelta(c.telConflict, c.counts.Conflict, c.telLast.Conflict)
+	c.telCompulsory.Add(c.counts.Compulsory - c.telLast.Compulsory)
+	c.telCapacity.Add(c.counts.Capacity - c.telLast.Capacity)
+	c.telConflict.Add(c.counts.Conflict - c.telLast.Conflict)
 	c.telLast = c.counts
 	c.telPending = 0
 }

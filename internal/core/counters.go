@@ -38,22 +38,16 @@ func NewCounters(reg *telemetry.Registry, prefix string) *Counters {
 	}
 }
 
-func addDelta(c *telemetry.Counter, cur, last uint64) {
-	if cur != last {
-		c.Add(cur - last)
-	}
-}
-
 // Publish sends the growth of cur since the previous Publish (or
 // Rebase) to the registry.
 func (t *Counters) Publish(cur Stats) {
-	addDelta(t.accesses, cur.Accesses, t.last.Accesses)
-	addDelta(t.l1Hits, cur.L1Hits, t.last.L1Hits)
-	addDelta(t.auxHits, cur.AuxHits, t.last.AuxHits)
-	addDelta(t.missCacheHits, cur.MissCacheHits, t.last.MissCacheHits)
-	addDelta(t.victimHits, cur.VictimHits, t.last.VictimHits)
-	addDelta(t.streamHits, cur.StreamHits, t.last.StreamHits)
-	addDelta(t.fullMisses, cur.FullMisses(), t.last.FullMisses())
+	t.accesses.Add(cur.Accesses - t.last.Accesses)
+	t.l1Hits.Add(cur.L1Hits - t.last.L1Hits)
+	t.auxHits.Add(cur.AuxHits - t.last.AuxHits)
+	t.missCacheHits.Add(cur.MissCacheHits - t.last.MissCacheHits)
+	t.victimHits.Add(cur.VictimHits - t.last.VictimHits)
+	t.streamHits.Add(cur.StreamHits - t.last.StreamHits)
+	t.fullMisses.Add(cur.FullMisses() - t.last.FullMisses())
 	t.last = cur
 }
 

@@ -8,9 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"sync"
 
 	"jouppi/internal/cache"
@@ -24,8 +21,10 @@ import (
 type Config struct {
 	// Scale is the workload scale factor (1.0 ≈ 1–4M instructions per
 	// benchmark). Experiments' miss-rate results are stable above ≈0.2.
+	// RunAll treats 0 as 0.25.
 	Scale float64
-	// Traces supplies the benchmark traces; NewTraceSet(Scale) if nil.
+	// Traces supplies the benchmark traces; RunAll uses
+	// NewTraceSet(Scale) if nil.
 	Traces *TraceSet
 
 	// Accesses, when non-nil, is bumped by the number of references each
@@ -36,10 +35,10 @@ type Config struct {
 	// RunAll wires it automatically when RunOptions.Telemetry is set.
 	Accesses *telemetry.Counter
 
-	// ctx carries the run's cancellation signal into replay and
-	// parallelFor, which poll it. It lives in Config because the
-	// Experiment.Run signature predates cancellation and every exhibit
-	// already threads cfg; nil means context.Background.
+	// ctx carries the run's cancellation signal into plan and replay,
+	// which poll it. It lives in Config because the Experiment.Run
+	// signature predates cancellation and every exhibit already threads
+	// cfg; nil means context.Background.
 	ctx context.Context
 }
 
@@ -56,10 +55,7 @@ func (c Config) WithContext(ctx context.Context) Config {
 // outside this package (the cachesimd job queue wraps each job as an
 // Experiment to inherit RunAll's isolation, timeout, and retry
 // machinery) need it to thread cancellation into their replay loops.
-func (c Config) Context() context.Context { return c.context() }
-
-// context returns the run's context, never nil.
-func (c Config) context() context.Context {
+func (c Config) Context() context.Context {
 	if c.ctx == nil {
 		return context.Background()
 	}
@@ -100,7 +96,8 @@ type Result struct {
 // Failed reports whether the experiment produced no usable output.
 func (r *Result) Failed() bool { return r.Err != "" }
 
-// Experiment is one reproducible paper exhibit.
+// Experiment is one reproducible paper exhibit. Run expects a Config
+// with its defaults applied, as RunAll passes it.
 type Experiment struct {
 	ID    string
 	Title string
@@ -110,38 +107,38 @@ type Experiment struct {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		Table11(),
-		Table21(),
-		Table22(),
-		Fig22(),
-		Fig31(),
-		Fig33(),
-		Fig35(),
-		Fig36(),
-		Fig37(),
-		Fig41(),
-		Fig43(),
-		Fig45(),
-		Fig46(),
-		Fig47(),
-		Fig51(),
-		Overlap(),
-		AblationQuasi(),
-		AblationStride(),
-		AblationL2Victim(),
-		AblationMissCmp(),
-		AblationReplacement(),
-		AblationAssoc(),
-		AblationPrefetchCmp(),
-		AblationDepth(),
-		AblationWritePolicy(),
-		AblationMultiprog(),
-		AblationInclusion(),
-		AblationLatency(),
-		AblationL2Stream(),
-		AblationBandwidth(),
-		AblationWriteBuffer(),
-		IntrospectPhase(),
+		{"table1-1", "Table 1-1: The increasing cost of cache misses", table11},
+		{"table2-1", "Table 2-1: Test program characteristics", table21},
+		{"table2-2", "Table 2-2: Baseline system first-level cache miss rates", table22},
+		{"fig2-2", "Figure 2-2: Baseline design performance", fig22},
+		{"fig3-1", "Figure 3-1: Conflict misses, 4KB I and D caches, 16B lines", fig31},
+		{"fig3-3", "Figure 3-3: Conflict misses removed by miss caching", fig33},
+		{"fig3-5", "Figure 3-5: Conflict misses removed by victim caching", fig35},
+		{"fig3-6", "Figure 3-6: Victim cache performance vs direct-mapped cache size", fig36},
+		{"fig3-7", "Figure 3-7: Victim cache performance vs data cache line size", fig37},
+		{"fig4-1", "Figure 4-1: Limited time for prefetch (ccom, I-cache, 16B lines)", fig41},
+		{"fig4-3", "Figure 4-3: Sequential stream buffer performance", fig43},
+		{"fig4-5", "Figure 4-5: Four-way stream buffer performance", fig45},
+		{"fig4-6", "Figure 4-6: Stream buffer performance vs cache size", fig46},
+		{"fig4-7", "Figure 4-7: Stream buffer performance vs line size", fig47},
+		{"fig5-1", "Figure 5-1: Improved system performance", fig51},
+		{"overlap", "Section 5: victim-cache / stream-buffer overlap", overlap},
+		{"ablation-quasi", "Ablation: quasi-sequential vs head-only stream buffer", ablationQuasi},
+		{"ablation-stride", "Ablation: stream-buffer variants across access patterns", ablationStride},
+		{"ablation-l2victim", "Ablation: victim cache behind the second-level cache", ablationL2Victim},
+		{"ablation-misscmp", "Ablation: victim caching vs miss caching (D-cache)", ablationMissCmp},
+		{"ablation-replacement", "Ablation: replacement policy in a 4-way set-associative L1D", ablationReplacement},
+		{"ablation-assoc", "Ablation: victim-cached direct-mapped vs set-associative caches", ablationAssoc},
+		{"ablation-prefetchcmp", "Ablation: stream buffers vs classic prefetch techniques", ablationPrefetchCmp},
+		{"ablation-depth", "Ablation: stream buffer depth (4-way, data side)", ablationDepth},
+		{"ablation-writepolicy", "Ablation: write-through vs write-back data cache traffic", ablationWritePolicy},
+		{"ablation-multiprog", "Ablation: multiprogramming (ccom+grr+yacc, quantum sweep)", ablationMultiprog},
+		{"ablation-inclusion", "Ablation: inclusion violations (plain vs victim-cached L1)", ablationInclusion},
+		{"ablation-latency", "Ablation: benefit vs memory latency (Table 1-1 projection)", ablationLatency},
+		{"ablation-l2stream", "Ablation: stream buffers behind the second-level cache", ablationL2Stream},
+		{"ablation-bandwidth", "Ablation: write-through store bandwidth vs unpipelined L2 (§2)", ablationBandwidth},
+		{"ablation-writebuffer", "Ablation: write buffer depth vs L2 write-port speed", ablationWriteBuffer},
+		{"introspect-phase", "Phase and set-pressure introspection: ccom data cache, baseline vs 4-entry victim cache", introspectPhase},
 	}
 }
 
@@ -153,16 +150,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment identifiers, sorted.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // TraceSet lazily generates and caches the six benchmark traces at a
@@ -234,72 +221,6 @@ func (s side) keep(a memtrace.Access) bool {
 // l1Config returns a first-level cache configuration.
 func l1Config(size, lineSize int) cache.Config {
 	return cache.Config{Name: "L1", Size: size, LineSize: lineSize, Assoc: 1}
-}
-
-// workerPanic carries a panic out of a parallelFor worker goroutine into
-// the caller's goroutine with the worker's stack — a bare panic in a
-// worker would kill the whole process, bypassing the suite's isolation.
-type workerPanic struct {
-	val   any
-	stack []byte
-}
-
-// parallelFor runs fn(i) for i in [0, n) across GOMAXPROCS workers and
-// waits. Used for parameter sweeps; each invocation must be independent.
-// Cancellation of cfg's context stops the sweep after in-flight items; a
-// panicking item re-panics in the caller's goroutine as *workerPanic.
-func (cfg Config) parallelFor(n int, fn func(i int)) {
-	ctx := cfg.context()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	var (
-		wg        sync.WaitGroup
-		next      = make(chan int)
-		panicOnce sync.Once
-		panicked  *workerPanic
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() {
-						panicked = &workerPanic{val: r, stack: debug.Stack()}
-					})
-					// Keep draining so the feeder never blocks on a
-					// channel nobody reads.
-					for range next {
-					}
-				}
-			}()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 // fmtPct formats a percentage with one decimal.

@@ -10,6 +10,16 @@ var smallTraces = NewTraceSet(0.1)
 
 func smallCfg() Config { return Config{Scale: 0.1, Traces: smallTraces} }
 
+// exhibit looks an experiment up by ID, failing the test if there is none.
+func exhibit(t testing.TB, id string) Experiment {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	return e
+}
+
 func TestRegistry(t *testing.T) {
 	all := All()
 	if len(all) < 20 {
@@ -30,9 +40,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID accepted unknown id")
-	}
-	if ids := IDs(); len(ids) != len(all) {
-		t.Errorf("IDs() returned %d, want %d", len(ids), len(all))
 	}
 }
 
@@ -79,7 +86,7 @@ func TestTraceSetCachesTraces(t *testing.T) {
 }
 
 func TestTable11IsStatic(t *testing.T) {
-	res := Table11().Run(Config{})
+	res := exhibit(t, "table1-1").Run(Config{})
 	if len(res.Rows) != 3 {
 		t.Fatalf("Table 1-1 has %d rows, want 3", len(res.Rows))
 	}
@@ -95,18 +102,6 @@ func TestTable11IsStatic(t *testing.T) {
 	future := res.Rows[2]
 	if future[4] != "70" || future[5] != "140.0" {
 		t.Errorf("projected machine = %v", future)
-	}
-}
-
-func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100} {
-		hit := make([]bool, n)
-		(Config{}).parallelFor(n, func(i int) { hit[i] = true })
-		for i, h := range hit {
-			if !h {
-				t.Fatalf("n=%d: index %d not visited", n, i)
-			}
-		}
 	}
 }
 

@@ -19,44 +19,46 @@ import (
 // as 0.000.
 func conflictRemovalSweep(cfg Config, id, title string, aux func(entries int) core.Aux,
 	entries []int, cacheSize, lineSize int) *Result {
-	cfg = cfg.withDefaults()
 	names := benchNames()
 
-	// Per (benchmark, side, entry count) → percent of conflict misses
-	// removed, and each baseline's conflict count.
-	removed := make([][]float64, 2) // [side][entryIdx] average
-	perBench := make([][][]float64, 2)
-	conflicts := make([][]uint64, 2) // [side][bench]
+	// Per benchmark and side: the classified baseline and a level per
+	// entry count, all fed by one pass over the benchmark.
+	type sweep struct {
+		l1  [2]*cache.Cache
+		cl  [2]*classify.Classifier
+		fes [2][]*core.Level
+	}
+	sweeps := make([]sweep, len(names))
+	cfg.plan(eachBench(func(b int) []*run {
+		sw := &sweeps[b]
+		var runs []*run
+		for s := iSide; s <= dSide; s++ {
+			sw.l1[s], sw.cl[s] = cache.MustNew(l1Config(cacheSize, lineSize)), classify.MustNew(cacheSize, lineSize)
+			runs = append(runs, feedL1(s, sw.l1[s], sw.cl[s]))
+			for _, e := range entries {
+				fe := level(cacheSize, lineSize, aux(e))
+				sw.fes[s] = append(sw.fes[s], fe)
+				runs = append(runs, feedLevel(s, fe))
+			}
+		}
+		return runs
+	})...)
+
+	// Per (side, entry count, benchmark) → percent of conflict misses
+	// removed, and the cross-benchmark averages with the low-conflict
+	// exclusion.
+	removed := make([][]float64, 2)    // [side][entryIdx] average
+	perBench := make([][][]float64, 2) // [side][entryIdx][bench]
 	for s := 0; s < 2; s++ {
-		removed[s] = make([]float64, len(entries))
 		perBench[s] = make([][]float64, len(entries))
 		for e := range entries {
 			perBench[s][e] = make([]float64, len(names))
 		}
-		conflicts[s] = make([]uint64, len(names))
-	}
-
-	// One pass per benchmark: both sides' classified baselines and every
-	// entry count.
-	cfg.parallelFor(len(names), func(b int) {
-		var runs []*run
-		var l1s [2]*cache.Cache
-		var cls [2]*classify.Classifier
-		var fes [2][]*core.Level
-		for s := iSide; s <= dSide; s++ {
-			l1s[s], cls[s] = cache.MustNew(l1Config(cacheSize, lineSize)), classify.MustNew(cacheSize, lineSize)
-			runs = append(runs, feedL1(s, l1s[s], cls[s]))
-			for _, e := range entries {
-				fe := level(cacheSize, lineSize, aux(e))
-				fes[s] = append(fes[s], fe)
-				runs = append(runs, feedLevel(s, fe))
-			}
-		}
-		cfg.replay(cfg.Traces.Source(names[b]), runs...)
-		for s := range fes {
-			misses, conflict := l1s[s].Stats().Misses, cls[s].Counts().Conflict
-			conflicts[s][b] = conflict
-			for e, fe := range fes[s] {
+		include := make([]bool, len(names))
+		for b, sw := range sweeps {
+			misses, conflict := sw.l1[s].Stats().Misses, sw.cl[s].Counts().Conflict
+			include[b] = conflict >= minConflictsForAverage
+			for e, fe := range sw.fes[s] {
 				removedMisses := float64(misses) - float64(fe.Stats().FullMisses())
 				// A large victim cache adds real capacity, so on benchmarks
 				// with few conflict misses (liver) it can remove more misses
@@ -65,17 +67,9 @@ func conflictRemovalSweep(cfg Config, id, title string, aux func(entries int) co
 				perBench[s][e][b] = min(100, stats.Percent(removedMisses, float64(conflict)))
 			}
 		}
-	})
-
-	// Cross-benchmark averages with the low-conflict exclusion.
-	include := make([][]bool, 2)
-	for s := 0; s < 2; s++ {
-		include[s] = make([]bool, len(names))
-		for b := range names {
-			include[s][b] = conflicts[s][b] >= minConflictsForAverage
-		}
+		removed[s] = make([]float64, len(entries))
 		for e := range entries {
-			removed[s][e] = meanOver(perBench[s][e], include[s])
+			removed[s][e] = meanOver(perBench[s][e], include)
 		}
 	}
 
@@ -110,29 +104,17 @@ func conflictRemovalSweep(cfg Config, id, title string, aux func(entries int) co
 	return &Result{ID: id, Title: title, Text: text, Series: series, Headers: headers, Rows: rows}
 }
 
-// Fig33 reproduces Figure 3-3: conflict misses removed by miss caching as
+// fig33 reproduces Figure 3-3: conflict misses removed by miss caching as
 // the number of entries grows from 1 to 15.
-func Fig33() Experiment {
-	return Experiment{
-		ID:    "fig3-3",
-		Title: "Figure 3-3: Conflict misses removed by miss caching",
-		Run: func(cfg Config) *Result {
-			return conflictRemovalSweep(cfg, "fig3-3", "Figure 3-3: Conflict misses removed by miss caching",
-				func(e int) core.Aux { return core.Aux{MissCache: e} },
-				[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 4096, 16)
-		},
-	}
+func fig33(cfg Config) *Result {
+	return conflictRemovalSweep(cfg, "fig3-3", "Figure 3-3: Conflict misses removed by miss caching",
+		func(e int) core.Aux { return core.Aux{MissCache: e} },
+		[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 4096, 16)
 }
 
-// Fig35 reproduces Figure 3-5: conflict misses removed by victim caching.
-func Fig35() Experiment {
-	return Experiment{
-		ID:    "fig3-5",
-		Title: "Figure 3-5: Conflict misses removed by victim caching",
-		Run: func(cfg Config) *Result {
-			return conflictRemovalSweep(cfg, "fig3-5", "Figure 3-5: Conflict misses removed by victim caching",
-				func(e int) core.Aux { return core.Aux{Victim: e} },
-				[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 4096, 16)
-		},
-	}
+// fig35 reproduces Figure 3-5: conflict misses removed by victim caching.
+func fig35(cfg Config) *Result {
+	return conflictRemovalSweep(cfg, "fig3-5", "Figure 3-5: Conflict misses removed by victim caching",
+		func(e int) core.Aux { return core.Aux{Victim: e} },
+		[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 4096, 16)
 }

@@ -17,7 +17,6 @@ import (
 // size), plus the percentage of misses that are conflicts at each point.
 func victimVsParamSweep(cfg Config, id, title, xLabel string,
 	params []int, mkGeom func(p int) (size, line int)) *Result {
-	cfg = cfg.withDefaults()
 	names := benchNames()
 	entries := []int{1, 2, 4, 15}
 
@@ -27,60 +26,51 @@ func victimVsParamSweep(cfg Config, id, title, xLabel string,
 	}
 	points := make([]point, len(params))
 
-	// cell is one benchmark at one parameter value: its baseline misses
-	// and conflicts, and the full misses left at each entry count.
+	// cell is one benchmark at one parameter value: its classified
+	// baseline and a victim-cached level per entry count.
 	type cell struct {
-		misses, conflicts uint64
-		full              [4]uint64
+		l1  *cache.Cache
+		cl  *classify.Classifier
+		fes [4]*core.Level
 	}
 	cells := make([][]cell, len(names)) // [bench][param]
-	for b := range cells {
-		cells[b] = make([]cell, len(params))
-	}
 	// One pass per benchmark covers every parameter value.
-	cfg.parallelFor(len(names), func(b int) {
-		l1s := make([]*cache.Cache, len(params))
-		cls := make([]*classify.Classifier, len(params))
-		fes := make([][]*core.Level, len(params))
+	cfg.plan(eachBench(func(b int) []*run {
+		cells[b] = make([]cell, len(params))
 		var runs []*run
 		for pi, p := range params {
 			size, line := mkGeom(p)
-			l1s[pi], cls[pi] = cache.MustNew(l1Config(size, line)), classify.MustNew(size, line)
-			runs = append(runs, feedL1(dSide, l1s[pi], cls[pi]))
-			for _, e := range entries {
-				fe := level(size, line, core.Aux{Victim: e})
-				fes[pi] = append(fes[pi], fe)
-				runs = append(runs, feedLevel(dSide, fe))
-			}
-		}
-		cfg.replay(cfg.Traces.Source(names[b]), runs...)
-		for pi := range params {
 			c := &cells[b][pi]
-			c.misses, c.conflicts = l1s[pi].Stats().Misses, cls[pi].Counts().Conflict
-			for ei, fe := range fes[pi] {
-				c.full[ei] = fe.Stats().FullMisses()
+			c.l1, c.cl = cache.MustNew(l1Config(size, line)), classify.MustNew(size, line)
+			runs = append(runs, feedL1(dSide, c.l1, c.cl))
+			for ei, e := range entries {
+				c.fes[ei] = level(size, line, core.Aux{Victim: e})
+				runs = append(runs, feedLevel(dSide, c.fes[ei]))
 			}
 		}
-	})
+		return runs
+	})...)
 
 	for pi := range params {
 		include := make([]bool, len(names))
-		var conflictPcts []float64
+		conflictPcts := make([]float64, len(names))
+		var removed [4][]float64 // [entryIdx][bench]
+		for ei := range removed {
+			removed[ei] = make([]float64, len(names))
+		}
 		for b := range names {
 			c := cells[b][pi]
-			include[b] = c.conflicts >= minConflictsForAverage
-			conflictPcts = append(conflictPcts,
-				stats.Percent(float64(c.conflicts), float64(c.misses)))
+			misses, conflicts := c.l1.Stats().Misses, c.cl.Counts().Conflict
+			include[b] = conflicts >= minConflictsForAverage
+			conflictPcts[b] = stats.Percent(float64(conflicts), float64(misses))
+			for ei, fe := range c.fes {
+				removedMisses := float64(misses) - float64(fe.Stats().FullMisses())
+				removed[ei][b] = min(100, stats.Percent(removedMisses, float64(conflicts)))
+			}
 		}
 		points[pi].conflict = stats.Mean(conflictPcts)
 		for ei := range entries {
-			vals := make([]float64, len(names))
-			for b := range names {
-				c := cells[b][pi]
-				removedMisses := float64(c.misses) - float64(c.full[ei])
-				vals[b] = min(100, stats.Percent(removedMisses, float64(c.conflicts)))
-			}
-			points[pi].removed[ei] = meanOver(vals, include)
+			points[pi].removed[ei] = meanOver(removed[ei], include)
 		}
 	}
 
@@ -118,34 +108,22 @@ func victimVsParamSweep(cfg Config, id, title, xLabel string,
 	return &Result{ID: id, Title: title, Text: text, Series: series, Headers: headers, Rows: rows}
 }
 
-// Fig36 reproduces Figure 3-6: victim cache performance as the
+// fig36 reproduces Figure 3-6: victim cache performance as the
 // direct-mapped data cache size varies from 1KB to 128KB (16B lines).
-func Fig36() Experiment {
-	return Experiment{
-		ID:    "fig3-6",
-		Title: "Figure 3-6: Victim cache performance vs direct-mapped cache size",
-		Run: func(cfg Config) *Result {
-			return victimVsParamSweep(cfg, "fig3-6",
-				"Figure 3-6: Victim cache performance vs data cache size (16B lines)",
-				"cache size (KB)",
-				[]int{1, 2, 4, 8, 16, 32, 64, 128},
-				func(kb int) (int, int) { return kb * 1024, 16 })
-		},
-	}
+func fig36(cfg Config) *Result {
+	return victimVsParamSweep(cfg, "fig3-6",
+		"Figure 3-6: Victim cache performance vs data cache size (16B lines)",
+		"cache size (KB)",
+		[]int{1, 2, 4, 8, 16, 32, 64, 128},
+		func(kb int) (int, int) { return kb * 1024, 16 })
 }
 
-// Fig37 reproduces Figure 3-7: victim cache performance as the data cache
+// fig37 reproduces Figure 3-7: victim cache performance as the data cache
 // line size varies from 8B to 256B (4KB cache).
-func Fig37() Experiment {
-	return Experiment{
-		ID:    "fig3-7",
-		Title: "Figure 3-7: Victim cache performance vs data cache line size",
-		Run: func(cfg Config) *Result {
-			return victimVsParamSweep(cfg, "fig3-7",
-				"Figure 3-7: Victim cache performance vs line size (4KB cache)",
-				"line size (B)",
-				[]int{8, 16, 32, 64, 128, 256},
-				func(line int) (int, int) { return 4096, line })
-		},
-	}
+func fig37(cfg Config) *Result {
+	return victimVsParamSweep(cfg, "fig3-7",
+		"Figure 3-7: Victim cache performance vs line size (4KB cache)",
+		"line size (B)",
+		[]int{8, 16, 32, 64, 128, 256},
+		func(line int) (int, int) { return 4096, line })
 }

@@ -15,9 +15,31 @@ import (
 // the §3 figures, the denominator here is all baseline misses, not just
 // conflicts.
 func streamRunSweep(cfg Config, id, title string, ways int) *Result {
-	cfg = cfg.withDefaults()
 	names := benchNames()
 	limits := []int{0, 1, 2, 4, 6, 8, 10, 12, 16}
+
+	// One pass per benchmark: both sides' baselines and a stream buffer
+	// per run limit. A run limit of 0 is no prefetching at all: the
+	// baseline itself.
+	type sweep struct {
+		l1  [2]*cache.Cache
+		fes [2][]*core.Level
+	}
+	sweeps := make([]sweep, len(names))
+	cfg.plan(eachBench(func(b int) []*run {
+		sw := &sweeps[b]
+		var runs []*run
+		for s := iSide; s <= dSide; s++ {
+			sw.l1[s] = cache.MustNew(l1Config(4096, 16))
+			runs = append(runs, feedL1(s, sw.l1[s], nil))
+			for _, r := range limits[1:] {
+				fe := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4, RunLimit: r}})
+				sw.fes[s] = append(sw.fes[s], fe)
+				runs = append(runs, feedLevel(s, fe))
+			}
+		}
+		return runs
+	})...)
 
 	perBench := make([][][]float64, 2) // [side][runIdx][bench]
 	baseMisses := make([][]uint64, 2)  // [side][bench]
@@ -27,33 +49,15 @@ func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 			perBench[s][r] = make([]float64, len(names))
 		}
 		baseMisses[s] = make([]uint64, len(names))
-	}
-	// One pass per benchmark: both sides' baselines and a stream buffer
-	// per run limit. A run limit of 0 is no prefetching at all: the
-	// baseline itself.
-	cfg.parallelFor(len(names), func(b int) {
-		var runs []*run
-		var l1s [2]*cache.Cache
-		var fes [2][]*core.Level
-		for s := iSide; s <= dSide; s++ {
-			l1s[s] = cache.MustNew(l1Config(4096, 16))
-			runs = append(runs, feedL1(s, l1s[s], nil))
-			for _, r := range limits[1:] {
-				fe := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4, RunLimit: r}})
-				fes[s] = append(fes[s], fe)
-				runs = append(runs, feedLevel(s, fe))
-			}
-		}
-		cfg.replay(cfg.Traces.Source(names[b]), runs...)
-		for s := range fes {
-			base := l1s[s].Stats().Misses
+		for b, sw := range sweeps {
+			base := sw.l1[s].Stats().Misses
 			baseMisses[s][b] = base
 			perBench[s][0][b] = stats.PercentReduction(float64(base), float64(base))
-			for r, fe := range fes[s] {
+			for r, fe := range sw.fes[s] {
 				perBench[s][r+1][b] = stats.PercentReduction(float64(base), float64(fe.Stats().FullMisses()))
 			}
 		}
-	})
+	}
 
 	xs := make([]float64, len(limits))
 	for i, r := range limits {
@@ -96,27 +100,15 @@ func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 	return &Result{ID: id, Title: title, Text: text, Series: series, Headers: headers, Rows: rows}
 }
 
-// Fig43 reproduces Figure 4-3: sequential (single) stream buffer
+// fig43 reproduces Figure 4-3: sequential (single) stream buffer
 // performance, 4KB caches with 16B lines.
-func Fig43() Experiment {
-	return Experiment{
-		ID:    "fig4-3",
-		Title: "Figure 4-3: Sequential stream buffer performance",
-		Run: func(cfg Config) *Result {
-			return streamRunSweep(cfg, "fig4-3",
-				"Figure 4-3: Single 4-entry stream buffer: misses removed vs stream run length", 1)
-		},
-	}
+func fig43(cfg Config) *Result {
+	return streamRunSweep(cfg, "fig4-3",
+		"Figure 4-3: Single 4-entry stream buffer: misses removed vs stream run length", 1)
 }
 
-// Fig45 reproduces Figure 4-5: four-way stream buffer performance.
-func Fig45() Experiment {
-	return Experiment{
-		ID:    "fig4-5",
-		Title: "Figure 4-5: Four-way stream buffer performance",
-		Run: func(cfg Config) *Result {
-			return streamRunSweep(cfg, "fig4-5",
-				"Figure 4-5: Four-way 4-entry stream buffers: misses removed vs stream run length", 4)
-		},
-	}
+// fig45 reproduces Figure 4-5: four-way stream buffer performance.
+func fig45(cfg Config) *Result {
+	return streamRunSweep(cfg, "fig4-5",
+		"Figure 4-5: Four-way 4-entry stream buffers: misses removed vs stream run length", 4)
 }

@@ -15,7 +15,6 @@ import (
 // parameter (size or line size), for both the instruction and data sides.
 func streamParamSweep(cfg Config, id, title, xLabel string,
 	params []int, mkGeom func(p int) (size, line int)) *Result {
-	cfg = cfg.withDefaults()
 	names := benchNames()
 	ways := []int{1, 4}
 
@@ -27,56 +26,42 @@ func streamParamSweep(cfg Config, id, title, xLabel string,
 		}
 	}
 
-	// cell is one benchmark, side and parameter value: the baseline's
-	// misses and the full misses each stream buffer leaves.
+	// cell is one benchmark, side and parameter value: the baseline and
+	// a level per stream-buffer way count.
 	type cell struct {
-		base uint64
-		full [2]uint64
+		l1  *cache.Cache
+		fes [2]*core.Level
 	}
 	cells := make([][2][]cell, len(names)) // [bench][side][param]
-	for b := range cells {
-		cells[b] = [2][]cell{make([]cell, len(params)), make([]cell, len(params))}
-	}
 	// One pass per benchmark feeds every parameter value on both sides.
-	cfg.parallelFor(len(names), func(b int) {
+	cfg.plan(eachBench(func(b int) []*run {
+		cells[b] = [2][]cell{make([]cell, len(params)), make([]cell, len(params))}
 		var runs []*run
-		var l1s [2][]*cache.Cache
-		var fes [2][][2]*core.Level
-		for _, p := range params {
+		for pi, p := range params {
 			size, line := mkGeom(p)
 			for s := iSide; s <= dSide; s++ {
-				l1 := cache.MustNew(l1Config(size, line))
-				runs = append(runs, feedL1(s, l1, nil))
-				var fe [2]*core.Level
-				for wi, w := range ways {
-					fe[wi] = level(size, line, core.Aux{Stream: core.StreamConfig{Ways: w, Depth: 4}})
-					runs = append(runs, feedLevel(s, fe[wi]))
-				}
-				l1s[s], fes[s] = append(l1s[s], l1), append(fes[s], fe)
-			}
-		}
-		cfg.replay(cfg.Traces.Source(names[b]), runs...)
-		for s := range l1s {
-			for pi := range params {
 				c := &cells[b][s][pi]
-				c.base = l1s[s][pi].Stats().Misses
-				for wi, fe := range fes[s][pi] {
-					c.full[wi] = fe.Stats().FullMisses()
+				c.l1 = cache.MustNew(l1Config(size, line))
+				runs = append(runs, feedL1(s, c.l1, nil))
+				for wi, w := range ways {
+					c.fes[wi] = level(size, line, core.Aux{Stream: core.StreamConfig{Ways: w, Depth: 4}})
+					runs = append(runs, feedLevel(s, c.fes[wi]))
 				}
 			}
 		}
-	})
+		return runs
+	})...)
 	for pi := range params {
 		for s := 0; s < 2; s++ {
 			include := make([]bool, len(names))
 			for b := range names {
-				include[b] = cells[b][s][pi].base >= minConflictsForAverage
+				include[b] = cells[b][s][pi].l1.Stats().Misses >= minConflictsForAverage
 			}
 			for wi := range ways {
 				vals := make([]float64, len(names))
 				for b := range names {
 					c := cells[b][s][pi]
-					vals[b] = stats.PercentReduction(float64(c.base), float64(c.full[wi]))
+					vals[b] = stats.PercentReduction(float64(c.l1.Stats().Misses), float64(c.fes[wi].Stats().FullMisses()))
 				}
 				results[s][wi][pi] = meanOver(vals, include)
 			}
@@ -113,35 +98,23 @@ func streamParamSweep(cfg Config, id, title, xLabel string,
 	return &Result{ID: id, Title: title, Text: text, Series: series, Headers: headers, Rows: rows}
 }
 
-// Fig46 reproduces Figure 4-6: stream buffer performance vs cache size
+// fig46 reproduces Figure 4-6: stream buffer performance vs cache size
 // (1KB to 128KB, 16B lines).
-func Fig46() Experiment {
-	return Experiment{
-		ID:    "fig4-6",
-		Title: "Figure 4-6: Stream buffer performance vs cache size",
-		Run: func(cfg Config) *Result {
-			return streamParamSweep(cfg, "fig4-6",
-				"Figure 4-6: Stream buffer performance vs cache size (16B lines)",
-				"cache size (KB)",
-				[]int{1, 2, 4, 8, 16, 32, 64, 128},
-				func(kb int) (int, int) { return kb * 1024, 16 })
-		},
-	}
+func fig46(cfg Config) *Result {
+	return streamParamSweep(cfg, "fig4-6",
+		"Figure 4-6: Stream buffer performance vs cache size (16B lines)",
+		"cache size (KB)",
+		[]int{1, 2, 4, 8, 16, 32, 64, 128},
+		func(kb int) (int, int) { return kb * 1024, 16 })
 }
 
-// Fig47 reproduces Figure 4-7: stream buffer performance vs line size
+// fig47 reproduces Figure 4-7: stream buffer performance vs line size
 // (8B to 256B, 4KB caches). The stream buffer's line size follows the
 // cache's.
-func Fig47() Experiment {
-	return Experiment{
-		ID:    "fig4-7",
-		Title: "Figure 4-7: Stream buffer performance vs line size",
-		Run: func(cfg Config) *Result {
-			return streamParamSweep(cfg, "fig4-7",
-				"Figure 4-7: Stream buffer performance vs line size (4KB caches)",
-				"line size (B)",
-				[]int{8, 16, 32, 64, 128, 256},
-				func(line int) (int, int) { return 4096, line })
-		},
-	}
+func fig47(cfg Config) *Result {
+	return streamParamSweep(cfg, "fig4-7",
+		"Figure 4-7: Stream buffer performance vs line size (4KB caches)",
+		"line size (B)",
+		[]int{8, 16, 32, 64, 128, 256},
+		func(line int) (int, int) { return 4096, line })
 }

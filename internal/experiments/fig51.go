@@ -20,63 +20,49 @@ func improvedConfig() hierarchy.Config {
 	}
 }
 
-// Fig51 reproduces Figure 5-1: system performance of the baseline versus
+// fig51 reproduces Figure 5-1: system performance of the baseline versus
 // the improved system with a data victim cache, an instruction stream
 // buffer, and a four-way data stream buffer.
-func Fig51() Experiment {
-	return Experiment{
-		ID:    "fig5-1",
-		Title: "Figure 5-1: Improved system performance",
-		Run: func(cfg Config) *Result {
-			cfg = cfg.withDefaults()
-			names := benchNames()
+func fig51(cfg Config) *Result {
+	names := benchNames()
 
-			type pair struct {
-				base, improved hierarchy.Results
-			}
-			out := make([]pair, len(names))
-			cfg.parallelFor(len(names), func(i int) {
-				rs := cfg.systemResults(names[i], hierarchy.Config{}, improvedConfig())
-				out[i] = pair{rs[0], rs[1]}
-			})
+	out := cfg.benchResults(hierarchy.Config{}, improvedConfig())
 
-			headers := []string{"program", "base perf %", "improved perf %", "speedup",
-				"base missrate I/D", "improved missrate I/D"}
-			var rows [][]string
-			var speedups, missReductions []float64
-			var bands []perfmodel.Bands
-			var labels []string
-			for i, name := range names {
-				b, im := out[i].base, out[i].improved
-				sp := perfmodel.Speedup(b.Breakdown, im.Breakdown)
-				speedups = append(speedups, sp)
-				baseMR := b.I.MissRate() + b.D.MissRate()
-				imMR := im.I.MissRate() + im.D.MissRate()
-				missReductions = append(missReductions, stats.PercentReduction(baseMR, imMR))
-				rows = append(rows, []string{
-					name,
-					fmtPct(b.Breakdown.PercentOfPotential()),
-					fmtPct(im.Breakdown.PercentOfPotential()),
-					fmt.Sprintf("%.2fx", sp),
-					fmt.Sprintf("%s/%s", fmtRate(b.I.MissRate()), fmtRate(b.D.MissRate())),
-					fmt.Sprintf("%s/%s", fmtRate(im.I.MissRate()), fmtRate(im.D.MissRate())),
-				})
-				labels = append(labels, name+" base", name+" +vc/sb")
-				bands = append(bands, b.Breakdown.LossBands(), im.Breakdown.LossBands())
-			}
-
-			avgSpeedup := stats.Mean(speedups)
-			avgImprovementPct := (avgSpeedup - 1) * 100
-			text := textplot.StackedBars(
-				"Figure 5-1: share of potential performance, baseline vs improved system",
-				labels, bandsRows(bands), 60) +
-				"\n" + textplot.Table(headers, rows) +
-				fmt.Sprintf("\naverage system performance improvement: %.0f%% (mean speedup %.2fx)\n",
-					avgImprovementPct, avgSpeedup) +
-				fmt.Sprintf("average L1 miss-rate reduction: %.0f%% (paper: factor of two to three)\n",
-					stats.Mean(missReductions))
-			return &Result{ID: "fig5-1", Title: "Figure 5-1: Improved system performance",
-				Text: text, Headers: headers, Rows: rows}
-		},
+	headers := []string{"program", "base perf %", "improved perf %", "speedup",
+		"base missrate I/D", "improved missrate I/D"}
+	var rows [][]string
+	var speedups, missReductions []float64
+	var bands []perfmodel.Bands
+	var labels []string
+	for i, name := range names {
+		b, im := out[i][0], out[i][1]
+		sp := perfmodel.Speedup(b.Breakdown, im.Breakdown)
+		speedups = append(speedups, sp)
+		baseMR := b.I.MissRate() + b.D.MissRate()
+		imMR := im.I.MissRate() + im.D.MissRate()
+		missReductions = append(missReductions, stats.PercentReduction(baseMR, imMR))
+		rows = append(rows, []string{
+			name,
+			fmtPct(b.Breakdown.PercentOfPotential()),
+			fmtPct(im.Breakdown.PercentOfPotential()),
+			fmt.Sprintf("%.2fx", sp),
+			fmt.Sprintf("%s/%s", fmtRate(b.I.MissRate()), fmtRate(b.D.MissRate())),
+			fmt.Sprintf("%s/%s", fmtRate(im.I.MissRate()), fmtRate(im.D.MissRate())),
+		})
+		labels = append(labels, name+" base", name+" +vc/sb")
+		bands = append(bands, b.Breakdown.LossBands(), im.Breakdown.LossBands())
 	}
+
+	avgSpeedup := stats.Mean(speedups)
+	avgImprovementPct := (avgSpeedup - 1) * 100
+	text := textplot.StackedBars(
+		"Figure 5-1: share of potential performance, baseline vs improved system",
+		labels, bandsRows(bands), 60) +
+		"\n" + textplot.Table(headers, rows) +
+		fmt.Sprintf("\naverage system performance improvement: %.0f%% (mean speedup %.2fx)\n",
+			avgImprovementPct, avgSpeedup) +
+		fmt.Sprintf("average L1 miss-rate reduction: %.0f%% (paper: factor of two to three)\n",
+			stats.Mean(missReductions))
+	return &Result{ID: "fig5-1", Title: "Figure 5-1: Improved system performance",
+		Text: text, Headers: headers, Rows: rows}
 }

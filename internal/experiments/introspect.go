@@ -9,7 +9,7 @@ import (
 	"jouppi/internal/textplot"
 )
 
-// IntrospectPhase is the time/space-resolved exhibit: it replays ccom
+// introspectPhase is the time/space-resolved exhibit: it replays ccom
 // once through a baseline system and a system with a 4-entry data-side
 // victim cache (fan-out, one trace pass), probing both, and shows (a)
 // the data-cache miss rate per phase window for the two configurations
@@ -17,16 +17,7 @@ import (
 // cache flattens. This is the paper's §3.2 argument made visible: the
 // aggregate miss-rate delta comes from specific conflicting sets and
 // specific phases, not a uniform improvement.
-func IntrospectPhase() Experiment {
-	return Experiment{
-		ID:    "introspect-phase",
-		Title: "Phase and set-pressure introspection: ccom data cache, baseline vs 4-entry victim cache",
-		Run:   runIntrospectPhase,
-	}
-}
-
-func runIntrospectPhase(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func introspectPhase(cfg Config) *Result {
 	tr := cfg.Traces.Get("ccom")
 
 	// ~64 windows across the data-reference stream, whatever the scale,
@@ -47,7 +38,7 @@ func runIntrospectPhase(cfg Config) *Result {
 	for i, sys := range systems {
 		probes[i] = introspect.Attach(sys, opts)
 	}
-	cfg.replay(tr.Source(), runs...)
+	cfg.plan(&pass{bench: "ccom", runs: runs})
 	// Results flushes each system, syncing the probes to the final count.
 	baseStats, victStats := systems[0].Results(tr.Instructions()), systems[1].Results(tr.Instructions())
 
@@ -85,8 +76,8 @@ func runIntrospectPhase(cfg Config) *Result {
 		fmtRate(baseStats.DMissRate()), fmtRate(victStats.DMissRate()), victStats.D.VictimHits)
 
 	return &Result{
-		ID:      IntrospectPhase().ID,
-		Title:   IntrospectPhase().Title,
+		ID:      "introspect-phase",
+		Title:   "Phase and set-pressure introspection: ccom data cache, baseline vs 4-entry victim cache",
 		Text:    text,
 		Series:  series,
 		Headers: headers,

@@ -10,61 +10,44 @@ import (
 	"jouppi/internal/textplot"
 )
 
-// AblationL2Stream applies stream buffers behind the second-level cache —
+// ablationL2Stream applies stream buffers behind the second-level cache —
 // the other half of §5's "application of these techniques to second-level
 // caches" future work. A 64KB L2 is used alongside the paper's 1MB so the
 // scaled traces produce enough L2 misses for the effect to register.
-func AblationL2Stream() Experiment {
-	return Experiment{
-		ID:    "ablation-l2stream",
-		Title: "Ablation: stream buffers behind the second-level cache",
-		Run: func(cfg Config) *Result {
-			cfg = cfg.withDefaults()
-			names := benchNames()
-			sizes := []int{1 << 20, 64 << 10}
+func ablationL2Stream(cfg Config) *Result {
+	names := benchNames()
+	sizes := []int{1 << 20, 64 << 10}
 
-			// results[bench][size][0=base,1=buffers]. All four systems of
-			// a benchmark share one trace pass.
-			results := make([][][2]hierarchy.Results, len(names))
-			for i := range results {
-				results[i] = make([][2]hierarchy.Results, len(sizes))
-			}
-			cfg.parallelFor(len(names), func(b int) {
-				var sysCfgs []hierarchy.Config
-				for _, size := range sizes {
-					l2 := cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1}
-					sysCfgs = append(sysCfgs, hierarchy.Config{L2: l2}, hierarchy.Config{L2: l2,
-						L2Augment: core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}})
-				}
-				rs := cfg.systemResults(names[b], sysCfgs...)
-				for si := range sizes {
-					results[b][si] = [2]hierarchy.Results{rs[2*si], rs[2*si+1]}
-				}
-			})
-
-			headers := []string{"program", "L2 size", "L2 misses (base)",
-				"L2 misses (+4-way buffers)", "reduction", "mem prefetches"}
-			var rows [][]string
-			for b, name := range names {
-				for si, size := range sizes {
-					base := results[b][si][0]
-					sb := results[b][si][1]
-					bm := base.L2I.DemandMisses + base.L2D.DemandMisses
-					sm := sb.L2I.DemandMisses + sb.L2D.DemandMisses
-					rows = append(rows, []string{name,
-						fmt.Sprintf("%dKB", size/1024),
-						fmt.Sprint(bm), fmt.Sprint(sm),
-						fmtPct(stats.PercentReduction(float64(bm), float64(sm))),
-						fmt.Sprint(sb.Mem.PrefetchFetches)})
-				}
-			}
-			text := textplot.Table(headers, rows) +
-				"\n(4-way, 4-entry stream buffers between L2 and memory, prefetching 128B\n" +
-				" lines. L1 miss streams that reach the L2 are line-sequential for the\n" +
-				" streaming benchmarks, so second-level buffers remove a large share of\n" +
-				" the remaining misses — §5's second-level future work.)\n"
-			return &Result{ID: "ablation-l2stream", Title: "L2 stream buffer ablation",
-				Text: text, Headers: headers, Rows: rows}
-		},
+	// A base and a buffered system per size, indexed 2*size+{0,1}. All
+	// four systems of a benchmark share one trace pass.
+	var sysCfgs []hierarchy.Config
+	for _, size := range sizes {
+		l2 := cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1}
+		sysCfgs = append(sysCfgs, hierarchy.Config{L2: l2}, hierarchy.Config{L2: l2,
+			L2Augment: core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}})
 	}
+	results := cfg.benchResults(sysCfgs...)
+
+	headers := []string{"program", "L2 size", "L2 misses (base)",
+		"L2 misses (+4-way buffers)", "reduction", "mem prefetches"}
+	var rows [][]string
+	for b, name := range names {
+		for si, size := range sizes {
+			base, sb := results[b][2*si], results[b][2*si+1]
+			bm := base.L2I.DemandMisses + base.L2D.DemandMisses
+			sm := sb.L2I.DemandMisses + sb.L2D.DemandMisses
+			rows = append(rows, []string{name,
+				fmt.Sprintf("%dKB", size/1024),
+				fmt.Sprint(bm), fmt.Sprint(sm),
+				fmtPct(stats.PercentReduction(float64(bm), float64(sm))),
+				fmt.Sprint(sb.Mem.PrefetchFetches)})
+		}
+	}
+	text := textplot.Table(headers, rows) +
+		"\n(4-way, 4-entry stream buffers between L2 and memory, prefetching 128B\n" +
+		" lines. L1 miss streams that reach the L2 are line-sequential for the\n" +
+		" streaming benchmarks, so second-level buffers remove a large share of\n" +
+		" the remaining misses — §5's second-level future work.)\n"
+	return &Result{ID: "ablation-l2stream", Title: "L2 stream buffer ablation",
+		Text: text, Headers: headers, Rows: rows}
 }

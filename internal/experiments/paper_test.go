@@ -25,16 +25,20 @@ func TestPaperStreamBufferHeadlines(t *testing.T) {
 	names := benchNames()
 
 	avgRemoved := func(ways int, s side) float64 {
+		l1s := make([]*cache.Cache, len(names))
+		fes := make([]*core.Level, len(names))
+		cfg.plan(eachBench(func(b int) []*run {
+			l1s[b] = cache.MustNew(l1Config(4096, 16))
+			fes[b] = level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
+			return []*run{feedL1(s, l1s[b], nil), feedLevel(s, fes[b])}
+		})...)
 		vals := make([]float64, len(names))
 		include := make([]bool, len(names))
-		cfg.parallelFor(len(names), func(i int) {
-			l1 := cache.MustNew(l1Config(4096, 16))
-			fe := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
-			cfg.replay(cfg.Traces.Source(names[i]), feedL1(s, l1, nil), feedLevel(s, fe))
+		for i, l1 := range l1s {
 			misses := l1.Stats().Misses
-			vals[i] = stats.PercentReduction(float64(misses), float64(fe.Stats().FullMisses()))
+			vals[i] = stats.PercentReduction(float64(misses), float64(fes[i].Stats().FullMisses()))
 			include[i] = misses >= minConflictsForAverage
-		})
+		}
 		return meanOver(vals, include)
 	}
 
@@ -94,7 +98,7 @@ func TestPaperVictimBeatsMissCacheOnWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-shape tests skipped in -short mode")
 	}
-	res := AblationMissCmp().Run(smallCfg())
+	res := exhibit(t, "ablation-misscmp").Run(smallCfg())
 	if !strings.Contains(res.Text, "violations: 0") {
 		t.Errorf("victim-vs-miss-cache violations reported:\n%s", res.Text)
 	}
@@ -108,7 +112,7 @@ func TestPaperImprovedSystemHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-shape tests skipped in -short mode")
 	}
-	res := Fig51().Run(smallCfg())
+	res := exhibit(t, "fig5-1").Run(smallCfg())
 	// Parse the per-benchmark speedups from the structured rows.
 	var speedups []float64
 	for _, row := range res.Rows {
@@ -138,7 +142,7 @@ func TestPaperOverlapIsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-shape tests skipped in -short mode")
 	}
-	res := Overlap().Run(smallCfg())
+	res := exhibit(t, "overlap").Run(smallCfg())
 	avgRow := res.Rows[len(res.Rows)-1]
 	if avgRow[0] != "average" {
 		t.Fatalf("last row is %v, want average", avgRow)
@@ -158,7 +162,7 @@ func TestPaperConflictFractions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-shape tests skipped in -short mode")
 	}
-	res := Fig31().Run(smallCfg())
+	res := exhibit(t, "fig3-1").Run(smallCfg())
 	get := func(name string, col int) float64 {
 		for _, row := range res.Rows {
 			if row[0] == name {
@@ -191,7 +195,7 @@ func TestPaperPrefetchTimeIsShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-shape tests skipped in -short mode")
 	}
-	res := Fig41().Run(smallCfg())
+	res := exhibit(t, "fig4-1").Run(smallCfg())
 	// Find the cumulative percentage at 8 instructions for prefetch on
 	// miss: a large share of prefetches must already be needed.
 	for _, row := range res.Rows {

@@ -31,20 +31,24 @@ func TestTraceSetConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// parallelFor sweeps replaying independent cursors over the shared cached
+// Planned passes replaying independent cursors over the shared cached
 // traces — the pattern every experiment uses — must be race-free and give
 // every worker the complete stream.
 func TestParallelSweepOverSharedTraces(t *testing.T) {
 	ts := NewTraceSet(0.02)
 	names := benchNames()
-	stats := make([]core.Stats, 2*len(names))
+	fes := make([]*core.Level, 2*len(names))
+	passes := make([]*pass, len(fes))
+	for i := range fes {
+		fes[i] = level(4096, 16, core.Aux{})
+		passes[i] = &pass{bench: names[i%len(names)], runs: []*run{feedLevel(dSide, fes[i])}}
+	}
 	cfg := Config{Scale: 0.02, Traces: ts}
-	cfg.parallelFor(len(stats), func(i int) {
-		name := names[i%len(names)]
-		fe := level(4096, 16, core.Aux{})
-		cfg.replay(ts.Source(name), feedLevel(dSide, fe))
+	cfg.plan(passes...)
+	stats := make([]core.Stats, len(fes))
+	for i, fe := range fes {
 		stats[i] = fe.Stats()
-	})
+	}
 	for i := range names {
 		if stats[i] != stats[i+len(names)] {
 			t.Errorf("%s: runs over the same trace disagree: %+v vs %+v",

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"jouppi/internal/cache"
 	"jouppi/internal/classify"
 	"jouppi/internal/core"
@@ -8,14 +12,17 @@ import (
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/prefetch"
+	"jouppi/internal/workload"
 )
 
-// This file is the package's one way to replay a trace. An exhibit builds
-// every run it needs on a trace, then makes one pass over it with
-// cfg.replay; parallelFor spreads the passes over benchmarks (or over
-// generated traces). Each run applies its structure's per-access step in
-// trace order, one reference at a time, so a run's numbers do not depend
-// on how many other runs share its pass.
+// This file is the package's one way to replay a trace. An exhibit works
+// in three steps: it builds every structure it needs and declares one
+// pass per source (a benchmark of the trace set or a generated workload)
+// with that pass's runs; it calls cfg.plan once; then it reads the
+// structures. plan spreads the passes over workers, and each pass is one
+// cfg.replay over its source. Each run applies its structure's per-access
+// step in trace order, one reference at a time, so a run's numbers do not
+// depend on how many other runs share its pass or how passes are spread.
 
 // run is one structure fed by a replay pass: the references of one side
 // (or of the whole trace) go to step. n counts the references it
@@ -38,15 +45,105 @@ func (r *run) Consume(chunk []memtrace.Access) {
 	r.n = n
 }
 
+// pass is one replay of one source through its runs. The source is the
+// named benchmark of cfg.Traces or, when bench is empty, gen streamed at
+// cfg.Scale.
+type pass struct {
+	bench string
+	gen   workload.Benchmark
+	runs  []*run
+	// instrs is the source's instruction count, set when plan replays
+	// the pass; it stays 0 for a pass a cancelled plan never started.
+	instrs uint64
+}
+
+// plan replays every pass once and returns when all are done. It spreads
+// the passes over up to GOMAXPROCS workers, and runs them in the caller's
+// goroutine when that is one. Once cfg's context is done no pass starts.
+// A panicking run re-panics in the caller's goroutine as the
+// *fanout.ConsumerPanic replay raised, for runShielded to report; no
+// further pass starts after it.
+func (cfg Config) plan(passes ...*pass) {
+	workers := min(runtime.GOMAXPROCS(0), len(passes))
+	if workers <= 1 {
+		for _, p := range passes {
+			cfg.replayPass(p)
+		}
+		return
+	}
+	var (
+		wg      sync.WaitGroup
+		next    atomic.Int64
+		stop    atomic.Bool
+		once    sync.Once
+		relayed any
+	)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A panic must not escape a worker goroutine, where it would
+			// end the process; hand it to the caller unchanged.
+			defer func() {
+				if v := recover(); v != nil {
+					stop.Store(true)
+					once.Do(func() { relayed = v })
+				}
+			}()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(passes) {
+					return
+				}
+				cfg.replayPass(passes[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if relayed != nil {
+		panic(relayed)
+	}
+}
+
+// eachBench declares one pass per benchmark, in paper order, feeding the
+// runs build returns for benchmark b.
+func eachBench(build func(b int) []*run) []*pass {
+	names := benchNames()
+	passes := make([]*pass, len(names))
+	for b, name := range names {
+		passes[b] = &pass{bench: name, runs: build(b)}
+	}
+	return passes
+}
+
+// replayPass opens p's source, replays it through p's runs and closes it,
+// also when a run panics. It opens nothing once cfg's context is done.
+func (cfg Config) replayPass(p *pass) {
+	if cfg.Context().Err() != nil {
+		return
+	}
+	if p.bench != "" {
+		tr := cfg.Traces.Get(p.bench)
+		p.instrs = tr.Instructions()
+		cfg.replay(tr.Source(), p.runs...)
+		return
+	}
+	gen := workload.NewSource(p.gen, cfg.Scale)
+	defer gen.Close()
+	src := memtrace.NewCountingSource(gen)
+	cfg.replay(src, p.runs...)
+	p.instrs = src.Instructions()
+}
+
 // replay makes one pass over src that feeds every run: inline for one
 // run, on fan-out for several. It reads nothing if cfg's context is
 // already done and stops early if it is cancelled mid-pass; RunAll
 // discards the partial numbers. It books each run's simulated references
 // to cfg.Accesses: a side run books its side's, a system or whole-trace
 // run books all of them. A panicking run re-panics as
-// *fanout.ConsumerPanic, which parallelFor and runShielded relay.
+// *fanout.ConsumerPanic.
 func (cfg Config) replay(src memtrace.Source, runs ...*run) {
-	ctx := cfg.context()
+	ctx := cfg.Context()
 	if ctx.Err() != nil {
 		return
 	}
@@ -105,15 +202,23 @@ func feedSystems(cfgs ...hierarchy.Config) ([]*hierarchy.System, []*run) {
 	return systems, runs
 }
 
-// systemResults replays the named benchmark once through one system per
-// configuration and returns their results in order.
-func (cfg Config) systemResults(name string, cfgs ...hierarchy.Config) []hierarchy.Results {
-	tr := cfg.Traces.Get(name)
-	systems, runs := feedSystems(cfgs...)
-	cfg.replay(tr.Source(), runs...)
-	out := make([]hierarchy.Results, len(systems))
-	for i, sys := range systems {
-		out[i] = sys.Results(tr.Instructions())
+// benchResults replays every benchmark once, in one plan, through one
+// two-level system per configuration, and returns each benchmark's
+// results in configuration order.
+func (cfg Config) benchResults(cfgs ...hierarchy.Config) [][]hierarchy.Results {
+	systems := make([][]*hierarchy.System, len(benchNames()))
+	passes := eachBench(func(b int) []*run {
+		var runs []*run
+		systems[b], runs = feedSystems(cfgs...)
+		return runs
+	})
+	cfg.plan(passes...)
+	out := make([][]hierarchy.Results, len(systems))
+	for b, sys := range systems {
+		out[b] = make([]hierarchy.Results, len(sys))
+		for i, s := range sys {
+			out[b][i] = s.Results(passes[b].instrs)
+		}
 	}
 	return out
 }

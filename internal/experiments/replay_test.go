@@ -82,12 +82,9 @@ func TestReplayGroupMatchesSequentialHelpers(t *testing.T) {
 // that names the run and carries its goroutine's stack.
 func TestRunAllRelaysConsumerPanic(t *testing.T) {
 	exp := Experiment{ID: "boom", Title: "panicking replay run", Run: func(cfg Config) *Result {
-		tr := cfg.Traces.Get("ccom")
-		cfg.parallelFor(1, func(int) {
-			cfg.replay(tr.Source(),
-				feedFunc(func(memtrace.Access) {}),
-				feedFunc(func(memtrace.Access) { panic("injected consumer failure") }))
-		})
+		cfg.plan(&pass{bench: "ccom", runs: []*run{
+			feedFunc(func(memtrace.Access) {}),
+			feedFunc(func(memtrace.Access) { panic("injected consumer failure") })}})
 		return &Result{ID: "boom"}
 	}}
 	out, err := RunAll(context.Background(), smallCfg(), RunOptions{Experiments: []Experiment{exp}})

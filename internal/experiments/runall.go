@@ -248,19 +248,11 @@ func runShielded(ctx context.Context, e Experiment, cfg Config, timeout time.Dur
 	return res
 }
 
-// failedResult converts a recovered panic into a Result. Panics relayed
-// from parallelFor workers carry the worker's own stack; for direct
-// panics the stack is captured here, still inside the recovering frame.
+// failedResult converts a recovered panic into a Result. A run's panic
+// arrives as the *fanout.ConsumerPanic replay raised, carrying the run
+// goroutine's own stack; for direct panics the stack is captured here,
+// still inside the recovering frame.
 func failedResult(e Experiment, r any) *Result {
-	if wp, ok := r.(*workerPanic); ok {
-		r = wp.val
-		if _, isConsumer := r.(*fanout.ConsumerPanic); !isConsumer {
-			return &Result{ID: e.ID, Title: e.Title,
-				Err: fmt.Sprintf("panic: %v", wp.val), Stack: string(wp.stack)}
-		}
-	}
-	// A relayed fan-out consumer panic carries the consumer goroutine's
-	// own stack — more useful than the relaying worker's.
 	if cp, ok := r.(*fanout.ConsumerPanic); ok {
 		return &Result{ID: e.ID, Title: e.Title,
 			Err: fmt.Sprintf("panic: %v", cp), Stack: string(cp.Stack)}

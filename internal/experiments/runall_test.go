@@ -45,36 +45,6 @@ func TestRunAllIsolatesPanics(t *testing.T) {
 	}
 }
 
-// A panic inside a parallelFor worker goroutine must be relayed to the
-// experiment's own goroutine so runShielded's recover sees it — a raw
-// goroutine panic would kill the process and bypass suite isolation.
-func TestRunAllIsolatesWorkerPanics(t *testing.T) {
-	exps := []Experiment{
-		{ID: "worker-boom", Title: "worker boom", Run: func(cfg Config) *Result {
-			cfg.parallelFor(64, func(i int) {
-				if i == 17 {
-					panic("worker blew up")
-				}
-			})
-			return &Result{ID: "worker-boom", Title: "worker boom"}
-		}},
-		okExperiment("after"),
-	}
-	out, err := RunAll(context.Background(), Config{}, RunOptions{Experiments: exps})
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(out) != 2 || !out[0].Failed() || out[1].Failed() {
-		t.Fatalf("results = %+v, want worker panic isolated and next experiment run", out)
-	}
-	if !strings.Contains(out[0].Err, "worker blew up") {
-		t.Errorf("Err = %q, want the worker's panic value", out[0].Err)
-	}
-	if !strings.Contains(out[0].Stack, "parallelFor") {
-		t.Errorf("Stack does not show the worker's own frames:\n%s", out[0].Stack)
-	}
-}
-
 // Cancelling mid-suite returns the partial results plus the ctx error.
 func TestRunAllCancellationReturnsPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -102,7 +72,7 @@ func TestRunAllCancellationReturnsPartialResults(t *testing.T) {
 func TestRunAllPerExperimentTimeout(t *testing.T) {
 	exps := []Experiment{
 		{ID: "slow", Title: "slow", Run: func(cfg Config) *Result {
-			ctx := cfg.context()
+			ctx := cfg.Context()
 			for ctx.Err() == nil {
 				time.Sleep(time.Millisecond)
 			}

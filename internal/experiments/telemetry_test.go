@@ -145,7 +145,7 @@ func TestRunAllRetriesExhausted(t *testing.T) {
 func TestRunAllAccessCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, err := RunAll(context.Background(), Config{Scale: 0.01}, RunOptions{
-		Experiments: []Experiment{Fig31()},
+		Experiments: []Experiment{exhibit(t, "fig3-1")},
 		Telemetry:   reg,
 	})
 	if err != nil {

@@ -67,8 +67,8 @@ func Sink(s memtrace.Sink) Consumer { return Func(s.Access) }
 // ConsumerPanic wraps a panic raised inside a consumer. The engine
 // records the first one, stops producing, lets the surviving consumers
 // drain their queued chunks (inline, none are queued), and then
-// re-panics the wrapped value on the caller's goroutine — the same relay
-// contract as the experiment runner's workerPanic.
+// re-panics the wrapped value on the caller's goroutine. The experiment
+// planner passes it on unchanged to the exhibit's own goroutine.
 type ConsumerPanic struct {
 	Consumer int    // index of the panicking consumer in the Replay call
 	Val      any    // the recovered panic value

@@ -16,13 +16,6 @@ import (
 // many accesses; completed runs are exact.
 const telFlushEvery = 4096
 
-// addDelta publishes the growth of one stat since the last flush.
-func addDelta(c *telemetry.Counter, cur, last uint64) {
-	if cur != last {
-		c.Add(cur - last)
-	}
-}
-
 // sysTel is the system-level counter set AttachTelemetry installs.
 type sysTel struct {
 	i, d *core.Counters // per-side reference outcomes
@@ -64,14 +57,14 @@ func (s *System) flushTel() {
 	t.d.Publish(s.dfe.Stats())
 
 	l2 := s.combinedL2()
-	addDelta(t.l2DemandAccesses, l2.DemandAccesses, t.lastL2.DemandAccesses)
-	addDelta(t.l2DemandMisses, l2.DemandMisses, t.lastL2.DemandMisses)
-	addDelta(t.l2PrefetchAccesses, l2.PrefetchAccesses, t.lastL2.PrefetchAccesses)
-	addDelta(t.l2PrefetchMisses, l2.PrefetchMisses, t.lastL2.PrefetchMisses)
+	t.l2DemandAccesses.Add(l2.DemandAccesses - t.lastL2.DemandAccesses)
+	t.l2DemandMisses.Add(l2.DemandMisses - t.lastL2.DemandMisses)
+	t.l2PrefetchAccesses.Add(l2.PrefetchAccesses - t.lastL2.PrefetchAccesses)
+	t.l2PrefetchMisses.Add(l2.PrefetchMisses - t.lastL2.PrefetchMisses)
 	t.lastL2 = l2
 
-	addDelta(t.memDemandFetches, s.mem.DemandFetches, t.lastMem.DemandFetches)
-	addDelta(t.memPrefetchFetches, s.mem.PrefetchFetches, t.lastMem.PrefetchFetches)
+	t.memDemandFetches.Add(s.mem.DemandFetches - t.lastMem.DemandFetches)
+	t.memPrefetchFetches.Add(s.mem.PrefetchFetches - t.lastMem.PrefetchFetches)
 	t.lastMem = s.mem
 
 	s.ife.Cache().FlushTelemetry()

@@ -80,9 +80,10 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
+// Add adds n. Adding zero touches no shard, so callers can publish a
+// stats delta unconditionally.
 func (c *Counter) Add(n uint64) {
-	if c != nil {
+	if c != nil && n != 0 {
 		c.shards[shardIndex()].v.Add(n)
 	}
 }

@@ -93,12 +93,3 @@ func TestReplayDeadline(t *testing.T) {
 		t.Errorf("deadline took %v to take effect", elapsed)
 	}
 }
-
-func TestRunExperimentContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunExperimentContext(ctx, "table2-1", 0.05)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

@@ -52,17 +52,6 @@ func ExampleRunBenchmark() {
 	// met D miss rate below baseline 0.04: true
 }
 
-// Enumerate the reproducible paper exhibits.
-func ExampleExperiments() {
-	for _, e := range sim.Experiments()[:3] {
-		fmt.Println(e.ID)
-	}
-	// Output:
-	// table1-1
-	// table2-1
-	// table2-2
-}
-
 // Stream a workload's raw references into custom code — here, counting
 // how many distinct 4KB pages the compiler model touches.
 func ExampleVisitBenchmark() {

@@ -4,7 +4,8 @@
 // Fully-Associative Cache and Prefetch Buffers" — miss caches, victim
 // caches, and single-/multi-way stream buffers on top of a two-level
 // cache hierarchy — together with the paper's six reconstructed benchmark
-// workloads and every evaluation experiment.
+// workloads. The jouppisim command regenerates the paper's tables and
+// figures.
 //
 // Quick use:
 //
@@ -24,7 +25,6 @@ import (
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
-	"jouppi/internal/experiments"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
@@ -347,45 +347,4 @@ func RunBenchmark(name string, scale float64, cfg Config) (Results, error) {
 		return Results{}, err
 	}
 	return sys.Results(), nil
-}
-
-// ExperimentInfo names one reproducible paper exhibit.
-type ExperimentInfo struct {
-	ID    string
-	Title string
-}
-
-// Experiments lists every table/figure reproduction and ablation study.
-func Experiments() []ExperimentInfo {
-	var out []ExperimentInfo
-	for _, e := range experiments.All() {
-		out = append(out, ExperimentInfo{ID: e.ID, Title: e.Title})
-	}
-	return out
-}
-
-// RunExperiment runs one experiment by ID at the given workload scale and
-// returns its rendered text output.
-func RunExperiment(id string, scale float64) (string, error) {
-	return RunExperimentContext(context.Background(), id, scale)
-}
-
-// RunExperimentContext is RunExperiment with cooperative cancellation and
-// panic isolation: a cancelled context or a crashing experiment returns
-// an error instead of hanging the caller or killing the process.
-func RunExperimentContext(ctx context.Context, id string, scale float64) (string, error) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		return "", fmt.Errorf("sim: unknown experiment %q (have %v)", id, experiments.IDs())
-	}
-	results, err := experiments.RunAll(ctx, experiments.Config{Scale: scale},
-		experiments.RunOptions{Experiments: []experiments.Experiment{e}})
-	if err != nil {
-		return "", err
-	}
-	res := results[0]
-	if res.Failed() {
-		return "", fmt.Errorf("sim: experiment %s failed: %s", id, res.Err)
-	}
-	return res.Title + "\n\n" + res.Text, nil
 }

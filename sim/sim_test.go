@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -120,23 +119,6 @@ func TestBenchmarksList(t *testing.T) {
 func TestSpeedupZeroGuard(t *testing.T) {
 	if Speedup(Results{TotalTime: 10}, Results{}) != 0 {
 		t.Error("speedup against zero time should be 0")
-	}
-}
-
-func TestExperimentsSurface(t *testing.T) {
-	infos := Experiments()
-	if len(infos) < 20 {
-		t.Fatalf("Experiments() returned %d entries", len(infos))
-	}
-	out, err := RunExperiment("table1-1", 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "WRL Titan") {
-		t.Errorf("table1-1 output missing content:\n%s", out)
-	}
-	if _, err := RunExperiment("nope", 0.05); err == nil {
-		t.Error("unknown experiment accepted")
 	}
 }
 
