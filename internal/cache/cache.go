@@ -1,11 +1,14 @@
-// Package cache implements the cache models underlying the simulator:
+// Package cache implements the one tag store of the simulator:
 // direct-mapped, set-associative, and fully-associative caches with
-// configurable line size, replacement policy, and write policy.
+// configurable line size, replacement policy, and write policy, held as
+// one flat array of ways in which set s is ways[s*assoc : (s+1)*assoc].
 //
 // The package operates on plain byte addresses (uint64) and exposes both a
 // high-level Access path (probe, fill on miss) for standalone simulation
 // and low-level Probe/Fill/Invalidate primitives that the paper's
-// miss-cache, victim-cache, and stream-buffer front-ends compose.
+// front ends compose. The paper's miss and victim caches are themselves
+// small fully-associative Caches, which may hold any whole number of
+// lines.
 package cache
 
 import (
@@ -67,7 +70,9 @@ func (w WritePolicy) String() string {
 type Config struct {
 	// Name labels the cache in diagnostics ("L1I", "L1D", "L2").
 	Name string
-	// Size is the total data capacity in bytes. Must be a power of two.
+	// Size is the total data capacity in bytes. Must be a power of two,
+	// except that a fully-associative cache (one set) may hold any whole
+	// number of lines.
 	Size int
 	// LineSize is the line (block) size in bytes. Must be a power of two
 	// and no larger than Size.
@@ -90,7 +95,9 @@ const FullyAssociative = 0
 // Validate checks the configuration and returns a descriptive error if it
 // is unusable.
 func (c Config) Validate() error {
-	if c.Size <= 0 || bits.OnesCount(uint(c.Size)) != 1 {
+	// Only a set index needs a power-of-two size; a fully-associative
+	// cache has one set, so any whole number of lines will do.
+	if c.Size <= 0 || (c.Assoc != FullyAssociative && bits.OnesCount(uint(c.Size)) != 1) {
 		return fmt.Errorf("cache %q: size %d is not a positive power of two", c.Name, c.Size)
 	}
 	if c.LineSize <= 0 || bits.OnesCount(uint(c.LineSize)) != 1 {
@@ -98,6 +105,9 @@ func (c Config) Validate() error {
 	}
 	if c.LineSize > c.Size {
 		return fmt.Errorf("cache %q: line size %d exceeds cache size %d", c.Name, c.LineSize, c.Size)
+	}
+	if c.Size%c.LineSize != 0 {
+		return fmt.Errorf("cache %q: size %d is not a whole number of %d-byte lines", c.Name, c.Size, c.LineSize)
 	}
 	lines := c.Size / c.LineSize
 	assoc := c.Assoc
@@ -229,7 +239,8 @@ type way struct {
 // Cache is a single cache array. It is not safe for concurrent use.
 type Cache struct {
 	cfg       Config
-	sets      [][]way
+	ways      []way // set s is ways[s*assoc : (s+1)*assoc]
+	assoc     int
 	lineShift uint
 	setMask   uint64
 	// heatAcc (nil unless InstrumentSets) sits beside the geometry words
@@ -252,23 +263,15 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	assoc := cfg.Assoc
-	if assoc == FullyAssociative {
-		assoc = cfg.Lines()
-	}
-	numSets := cfg.Lines() / assoc
-	c := &Cache{
+	sets := cfg.Sets()
+	return &Cache{
 		cfg:       cfg,
+		ways:      make([]way, cfg.Lines()),
+		assoc:     cfg.Lines() / sets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		setMask:   uint64(numSets - 1),
+		setMask:   uint64(sets - 1),
 		rng:       cfg.RandomSeed | 1,
-	}
-	c.sets = make([][]way, numSets)
-	backing := make([]way, numSets*assoc)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:assoc:assoc], backing[assoc:]
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNew is New but panics on invalid configuration. Intended for tests
@@ -323,10 +326,11 @@ func (c *Cache) Instrument(tel *Counters) {
 // freshly zeroed arrays. Passing all nil detaches, folding the per-set
 // access counts back into the plain counter.
 func (c *Cache) InstrumentSets(acc, miss, evict []uint64) {
+	sets := int(c.setMask) + 1
 	for _, s := range [][]uint64{acc, miss, evict} {
-		if (s == nil) != (acc == nil) || (s != nil && len(s) != len(c.sets)) {
+		if (s == nil) != (acc == nil) || (s != nil && len(s) != sets) {
 			panic(fmt.Sprintf("cache %q: InstrumentSets wants three equal arrays of %d counters (got %d/%d/%d)",
-				c.cfg.Name, len(c.sets), len(acc), len(miss), len(evict)))
+				c.cfg.Name, sets, len(acc), len(miss), len(evict)))
 		}
 	}
 	for _, n := range c.heatAcc {
@@ -366,7 +370,18 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 // LineSize returns the configured line size in bytes.
 func (c *Cache) LineSize() int { return c.cfg.LineSize }
 
-func (c *Cache) setFor(lineAddr uint64) []way { return c.sets[lineAddr&c.setMask] }
+// find returns the valid way holding lineAddr, or nil when the line is
+// absent, and the index in ways of the first way of its set.
+func (c *Cache) find(lineAddr uint64) (w *way, first int) {
+	first = int(lineAddr&c.setMask) * c.assoc
+	ways := c.ways
+	for i := first; i < first+c.assoc; i++ {
+		if w := &ways[i]; w.valid && w.tag == lineAddr {
+			return w, first
+		}
+	}
+	return nil, first
+}
 
 // Probe looks up addr, updating recency and dirty state on a hit. It
 // reports whether the line is present. On a miss the cache is unchanged;
@@ -386,10 +401,12 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 	} else {
 		c.stats.Accesses++
 	}
-	set := c.setFor(la)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == la {
+	// find's loop, inlined with the hit path inside it: the direct-mapped
+	// probe measured slower through find.
+	ways := c.ways
+	first := int(la&c.setMask) * c.assoc
+	for i := first; i < first+c.assoc; i++ {
+		if w := &ways[i]; w.valid && w.tag == la {
 			if c.cfg.Replacement != FIFO {
 				c.tick++
 				w.used = c.tick
@@ -411,14 +428,8 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 // Contains reports whether addr's line is present without updating any
 // replacement or statistics state.
 func (c *Cache) Contains(addr uint64) bool {
-	la := c.LineAddr(addr)
-	set := c.setFor(la)
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			return true
-		}
-	}
-	return false
+	w, _ := c.find(c.LineAddr(addr))
+	return w != nil
 }
 
 // Fill installs addr's line, selecting a victim per the replacement policy
@@ -428,27 +439,17 @@ func (c *Cache) Contains(addr uint64) bool {
 // recency instead of duplicating it.
 func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	la := c.LineAddr(addr)
-	set := c.setFor(la)
+	w, first := c.find(la)
 	c.tick++
-
-	victim := -1
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == la {
-			// Already present (e.g. racing prefetch): refresh.
-			w.used = c.tick
-			w.dirty = w.dirty || dirty
-			return Victim{}
-		}
-		if !w.valid && victim == -1 {
-			victim = i
-		}
-	}
-	if victim == -1 {
-		victim = c.pickVictim(set)
+	if w != nil {
+		// Already present (e.g. racing prefetch): refresh.
+		w.used = c.tick
+		w.dirty = w.dirty || dirty
+		return Victim{}
 	}
 
-	w := &set[victim]
+	set := c.ways[first : first+c.assoc]
+	w = &set[c.pickVictim(set)]
 	out := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
 	if out.Valid {
 		c.stats.Evictions++
@@ -464,40 +465,41 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	return out
 }
 
+// pickVictim returns the way of set that a fill replaces: the first
+// empty way or, when the set is full, the way the replacement policy
+// evicts. An empty way is taken without advancing the Random generator.
 func (c *Cache) pickVictim(set []way) int {
-	switch c.cfg.Replacement {
-	case Random:
+	lru := 0
+	for i := range set {
+		if !set[i].valid {
+			return i
+		}
+		// LRU and FIFO both evict the minimum 'used' tick; FIFO simply
+		// never refreshes it on hits (see Probe).
+		if set[i].used < set[lru].used {
+			lru = i
+		}
+	}
+	if c.cfg.Replacement == Random {
 		// xorshift64*; cheap deterministic pseudo-randomness.
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
 		return int(c.rng % uint64(len(set)))
-	default: // LRU and FIFO both evict the minimum 'used' tick; FIFO
-		// simply never refreshes it on hits (see Probe).
-		best := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].used < set[best].used {
-				best = i
-			}
-		}
-		return best
 	}
+	return lru
 }
 
 // Invalidate removes addr's line if present and reports whether it was
 // present and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	la := c.LineAddr(addr)
-	set := c.setFor(la)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == la {
-			present, dirty = true, w.dirty
-			*w = way{}
-			return present, dirty
-		}
+	w, _ := c.find(c.LineAddr(addr))
+	if w == nil {
+		return false, false
 	}
-	return false, false
+	dirty = w.dirty
+	*w = way{}
+	return true, dirty
 }
 
 // Access is the standalone simulation path: probe addr and fill on miss.
@@ -513,11 +515,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 
 // Reset invalidates every line and zeroes the statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
-	}
+	clear(c.ways)
 	c.tick = 0
 	c.tel.publish(c.Stats())
 	c.stats = Stats{}
@@ -526,61 +524,14 @@ func (c *Cache) Reset() {
 	c.rng = c.cfg.RandomSeed | 1
 }
 
-// Touch updates the recency of addr's line if present, without counting an
-// access. The victim-cache swap path uses it to model the swapped-in line
-// becoming most recently used.
-func (c *Cache) Touch(addr uint64) bool {
-	la := c.LineAddr(addr)
-	set := c.setFor(la)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == la {
-			c.tick++
-			w.used = c.tick
-			return true
-		}
-	}
-	return false
-}
-
-// MarkDirty sets the dirty bit on addr's line if present. Used when a line
-// arrives from a victim cache carrying modified data.
-func (c *Cache) MarkDirty(addr uint64) bool {
-	la := c.LineAddr(addr)
-	set := c.setFor(la)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == la {
-			w.dirty = true
-			return true
-		}
-	}
-	return false
-}
-
-// Utilization returns the fraction of lines currently valid.
-func (c *Cache) Utilization() float64 {
-	valid := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(c.cfg.Lines())
-}
-
 // ResidentLines returns the line addresses of every valid line, in no
 // particular order. Intended for content inspection (e.g. inclusion
 // analysis between hierarchy levels), not for the simulation fast path.
 func (c *Cache) ResidentLines() []uint64 {
 	out := make([]uint64, 0, c.cfg.Lines())
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				out = append(out, set[i].tag)
-			}
+	for _, w := range c.ways {
+		if w.valid {
+			out = append(out, w.tag)
 		}
 	}
 	return out

@@ -7,19 +7,26 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	ok := Config{Name: "ok", Size: 4096, LineSize: 16, Assoc: 1}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	good := []Config{
+		{Name: "ok", Size: 4096, LineSize: 16, Assoc: 1},
+		{Size: 48, LineSize: 16, Assoc: FullyAssociative}, // three lines, one set
+	}
+	for i, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("valid config %d rejected: %v", i, err)
+		}
 	}
 	bad := []Config{
 		{Size: 0, LineSize: 16, Assoc: 1},
-		{Size: 3000, LineSize: 16, Assoc: 1},   // size not power of two
-		{Size: 4096, LineSize: 0, Assoc: 1},    // zero line
-		{Size: 4096, LineSize: 24, Assoc: 1},   // line not power of two
-		{Size: 16, LineSize: 64, Assoc: 1},     // line > size
-		{Size: 4096, LineSize: 16, Assoc: 300}, // assoc > lines
-		{Size: 4096, LineSize: 16, Assoc: -2},  // negative assoc
-		{Size: 4096, LineSize: 16, Assoc: 3},   // lines % assoc != 0
+		{Size: 3000, LineSize: 16, Assoc: 1},              // size not power of two
+		{Size: 48, LineSize: 16, Assoc: 1},                // three lines need a set index
+		{Size: 40, LineSize: 16, Assoc: FullyAssociative}, // not whole lines
+		{Size: 4096, LineSize: 0, Assoc: 1},               // zero line
+		{Size: 4096, LineSize: 24, Assoc: 1},              // line not power of two
+		{Size: 16, LineSize: 64, Assoc: 1},                // line > size
+		{Size: 4096, LineSize: 16, Assoc: 300},            // assoc > lines
+		{Size: 4096, LineSize: 16, Assoc: -2},             // negative assoc
+		{Size: 4096, LineSize: 16, Assoc: 3},              // lines % assoc != 0
 		{Size: 64, LineSize: 16, Assoc: 1, Replacement: 99},
 		{Size: 64, LineSize: 16, Assoc: 1, WritePolicy: 99},
 	}
@@ -219,45 +226,6 @@ func TestAccessFillsOnMiss(t *testing.T) {
 	}
 }
 
-func TestTouchAndMarkDirty(t *testing.T) {
-	c := MustNew(Config{Size: 32, LineSize: 16, Assoc: FullyAssociative, WritePolicy: WriteBack})
-	if c.Touch(0x00) {
-		t.Fatal("Touch hit in empty cache")
-	}
-	c.Fill(0x000, false)
-	c.Fill(0x100, false)
-	if !c.Touch(0x000) {
-		t.Fatal("Touch missed present line")
-	}
-	if !c.MarkDirty(0x000) {
-		t.Fatal("MarkDirty missed present line")
-	}
-	if c.MarkDirty(0x300) {
-		t.Fatal("MarkDirty hit absent line")
-	}
-	// After the touch, 0x100 is LRU and 0x000 is dirty.
-	v := c.Fill(0x200, false)
-	if v.LineAddr != c.LineAddr(0x100) {
-		t.Fatalf("victim = %+v, want 0x100", v)
-	}
-	v = c.Fill(0x300, false)
-	if v.LineAddr != c.LineAddr(0x000) || !v.Dirty {
-		t.Fatalf("victim = %+v, want dirty 0x000", v)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	c := MustNew(Config{Size: 64, LineSize: 16, Assoc: 1})
-	if got := c.Utilization(); got != 0 {
-		t.Errorf("empty utilization = %v, want 0", got)
-	}
-	c.Fill(0x00, false)
-	c.Fill(0x10, false)
-	if got := c.Utilization(); got != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", got)
-	}
-}
-
 func TestResetClearsEverything(t *testing.T) {
 	c := MustNew(Config{Size: 64, LineSize: 16, Assoc: 2})
 	for i := uint64(0); i < 16; i++ {
@@ -267,8 +235,83 @@ func TestResetClearsEverything(t *testing.T) {
 	if c.Stats() != (Stats{}) {
 		t.Errorf("stats after reset = %+v", c.Stats())
 	}
-	if c.Utilization() != 0 {
-		t.Error("lines survive reset")
+	if got := c.ResidentLines(); len(got) != 0 {
+		t.Errorf("lines survive reset: %v", got)
+	}
+}
+
+// TestNewAllocatesOneTagArray pins the flat layout: a set-associative cache is
+// the Cache itself plus one array of ways, however many sets it has.
+func TestNewAllocatesOneTagArray(t *testing.T) {
+	cfg := Config{Size: 4096, LineSize: 16, Assoc: 4}
+	if n := testing.AllocsPerRun(100, func() { MustNew(cfg) }); n != 2 {
+		t.Fatalf("New made %v allocations, want 2", n)
+	}
+}
+
+// TestFullyAssociativeMatchesReferenceLRU drives the Probe, Fill and
+// Invalidate calls a miss or victim cache makes against an MRU-first
+// slice, at every entry count shape the paper sweeps, and checks the
+// line and dirty bit of each eviction.
+func TestFullyAssociativeMatchesReferenceLRU(t *testing.T) {
+	type entry struct {
+		la    uint64
+		dirty bool
+	}
+	for _, entries := range []int{1, 2, 3, 4, 5, 7, 15} {
+		c := MustNew(Config{Size: entries * 16, LineSize: 16, Assoc: FullyAssociative})
+		var ref []entry // MRU first
+		refIndex := func(la uint64) int {
+			for i, e := range ref {
+				if e.la == la {
+					return i
+				}
+			}
+			return -1
+		}
+		rng := rand.New(rand.NewSource(int64(31 + entries)))
+		for op := 0; op < 50000; op++ {
+			la := uint64(rng.Intn(3 * entries))
+			i := refIndex(la)
+			switch rng.Intn(3) {
+			case 0: // probe: a hit becomes MRU
+				if hit := c.Probe(la*16, false); hit != (i >= 0) {
+					t.Fatalf("%d entries, op %d: Probe(%d) = %v, ref %v", entries, op, la, hit, i >= 0)
+				}
+				if i >= 0 {
+					e := ref[i]
+					ref = append([]entry{e}, append(ref[:i], ref[i+1:]...)...)
+				}
+			case 1: // fill: refresh and OR dirty, or insert and evict the LRU line
+				dirty := rng.Intn(2) == 0
+				v := c.Fill(la*16, dirty)
+				want := Victim{}
+				e := entry{la: la, dirty: dirty}
+				if i >= 0 {
+					e.dirty = e.dirty || ref[i].dirty
+					ref = append(ref[:i], ref[i+1:]...)
+				} else if len(ref) == entries {
+					lru := ref[entries-1]
+					want = Victim{LineAddr: lru.la, Valid: true, Dirty: lru.dirty}
+					ref = ref[:entries-1]
+				}
+				ref = append([]entry{e}, ref...)
+				if v != want {
+					t.Fatalf("%d entries, op %d: Fill(%d) evicted %+v, ref %+v", entries, op, la, v, want)
+				}
+			case 2: // invalidate
+				present, dirty := c.Invalidate(la * 16)
+				if present != (i >= 0) || (i >= 0 && dirty != ref[i].dirty) {
+					t.Fatalf("%d entries, op %d: Invalidate(%d) = (%v, %v), ref index %d", entries, op, la, present, dirty, i)
+				}
+				if i >= 0 {
+					ref = append(ref[:i], ref[i+1:]...)
+				}
+			}
+			if got := len(c.ResidentLines()); got != len(ref) {
+				t.Fatalf("%d entries, op %d: %d resident lines, ref %d", entries, op, got, len(ref))
+			}
+		}
 	}
 }
 

@@ -60,9 +60,9 @@ type Level struct {
 	l1        *cache.Cache
 	stats     Stats
 	now       uint64
-	mc        *assocBuf  // miss cache, or nil
-	vc        *assocBuf  // victim cache, or nil
-	set       *streamSet // stream buffers, or nil
+	mc        *cache.Cache // miss cache (fully associative), or nil
+	vc        *cache.Cache // victim cache (fully associative), or nil
+	set       *streamSet   // stream buffers, or nil
 	writeBack bool
 	fetch     Fetcher
 	timing    Timing
@@ -107,11 +107,12 @@ func NewLevel(l1 *cache.Cache, aux Aux, fetch Fetcher, timing Timing) (*Level, e
 		timing:    timing,
 		writeBack: l1.Config().WritePolicy == cache.WriteBack,
 	}
-	if aux.MissCache > 0 {
-		l.mc = newAssocBuf(aux.MissCache)
+	var err error
+	if l.mc, err = auxCache(l1, "miss cache", aux.MissCache); err != nil {
+		return nil, err
 	}
-	if aux.Victim > 0 {
-		l.vc = newAssocBuf(aux.Victim)
+	if l.vc, err = auxCache(l1, "victim cache", aux.Victim); err != nil {
+		return nil, err
 	}
 	if aux.Stream.Ways > 0 {
 		aux.Stream = aux.Stream.withDefaults()
@@ -119,6 +120,16 @@ func NewLevel(l1 *cache.Cache, aux Aux, fetch Fetcher, timing Timing) (*Level, e
 	}
 	l.aux = aux
 	return l, nil
+}
+
+// auxCache builds a fully-associative LRU cache of n of l1's lines — the
+// paper's miss or victim cache — or returns nil when n is 0.
+func auxCache(l1 *cache.Cache, name string, n int) (*cache.Cache, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	line := l1.LineSize()
+	return cache.New(cache.Config{Name: name, Size: n * line, LineSize: line, Assoc: cache.FullyAssociative})
 }
 
 func mustLevel(l *Level, err error) *Level {
@@ -181,7 +192,7 @@ func (l *Level) miss(addr uint64, write bool) Result {
 	// 1. Miss cache: reload the cache; the line stays in the miss cache
 	// too (it is a cache, not a queue).
 	if l.mc != nil {
-		if hit, _ := l.mc.probe(la); hit {
+		if l.mc.Probe(addr, false) {
 			l.stats.MissCacheHits++
 			l.fill(addr, write, false)
 			return l.auxHit(ServedMissCache, l.timing.AuxPenalty)
@@ -190,7 +201,7 @@ func (l *Level) miss(addr uint64, write bool) Result {
 
 	// 2. Victim cache: swap.
 	if l.vc != nil {
-		if present, dirty := l.vc.remove(la); present {
+		if present, dirty := l.vc.Invalidate(addr); present {
 			l.stats.VictimHits++
 			if l.set != nil && l.set.contains(la) {
 				l.stats.OverlapHits++
@@ -222,7 +233,7 @@ func (l *Level) miss(addr uint64, write bool) Result {
 	}
 	l.fill(addr, write, false)
 	if l.mc != nil {
-		l.mc.insert(la, false)
+		l.mc.Fill(addr, false)
 	}
 	stall := l.timing.MissPenalty
 	l.stats.StallCycles += uint64(stall)
@@ -256,7 +267,7 @@ func (l *Level) fill(addr uint64, write, wasDirty bool) {
 		}
 		return
 	}
-	if ev, evicted := l.vc.insert(victim.LineAddr, victim.Dirty); evicted && ev.dirty {
+	if ev := l.vc.Fill(victim.LineAddr*uint64(l.l1.LineSize()), victim.Dirty); ev.Valid && ev.Dirty {
 		l.stats.Writebacks++
 	}
 }
@@ -312,16 +323,15 @@ func (l *Level) Name() string {
 // miss or victim cache, or a stream buffer's comparators (the head only,
 // unless Quasi). Intended for tests and invariant checks.
 func (l *Level) ContainsAux(addr uint64) bool {
-	la := l.l1.LineAddr(addr)
-	return (l.mc != nil && l.mc.contains(la)) ||
-		(l.vc != nil && l.vc.contains(la)) ||
-		(l.set != nil && l.set.contains(la))
+	return (l.mc != nil && l.mc.Contains(addr)) ||
+		(l.vc != nil && l.vc.Contains(addr)) ||
+		(l.set != nil && l.set.contains(l.l1.LineAddr(addr)))
 }
 
 // Exclusive verifies the victim-cache invariant for addr's line: it is
 // not in both the cache and the victim cache.
 func (l *Level) Exclusive(addr uint64) bool {
-	return l.vc == nil || !(l.l1.Contains(addr) && l.vc.contains(l.l1.LineAddr(addr)))
+	return l.vc == nil || !(l.l1.Contains(addr) && l.vc.Contains(addr))
 }
 
 // AuxResidentLines returns the line addresses (in cache line units) held
@@ -331,9 +341,9 @@ func (l *Level) Exclusive(addr uint64) bool {
 func (l *Level) AuxResidentLines() []uint64 {
 	switch {
 	case l.mc != nil:
-		return l.mc.residents()
+		return l.mc.ResidentLines()
 	case l.vc != nil:
-		return l.vc.residents()
+		return l.vc.ResidentLines()
 	}
 	return nil
 }

@@ -400,7 +400,7 @@ func FuzzFrontEndVsReference(f *testing.F) {
 			kind:    kind % 5,
 			size:    64 << (sizeSel % 7), // 64B–4KB
 			line:    4 << (lineSel % 5),  // 4B–64B
-			entries: int(entries % 9),
+			entries: int(entries % 16),   // every size the paper sweeps (1–15)
 			ways:    int(ways % 5),
 			depth:   1 + int(depth%6),
 		}

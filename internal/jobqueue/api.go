@@ -185,8 +185,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := job.Status()
-	if st.State.Terminal() {
-		// Answered from the result store: the job is already done.
+	if st.CacheHit {
+		// Answered from the result store: the job is already done. A
+		// fresh job may be done by now too, but it still gets a 202.
 		writeJSON(w, http.StatusOK, st)
 		return
 	}

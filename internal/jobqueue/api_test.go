@@ -124,6 +124,26 @@ func TestAPISubmitUploadedTrace(t *testing.T) {
 	}
 }
 
+// TestAPISubmitFreshJobIsAccepted pins that a fresh job gets a 202 even
+// when an instant runner has finished it before the handler reads its
+// status: only a job answered from the result store gets a 200.
+func TestAPISubmitFreshJobIsAccepted(t *testing.T) {
+	srv, _, _ := newTestServer(t, Options{
+		Workers: 2,
+		Runner: func(ctx context.Context, spec *Spec, version string) (*ResultBody, error) {
+			return &ResultBody{TraceDigest: spec.TraceDigest()}, nil
+		},
+	})
+	for i := 0; i < 50; i++ {
+		trace := base64.StdEncoding.EncodeToString(testTraceDin(i + 1))
+		resp, st := submitJSON(t, srv, fmt.Sprintf(`{"trace": %q, "trace_format": "din"}`, trace))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d: POST /jobs = %d (state %s), want 202", i, resp.StatusCode, st.State)
+		}
+		pollDone(t, srv, st.ID)
+	}
+}
+
 func TestAPIBadRequests(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{Workers: 1})
 	for name, body := range map[string]string{
