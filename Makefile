@@ -13,8 +13,13 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet also fails if any package of the root module imports unsafe: no
+# simulator code needs it, and the check keeps it that way. bench/ is
+# its own module and is not checked.
 vet:
 	$(GO) vet ./...
+	@pkgs=$$($(GO) list -f '{{range .Imports}}{{if eq . "unsafe"}}{{$$.ImportPath}} {{end}}{{end}}' ./...); \
+		if [ -n "$$pkgs" ]; then echo "packages importing unsafe: $$pkgs"; exit 1; fi
 
 build:
 	$(GO) build ./...

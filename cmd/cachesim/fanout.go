@@ -64,17 +64,16 @@ func frontEnd(cfg, base sim.Config) (*core.Level, error) {
 
 // levelConsumer replays every reference of each chunk into one front
 // end; the side was picked out before the chunk was filled. cl, when
-// set, classifies the plain cache's misses; tel, when set, publishes the
-// level's counters after every chunk.
+// set, classifies the plain cache's misses.
 type levelConsumer struct {
-	fe  *core.Level
-	cl  *classify.Classifier
-	tel *core.Counters
+	fe *core.Level
+	cl *classify.Classifier
 }
 
-// Consume replays one chunk. The classifying loop is kept apart, so the
-// plain loop that every -fanout configuration runs carries no
-// per-access test for it.
+// Consume replays one chunk, then flushes the level and the classifier,
+// so their counters, when instrumented, lag the replay by at most one
+// chunk. The classifying loop is kept apart, so the plain loop that
+// every -fanout configuration runs carries no per-access test for it.
 func (c *levelConsumer) Consume(chunk []memtrace.Access) {
 	if c.cl == nil {
 		for _, a := range chunk {
@@ -86,12 +85,9 @@ func (c *levelConsumer) Consume(chunk []memtrace.Access) {
 			c.cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
 		}
 	}
-	if c.tel != nil {
-		c.tel.Publish(c.fe.Stats())
-		c.fe.Cache().FlushTelemetry()
-		if c.cl != nil {
-			c.cl.Flush()
-		}
+	c.fe.Flush()
+	if c.cl != nil {
+		c.cl.Flush()
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"os"
 	"time"
 
-	"jouppi/internal/cache"
 	"jouppi/internal/classify"
 	"jouppi/internal/core"
 	"jouppi/internal/fanout"
@@ -168,13 +167,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		probe.AttachTelemetry(reg, "l1")
 	}
 	if reg != nil {
-		first.tel = core.NewCounters(reg, "sim_")
-		l1.Instrument(cache.NewCounters(reg, l1cfg.Name))
+		fe.Instrument(reg, "sim_")
 		if first.cl != nil {
-			first.cl.Instrument(
-				reg.Counter("sim_3c_compulsory_misses_total", "plain-cache misses classified compulsory"),
-				reg.Counter("sim_3c_capacity_misses_total", "plain-cache misses classified capacity"),
-				reg.Counter("sim_3c_conflict_misses_total", "plain-cache misses classified conflict"))
+			first.cl.Instrument(reg.Deltas(
+				"sim_3c_compulsory_misses_total", "plain-cache misses classified compulsory",
+				"sim_3c_capacity_misses_total", "plain-cache misses classified capacity",
+				"sim_3c_conflict_misses_total", "plain-cache misses classified conflict"))
 		}
 	}
 	consumers := []fanout.Consumer{first}

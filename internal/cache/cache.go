@@ -173,62 +173,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Counters is the optional live telemetry of a Cache: registry counters
-// for the same events the plain Stats already count. The cache's probe
-// and fill fast paths never touch these — the Stats struct is the
-// single (non-atomic, single-writer) source of truth, and a flush
-// publishes the delta since the previous flush into the shared registry
-// counters. The owner of the replay loop (the hierarchy system, or a CLI
-// driver) flushes at chunk boundaries and at results time, so a /metrics
-// scrape lags the live run by at most one flush interval and the final
-// numbers are exact, while an instrumented replay costs exactly as much
-// as an uninstrumented one between flushes.
-type Counters struct {
-	hits       *telemetry.Counter
-	misses     *telemetry.Counter
-	fills      *telemetry.Counter
-	evictions  *telemetry.Counter
-	writebacks *telemetry.Counter
-	last       Stats // stats already published to the registry
-}
-
-// NewCounters registers the standard cache counter set under
-// sim_cache_<label>_* in reg. A nil registry yields detached (no-op)
-// counters.
-func NewCounters(reg *telemetry.Registry, label string) *Counters {
-	name := telemetry.SanitizeName(label)
-	return &Counters{
-		hits:       reg.Counter("sim_cache_"+name+"_hits_total", "cache "+label+": probe hits"),
-		misses:     reg.Counter("sim_cache_"+name+"_misses_total", "cache "+label+": probe misses"),
-		fills:      reg.Counter("sim_cache_"+name+"_fills_total", "cache "+label+": lines installed"),
-		evictions:  reg.Counter("sim_cache_"+name+"_evictions_total", "cache "+label+": valid lines displaced"),
-		writebacks: reg.Counter("sim_cache_"+name+"_writebacks_total", "cache "+label+": dirty evictions"),
-	}
-}
-
-// publish sends the delta between cur and the last published stats to
-// the registry and records cur as published. Nil receivers are no-ops.
-func (t *Counters) publish(cur Stats) {
-	if t == nil {
-		return
-	}
-	t.hits.Add(cur.Hits - t.last.Hits)
-	t.misses.Add(cur.Misses - t.last.Misses)
-	t.fills.Add(cur.Fills - t.last.Fills)
-	t.evictions.Add(cur.Evictions - t.last.Evictions)
-	t.writebacks.Add(cur.Writebacks - t.last.Writebacks)
-	t.last = cur
-}
-
-// rebase marks cur as already published without emitting anything, so a
-// freshly attached registry counts activity from attach time forward and
-// a stats reset does not underflow the deltas.
-func (t *Counters) rebase(cur Stats) {
-	if t != nil {
-		t.last = cur
-	}
-}
-
 type way struct {
 	tag   uint64 // line address (full address >> lineShift)
 	used  uint64 // last-touch tick (LRU) — untouched after fill under FIFO
@@ -255,7 +199,7 @@ type Cache struct {
 	// The miss- and eviction-path counters ride after the hot fields.
 	heatMiss  []uint64
 	heatEvict []uint64
-	tel       *Counters
+	tel       *telemetry.Deltas // nil unless Instrument
 }
 
 // New builds a cache from cfg. It returns an error if cfg is invalid.
@@ -299,16 +243,34 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// Instrument attaches live telemetry counters, fed by delta-publication
-// from the cache's Stats at flush time (the probe/fill hot paths carry
-// no telemetry code at all). nil detaches, publishing whatever the
-// previous attachment had not flushed yet. A freshly attached counter
-// set counts activity from attach time forward. Attachment is not
+// Instrument registers the cache's counter set, sim_cache_<name>_*, in
+// reg and feeds it by publishing the growth of the cache's Stats at
+// FlushTelemetry (the probe and fill paths carry no telemetry code). The
+// set counts activity from attach time forward. A nil reg detaches,
+// first publishing what the previous set had not. Attachment is not
 // synchronized with a running replay; attach before replay begins.
-func (c *Cache) Instrument(tel *Counters) {
-	c.tel.publish(c.Stats())
-	c.tel = tel
-	c.tel.rebase(c.Stats())
+func (c *Cache) Instrument(reg *telemetry.Registry) {
+	c.FlushTelemetry()
+	c.tel = nil
+	if reg == nil {
+		return
+	}
+	label := c.cfg.Name
+	name := "sim_cache_" + telemetry.SanitizeName(label) + "_"
+	c.tel = reg.Deltas(
+		name+"hits_total", "cache "+label+": probe hits",
+		name+"misses_total", "cache "+label+": probe misses",
+		name+"fills_total", "cache "+label+": lines installed",
+		name+"evictions_total", "cache "+label+": valid lines displaced",
+		name+"writebacks_total", "cache "+label+": dirty evictions")
+	t := c.stats.published()
+	c.tel.Rebase(t[:]...)
+}
+
+// published returns, in the order Instrument registers them, the totals
+// the cache's counter set exports.
+func (s *Stats) published() [5]uint64 {
+	return [5]uint64{s.Hits, s.Misses, s.Fills, s.Evictions, s.Writebacks}
 }
 
 // InstrumentSets attaches caller-owned per-set counter arrays, one
@@ -339,21 +301,24 @@ func (c *Cache) InstrumentSets(acc, miss, evict []uint64) {
 	c.heatAcc, c.heatMiss, c.heatEvict = acc, miss, evict
 }
 
-// FlushTelemetry publishes the stats delta since the last flush to the
-// attached registry counters, if any. The hierarchy flushes its caches
-// at chunk boundaries; standalone users should flush before reading the
-// registry.
-func (c *Cache) FlushTelemetry() { c.tel.publish(c.Stats()) }
+// FlushTelemetry publishes the stats growth since the last flush to the
+// counters Instrument registered, if any. The level that owns the cache
+// flushes it at its own flush boundaries; standalone users should flush
+// before reading the registry.
+func (c *Cache) FlushTelemetry() {
+	t := c.stats.published()
+	c.tel.Publish(t[:]...)
+}
 
 // ResetStats zeroes the activity counters — including an attached
 // per-set array, which holds part of them — without disturbing contents.
 // Pending telemetry deltas are published first; the attached registry
 // counters keep their (monotonic) totals and resume from the reset.
 func (c *Cache) ResetStats() {
-	c.tel.publish(c.Stats())
+	c.FlushTelemetry()
 	c.stats = Stats{}
 	c.resetHeat()
-	c.tel.rebase(Stats{})
+	c.tel.Rebase(0, 0, 0, 0, 0) // every published total is zero again
 }
 
 func (c *Cache) resetHeat() {
@@ -517,10 +482,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 func (c *Cache) Reset() {
 	clear(c.ways)
 	c.tick = 0
-	c.tel.publish(c.Stats())
-	c.stats = Stats{}
-	c.resetHeat()
-	c.tel.rebase(Stats{})
+	c.ResetStats()
 	c.rng = c.cfg.RandomSeed | 1
 }
 

@@ -101,19 +101,8 @@ type Classifier struct {
 	counts    Counts
 	free      []faNode // preallocated node pool
 	nextFree  int
-
-	telCompulsory *telemetry.Counter
-	telCapacity   *telemetry.Counter
-	telConflict   *telemetry.Counter
-	telLast       Counts // per-class totals already published
-	telPending    int    // ObserveMiss calls since the last telemetry flush
+	tel       *telemetry.Deltas // nil unless Instrument
 }
-
-// telFlushEvery bounds how stale the live per-class counters can be: the
-// classifier's internal Counts are the only thing the classification fast
-// path updates, and their delta since the previous flush is published
-// after this many observations, and again at Counts/Flush.
-const telFlushEvery = 4096
 
 // New creates a classifier shadowing a cache of size bytes with lineSize-
 // byte lines. Both must be positive powers of two with lineSize ≤ size.
@@ -181,27 +170,22 @@ func (c *Classifier) Class(addr uint64) Class {
 	return Capacity
 }
 
-// Instrument attaches live per-class miss counters, fed by publishing
-// the delta of the internal Counts at flush time. Any counter may be nil
-// (that class is simply not exported). Flushes happen every
-// telFlushEvery observations and at Counts/Flush, so the classification
-// fast path carries no telemetry code at all. A fresh attachment counts
-// misses from attach time forward. Attach before replay begins.
-func (c *Classifier) Instrument(compulsory, capacity, conflict *telemetry.Counter) {
+// Instrument attaches live per-class miss counters: tel publishes the
+// compulsory, capacity and conflict totals, in that order, at Flush and
+// Counts, so the classification path carries no telemetry code. The
+// owner of the replay loop flushes at its own boundaries (cachesim does
+// after every chunk). The counters count misses from attach time
+// forward; a nil tel detaches, first publishing what the previous one
+// had not. Attach before replay begins.
+func (c *Classifier) Instrument(tel *telemetry.Deltas) {
 	c.Flush()
-	c.telCompulsory = compulsory
-	c.telCapacity = capacity
-	c.telConflict = conflict
-	c.telLast = c.counts
+	c.tel = tel
+	c.tel.Rebase(c.counts.Compulsory, c.counts.Capacity, c.counts.Conflict)
 }
 
-// Flush publishes the per-class miss deltas since the previous flush.
+// Flush publishes the per-class miss growth since the previous flush.
 func (c *Classifier) Flush() {
-	c.telCompulsory.Add(c.counts.Compulsory - c.telLast.Compulsory)
-	c.telCapacity.Add(c.counts.Capacity - c.telLast.Capacity)
-	c.telConflict.Add(c.counts.Conflict - c.telLast.Conflict)
-	c.telLast = c.counts
-	c.telPending = 0
+	c.tel.Publish(c.counts.Compulsory, c.counts.Capacity, c.counts.Conflict)
 }
 
 // ObserveMiss is Observe plus recording: it updates the classifier's
@@ -210,10 +194,6 @@ func (c *Classifier) ObserveMiss(addr uint64, missed bool) Class {
 	cl := c.Observe(addr)
 	if missed {
 		c.counts.add(cl)
-	}
-	c.telPending++
-	if c.telPending >= telFlushEvery {
-		c.Flush()
 	}
 	return cl
 }

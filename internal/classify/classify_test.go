@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/telemetry"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -195,5 +196,37 @@ func BenchmarkObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cl.Observe(addrs[i&(len(addrs)-1)])
+	}
+}
+
+// TestInstrumentPublishesAtFlush checks the classifier's counters: they
+// count from attach time, move only at Flush or Counts, and then match
+// the per-class growth of Counts exactly.
+func TestInstrumentPublishesAtFlush(t *testing.T) {
+	c := MustNew(256, 16)
+	rng := rand.New(rand.NewSource(3))
+	observe := func(n int) {
+		for i := 0; i < n; i++ {
+			c.ObserveMiss(uint64(rng.Intn(4096)), rng.Intn(2) == 0)
+		}
+	}
+	observe(1000)
+	before := c.Counts()
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg.Deltas("comp_total", "", "cap_total", "", "conf_total", ""))
+	observe(10000)
+	if got := reg.Snapshot()["comp_total"]; got != 0 {
+		t.Errorf("counters moved before a flush: comp_total = %v", got)
+	}
+	after := c.Counts()
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"comp_total": after.Compulsory - before.Compulsory,
+		"cap_total":  after.Capacity - before.Capacity,
+		"conf_total": after.Conflict - before.Conflict,
+	} {
+		if snap[name] != float64(want) || want == 0 {
+			t.Errorf("%s = %v, want %d (nonzero) since attach", name, snap[name], want)
+		}
 	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/telemetry"
 )
 
 // Aux declares the helper structures on a cache's refill path. The zero
@@ -66,9 +68,10 @@ type Level struct {
 	writeBack bool
 	fetch     Fetcher
 	timing    Timing
-	aux       Aux // as declared, stream defaults filled in
-	tap       Tap // nil unless SetTap
-	due       Due // the tap's thresholds on stats
+	aux       Aux               // as declared, stream defaults filled in
+	tap       Tap               // nil unless SetTap
+	due       Due               // the tap's thresholds on stats
+	tel       *telemetry.Deltas // nil unless Instrument
 }
 
 // Tap reads a level's first-level misses. It is the one observation
@@ -283,13 +286,57 @@ func (l *Level) SetTap(t Tap) {
 	l.Flush()
 }
 
-// Flush passes the level's Stats to its tap, if any, so the tap sees
-// the accesses since the last miss it was given. Replay and results
-// boundaries call it; it touches no simulated state.
+// Flush publishes the growth of the level's and its cache's Stats to
+// the counters Instrument registered, if any, then passes the Stats to
+// the tap, if any, so the tap sees the accesses since the last miss it
+// was given. Replay and results boundaries call it; it touches no
+// simulated state.
 func (l *Level) Flush() {
+	l.publish()
 	if l.tap != nil {
 		l.due = l.tap.Sync(&l.stats)
 	}
+}
+
+// Instrument registers the level's counter set in reg, each name
+// starting with prefix (for example "sim_l1d_"): its references and the
+// structure that served each one. It also instruments the level's cache
+// (see cache.Cache.Instrument). Flush publishes both sets; the access
+// path carries no telemetry code. The sets count from attach time
+// forward. A nil reg detaches, first publishing what the previous sets
+// had not. Attach before the replay starts.
+func (l *Level) Instrument(reg *telemetry.Registry, prefix string) {
+	l.publish()
+	l.tel = nil
+	l.l1.Instrument(reg)
+	if reg == nil {
+		return
+	}
+	label := strings.TrimSuffix(prefix, "_") + ": "
+	l.tel = reg.Deltas(
+		prefix+"accesses_total", label+"references routed to this level",
+		prefix+"l1_hits_total", label+"cache hits",
+		prefix+"aux_hits_total", label+"hits in any auxiliary structure",
+		prefix+"miss_cache_hits_total", label+"miss-cache hits",
+		prefix+"victim_hits_total", label+"victim-cache hits",
+		prefix+"stream_hits_total", label+"stream-buffer hits",
+		prefix+"full_misses_total", label+"misses served by the next level")
+	t := l.stats.published()
+	l.tel.Rebase(t[:]...)
+}
+
+// publish sends the growth of the level's and its cache's Stats since
+// the previous publish to their counters.
+func (l *Level) publish() {
+	t := l.stats.published()
+	l.tel.Publish(t[:]...)
+	l.l1.FlushTelemetry()
+}
+
+// published returns, in the order Level.Instrument registers them, the
+// totals a level's counter set exports.
+func (s *Stats) published() [7]uint64 {
+	return [7]uint64{s.Accesses, s.L1Hits, s.AuxHits, s.MissCacheHits, s.VictimHits, s.StreamHits, s.FullMisses()}
 }
 
 // Cache implements FrontEnd.

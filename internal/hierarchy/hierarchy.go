@@ -12,6 +12,8 @@
 package hierarchy
 
 import (
+	"math/bits"
+
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/memtrace"
@@ -155,8 +157,9 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.l1iShift = shiftFor(cfg.L1I.LineSize)
-	s.l1dShift = shiftFor(cfg.L1D.LineSize)
+	// Validate checked that line sizes are powers of two.
+	s.l1iShift = uint(bits.TrailingZeros(uint(cfg.L1I.LineSize)))
+	s.l1dShift = uint(bits.TrailingZeros(uint(cfg.L1D.LineSize)))
 
 	s.ife, err = core.NewLevel(l1i, cfg.IAugment, s.fetcher(&s.l2i, s.l1iShift), cfg.Timing)
 	if err != nil {
@@ -176,14 +179,6 @@ func MustNew(cfg Config) *System {
 		panic(err)
 	}
 	return s
-}
-
-func shiftFor(lineSize int) uint {
-	shift := uint(0)
-	for ls := lineSize; ls > 1; ls >>= 1 {
-		shift++
-	}
-	return shift
 }
 
 // fetcher routes a first-level fetch into the second level, attributing

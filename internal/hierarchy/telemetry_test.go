@@ -126,3 +126,19 @@ func TestAttachTelemetryDetach(t *testing.T) {
 		t.Errorf("detached system still counted %v accesses", got)
 	}
 }
+
+// TestDetachedTelemetryAllocatesNothing pins the telemetry-off path:
+// attaching a nil registry to a system, a level or a cache builds no
+// metric names and allocates nothing.
+func TestDetachedTelemetryAllocatesNothing(t *testing.T) {
+	sys := MustNew(DefaultConfig())
+	for name, attach := range map[string]func(){
+		"System.AttachTelemetry": func() { sys.AttachTelemetry(nil) },
+		"Level.Instrument":       func() { sys.dfe.Instrument(nil, "x_") },
+		"Cache.Instrument":       func() { sys.l2.Instrument(nil) },
+	} {
+		if n := testing.AllocsPerRun(100, attach); n != 0 {
+			t.Errorf("%s(nil) allocates %v times per call, want 0", name, n)
+		}
+	}
+}

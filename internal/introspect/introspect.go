@@ -38,6 +38,7 @@ package introspect
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"jouppi/internal/classify"
 	"jouppi/internal/core"
@@ -213,8 +214,8 @@ func AttachLevel(l *core.Level, opts Options) *Probe {
 	st := l.Stats()
 	p := &Probe{
 		opts:       opts,
-		lineShift:  shiftFor(cfg.LineSize),
-		setShift:   shiftFor(sets),
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:   uint(bits.TrailingZeros(uint(sets))),
 		setMask:    uint64(sets - 1),
 		org:        st.Accesses,
 		winStart:   st.Accesses,
@@ -236,14 +237,6 @@ func AttachLevel(l *core.Level, opts Options) *Probe {
 	}
 	l.SetTap(p)
 	return p
-}
-
-func shiftFor(n int) uint {
-	shift := uint(0)
-	for ; n > 1; n >>= 1 {
-		shift++
-	}
-	return shift
 }
 
 // Miss implements core.Tap: it receives the first miss past a window

@@ -89,8 +89,9 @@ type decodeState struct {
 	maxDrops uint64 // 0 = unlimited
 	report   Degradation
 
-	telDecoded telemetry.LocalCounter // live decoded-record counter
-	telDropped *telemetry.Counter     // live drop counter (nil-safe)
+	pending    uint64             // records delivered, not yet published
+	telDecoded *telemetry.Counter // live decoded-record counter (nil-safe)
+	telDropped *telemetry.Counter // live drop counter (nil-safe)
 }
 
 // Err returns the error that terminated the stream, or nil after a clean
@@ -108,13 +109,20 @@ func (s *decodeState) Lenient(maxDrops uint64) {
 
 // Instrument attaches live decoded and dropped counters; see Decoder.
 func (s *decodeState) Instrument(decoded, dropped *telemetry.Counter) {
-	s.telDecoded = decoded.Local()
+	s.telDecoded = decoded
 	s.telDropped = dropped
+}
+
+// publish adds the records decoded since the last publish to the live
+// counter.
+func (s *decodeState) publish() {
+	s.telDecoded.Add(s.pending)
+	s.pending = 0
 }
 
 // fail ends the stream with err, publishing the buffered decode count.
 func (s *decodeState) fail(err error) {
-	s.telDecoded.Flush()
+	s.publish()
 	s.err = err
 }
 

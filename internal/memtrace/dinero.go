@@ -53,9 +53,9 @@ func (t *Trace) WriteDinero(w io.Writer) (int, error) {
 const maxDinLine = 1 << 20
 
 // telFlushEvery is the streaming readers' telemetry flush cadence in
-// records: the live decoded-record counter accumulates in a local
-// buffer (plain adds, no atomics) and is published at this
-// cadence and at end of stream, so a /metrics scrape lags the decode by
+// records: the decoded-record count accumulates in a plain pending
+// count (no atomics) and is published at this cadence and at end of
+// stream, so a /metrics scrape lags the decode by
 // at most this many records.
 const telFlushEvery = 4096
 
@@ -282,9 +282,9 @@ loop:
 	}
 	_, _ = dr.br.Discard(pos)
 	dr.lineNo += lines
-	dr.telDecoded.Add(uint64(n))
-	if dr.telDecoded.Pending() >= telFlushEvery {
-		dr.telDecoded.Flush()
+	dr.pending += uint64(n)
+	if dr.pending >= telFlushEvery {
+		dr.publish()
 	}
 	return n, past
 }
@@ -348,7 +348,7 @@ func (dr *DineroReader) exactLine() (Access, bool) {
 	}
 	if eof {
 		dr.done = true
-		dr.telDecoded.Flush()
+		dr.publish()
 		return Access{}, false
 	}
 	dr.lineNo++
@@ -367,7 +367,7 @@ func (dr *DineroReader) exactLine() (Access, bool) {
 		return Access{}, false
 	}
 	// Valid but unusual (Unicode whitespace, redundant leading zeros, …).
-	dr.telDecoded.Inc()
+	dr.pending++
 	return a, true
 }
 

@@ -94,13 +94,13 @@ func (r *Reader) Count() uint64 { return r.count }
 func (r *Reader) Next() (Access, bool) {
 	for {
 		if r.err != nil || r.done || r.read == r.count {
-			r.telDecoded.Flush()
+			r.publish()
 			return Access{}, false
 		}
 		if len(r.buf) < 8 {
 			// Chunk boundary: publish the buffered decode counter so a
 			// concurrent scrape lags by at most one chunk.
-			r.telDecoded.Flush()
+			r.publish()
 			want := (r.count - r.read) * 8
 			if want > uint64(len(r.chunk)) {
 				want = uint64(len(r.chunk))
@@ -131,7 +131,7 @@ func (r *Reader) Next() (Access, bool) {
 			}
 			return Access{}, false
 		}
-		r.telDecoded.Inc()
+		r.pending++
 		return a, true
 	}
 }
@@ -157,7 +157,7 @@ func (r *Reader) NextChunk(dst []Access) int {
 			}
 			r.buf = r.buf[k:]
 			r.read += uint64(k / 8)
-			r.telDecoded.Add(uint64(k / 8))
+			r.pending += uint64(k / 8)
 			if n == len(dst) {
 				break
 			}

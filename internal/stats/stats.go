@@ -1,11 +1,8 @@
 // Package stats provides the small statistical helpers the experiments
-// share, most importantly the paper's cross-benchmark aggregation metric:
-// the unweighted average of per-benchmark percentage reductions in miss
-// rate (paper footnote 1), which deliberately weights each benchmark
-// equally rather than weighting by miss count.
+// share. The paper's cross-benchmark aggregation (footnote 1) is the
+// Mean of per-benchmark PercentReductions: it deliberately weights each
+// benchmark equally rather than weighting by miss count.
 package stats
-
-import "math"
 
 // Percent returns part/whole × 100, or 0 when whole is 0.
 func Percent(part, whole float64) float64 {
@@ -35,73 +32,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// MeanPercentReduction computes the paper's footnote-1 metric over paired
-// per-benchmark counts: for each pair it computes the percent reduction
-// from base[i] to improved[i], then returns the unweighted mean of those
-// percentages. Pairs with base[i] == 0 contribute 0 (nothing to remove).
-// It panics if the slices differ in length.
-func MeanPercentReduction(base, improved []uint64) float64 {
-	if len(base) != len(improved) {
-		panic("stats: MeanPercentReduction slice length mismatch")
-	}
-	if len(base) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range base {
-		sum += PercentReduction(float64(base[i]), float64(improved[i]))
-	}
-	return sum / float64(len(base))
-}
-
-// Summary holds simple descriptive statistics of a series.
-type Summary struct {
-	N        int
-	Min, Max float64
-	Mean     float64
-	StdDev   float64
-	Sum      float64
-}
-
-// Summarize computes descriptive statistics of xs. An empty series yields
-// the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	if s.N > 1 {
-		varSum := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			varSum += d * d
-		}
-		s.StdDev = math.Sqrt(varSum / float64(s.N-1))
-	}
-	return s
-}
-
-// GeoMean returns the geometric mean of xs (all values must be positive),
-// or 0 for an empty slice. Used for speedup aggregation.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

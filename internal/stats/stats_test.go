@@ -41,66 +41,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMeanPercentReductionEqualWeighting(t *testing.T) {
-	// The footnote-1 example: one benchmark drops 90% with tiny counts,
-	// another drops 10% with huge counts. The metric must return 50%,
-	// not a count-weighted figure.
-	base := []uint64{10, 1000000}
-	improved := []uint64{1, 900000}
-	if got := MeanPercentReduction(base, improved); !almost(got, 50) {
-		t.Errorf("MeanPercentReduction = %v, want 50", got)
-	}
-}
-
-func TestMeanPercentReductionZeroBase(t *testing.T) {
-	got := MeanPercentReduction([]uint64{0, 100}, []uint64{0, 50})
-	if !almost(got, 25) {
-		t.Errorf("MeanPercentReduction with zero base = %v, want 25", got)
-	}
-}
-
-func TestMeanPercentReductionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	MeanPercentReduction([]uint64{1}, []uint64{1, 2})
-}
-
-func TestMeanPercentReductionEmpty(t *testing.T) {
-	if got := MeanPercentReduction(nil, nil); got != 0 {
-		t.Errorf("empty = %v, want 0", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || !almost(s.Min, 1) || !almost(s.Max, 4) || !almost(s.Mean, 2.5) || !almost(s.Sum, 10) {
-		t.Errorf("Summarize = %+v", s)
-	}
-	// Sample std-dev of 1..4 is sqrt(5/3).
-	if !almost(s.StdDev, math.Sqrt(5.0/3.0)) {
-		t.Errorf("StdDev = %v, want %v", s.StdDev, math.Sqrt(5.0/3.0))
-	}
-	if got := Summarize(nil); got != (Summary{}) {
-		t.Errorf("Summarize(nil) = %+v", got)
-	}
-	one := Summarize([]float64{7})
-	if one.StdDev != 0 || one.Mean != 7 {
-		t.Errorf("single-element summary = %+v", one)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almost(got, 2) {
-		t.Errorf("GeoMean(1,4) = %v, want 2", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v, want 0", got)
-	}
-}
-
 // Property: reduction is antisymmetric around equal values and bounded by
 // 100 for non-negative improved counts.
 func TestPercentReductionProperties(t *testing.T) {
@@ -116,28 +56,6 @@ func TestPercentReductionProperties(t *testing.T) {
 			return almost(r, 0)
 		}
 		return r <= 100
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Mean is bounded by Min and Max.
-func TestSummarizeBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true // skip degenerate inputs
-			}
-			// Bound magnitudes so the sum cannot overflow; overflow
-			// behaviour is not what this property is about.
-			xs[i] = math.Mod(x, 1e12)
-		}
-		s := Summarize(xs)
-		if len(xs) == 0 {
-			return s == Summary{}
-		}
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

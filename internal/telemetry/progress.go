@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Progress renders a live single-line status to a terminal-ish writer
@@ -79,12 +80,11 @@ func (p *Progress) draw(now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	line := p.line(now)
-	pad := p.lastWidth - len(line)
-	if pad < 0 {
-		pad = 0
-	}
-	fmt.Fprintf(p.w, "\r%s%s", line, strings.Repeat(" ", pad))
-	p.lastWidth = len(line)
+	// Widths are in runes, not bytes: each " · " separator is four bytes
+	// but three columns.
+	width := utf8.RuneCountInString(line)
+	fmt.Fprintf(p.w, "\r%s%s", line, strings.Repeat(" ", max(p.lastWidth-width, 0)))
+	p.lastWidth = width
 }
 
 // line composes the status text for the given instant. Factored out of

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestProgressLine(t *testing.T) {
@@ -64,4 +65,38 @@ func TestProgressStartStopClearsLine(t *testing.T) {
 	}
 	// Stopping twice must not panic or re-clear.
 	p.Stop()
+}
+
+// TestProgressWidthCountsRunes pins the line width in columns, not
+// bytes: each " · " separator is four bytes but three columns. A shorter
+// redraw pads out to exactly the previous line's columns, and Stop
+// blanks exactly the drawn line's columns.
+func TestProgressWidthCountsRunes(t *testing.T) {
+	reg := NewRegistry()
+	done, total := reg.Gauge("done", ""), reg.Gauge("total", "")
+	total.Set(10)
+	done.Set(3)
+	var sb strings.Builder
+	p := NewProgress(&sb, reg.Counter("a_total", ""), done, total)
+
+	p.draw(p.start.Add(2 * time.Second))
+	long := strings.TrimPrefix(sb.String(), "\r")
+	if strings.Count(long, " · ") < 3 {
+		t.Fatalf("want a line with several separators, got %q", long)
+	}
+	done.Set(10) // finished: the ETA part drops out, so the line shrinks
+	sb.Reset()
+	p.draw(p.start.Add(3 * time.Second))
+	redrawn := strings.TrimPrefix(sb.String(), "\r")
+	if got, want := utf8.RuneCountInString(redrawn), utf8.RuneCountInString(long); got != want {
+		t.Errorf("shorter redraw covers %d columns, want the previous line's %d: %q", got, want, redrawn)
+	}
+
+	line := strings.TrimRight(redrawn, " ")
+	sb.Reset()
+	p.Stop()
+	if want := "\r" + strings.Repeat(" ", utf8.RuneCountInString(line)) + "\r"; sb.String() != want {
+		t.Errorf("Stop wrote %d blanks, want the drawn line's %d columns",
+			strings.Count(sb.String(), " "), utf8.RuneCountInString(line))
+	}
 }

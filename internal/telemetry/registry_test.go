@@ -86,40 +86,46 @@ func TestRegistryHistogramBoundsMismatchPanics(t *testing.T) {
 	})
 }
 
-// TestLocalCounterFlush pins the buffered-counter contract: increments
-// stay local until Flush, Flush publishes exactly once, and detached
-// locals never crash.
-func TestLocalCounterFlush(t *testing.T) {
+// TestDeltasPublish pins the delta-publication contract: Publish adds
+// each total's growth since the last Publish exactly once, Rebase marks
+// totals published without emitting anything, and a nil Deltas (what a
+// nil registry hands out) ignores every call.
+func TestDeltasPublish(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("x_total", "")
-	l := c.Local()
-	l.Inc()
-	l.Add(4)
-	if c.Value() != 0 {
-		t.Errorf("unflushed local leaked into shared counter: %d", c.Value())
+	d := reg.Deltas("a_total", "first", "b_total", "second")
+	a, b := reg.Counter("a_total", ""), reg.Counter("b_total", "")
+	d.Publish(3, 10)
+	d.Publish(3, 10) // no growth: nothing more to add
+	d.Publish(5, 12)
+	if a.Value() != 5 || b.Value() != 12 {
+		t.Errorf("after publishing totals (5, 12): a=%d b=%d", a.Value(), b.Value())
 	}
-	if l.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", l.Pending())
+	d.Rebase(100, 200)
+	d.Publish(101, 200)
+	if a.Value() != 6 || b.Value() != 12 {
+		t.Errorf("after rebase to (100, 200) and publishing (101, 200): a=%d b=%d, want 6, 12",
+			a.Value(), b.Value())
 	}
-	l.Flush()
-	l.Flush() // second flush must not double-count
-	if c.Value() != 5 {
-		t.Errorf("after flush counter = %d, want 5", c.Value())
+	d.Rebase(0, 0) // a reset of the totals
+	d.Publish(2, 1)
+	if a.Value() != 8 || b.Value() != 13 {
+		t.Errorf("after a reset and publishing (2, 1): a=%d b=%d, want 8, 13", a.Value(), b.Value())
 	}
 
-	var detached LocalCounter
-	detached.Inc()
-	detached.Flush()
-	var nilParent *Counter
-	nl := nilParent.Local()
-	nl.Add(7)
-	nl.Flush() // drops the delta; must not panic
+	var off *Registry
+	nd := off.Deltas("c_total", "")
+	if nd != nil {
+		t.Fatal("a nil registry must hand out a nil Deltas")
+	}
+	nd.Publish(7) // must not panic
+	nd.Rebase(7)
+	mustPanic(t, "pairs", func() { reg.Deltas("odd_total") })
 }
 
-// TestShardedCounterConcurrentSum hammers one counter from many
-// goroutines while a reader aggregates, pinning that striping loses no
+// TestCounterConcurrentSum hammers one counter from many goroutines
+// while a reader loads it, pinning that concurrent writers lose no
 // updates and Value converges to the exact total.
-func TestShardedCounterConcurrentSum(t *testing.T) {
+func TestCounterConcurrentSum(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
 	const writers, per = 8, 10000

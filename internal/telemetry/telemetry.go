@@ -12,20 +12,17 @@
 //	hits := reg.Counter("sim_l1_hits_total", "L1 hits")
 //	hits.Inc() // no-op, one predicted branch
 //
-// When a registry is live, a Counter is striped across cache-line-padded
-// shards: Inc/Add touch one shard (picked by a cheap per-goroutine hash),
-// and Value aggregates the shards lazily at read time. Concurrent writers
-// therefore do not serialize on a single cache line, and a /metrics
-// scrape reading Value never stalls writers. Hot loops avoid even the
-// per-update shard atomic: the simulator components keep updating the
-// plain single-writer stats structs they always had and publish the
-// deltas of those structs into shared counters at flush boundaries
-// (every few thousand accesses and at end of replay), while stream
-// decoders batch through a LocalCounter — a plain accumulator owned by
-// the writing goroutine, flushed at chunk boundaries. Either way a
-// scrape taken mid-replay may lag the true count by at most one flush
-// interval; flushes at end of replay and at results time make the final
-// numbers exact.
+// The simulator's writers publish at a flush boundary, never per access:
+// its caches, levels, systems and classifiers keep updating the plain
+// single-writer stats structs they always had, and a Deltas publishes
+// the growth of those structs into shared counters every few thousand
+// references, once per chunk, or once per pass; stream decoders add a
+// plain pending count per chunk. Every other metric moves once per job,
+// experiment, chunk or span. With no per-access write traffic to spread,
+// a Counter is one atomic word, and a /metrics scrape reading it never
+// stalls a writer. A scrape taken mid-replay may lag the true count by
+// at most one flush interval; flushes at end of replay and at results
+// time make the final numbers exact.
 package telemetry
 
 import (
@@ -36,107 +33,88 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// numShards is the stripe width of counters and histogram accumulators.
-// A power of two so the shard pick is a shift; 16 keeps write contention
-// negligible up to well beyond the core counts the replay engines use,
-// at a fixed 1 KiB per counter.
-const (
-	numShards = 16
-	shardBits = 4
-)
-
-// pad64 is one striped accumulator slot, padded out to a cache line so
-// adjacent shards never false-share.
-type pad64 struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// shardIndex picks this goroutine's stripe. Goroutines have distinct
-// stacks, so hashing the address of a stack variable spreads concurrent
-// writers across shards at the cost of one multiply — no thread-local
-// storage exists in Go, and pinning APIs are runtime-internal. The value
-// is only a hash seed; the uintptr never converts back to a pointer.
-func shardIndex() uint64 {
-	var b byte
-	p := uintptr(unsafe.Pointer(&b))
-	return (uint64(p) * 0x9E3779B97F4A7C15) >> (64 - shardBits)
-}
-
-// Counter is a monotonically increasing metric, striped across padded
-// shards (see the package comment). The zero value is ready to use; all
-// methods are nil-receiver safe.
+// Counter is a monotonically increasing metric. The zero value is ready
+// to use; all methods are nil-receiver safe.
 type Counter struct {
-	shards [numShards]pad64
+	v atomic.Uint64
 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.shards[shardIndex()].v.Add(1)
+		c.v.Add(1)
 	}
 }
 
-// Add adds n. Adding zero touches no shard, so callers can publish a
-// stats delta unconditionally.
+// Add adds n. Adding zero writes nothing, so publishing an unchanged
+// total costs no atomic.
 func (c *Counter) Add(n uint64) {
 	if c != nil && n != 0 {
-		c.shards[shardIndex()].v.Add(n)
+		c.v.Add(n)
 	}
 }
 
-// Value aggregates the shards and returns the current count (0 on a nil
-// counter). Concurrent updates may or may not be included; updates are
-// never lost or double-counted.
+// Value returns the current count (0 on a nil counter).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var total uint64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
+	return c.v.Load()
+}
+
+// Deltas publishes a single writer's plain running totals into registry
+// counters: Publish adds each total's growth since the last Publish or
+// Rebase. It is how a stats struct that only its owner updates reaches
+// the registry, so the owner's hot path carries no telemetry code. A nil
+// *Deltas (what a nil registry hands out) ignores every call. Not safe
+// for concurrent use; the counters it feeds are.
+type Deltas struct {
+	counters []*Counter
+	last     []uint64
+}
+
+// Deltas registers one counter per (name, help) pair and returns the
+// Deltas that feeds them, the totals to publish given in the same order.
+// A nil registry returns nil. An odd number of strings panics.
+func (r *Registry) Deltas(nameHelp ...string) *Deltas {
+	if r == nil {
+		return nil
 	}
-	return total
+	if len(nameHelp)%2 != 0 {
+		panic(fmt.Sprintf("telemetry: Deltas wants (name, help) pairs, got %d strings", len(nameHelp)))
+	}
+	d := &Deltas{
+		counters: make([]*Counter, len(nameHelp)/2),
+		last:     make([]uint64, len(nameHelp)/2),
+	}
+	for i := range d.counters {
+		d.counters[i] = r.Counter(nameHelp[2*i], nameHelp[2*i+1])
+	}
+	return d
 }
 
-// Local returns a LocalCounter feeding c. A nil counter yields a detached
-// LocalCounter whose Flush is a no-op.
-func (c *Counter) Local() LocalCounter { return LocalCounter{c: c} }
-
-// LocalCounter is a plain, non-atomic accumulator owned by a single
-// goroutine and flushed into its shared Counter in batches. It is the
-// hot-path form of a counter: Inc is one ordinary register increment, so
-// an instrumented replay loop pays essentially nothing per access and one
-// atomic add per flush interval.
-//
-// The zero value is a valid detached accumulator. LocalCounter values
-// must not be copied after first use (the pending delta would flush
-// twice) and must not be shared between goroutines.
-type LocalCounter struct {
-	n uint64
-	c *Counter
-}
-
-// Inc adds one to the local accumulator.
-func (l *LocalCounter) Inc() { l.n++ }
-
-// Add adds n to the local accumulator.
-func (l *LocalCounter) Add(n uint64) { l.n += n }
-
-// Flush publishes the pending delta into the shared counter and zeroes
-// the accumulator. Detached LocalCounters simply drop the delta.
-func (l *LocalCounter) Flush() {
-	if l.n != 0 {
-		l.c.Add(l.n) // nil-safe: detached locals drop the delta
-		l.n = 0
+// Publish adds each total's growth since the last Publish or Rebase to
+// its counter.
+func (d *Deltas) Publish(totals ...uint64) {
+	if d == nil {
+		return
+	}
+	for i, v := range totals {
+		d.counters[i].Add(v - d.last[i])
+		d.last[i] = v
 	}
 }
 
-// Pending returns the delta accumulated since the last Flush.
-func (l *LocalCounter) Pending() uint64 { return l.n }
+// Rebase marks totals as already published without emitting anything,
+// so counters attached mid-run count from that point forward and a stats
+// reset does not underflow the next delta.
+func (d *Deltas) Rebase(totals ...uint64) {
+	if d != nil {
+		copy(d.last, totals)
+	}
+}
 
 // Gauge is a metric that can go up and down. Gauges sit on the slow path
 // (queue depths, consumer lags, progress totals), so a single atomic slot
@@ -168,26 +146,15 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histShard is one stripe of a histogram's count/sum pair, padded to a
-// cache line.
-type histShard struct {
-	count atomic.Uint64
-	sum   atomic.Uint64 // float64 bits, CAS-updated within this shard only
-	_     [48]byte
-}
-
 // Histogram accumulates observations into fixed buckets. Buckets are
 // cumulative in the Prometheus sense: bucket i counts observations ≤
-// bounds[i], with an implicit +Inf bucket at the end. The running count
-// and sum are striped like Counter shards, so the float-bits
-// compare-and-swap that accumulates the sum only ever races with writers
-// that hashed to the same shard — the retry loop that was unbounded under
-// contention on a single slot now almost always succeeds first try. All
-// methods are nil-receiver safe.
+// bounds[i], with an implicit +Inf bucket at the end. All methods are
+// nil-receiver safe.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	shards [numShards]histShard
+	count  atomic.Uint64
+	sum    atomic.Uint64 // float64 bits, CAS-updated
 }
 
 // DefaultDurationBuckets covers per-experiment wall times from
@@ -209,12 +176,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	s := &h.shards[shardIndex()]
-	s.count.Add(1)
+	h.count.Add(1)
 	for {
-		old := s.sum.Load()
+		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sum.CompareAndSwap(old, next) {
+		if h.sum.CompareAndSwap(old, next) {
 			return
 		}
 	}
@@ -225,11 +191,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	var total uint64
-	for i := range h.shards {
-		total += h.shards[i].count.Load()
-	}
-	return total
+	return h.count.Load()
 }
 
 // Quantile returns an upper-bound estimate of the q-th quantile
@@ -270,11 +232,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	var total float64
-	for i := range h.shards {
-		total += math.Float64frombits(h.shards[i].sum.Load())
-	}
-	return total
+	return math.Float64frombits(h.sum.Load())
 }
 
 // sameBounds reports whether two sorted bound slices are identical.

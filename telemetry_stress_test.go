@@ -12,7 +12,7 @@ import (
 )
 
 // TestTelemetryConcurrentScrape pins the concurrency contract of the
-// sharded, delta-published counters: several replays feeding one shared
+// delta-published counters: several replays feeding one shared
 // registry while a scraper hammers WritePrometheus and Snapshot must (a)
 // be race-clean — this test earns its keep under `go test -race` — and
 // (b) lose nothing: once the replays finish, every counter must equal
