@@ -81,6 +81,8 @@ cover:
 # chunked decodes of both formats against each other; FuzzDinVsReference
 # checks the din decoder against a reference decoder, written in the
 # test with strings.Fields and strconv, that shares no code with it.
+# FuzzGroupVsLevels checks levels sharing one cache in a core.Group
+# against the same levels each on its own cache.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
@@ -90,6 +92,7 @@ fuzz:
 	$(GO) test ./sim -run '^$$' -fuzz FuzzConfigGrammar -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFrontEndVsReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGroupVsLevels -fuzztime $(FUZZTIME)
 
 # loadtest runs the cachesimd chaos/load test under the race detector:
 # concurrent clients flood the daemon's HTTP API, a tenth of them with

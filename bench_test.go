@@ -171,6 +171,81 @@ func BenchmarkFullSystemReplay(b *testing.B) {
 	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "MAcc/s")
 }
 
+// sweepShapes are the eight data-cache configurations of cachesim's
+// paper sweep (the cli-sweep workload): miss caches, victim caches and
+// stream buffers on the 4KB direct-mapped cache, and a 4-way cache.
+var sweepShapes = []struct {
+	assoc int
+	aux   core.Aux
+}{
+	{1, core.Aux{}},
+	{1, core.Aux{MissCache: 4}},
+	{1, core.Aux{Victim: 1}},
+	{1, core.Aux{Victim: 4}},
+	{1, core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}}},
+	{1, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}},
+	{1, core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}}},
+	{4, core.Aux{}},
+}
+
+// sweepGroups builds the sweep's levels and groups them: with share set,
+// the configurations of equal caches share one, as cachesim -fanout
+// builds them; otherwise each has its own.
+func sweepGroups(tb testing.TB, share bool) []*core.Group {
+	l1s := map[int]*cache.Cache{}
+	var fes []*core.Level
+	for _, s := range sweepShapes {
+		l1 := l1s[s.assoc]
+		if l1 == nil {
+			l1 = cache.MustNew(cache.Config{Name: "L1", Size: 4096, LineSize: 16, Assoc: s.assoc})
+			if share {
+				l1s[s.assoc] = l1
+			}
+		}
+		fe, err := core.NewLevel(l1, s.aux, nil, core.DefaultTiming())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fes = append(fes, fe)
+	}
+	groups, err := core.Groups(fes...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return groups
+}
+
+// BenchmarkSweepReplay replays the data references of one in-memory
+// trace through the sweep's eight configurations, as cachesim -fanout
+// does on one CPU: each group takes the whole trace in turn. The grouped
+// arm probes each distinct cache once per access; one-per-config gives
+// every configuration its own cache, so each probes and fills its own.
+// Both run the same code. ns/access is per trace reference, all eight
+// configurations together.
+func BenchmarkSweepReplay(b *testing.B) {
+	var data []memtrace.Access
+	workload.GenerateTrace(workload.MustByName("ccom"), benchScale).Each(func(a memtrace.Access) {
+		if a.Kind.IsData() {
+			data = append(data, a)
+		}
+	})
+	for _, arm := range []struct {
+		name  string
+		share bool
+	}{{"grouped", true}, {"one-per-config", false}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, g := range sweepGroups(b, arm.share) {
+					for _, a := range data {
+						g.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/access")
+		})
+	}
+}
+
 // --- streaming vs materialized replay ---
 
 // streamScale sizes the streaming comparison: at scale 4 ccom is ≈5M

@@ -11,30 +11,34 @@ import (
 	"jouppi/sim"
 )
 
-// frontEnds parses list over base (the main-flag configuration) and
-// builds each configuration's front end. The single replay is the empty
-// list.
-func frontEnds(list string, base sim.Config) ([]string, []*core.Level, error) {
+// frontEnds parses list over base (the main-flag configuration), builds
+// each configuration's front end, and groups them by cache (see
+// core.Groups): configurations with equal caches share one. The single
+// replay is the empty list.
+func frontEnds(list string, base sim.Config) ([]string, []*core.Level, []*core.Group, error) {
 	cfgs, err := sim.ParseConfigs(list, base)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var labels []string
 	var fes []*core.Level
+	l1s := map[cache.Config]*cache.Cache{}
 	for _, c := range cfgs {
-		fe, err := frontEnd(c.Config, base)
+		fe, err := frontEnd(c.Config, base, l1s)
 		if err != nil {
-			return nil, nil, fmt.Errorf("config %q: %w", c.Label, err)
+			return nil, nil, nil, fmt.Errorf("config %q: %w", c.Label, err)
 		}
 		labels, fes = append(labels, c.Label), append(fes, fe)
 	}
-	return labels, fes, nil
+	groups, err := core.Groups(fes...)
+	return labels, fes, groups, err
 }
 
-// frontEnd builds the one cache cachesim replays: the data side of cfg.
+// frontEnd builds the one cache cachesim replays, the data side of cfg,
+// on the cache of its configuration in l1s, adding it if missing.
 // cachesim has no instruction side and no L2, so a spec that would
 // change either is an error rather than ignored.
-func frontEnd(cfg, base sim.Config) (*core.Level, error) {
+func frontEnd(cfg, base sim.Config, l1s map[cache.Config]*cache.Cache) (*core.Level, error) {
 	rest := cfg
 	rest.L1D, rest.D = base.L1D, base.D
 	// size, line and assoc set both sides: the I side may follow the D side.
@@ -55,37 +59,40 @@ func frontEnd(cfg, base sim.Config) (*core.Level, error) {
 		return nil, err
 	}
 	hc.L1D.Name = "L1"
-	l1, err := cache.New(hc.L1D)
-	if err != nil {
-		return nil, err
+	l1 := l1s[hc.L1D]
+	if l1 == nil {
+		if l1, err = cache.New(hc.L1D); err != nil {
+			return nil, err
+		}
+		l1s[hc.L1D] = l1
 	}
 	return core.NewLevel(l1, hc.DAugment, nil, hc.Timing)
 }
 
-// levelConsumer replays every reference of each chunk into one front
-// end; the side was picked out before the chunk was filled. cl, when
-// set, classifies the plain cache's misses.
-type levelConsumer struct {
-	fe *core.Level
+// groupConsumer replays every reference of each chunk into one group
+// of front ends; the side was picked out before the chunk was filled.
+// cl, when set, classifies the plain cache's misses.
+type groupConsumer struct {
+	g  *core.Group
 	cl *classify.Classifier
 }
 
-// Consume replays one chunk, then flushes the level and the classifier,
-// so their counters, when instrumented, lag the replay by at most one
-// chunk. The classifying loop is kept apart, so the plain loop that
-// every -fanout configuration runs carries no per-access test for it.
-func (c *levelConsumer) Consume(chunk []memtrace.Access) {
+// Consume replays one chunk, then flushes the group's levels and the
+// classifier, so their counters, when instrumented, lag the replay by
+// at most one chunk. The classifying loop is kept apart, so the plain
+// loop that every -fanout group runs carries no per-access test for it.
+func (c *groupConsumer) Consume(chunk []memtrace.Access) {
 	if c.cl == nil {
 		for _, a := range chunk {
-			c.fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+			c.g.Access(uint64(a.Addr), a.Kind == memtrace.Store)
 		}
 	} else {
 		for _, a := range chunk {
-			r := c.fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-			c.cl.ObserveMiss(uint64(a.Addr), !r.L1Hit)
+			hit := c.g.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+			c.cl.ObserveMiss(uint64(a.Addr), !hit)
 		}
 	}
-	c.fe.Flush()
+	c.g.Flush()
 	if c.cl != nil {
 		c.cl.Flush()
 	}

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"jouppi/internal/workload"
+	"jouppi/sim"
 )
 
 // writeDineroTrace writes a small benchmark trace in dinero text format
@@ -42,9 +45,9 @@ func fanoutRow(t *testing.T, out, name string) []string {
 	return nil
 }
 
-// singleStat pulls "label:   value" numbers out of the single-config
+// singleStat pulls the words after "label:" out of the single-config
 // output for cross-checking against the fan-out table.
-func singleStat(t *testing.T, out, label string) string {
+func singleStat(t *testing.T, out, label string) []string {
 	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, label) {
@@ -52,48 +55,80 @@ func singleStat(t *testing.T, out, label string) string {
 			if len(fields) == 0 {
 				break
 			}
-			return fields[0]
+			return fields
 		}
 	}
 	t.Fatalf("no %q line in output:\n%s", label, out)
-	return ""
+	return nil
 }
 
 // TestFanoutMatchesSingleRuns is the CLI-level equivalence pin: every row
-// of a -fanout replay must report exactly the numbers the corresponding
-// single-configuration invocation reports from its own decode of the same
-// trace file.
+// of a -fanout replay must print exactly the numbers, all five columns,
+// that the corresponding single-configuration invocation reports from
+// its own decode of the same trace file. The specs are the paper's sweep
+// plus four of other geometries, so the fan-out runs five groups of
+// configurations that share a cache, one of them of eight.
 func TestFanoutMatchesSingleRuns(t *testing.T) {
 	path := writeTestTrace(t)
-	specs := map[string][]string{
-		"baseline":    nil,
-		"victim=4":    {"-victim", "4"},
-		"misscache=4": {"-misscache", "4"},
-		"ways=4":      {"-ways", "4"},
-	}
-	code, out, errOut := runCmd(t, "-trace", path, "-side", "data",
-		"-fanout", "; victim=4 ; misscache=4 ; ways=4")
+	list := sweepSpec + ";size=2048;line=32;victim=2,line=8;ways=4,depth=2,quasi=true"
+	specs := strings.Split(list, ";")
+	code, out, errOut := runCmd(t, "-trace", path, "-side", "data", "-fanout", list)
 	if code != 0 {
 		t.Fatalf("fanout run failed (%d): %s", code, errOut)
 	}
-	if !strings.Contains(out, "4 configurations, one trace pass") {
-		t.Errorf("missing fan-out banner:\n%s", out)
+	if want := fmt.Sprintf("%d configurations, one trace pass", len(specs)); !strings.Contains(out, want) {
+		t.Errorf("missing fan-out banner %q:\n%s", want, out)
 	}
-	for label, flags := range specs {
-		args := append([]string{"-trace", path, "-side", "data"}, flags...)
+	for _, spec := range specs {
+		args := []string{"-trace", path, "-side", "data"}
+		label := spec
+		if spec == "" {
+			label = "baseline"
+		} else {
+			for _, kv := range strings.Split(spec, ",") {
+				args = append(args, "-"+kv)
+			}
+		}
 		scode, sout, serr := runCmd(t, args...)
 		if scode != 0 {
-			t.Fatalf("single run %v failed (%d): %s", flags, scode, serr)
+			t.Fatalf("single run %v failed (%d): %s", args, scode, serr)
 		}
-		row := fanoutRow(t, out, label)
-		if got, want := row[0], singleStat(t, sout, "accesses:"); got != want {
-			t.Errorf("%s accesses: fanout %s, single %s", label, got, want)
+		auxHits := "0" // the single report omits a zero aux-hit line
+		if strings.Contains(sout, "aux hits:") {
+			auxHits = singleStat(t, sout, "aux hits:")[0]
 		}
-		if got, want := row[1], singleStat(t, sout, "L1 misses:"); got != want {
-			t.Errorf("%s L1 misses: fanout %s, single %s", label, got, want)
+		full := singleStat(t, sout, "full misses:") // N (effective rate R)
+		want := []string{
+			singleStat(t, sout, "accesses:")[0],
+			singleStat(t, sout, "L1 misses:")[0],
+			auxHits,
+			full[0],
+			strings.TrimSuffix(full[len(full)-1], ")"),
 		}
-		if got, want := row[3], singleStat(t, sout, "full misses:"); got != want {
-			t.Errorf("%s full misses: fanout %s, single %s", label, got, want)
+		if got := fanoutRow(t, out, label); !slices.Equal(got, want) {
+			t.Errorf("%s: fan-out row %v, single run %v", label, got, want)
+		}
+	}
+}
+
+// TestFanoutSharesCaches pins the fan-out's allocation: the paper's
+// eight-configuration sweep builds two caches, the direct-mapped one
+// that seven configurations share and the 4-way one, and one group per
+// cache.
+func TestFanoutSharesCaches(t *testing.T) {
+	geom := sim.CacheGeometry{Size: 4096, LineSize: 16, Assoc: 1}
+	base := sim.Config{L1I: geom, L1D: geom, D: sim.Augmentation{Stream: &sim.StreamOptions{Depth: 4}}}
+	labels, fes, groups, err := frontEnds(sweepSpec, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fes) != 8 || len(groups) != 2 {
+		t.Fatalf("%d front ends in %d groups, want 8 in 2", len(fes), len(groups))
+	}
+	shared := fes[0].Cache()
+	for i, fe := range fes {
+		if same, dm := fe.Cache() == shared, labels[i] != "assoc=4"; same != dm {
+			t.Errorf("%s: shares the direct-mapped cache %v, want %v", labels[i], same, dm)
 		}
 	}
 }
@@ -188,11 +223,11 @@ func TestFanoutSpecOverMainFlags(t *testing.T) {
 		t.Fatalf("single run is not a 4x8 stream buffer:\n%s", single)
 	}
 	row := fanoutRow(t, out, "ways=4,quasi=true")
-	if got, want := row[2], singleStat(t, single, "aux hits:"); got != want {
+	if got, want := row[2], singleStat(t, single, "aux hits:")[0]; got != want {
 		t.Errorf("ways=4 over -depth 8: aux hits %s, want the 4x8 buffer's %s", got, want)
 	}
 	_, depth4, _ := runCmd(t, "-trace", path, "-side", "data", "-ways", "4", "-quasi")
-	if singleStat(t, depth4, "aux hits:") == row[2] {
+	if singleStat(t, depth4, "aux hits:")[0] == row[2] {
 		t.Errorf("ways=4 over -depth 8 matches the depth-4 buffer; -depth was not applied")
 	}
 }

@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	base := sim.Config{L1I: geom, L1D: geom, D: sim.Augmentation{
 		MissCacheEntries: *missCache, VictimCacheEntries: *victim,
 		Stream: &sim.StreamOptions{Ways: *ways, Depth: *depth, Quasi: *quasi, DetectStride: *stride}}}
-	labels, fes, err := frontEnds(*fanouts, base)
+	labels, fes, groups, err := frontEnds(*fanouts, base)
 	if err != nil {
 		fmt.Fprintln(stderr, "cachesim:", err)
 		return 2
@@ -142,13 +142,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cachesim: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", srv.Addr())
 	}
 
-	// Every configuration replays the side's references in one pass. The
-	// first also carries the -classify classifier, the introspection
-	// probe and the live replay counters; -fanout allows none of them.
+	// Every configuration replays the side's references in one pass, one
+	// consumer per distinct cache. The first configuration also carries
+	// the -classify classifier, the introspection probe and the live
+	// replay counters; -fanout allows none of them but the counters.
 	fe := fes[0]
 	l1 := fe.Cache()
 	l1cfg := l1.Config()
-	first := &levelConsumer{fe: fe}
+	first := &groupConsumer{g: groups[0]}
 	if *classify3 {
 		first.cl = classify.MustNew(l1cfg.Size, l1cfg.LineSize)
 	}
@@ -176,8 +177,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	consumers := []fanout.Consumer{first}
-	for _, other := range fes[1:] {
-		consumers = append(consumers, &levelConsumer{fe: other})
+	for _, g := range groups[1:] {
+		consumers = append(consumers, &groupConsumer{g: g})
 	}
 
 	// The trace streams through the simulator in buffered chunks — it is

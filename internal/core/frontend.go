@@ -11,6 +11,10 @@
 // fetches from the next level. Front-ends keep a cycle clock — one cycle
 // per access plus the stall cycles of misses — so that structures with
 // fill latency (stream buffers) can model line availability.
+//
+// Levels that share one write-through cache can replay as a Group,
+// which probes and fills the cache once per access: its contents do not
+// depend on the helper structures, which see only the misses.
 package core
 
 import (

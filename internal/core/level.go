@@ -61,7 +61,6 @@ type Level struct {
 	// The words every access touches come first.
 	l1        *cache.Cache
 	stats     Stats
-	now       uint64
 	mc        *cache.Cache // miss cache (fully associative), or nil
 	vc        *cache.Cache // victim cache (fully associative), or nil
 	set       *streamSet   // stream buffers, or nil
@@ -72,6 +71,7 @@ type Level struct {
 	tap       Tap               // nil unless SetTap
 	due       Due               // the tap's thresholds on stats
 	tel       *telemetry.Deltas // nil unless Instrument
+	shared    *uint64           // the Group's access count, or nil
 }
 
 // Tap reads a level's first-level misses. It is the one observation
@@ -174,55 +174,70 @@ func NewCombined(l1 *cache.Cache, victimEntries int, streamCfg StreamConfig, fet
 
 // Access implements FrontEnd.
 func (l *Level) Access(addr uint64, write bool) Result {
-	l.stats.Accesses++
-	l.now++
 	if l.l1.Probe(addr, write) {
+		l.stats.Accesses++
 		l.stats.L1Hits++
 		return Result{L1Hit: true}
 	}
-	r := l.miss(addr, write)
+	return l.miss(addr, l.l1.Fill(addr, write && l.writeBack))
+}
+
+// miss resolves an L1 miss to addr once the cache has taken the line,
+// displacing victim: the helper structures serve it in the paper's
+// order, then victim moves into the victim cache or, without one, is
+// written back if dirty. Level.Access and Group.Access both call it,
+// the group once it has synced the level.
+func (l *Level) miss(addr uint64, victim cache.Victim) Result {
+	l.stats.Accesses++
+	l.stats.L1Misses++
+	r := l.serve(addr)
+	if victim.Valid && l.vc != nil {
+		victim = l.vc.Fill(victim.LineAddr*uint64(l.l1.LineSize()), victim.Dirty)
+	}
+	if victim.Valid && victim.Dirty {
+		l.stats.Writebacks++
+	}
 	if l.tap != nil && (l.stats.Accesses >= l.due.Accesses || l.stats.L1Misses >= l.due.Misses) {
 		l.due = l.tap.Miss(addr, r, &l.stats)
 	}
 	return r
 }
 
-// miss resolves an L1 miss through the helper structures.
-func (l *Level) miss(addr uint64, write bool) Result {
-	l.stats.L1Misses++
+// serve finds the structure that serves an L1 miss and charges its
+// stall.
+func (l *Level) serve(addr uint64) Result {
 	la := l.l1.LineAddr(addr)
 
-	// 1. Miss cache: reload the cache; the line stays in the miss cache
-	// too (it is a cache, not a queue).
-	if l.mc != nil {
-		if l.mc.Probe(addr, false) {
-			l.stats.MissCacheHits++
-			l.fill(addr, write, false)
-			return l.auxHit(ServedMissCache, l.timing.AuxPenalty)
-		}
+	// 1. Miss cache: the line stays in the miss cache too (it is a cache,
+	// not a queue).
+	if l.mc != nil && l.mc.Probe(addr, false) {
+		l.stats.MissCacheHits++
+		return l.auxHit(ServedMissCache, l.timing.AuxPenalty)
 	}
 
-	// 2. Victim cache: swap.
+	// 2. Victim cache: swap. The cache took the line clean; a dirty copy
+	// (write-back only, so never in a Group) stays dirty.
 	if l.vc != nil {
 		if present, dirty := l.vc.Invalidate(addr); present {
 			l.stats.VictimHits++
+			if dirty {
+				l.l1.Fill(addr, true)
+			}
 			if l.set != nil && l.set.contains(la) {
 				l.stats.OverlapHits++
 			}
-			l.fill(addr, write, dirty)
 			return l.auxHit(ServedVictim, l.timing.AuxPenalty)
 		}
 	}
 
 	// 3. Stream buffers.
 	if l.set != nil {
-		if hit, inFlight, stall := l.set.probe(la, l.now); hit {
+		if hit, inFlight, stall := l.set.probe(la, l.now()); hit {
 			l.stats.StreamHits++
 			l.stats.PrefetchUsed++
 			if inFlight {
 				l.stats.StreamInFlightHits++
 			}
-			l.fill(addr, write, false)
 			l.stats.PrefetchIssued = l.set.issued
 			return l.auxHit(ServedStream, stall)
 		}
@@ -234,49 +249,42 @@ func (l *Level) miss(addr uint64, write bool) Result {
 	if l.fetch != nil {
 		l.fetch(la, false)
 	}
-	l.fill(addr, write, false)
 	if l.mc != nil {
 		l.mc.Fill(addr, false)
 	}
 	stall := l.timing.MissPenalty
 	l.stats.StallCycles += uint64(stall)
-	l.now += uint64(stall)
 	if l.set != nil {
-		l.set.allocate(la, l.now)
+		l.set.allocate(la, l.now())
 		l.stats.PrefetchIssued = l.set.issued
 	}
 	return Result{Stall: stall, Served: ServedMemory}
 }
 
+// now is the level's cycle clock, Stats.Cycles: one cycle per access
+// plus the stall cycles charged so far.
+func (l *Level) now() uint64 { return l.stats.Accesses + l.stats.StallCycles }
+
 func (l *Level) auxHit(by ServedBy, stall int) Result {
 	l.stats.AuxHits++
 	l.stats.StallCycles += uint64(stall)
-	l.now += uint64(stall)
 	return Result{AuxHit: true, Stall: stall, Served: by}
 }
 
-// fill installs addr's line in the cache, dirty under write-back when a
-// store wrote it or it was dirty where it came from, and moves the line
-// it displaces into the victim cache — or, without one, writes it back
-// if dirty.
-func (l *Level) fill(addr uint64, write, wasDirty bool) {
-	victim := l.l1.Fill(addr, (write || wasDirty) && l.writeBack)
-	if !victim.Valid {
-		return
-	}
-	if l.vc == nil {
-		if victim.Dirty {
-			l.stats.Writebacks++
-		}
-		return
-	}
-	if ev := l.vc.Fill(victim.LineAddr*uint64(l.l1.LineSize()), victim.Dirty); ev.Valid && ev.Dirty {
-		l.stats.Writebacks++
+// sync brings a grouped level's counts up to its group's access count:
+// every access since the level's last miss hit the shared cache.
+func (l *Level) sync() {
+	if l.shared != nil {
+		l.stats.L1Hits += *l.shared - l.stats.Accesses
+		l.stats.Accesses = *l.shared
 	}
 }
 
 // Stats implements FrontEnd.
-func (l *Level) Stats() Stats { return l.stats }
+func (l *Level) Stats() Stats {
+	l.sync()
+	return l.stats
+}
 
 // SetTap installs t as the level's tap, replacing any previous one, and
 // asks it through Sync for its first Due; nil detaches. Not synchronized
@@ -328,6 +336,7 @@ func (l *Level) Instrument(reg *telemetry.Registry, prefix string) {
 // publish sends the growth of the level's and its cache's Stats since
 // the previous publish to their counters.
 func (l *Level) publish() {
+	l.sync()
 	t := l.stats.published()
 	l.tel.Publish(t[:]...)
 	l.l1.FlushTelemetry()
