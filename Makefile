@@ -82,17 +82,22 @@ cover:
 # checks the din decoder against a reference decoder, written in the
 # test with strings.Fields and strconv, that shares no code with it.
 # FuzzGroupVsLevels checks levels sharing one cache in a core.Group
-# against the same levels each on its own cache.
+# against the same levels each on its own cache. FuzzSubmitDecodeVsJSON
+# checks the job-body decode, which cuts the trace out and decodes it in
+# place, against a whole-body encoding/json decode. Each line caps input
+# minimization at one run (-fuzzminimizetime 1x): Go's default of 60s
+# would spend the whole budget minimizing the first new input.
 FUZZTIME ?= 5s
 fuzz:
-	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadDinero -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzLenientReaders -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzDinVsReference -fuzztime $(FUZZTIME)
-	$(GO) test ./sim -run '^$$' -fuzz FuzzConfigGrammar -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFrontEndVsReference -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGroupVsLevels -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzReadDinero -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzLenientReaders -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/memtrace -run '^$$' -fuzz FuzzDinVsReference -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./sim -run '^$$' -fuzz FuzzConfigGrammar -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitDecodeVsJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFrontEndVsReference -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGroupVsLevels -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 
 # loadtest runs the cachesimd chaos/load test under the race detector:
 # concurrent clients flood the daemon's HTTP API, a tenth of them with
@@ -113,7 +118,7 @@ trace-e2e:
 # bench runs the micro-benchmarks briefly — enough to catch a throughput
 # cliff, not a full measurement run.
 bench:
-	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit' -benchtime 1x -benchmem
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
 # telemetry off vs on (BENCH_telemetry.json) and the decode-once fan-out

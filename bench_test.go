@@ -11,13 +11,22 @@
 package jouppi
 
 import (
+	"bytes"
+	"context"
+	"encoding/base64"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/experiments"
+	"jouppi/internal/jobqueue"
 	"jouppi/internal/memtrace"
+	"jouppi/internal/telemetry"
 	"jouppi/internal/workload"
 	"jouppi/sim"
 )
@@ -243,6 +252,45 @@ func BenchmarkSweepReplay(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/access")
 		})
+	}
+}
+
+// BenchmarkUploadSubmit times one POST /jobs admission of a 100k-record
+// din upload (about 1.2 MB of base64) through the cachesimd handler:
+// reading the body, decoding the request and its trace, and the queue's
+// admission with its cache key. The runner does nothing, so no job is
+// simulated. MB/s is request-body bytes admitted per second.
+func BenchmarkUploadSubmit(b *testing.B) {
+	const scale = 0.1
+	tr := workload.GenerateTrace(workload.MustByName("ccom"), scale)
+	if tr.Len() < 100_000 {
+		b.Fatalf("ccom at scale %v has %d records, want 100000", scale, tr.Len())
+	}
+	var din bytes.Buffer
+	if _, err := tr.Slice(0, 100_000).WriteDinero(&din); err != nil {
+		b.Fatal(err)
+	}
+	body := fmt.Appendf(nil, `{"trace_format":"din","configs":"sys=baseline;sys=improved;victim=4;misscache=4;ways=4","trace":%q}`,
+		base64.StdEncoding.EncodeToString(din.Bytes()))
+
+	q := jobqueue.NewQueue(jobqueue.Options{
+		Version: "bench",
+		MaxJobs: 4,
+		Runner: func(ctx context.Context, spec *jobqueue.Spec, version string) (*jobqueue.ResultBody, error) {
+			return &jobqueue.ResultBody{Version: version, TraceDigest: spec.TraceDigest()}, nil
+		},
+	})
+	defer q.Drain(time.Second)
+	srv := jobqueue.NewServer(q, telemetry.NewRegistry())
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		if w.Code != http.StatusAccepted {
+			b.Fatalf("POST /jobs = %d: %s", w.Code, w.Body)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package jobqueue
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -159,6 +161,44 @@ func TestQueueCacheHitIsByteIdentical(t *testing.T) {
 	}
 	if got := metric(reg, "jobqueue_cache_misses_total"); got != 1 {
 		t.Fatalf("jobqueue_cache_misses_total = %v, want 1", got)
+	}
+}
+
+// TestRunnerGetsAdmissionDigest pins that an upload is hashed once per
+// job: the runner's spec carries the digest the queue computed at
+// admission for the cache key. The runner flips a byte of the upload
+// before it reads the digest, so a second hash would return another one.
+func TestRunnerGetsAdmissionDigest(t *testing.T) {
+	data := testTraceDin(50)
+	sum := sha256.Sum256(data)
+	want := hex.EncodeToString(sum[:])
+	got := make(chan string, 1)
+	q := NewQueue(Options{
+		Workers: 1,
+		Version: "test",
+		Runner: func(ctx context.Context, spec *Spec, version string) (*ResultBody, error) {
+			spec.TraceData[0] ^= 0xff
+			got <- spec.TraceDigest()
+			return &ResultBody{Version: version, TraceDigest: spec.TraceDigest()}, nil
+		},
+	})
+	defer q.Drain(time.Second)
+
+	spec := uploadSpec(t, data, "victim=4")
+	key := spec.CacheKey("test")
+	job, err := q.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, job)
+	if d := <-got; d != want {
+		t.Fatalf("runner read digest %s, want the admission digest %s", d, want)
+	}
+	if job.key != key {
+		t.Fatalf("job key %s, want %s", job.key, key)
+	}
+	if spec.digest != "" {
+		t.Fatal("Submit wrote the digest into the caller's spec")
 	}
 }
 

@@ -46,6 +46,11 @@ type Spec struct {
 	// Retries re-runs a retryably-failed job this many extra times,
 	// paced by the queue's backoff policy. -1 means the queue default.
 	Retries int
+
+	// digest is TraceDigest, computed once when the queue admits its own
+	// copy of the spec: the upload is hashed once per job, for the cache
+	// key and the result alike.
+	digest string
 }
 
 // Validate checks a Spec the way Submit will rely on it.
@@ -106,8 +111,12 @@ func (s *Spec) traceAttrs() []trace.Attr {
 
 // TraceDigest returns the identity of the job's input trace: the hex
 // SHA-256 of the uploaded bytes, or "benchmark/<name>@<scale>" with the
-// scale's exact bits for a referenced workload.
+// scale's exact bits for a referenced workload. A spec the queue has
+// admitted returns the digest computed at admission.
 func (s *Spec) TraceDigest() string {
+	if s.digest != "" {
+		return s.digest
+	}
 	if s.Benchmark != "" {
 		return fmt.Sprintf("benchmark/%s@%016x", s.Benchmark, math.Float64bits(s.Scale))
 	}
