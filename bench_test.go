@@ -294,6 +294,41 @@ func BenchmarkUploadSubmit(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneratedReplay is the shape of a fresh cachesimd benchmark
+// job in the svc-mixed workload: ccom at scale 0.05 generated once
+// through the four systems svc-mixed submits, in one sim.Replay under a
+// cancellable context (a job's), so the workload is pushed in chunks
+// through the fan-out engine. Run with -benchmem: steady-state chunks
+// reuse their buffers, so B/op is the systems and one chunk.
+func BenchmarkGeneratedReplay(b *testing.B) {
+	cfgs, err := sim.ParseConfigs("sys=baseline;sys=improved;victim=4;ways=4", sim.BaselineSystem())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ReportAllocs()
+	var total uint64
+	for i := 0; i < b.N; i++ {
+		src, err := sim.Benchmark("ccom", benchScale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		systems := make([]*sim.System, len(cfgs))
+		for j, c := range cfgs {
+			if systems[j], err = sim.NewSystem(c.Config); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sim.Replay(ctx, src, systems...); err != nil {
+			b.Fatal(err)
+		}
+		r := systems[0].Results()
+		total += r.I.Accesses + r.D.Accesses
+	}
+	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "MAcc/s")
+}
+
 // --- streaming vs materialized replay ---
 
 // streamScale sizes the streaming comparison: at scale 4 ccom is ≈5M

@@ -213,7 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if side != nil {
 		src = memtrace.FilterKinds(dec, side...)
 	}
-	eng := fanout.New(fanout.Config{})
+	eng := fanout.New()
 	eng.AttachTelemetry(reg)
 	err = eng.Replay(context.Background(), src, consumers...)
 	if err == nil {

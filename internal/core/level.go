@@ -22,9 +22,10 @@ type Aux struct {
 	Stream StreamConfig
 }
 
-// validate reports a negative count, an invalid stream configuration, or
-// a miss cache combined with a victim cache or stream buffers.
-func (a Aux) validate() error {
+// Validate reports a negative count, an invalid stream configuration, or
+// a miss cache combined with a victim cache or stream buffers: what
+// NewLevel rejects.
+func (a Aux) Validate() error {
 	if a.MissCache < 0 {
 		return fmt.Errorf("core: negative miss cache size %d", a.MissCache)
 	}
@@ -100,7 +101,7 @@ type Due struct {
 // level's demand fetches and prefetches; it may be nil when next-level
 // traffic is not modelled.
 func NewLevel(l1 *cache.Cache, aux Aux, fetch Fetcher, timing Timing) (*Level, error) {
-	if err := aux.validate(); err != nil {
+	if err := aux.Validate(); err != nil {
 		return nil, err
 	}
 	timing = timing.withDefaults()

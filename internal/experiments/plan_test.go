@@ -119,8 +119,8 @@ func TestPlanContract(t *testing.T) {
 }
 
 // TestPlanClosesGeneratedSources checks that a run panicking over a
-// generated workload does not leave the generator goroutine parked on
-// its full channel: the planner closes every source it opens.
+// generated workload leaves no goroutine behind: the generator unwinds
+// and every fan-out consumer stops before the panic reaches RunAll.
 func TestPlanClosesGeneratedSources(t *testing.T) {
 	eachProcs(t, func(t *testing.T) {
 		before := runtime.NumGoroutine()
@@ -142,6 +142,42 @@ func TestPlanClosesGeneratedSources(t *testing.T) {
 				t.Fatalf("%d goroutines after the failed plan, %d before", runtime.NumGoroutine(), before)
 			}
 			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// brokenBench is a workload whose generator panics part-way through.
+type brokenBench struct{}
+
+func (brokenBench) Name() string        { return "broken" }
+func (brokenBench) Description() string { return "panics after 10000 references" }
+func (brokenBench) Generate(_ float64, sink memtrace.Sink) {
+	for i := 0; i < 10000; i++ {
+		sink.Access(memtrace.Access{Addr: memtrace.Addr(i * 16), Kind: memtrace.Load})
+	}
+	panic("injected generator failure")
+}
+
+// TestPlanGeneratorPanicFailsItsExhibit pins that a generator panic in a
+// pass fails only the exhibit that declared the pass: it reaches RunAll
+// as that exhibit's failure, and the exhibit beside it still succeeds.
+func TestPlanGeneratorPanicFailsItsExhibit(t *testing.T) {
+	eachProcs(t, func(t *testing.T) {
+		broken := Experiment{ID: "broken", Title: "panicking generator", Run: func(cfg Config) *Result {
+			cfg.plan(&pass{gen: brokenBench{}, runs: []*run{feedFunc(func(memtrace.Access) {})}},
+				&pass{gen: workload.Strided(), runs: []*run{feedFunc(func(memtrace.Access) {})}})
+			return &Result{ID: "broken"}
+		}}
+		out, err := RunAll(context.Background(), smallCfg(),
+			RunOptions{Experiments: []Experiment{broken, exhibit(t, "table2-2")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out[0].Err, "injected generator failure") {
+			t.Errorf("Err = %q, want the generator's panic", out[0].Err)
+		}
+		if out[1].Failed() {
+			t.Errorf("the exhibit beside the broken one failed: %s", out[1].Err)
 		}
 	})
 }

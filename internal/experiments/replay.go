@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -116,8 +117,10 @@ func eachBench(build func(b int) []*run) []*pass {
 	return passes
 }
 
-// replayPass opens p's source, replays it through p's runs and closes it,
-// also when a run panics. It opens nothing once cfg's context is done.
+// replayPass replays p's source through p's runs: the benchmark's
+// trace, or the generated workload pushed on this goroutine. A panic of
+// the generator's own comes back here once the runs have stopped. It
+// replays nothing once cfg's context is done.
 func (cfg Config) replayPass(p *pass) {
 	if cfg.Context().Err() != nil {
 		return
@@ -128,21 +131,33 @@ func (cfg Config) replayPass(p *pass) {
 		cfg.replay(tr.Source(), p.runs...)
 		return
 	}
-	gen := workload.NewSource(p.gen, cfg.Scale)
-	defer gen.Close()
-	src := memtrace.NewCountingSource(gen)
-	cfg.replay(src, p.runs...)
-	p.instrs = src.Instructions()
+	var counts memtrace.Counts
+	cfg.feed(p.runs, func(ctx context.Context, consumers []fanout.Consumer) error {
+		return fanout.Generate(ctx, func(sink memtrace.Sink) {
+			p.gen.Generate(cfg.Scale, memtrace.SinkFunc(func(a memtrace.Access) {
+				counts.Observe(a)
+				sink.Access(a)
+			}))
+		}, consumers...)
+	})
+	p.instrs = counts.Instructions()
 }
 
-// replay makes one pass over src that feeds every run: inline for one
-// run, on fan-out for several. It reads nothing if cfg's context is
-// already done and stops early if it is cancelled mid-pass; RunAll
-// discards the partial numbers. It books each run's simulated references
-// to cfg.Accesses: a side run books its side's, a system or whole-trace
-// run books all of them. A panicking run re-panics as
-// *fanout.ConsumerPanic.
+// replay makes one pass over src that feeds every run.
 func (cfg Config) replay(src memtrace.Source, runs ...*run) {
+	cfg.feed(runs, func(ctx context.Context, consumers []fanout.Consumer) error {
+		return fanout.Replay(ctx, src, consumers...)
+	})
+}
+
+// feed makes one pass through deliver with every run as a consumer:
+// inline for one run, on fan-out for several. It reads nothing if cfg's
+// context is already done and stops early if it is cancelled mid-pass;
+// RunAll discards the partial numbers. It books each run's simulated
+// references to cfg.Accesses: a side run books its side's, a system or
+// whole-trace run books all of them. A panicking run re-panics as
+// *fanout.ConsumerPanic.
+func (cfg Config) feed(runs []*run, deliver func(context.Context, []fanout.Consumer) error) {
 	ctx := cfg.Context()
 	if ctx.Err() != nil {
 		return
@@ -153,7 +168,7 @@ func (cfg Config) replay(src memtrace.Source, runs ...*run) {
 	}
 	// The only error a non-nil source and runs can cause is ctx's, which
 	// RunAll reports itself.
-	_ = fanout.Replay(ctx, src, consumers...)
+	_ = deliver(ctx, consumers)
 	for _, r := range runs {
 		cfg.Accesses.Add(r.n)
 	}

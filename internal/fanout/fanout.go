@@ -1,9 +1,12 @@
 // Package fanout implements single-pass trace replay across many
-// consumers: one producer pulls chunks from a memtrace.Source and
-// delivers each chunk to N independently-configured consumers. With two
-// or more Ps each consumer runs on its own goroutine and the chunks are
-// broadcast to it; with one P, or one consumer, the caller's goroutine
-// hands each chunk to the consumers in turn.
+// consumers: one producer makes the trace once, in chunks, and delivers
+// each chunk to N independently-configured consumers. The producer either
+// pulls the chunks from a memtrace.Source (Replay) or is a generator that
+// pushes accesses into a sink on the caller's goroutine (Generate). With
+// two or more Ps each consumer runs on its own goroutine and the chunks
+// are broadcast to it; with one P, or one consumer, the caller's
+// goroutine hands each chunk to the consumers in turn, so a replay at one
+// P starts no goroutine at all.
 //
 // The classic trace-driven-simulation observation (Mattson et al., and
 // the sweep shapes in Jouppi's figures) is that producing or decoding the
@@ -13,11 +16,12 @@
 // are produced once, shared read-only, and every consumer walks them in
 // order on its own cursor.
 //
-// Chunk buffers are pooled: each broadcast chunk carries a reference
-// count, the last consumer to finish returns it to a sync.Pool, and the
-// producer refills recycled buffers (bulk-decoding through
-// memtrace.ChunkSource when the source supports it). Steady-state replay
-// therefore allocates nothing per chunk regardless of trace length.
+// Chunk buffers are reused: inline, one buffer serves the whole replay;
+// broadcast, each chunk carries a reference count, the last consumer to
+// finish returns it to a free list, and the producer refills recycled
+// buffers (bulk-decoding through memtrace.ChunkSource when the source
+// supports it). Steady-state replay therefore allocates nothing per chunk
+// regardless of trace length.
 //
 // Consumers see exactly the sequence of accesses a sequential replay
 // would deliver — same records, same order, one at a time — so results
@@ -37,10 +41,13 @@ import (
 	"jouppi/internal/trace"
 )
 
-// Errors reported by Replay before any record is consumed.
-var (
-	ErrNilConsumer = errors.New("fanout: nil Consumer")
-)
+// ErrNilConsumer is reported by Replay and Generate before any record
+// is consumed.
+var ErrNilConsumer = errors.New("fanout: nil Consumer")
+
+// errAborted ends a delivery after a consumer panicked; the relayed
+// *ConsumerPanic carries the failure.
+var errAborted = errors.New("fanout: consumer panicked")
 
 // Consumer receives successive chunks of the trace in order. Chunks are
 // shared read-only between all consumers of a replay and their buffers
@@ -81,43 +88,25 @@ func (p *ConsumerPanic) Error() string {
 	return fmt.Sprintf("fanout: consumer %d panicked: %v", p.Consumer, p.Val)
 }
 
-// Config sizes the engine. The zero value selects the defaults.
-type Config struct {
-	// ChunkSize is the number of accesses per broadcast chunk.
-	// Defaults to 4096 — the same granularity the streaming workload
-	// source uses, large enough to amortise channel operations and
-	// small enough to keep consumers' working sets cache-resident.
-	ChunkSize int
-	// Ring is the per-consumer bound on in-flight chunks (the depth of
-	// each consumer's cursor behind the producer). The producer blocks
-	// once the slowest consumer falls Ring chunks behind, so memory is
-	// O(Consumers × Ring × ChunkSize) regardless of trace length.
-	// Defaults to 8.
-	Ring int
-}
-
 const (
-	defaultChunkSize = 4096
-	defaultRing      = 8
+	// chunkSize is the number of accesses per chunk: large enough to
+	// amortise channel operations and small enough to keep consumers'
+	// working sets cache-resident.
+	chunkSize = 4096
+	// ringSize bounds each broadcast consumer's in-flight chunks (its
+	// cursor's lag behind the producer). The producer blocks once the
+	// slowest consumer falls that far behind, so memory is
+	// O(consumers × ringSize × chunkSize) regardless of trace length.
+	ringSize = 8
 )
 
-func (c Config) withDefaults() Config {
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = defaultChunkSize
-	}
-	if c.Ring <= 0 {
-		c.Ring = defaultRing
-	}
-	return c
-}
-
-// Engine broadcasts one trace pass to many consumers. The zero value is
-// usable; New applies defaults eagerly. An Engine is reusable across
-// Replay calls but not concurrently.
+// Engine replays one trace pass to many consumers. Build it with New. An
+// Engine is reusable across replays but not concurrently.
 type Engine struct {
-	cfg Config
-	reg *telemetry.Registry
+	// chunk and ring are chunkSize and ringSize; tests shrink them.
+	chunk, ring int
 
+	reg *telemetry.Registry
 	// Metrics are nil (and every operation a no-op) until
 	// AttachTelemetry is called with a non-nil registry.
 	chunks    *telemetry.Counter
@@ -127,11 +116,11 @@ type Engine struct {
 	lag       []*telemetry.Gauge
 }
 
-// New returns an engine with cfg's zero fields defaulted.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
+// New returns an engine.
+func New() *Engine { return &Engine{chunk: chunkSize, ring: ringSize} }
 
 // AttachTelemetry registers the engine's metrics on reg: counters for
-// chunks and records broadcast, a gauge for the consumer count of the
+// chunks and records delivered, a gauge for the consumer count of the
 // current replay, a gauge for the deepest per-consumer backlog observed
 // at each broadcast, and one lag gauge per consumer slot. A nil registry
 // detaches (every metric update becomes a no-op).
@@ -173,21 +162,82 @@ func (e *Engine) Replay(ctx context.Context, src memtrace.Source, consumers ...C
 	if src == nil {
 		return memtrace.ErrNilSource
 	}
-	for _, c := range consumers {
-		if c == nil {
-			return ErrNilConsumer
+	d, err := e.start(ctx, consumers)
+	if d == nil {
+		return err
+	}
+	defer d.finish()
+	fill := chunkFiller(src)
+	for {
+		n := fill(d.next())
+		if n == 0 {
+			return nil
+		}
+		if err := d.send(n); err != nil {
+			return err
+		}
+		if n < e.chunk {
+			return nil // short fill: source exhausted
 		}
 	}
-	if e.consumers != nil {
-		e.consumers.Set(int64(len(consumers)))
+}
+
+// Generate runs gen once on the caller's goroutine and delivers every
+// access it pushes into its sink to every consumer, with Replay's
+// contracts. A cancel or a consumer panic unwinds gen with a sentinel
+// panic that Generate recovers, so gen must not recover panics itself.
+// A panic of gen's own is re-panicked once every consumer has stopped.
+func (e *Engine) Generate(ctx context.Context, gen func(memtrace.Sink), consumers ...Consumer) (err error) {
+	d, err := e.start(ctx, consumers)
+	if d == nil {
+		return err
 	}
-	if len(consumers) == 0 {
-		return nil
+	s := &pushSink{d: d, buf: d.next()}
+	defer func() {
+		v := recover()
+		if _, stopped := v.(stopGenerator); stopped {
+			v, err = nil, s.err
+		}
+		d.finish()
+		if v != nil {
+			panic(v)
+		}
+	}()
+	gen(s)
+	if s.n > 0 {
+		s.flush()
 	}
-	if len(consumers) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		return e.replayInline(ctx, src, consumers)
+	return nil
+}
+
+// stopGenerator is the sentinel panic that unwinds a generator once its
+// delivery has stopped.
+type stopGenerator struct{}
+
+// pushSink fills the delivery's current chunk and sends it when full.
+type pushSink struct {
+	d   *delivery
+	buf []memtrace.Access
+	n   int
+	err error // why the delivery stopped
+}
+
+// Access implements memtrace.Sink.
+func (s *pushSink) Access(a memtrace.Access) {
+	s.buf[s.n] = a
+	s.n++
+	if s.n == len(s.buf) {
+		s.flush()
 	}
-	return e.replayFanout(ctx, src, consumers)
+}
+
+// flush sends the buffered accesses and starts the next chunk; when the
+// delivery stops it unwinds the generator.
+func (s *pushSink) flush() {
+	if s.err = s.d.send(s.n); s.err != nil {
+		panic(stopGenerator{})
+	}
+	s.buf, s.n = s.d.next(), 0
 }
 
 // chunkFiller returns the bulk-fill function for src: the source's own
@@ -201,43 +251,164 @@ func chunkFiller(src memtrace.Source) func(dst []memtrace.Access) int {
 	return func(dst []memtrace.Access) int { return memtrace.FillChunk(src, dst) }
 }
 
-// replayInline is the path with no goroutines and no channels: one
-// reused chunk buffer, filled in bulk and handed to each consumer in
-// turn, with a cancellation poll per chunk. It keeps the broadcast
-// path's contracts: one consumer span each, a panic relayed as a
-// *ConsumerPanic naming its consumer (every consumer then holds a prefix
-// of the stream), and a lag gauge per slot, which reads 0 because no
-// consumer ever falls behind.
-func (e *Engine) replayInline(ctx context.Context, src memtrace.Source, consumers []Consumer) error {
-	cfg := e.cfg.withDefaults()
-	for i := range consumers {
-		_, csp := trace.Start(ctx, "consumer", trace.Int("consumer", i))
-		defer csp.End()
-		e.lagGauge(i).Set(0)
-	}
-	e.depth.Set(0)
-	fill := chunkFiller(src)
-	buf := make([]memtrace.Access, cfg.ChunkSize)
-	done := ctx.Done()
-	for {
-		n := fill(buf)
-		if n == 0 {
-			return nil
+// delivery is one replay's chunk hand-off, shared by both producers: next
+// returns the buffer to fill and send delivers its first n accesses.
+// Inline (one consumer or one P), one reused buffer is handed to each
+// consumer in turn on the caller's goroutine, and each lag gauge reads 0.
+// Broadcast, each consumer has a goroutine and a bounded channel of
+// shared read-only chunks, whose length is the consumer's lag. A chunk
+// is recycled only after its last consumer has released it, so a slow
+// consumer never observes a chunk being rewritten.
+type delivery struct {
+	e         *Engine
+	ctx       context.Context
+	consumers []Consumer
+	// relayed is the first consumer panic, re-panicked by finish.
+	relayed *ConsumerPanic
+
+	// Inline.
+	buf   []memtrace.Access
+	spans []*trace.Span
+
+	// Broadcast. abort is closed by the first panicking consumer, under
+	// panicOnce.
+	chans []chan *sharedChunk
+	// free holds released chunks for refilling. At most ring chunks
+	// wait in the slowest consumer's channel, one is in its Consume and
+	// one is being filled, so ring+2 slots never drop a chunk.
+	free      chan *sharedChunk
+	cur       *sharedChunk
+	abort     chan struct{}
+	panicOnce sync.Once
+	wg        sync.WaitGroup
+}
+
+// start checks the consumers and begins a delivery to them; with none,
+// or a nil one, it returns no delivery and the error to report.
+func (e *Engine) start(ctx context.Context, consumers []Consumer) (*delivery, error) {
+	for _, c := range consumers {
+		if c == nil {
+			return nil, ErrNilConsumer
 		}
+	}
+	if e.consumers != nil {
+		e.consumers.Set(int64(len(consumers)))
+	}
+	if len(consumers) == 0 {
+		return nil, nil
+	}
+	d := &delivery{e: e, ctx: ctx, consumers: consumers}
+	if len(consumers) == 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i := range consumers {
+			_, sp := trace.Start(ctx, "consumer", trace.Int("consumer", i))
+			d.spans = append(d.spans, sp)
+			e.lagGauge(i).Set(0)
+		}
+		e.depth.Set(0)
+		d.buf = make([]memtrace.Access, e.chunk)
+		return d, nil
+	}
+	d.chans = make([]chan *sharedChunk, len(consumers))
+	for i := range d.chans {
+		d.chans[i] = make(chan *sharedChunk, e.ring)
+	}
+	d.free = make(chan *sharedChunk, e.ring+2)
+	d.abort = make(chan struct{})
+	d.wg.Add(len(consumers))
+	for i, c := range consumers {
+		go d.consume(i, c, d.chans[i])
+	}
+	return d, nil
+}
+
+// consume is broadcast consumer i's goroutine, and its span. A
+// panicking consumer keeps draining its own channel so the producer can
+// never deadlock against it.
+func (d *delivery) consume(i int, c Consumer, ch chan *sharedChunk) {
+	defer d.wg.Done()
+	_, csp := trace.Start(d.ctx, "consumer", trace.Int("consumer", i))
+	defer csp.End()
+	defer func() {
+		if v := recover(); v != nil {
+			d.panicOnce.Do(func() {
+				d.relayed = &ConsumerPanic{Consumer: i, Val: v, Stack: stack()}
+				close(d.abort)
+			})
+			for sc := range ch {
+				sc.release(d.free)
+			}
+		}
+	}()
+	for sc := range ch {
+		c.Consume(sc.buf)
+		sc.release(d.free)
+	}
+}
+
+// next returns the buffer the producer fills next, chunk accesses long.
+func (d *delivery) next() []memtrace.Access {
+	if d.chans == nil {
+		return d.buf
+	}
+	select {
+	case d.cur = <-d.free:
+	default:
+		d.cur = &sharedChunk{buf: make([]memtrace.Access, d.e.chunk)}
+	}
+	return d.cur.buf[:d.e.chunk]
+}
+
+// send delivers the first n accesses of the buffer next returned. It
+// polls ctx once, and returns its error if the context is done, or
+// errAborted once a consumer has panicked.
+func (d *delivery) send(n int) error {
+	done := d.ctx.Done()
+	if d.chans == nil {
 		if done != nil {
 			select {
 			case <-done:
-				return ctx.Err()
+				return d.ctx.Err()
 			default:
 			}
 		}
-		if p := consumeEach(consumers, buf[:n]); p != nil {
-			panic(p)
+		if d.relayed = consumeEach(d.consumers, d.buf[:n]); d.relayed != nil {
+			return errAborted
 		}
-		e.countChunk(n)
-		if n < cfg.ChunkSize {
-			return nil // short fill: source exhausted
+		d.e.countChunk(n)
+		return nil
+	}
+	sc := d.cur
+	sc.buf = sc.buf[:n]
+	// Chunks abandoned mid-broadcast (abort/cancel) keep a positive
+	// refcount and simply fall to the garbage collector.
+	sc.refs.Store(int32(len(d.chans)))
+	d.e.observeDepth(d.chans)
+	for _, ch := range d.chans {
+		select {
+		case ch <- sc:
+		case <-d.abort:
+			return errAborted
+		case <-done:
+			return d.ctx.Err()
 		}
+	}
+	d.e.countChunk(n)
+	return nil
+}
+
+// finish ends the delivery on every exit: it ends the inline consumer
+// spans or closes the channels and waits for the consumer goroutines,
+// then re-panics a relayed consumer panic.
+func (d *delivery) finish() {
+	for _, sp := range d.spans {
+		sp.End()
+	}
+	for _, ch := range d.chans {
+		close(ch)
+	}
+	d.wg.Wait()
+	if d.relayed != nil {
+		panic(d.relayed)
 	}
 }
 
@@ -257,130 +428,25 @@ func consumeEach(consumers []Consumer, chunk []memtrace.Access) (relayed *Consum
 	return nil
 }
 
-// sharedChunk is one pooled broadcast buffer. refs counts the consumers
-// still holding it; the one that decrements it to zero returns the chunk
-// to the pool for the producer to refill.
+// sharedChunk is one recycled broadcast buffer. refs counts the
+// consumers still holding it; the one that decrements it to zero returns
+// the chunk to the free list for the producer to refill.
 type sharedChunk struct {
 	buf  []memtrace.Access
 	refs atomic.Int32
 }
 
 // release drops one reference, recycling the chunk when it was the last.
-func (sc *sharedChunk) release(pool *sync.Pool) {
+func (sc *sharedChunk) release(free chan<- *sharedChunk) {
 	if sc.refs.Add(-1) == 0 {
-		pool.Put(sc)
-	}
-}
-
-// replayFanout is the multi-consumer path. Each consumer gets a bounded
-// channel of shared read-only chunks — the channel is the consumer's
-// window of the chunk ring, its length the consumer's cursor lag. Chunk
-// buffers are reference-counted and pooled: the producer refills a
-// buffer only after the last consumer has released it, so a slow
-// consumer never observes a chunk being rewritten and steady-state
-// broadcasting allocates nothing.
-func (e *Engine) replayFanout(ctx context.Context, src memtrace.Source, consumers []Consumer) error {
-	cfg := e.cfg.withDefaults()
-	chans := make([]chan *sharedChunk, len(consumers))
-	for i := range chans {
-		chans[i] = make(chan *sharedChunk, cfg.Ring)
-	}
-	pool := &sync.Pool{New: func() any {
-		return &sharedChunk{buf: make([]memtrace.Access, cfg.ChunkSize)}
-	}}
-
-	// abort is closed by the first panicking consumer; panicOnce
-	// guards the recorded ConsumerPanic. A panicking consumer drains
-	// its own channel so the producer can never deadlock against it.
-	abort := make(chan struct{})
-	var panicOnce sync.Once
-	var relayed *ConsumerPanic
-
-	var wg sync.WaitGroup
-	wg.Add(len(consumers))
-	for i, c := range consumers {
-		go func(i int, c Consumer, ch chan *sharedChunk) {
-			defer wg.Done()
-			// Each consumer goroutine is one span: N configurations
-			// replaying concurrently close N sibling spans from N
-			// goroutines, which is exactly what the span system's
-			// concurrency contract covers. Detached (no span in ctx)
-			// this is a single context lookup per replay.
-			_, csp := trace.Start(ctx, "consumer", trace.Int("consumer", i))
-			defer csp.End()
-			defer func() {
-				if v := recover(); v != nil {
-					panicOnce.Do(func() {
-						relayed = &ConsumerPanic{Consumer: i, Val: v, Stack: stack()}
-						close(abort)
-					})
-					// Keep draining (and releasing) so the producer's
-					// send to this channel cannot block while it reacts
-					// to abort.
-					for sc := range ch {
-						sc.release(pool)
-					}
-				}
-			}()
-			for sc := range ch {
-				c.Consume(sc.buf)
-				sc.release(pool)
-			}
-		}(i, c, chans[i])
-	}
-
-	closeAll := func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-	}
-
-	err := e.produce(ctx, src, chans, pool, abort, cfg)
-	closeAll()
-	wg.Wait()
-	if relayed != nil {
-		panic(relayed)
-	}
-	return err
-}
-
-// produce fills pooled chunks from src and broadcasts each to every
-// consumer channel, blocking (backpressure) when a consumer's window is
-// full. It stops on source exhaustion, context cancellation, or abort.
-func (e *Engine) produce(ctx context.Context, src memtrace.Source,
-	chans []chan *sharedChunk, pool *sync.Pool, abort <-chan struct{}, cfg Config) error {
-	done := ctx.Done()
-	fill := chunkFiller(src)
-	for {
-		sc := pool.Get().(*sharedChunk)
-		buf := sc.buf[:cfg.ChunkSize]
-		n := fill(buf)
-		if n == 0 {
-			pool.Put(sc)
-			return nil
-		}
-		sc.buf = buf[:n]
-		// Chunks abandoned mid-broadcast (abort/cancel) keep a positive
-		// refcount and simply fall to the garbage collector.
-		sc.refs.Store(int32(len(chans)))
-		e.observeDepth(chans)
-		for _, ch := range chans {
-			select {
-			case ch <- sc:
-			case <-abort:
-				return nil // the relayed panic carries the failure
-			case <-done:
-				return ctx.Err()
-			}
-		}
-		e.countChunk(n)
-		if n < cfg.ChunkSize {
-			return nil // short fill: source exhausted
+		select {
+		case free <- sc:
+		default:
 		}
 	}
 }
 
-// countChunk advances the broadcast counters (no-ops when detached).
+// countChunk advances the delivery counters (no-ops when detached).
 func (e *Engine) countChunk(records int) {
 	e.chunks.Inc()
 	e.records.Add(uint64(records))
@@ -409,7 +475,12 @@ func stack() []byte {
 	return buf[:runtime.Stack(buf, false)]
 }
 
-// Replay runs a single-pass broadcast with the default configuration.
+// Replay runs a single-pass replay on a new engine.
 func Replay(ctx context.Context, src memtrace.Source, consumers ...Consumer) error {
-	return New(Config{}).Replay(ctx, src, consumers...)
+	return New().Replay(ctx, src, consumers...)
+}
+
+// Generate runs a single-pass generated replay on a new engine.
+func Generate(ctx context.Context, gen func(memtrace.Sink), consumers ...Consumer) error {
+	return New().Generate(ctx, gen, consumers...)
 }

@@ -24,6 +24,14 @@ func randomTrace(n int) *memtrace.Trace {
 	return tr
 }
 
+// sized returns an engine with chunk-access chunks and a ring of ring
+// chunks per broadcast consumer.
+func sized(chunk, ring int) *Engine {
+	e := New()
+	e.chunk, e.ring = chunk, ring
+	return e
+}
+
 // collector records every access it consumes, in order.
 type collector struct {
 	got []memtrace.Access
@@ -61,7 +69,7 @@ func TestReplayEquivalence(t *testing.T) {
 		tr := randomTrace(n)
 		want := sequential(tr)
 		for _, consumers := range []int{1, 2, 3, 8} {
-			eng := New(Config{ChunkSize: 512, Ring: 2})
+			eng := sized(512, 2)
 			cs := make([]*collector, consumers)
 			args := make([]Consumer, consumers)
 			for i := range cs {
@@ -138,7 +146,7 @@ func TestReplayTelemetry(t *testing.T) { bothPaths(t, testReplayTelemetry) }
 func testReplayTelemetry(t *testing.T) {
 	tr := randomTrace(2500)
 	reg := telemetry.NewRegistry()
-	eng := New(Config{ChunkSize: 1000, Ring: 2})
+	eng := sized(1000, 2)
 	eng.AttachTelemetry(reg)
 	if err := eng.Replay(context.Background(), tr.Source(), &collector{}, &collector{}); err != nil {
 		t.Fatal(err)
@@ -179,7 +187,7 @@ func testReplayTelemetry(t *testing.T) {
 func TestReplayInlineTelemetry(t *testing.T) {
 	tr := randomTrace(1500)
 	reg := telemetry.NewRegistry()
-	eng := New(Config{ChunkSize: 1000})
+	eng := sized(1000, ringSize)
 	eng.AttachTelemetry(reg)
 	if err := eng.Replay(context.Background(), tr.Source(), &collector{}); err != nil {
 		t.Fatal(err)
@@ -193,18 +201,6 @@ func TestReplayInlineTelemetry(t *testing.T) {
 	}
 	if got := snap["fanout_consumers"]; got != 1 {
 		t.Errorf("fanout_consumers = %v, want 1", got)
-	}
-}
-
-// TestConfigDefaults pins the documented zero-value behaviour.
-func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.ChunkSize != defaultChunkSize || cfg.Ring != defaultRing {
-		t.Errorf("defaults = %+v, want {%d %d}", cfg, defaultChunkSize, defaultRing)
-	}
-	cfg = Config{ChunkSize: 7, Ring: 3}.withDefaults()
-	if cfg.ChunkSize != 7 || cfg.Ring != 3 {
-		t.Errorf("explicit config rewritten: %+v", cfg)
 	}
 }
 

@@ -52,7 +52,7 @@ func testReplaySlowFastConsumers(t *testing.T) {
 	want := sequential(tr)
 	slow := &slowConsumer{delay: 100 * time.Microsecond}
 	fast := &collector{}
-	eng := New(Config{ChunkSize: 256, Ring: 2})
+	eng := sized(256, 2)
 	if err := eng.Replay(context.Background(), tr.Source(), slow, fast); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func testReplayCancellation(t *testing.T) {
 	defer cancel()
 	trigger := &cancelAfter{n: 3, cancel: cancel}
 	bystander := &collector{}
-	eng := New(Config{ChunkSize: 512, Ring: 2})
+	eng := sized(512, 2)
 	err := eng.Replay(ctx, tr.Source(), trigger, bystander)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -110,7 +110,7 @@ func TestReplayInlineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trigger := &cancelAfter{n: 2, cancel: cancel}
-	eng := New(Config{ChunkSize: 512})
+	eng := sized(512, ringSize)
 	if err := eng.Replay(ctx, tr.Source(), trigger); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -143,7 +143,7 @@ func testReplayConsumerPanic(t *testing.T) {
 	bad := &panicky{n: 2}
 	good1 := &collector{}
 	good2 := &collector{}
-	eng := New(Config{ChunkSize: 512, Ring: 2})
+	eng := sized(512, 2)
 
 	var relayed *ConsumerPanic
 	func() {

@@ -118,14 +118,30 @@ type System struct {
 	l1dShift uint
 }
 
-// New builds a system from cfg.
-func New(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	for _, cc := range []cache.Config{cfg.L1I, cfg.L1D, cfg.L2} {
+// Validate reports what New would reject in cfg — its caches' geometry
+// (zero-valued caches take the baseline's) and its helper structures —
+// without allocating any of them.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2} {
 		if err := cc.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	for _, aux := range []core.Aux{c.IAugment, c.DAugment, c.L2Augment} {
+		if err := aux.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// New builds a system from cfg.
+func New(cfg Config) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
 
 	s := &System{cfg: cfg}
 

@@ -26,14 +26,25 @@ func TestDefaultConfigIsPaperBaseline(t *testing.T) {
 }
 
 func TestNewRejectsBadConfigs(t *testing.T) {
+	// Validate rejects exactly what New rejects, without building it.
+	rejected := func(c Config) bool {
+		_, err := New(c)
+		if (err != nil) != (c.Validate() != nil) {
+			t.Errorf("New error %v, Validate error %v", err, c.Validate())
+		}
+		return err != nil
+	}
+	if rejected(DefaultConfig()) || rejected(Config{}) {
+		t.Error("rejected the baseline")
+	}
 	bad := DefaultConfig()
 	bad.L1I.Size = 100 // not a power of two
-	if _, err := New(bad); err == nil {
+	if !rejected(bad) {
 		t.Error("accepted invalid L1I")
 	}
 	bad = DefaultConfig()
 	bad.IAugment = core.Aux{Stream: core.StreamConfig{Ways: -1}}
-	if _, err := New(bad); err == nil {
+	if !rejected(bad) {
 		t.Error("accepted invalid stream config")
 	}
 	// Negative helper sizes and a miss cache beside other helpers are
@@ -48,7 +59,7 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	} {
 		bad = DefaultConfig()
 		set(&bad)
-		if _, err := New(bad); err == nil {
+		if !rejected(bad) {
 			t.Errorf("accepted %s", name)
 		}
 	}

@@ -89,8 +89,11 @@ type Job struct {
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
 
-	mu       sync.Mutex
-	state    State
+	mu    sync.Mutex
+	state State
+	// settling is set once finish has claimed the job; its terminal
+	// state is published only after its trace, log line and metrics.
+	settling bool
 	err      string
 	cacheHit bool
 	attempts int
@@ -483,7 +486,7 @@ func (q *Queue) worker() {
 // journal events, then settles the job.
 func (q *Queue) runJob(job *Job) {
 	job.mu.Lock()
-	if job.state != StateQueued {
+	if job.state != StateQueued || job.settling {
 		// Rejected by a racing drain after the worker pulled it.
 		job.mu.Unlock()
 		return
@@ -597,16 +600,14 @@ func (q *Queue) runJob(job *Job) {
 // derived from it.
 func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 	job.mu.Lock()
-	if job.state.Terminal() {
+	if job.settling || job.state.Terminal() {
 		job.mu.Unlock()
 		return
 	}
-	job.state = state
-	job.err = errText
-	job.result = body
-	job.finished = time.Now()
+	job.settling = true
 	attempts := job.attempts
-	elapsed := job.finished.Sub(job.created)
+	finished := time.Now()
+	elapsed := finished.Sub(job.created)
 	job.mu.Unlock()
 
 	// A drain-rejected job still has its queue-wait span open; End is
@@ -621,10 +622,9 @@ func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 		"state", string(state), "attempts", attempts,
 		"elapsed_s", elapsed.Seconds(), "err", errText)
 
-	// Unpublish the job and count it before waking its waiters: a caller
-	// that returns from Wait must see the metrics already updated, and an
-	// identical resubmission must go to the result store, not join this
-	// finished job.
+	// Unpublish the job before waking its waiters: an identical
+	// resubmission must go to the result store, not join this finished
+	// job.
 	q.mu.Lock()
 	if q.byKey[job.key] == job {
 		delete(q.byKey, job.key)
@@ -643,6 +643,16 @@ func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 		q.tel.retries.Add(uint64(attempts - 1))
 	}
 	q.tel.duration.Observe(elapsed.Seconds())
+
+	// The terminal state is published last: a client that reads it from
+	// the job's status, or returns from Wait, finds the job's trace, its
+	// log line and its metrics already there.
+	job.mu.Lock()
+	job.state = state
+	job.err = errText
+	job.result = body
+	job.finished = finished
+	job.mu.Unlock()
 
 	job.events.Close()
 	close(job.done)

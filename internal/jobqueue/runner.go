@@ -110,12 +110,11 @@ func IsPermanent(err error) bool {
 // deterministic or failing runners.
 type Runner func(ctx context.Context, spec *Spec, version string) (*ResultBody, error)
 
-// DefaultRunner simulates the job for real: benchmark jobs fan out
-// through the single-pass replay engine (the workload is generated
-// once, every configuration consumes the same stream); uploaded traces
-// are decoded once — strictly, or leniently with a drop budget — and
-// then replayed through each configuration. Cancellation is honoured
-// between accesses on every path.
+// DefaultRunner simulates the job for real, in one replay pass that
+// every configuration consumes: a benchmark job generates its workload
+// once, and an upload is decoded once — strictly, or leniently with a
+// drop budget — and then replayed. Cancellation is polled once per chunk
+// of the pass.
 func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody, error) {
 	body := &ResultBody{
 		Version:     version,
@@ -123,69 +122,49 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 		Scale:       spec.Scale,
 		TraceDigest: spec.TraceDigest(),
 	}
+	var src *sim.Source
 	if spec.Benchmark != "" {
-		src, err := sim.Benchmark(spec.Benchmark, spec.Scale)
-		if err != nil {
+		var err error
+		if src, err = sim.Benchmark(spec.Benchmark, spec.Scale); err != nil {
 			return nil, Permanent(err)
 		}
-		systems := make([]*sim.System, len(spec.Configs))
-		for i, c := range spec.Configs {
-			if systems[i], err = newSystem(c); err != nil {
-				return nil, err
-			}
-		}
-		if err := sim.Replay(ctx, src, systems...); err != nil {
-			return nil, err
-		}
-		for i, sys := range systems {
-			body.Configs = append(body.Configs, ConfigResult{Label: spec.Configs[i].Label, Results: sys.Results()})
-		}
-		return body, nil
-	}
-
-	// The upload is decoded exactly once; its extent is recorded as a
-	// retroactive "decode" span so a slow trace shows up as decode time,
-	// not replay time.
-	decStart := time.Now()
-	tr, degr, err := decodeUpload(spec)
-	if err != nil {
-		trace.FromContext(ctx).Record("decode", decStart, time.Now(),
-			trace.String("format", spec.TraceFormat), trace.String("err", err.Error()))
-		// The uploaded bytes are immutable; a decode failure now is a
-		// decode failure forever.
-		return nil, Permanent(fmt.Errorf("jobqueue: decoding uploaded trace: %w", err))
-	}
-	trace.FromContext(ctx).Record("decode", decStart, time.Now(),
-		trace.String("format", spec.TraceFormat), trace.Int("records", tr.Len()))
-	body.Records = uint64(tr.Len())
-	if degr.Degraded() {
-		body.Degradation = &degr
-	}
-	// One replay, and so one replay span, per configuration over the
-	// materialized trace, each system built only for its own replay:
-	// fanning an upload out would hold every system live at once for a
-	// small saving in time.
-	for _, c := range spec.Configs {
-		sys, err := newSystem(c)
+	} else {
+		// The upload's decode is recorded as a retroactive "decode" span
+		// so a slow trace shows up as decode time, not replay time.
+		decStart := time.Now()
+		tr, degr, err := decodeUpload(spec)
 		if err != nil {
-			return nil, err
+			trace.FromContext(ctx).Record("decode", decStart, time.Now(),
+				trace.String("format", spec.TraceFormat), trace.String("err", err.Error()))
+			// The uploaded bytes are immutable; a decode failure now is a
+			// decode failure forever.
+			return nil, Permanent(fmt.Errorf("jobqueue: decoding uploaded trace: %w", err))
 		}
-		if err := sim.Replay(ctx, sim.Stream(tr.Source(), trace.String("config", c.Label)), sys); err != nil {
-			return nil, err
+		trace.FromContext(ctx).Record("decode", decStart, time.Now(),
+			trace.String("format", spec.TraceFormat), trace.Int("records", tr.Len()))
+		body.Records = uint64(tr.Len())
+		if degr.Degraded() {
+			body.Degradation = &degr
 		}
-		body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: sys.Results()})
+		src = sim.Stream(tr.Source())
+	}
+	systems := make([]*sim.System, len(spec.Configs))
+	for i, c := range spec.Configs {
+		sys, err := sim.NewSystem(c.Config)
+		if err != nil {
+			// Configurations are validated at submission; a failure here
+			// means a bug, but it is still not retryable.
+			return nil, Permanent(fmt.Errorf("jobqueue: config %q: %w", c.Label, err))
+		}
+		systems[i] = sys
+	}
+	if err := sim.Replay(ctx, src, systems...); err != nil {
+		return nil, err
+	}
+	for i, sys := range systems {
+		body.Configs = append(body.Configs, ConfigResult{Label: spec.Configs[i].Label, Results: sys.Results()})
 	}
 	return body, nil
-}
-
-// newSystem builds c's system. Configurations are validated at
-// submission; a failure here means a bug, but it is still not retryable.
-func newSystem(c sim.LabeledConfig) (*sim.System, error) {
-	sys, err := sim.NewSystem(c.Config)
-	if err != nil {
-		return nil, Permanent(fmt.Errorf("jobqueue: config %q: %w", c.Label, err))
-	}
-	return sys, nil
 }
 
 // decodeUpload decodes the spec's uploaded bytes into a materialized

@@ -148,8 +148,8 @@ func (s *Spec) CacheKey(version string) string {
 // ParseConfigs parses a fan-out configuration list in the sim
 // configuration grammar (sim.ParseConfigs) over the paper baseline.
 // Every parsed configuration is checked against the limits below and
-// then validated by constructing the system, so a spec that parses is a
-// spec that runs.
+// validated the way building its system would, without building it, so
+// a spec that parses is a spec that runs.
 func ParseConfigs(s string) ([]sim.LabeledConfig, error) {
 	cfgs, err := sim.ParseConfigs(s, sim.BaselineSystem())
 	if err != nil {
@@ -157,9 +157,6 @@ func ParseConfigs(s string) ([]sim.LabeledConfig, error) {
 	}
 	for _, c := range cfgs {
 		if err := checkLimits(c.Config); err != nil {
-			return nil, fmt.Errorf("jobqueue: config %q: %w", c.Label, err)
-		}
-		if _, err := sim.NewSystem(c.Config); err != nil {
 			return nil, fmt.Errorf("jobqueue: config %q: %w", c.Label, err)
 		}
 	}
@@ -188,7 +185,8 @@ const (
 
 // checkLimits rejects a configuration that exceeds the limits above,
 // measured on the system it builds (unset geometry takes the paper
-// baseline's; stream buffers without ways are never built).
+// baseline's; stream buffers without ways are never built), or that
+// hierarchy.Config.Validate rejects.
 func checkLimits(c sim.Config) error {
 	hc, err := c.Hierarchy()
 	if err != nil {
@@ -216,5 +214,5 @@ func checkLimits(c sim.Config) error {
 			return fmt.Errorf("%s=%d exceeds the limit of %d", l.key, l.n, l.max)
 		}
 	}
-	return nil
+	return hc.Validate()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -215,6 +216,25 @@ func TestParseConfigsLimits(t *testing.T) {
 		if _, err := ParseConfigs(tc.past); err == nil || !strings.Contains(err.Error(), "limit") {
 			t.Errorf("ParseConfigs(%q) past the limit: err %v, want a limit error", tc.past, err)
 		}
+	}
+}
+
+// TestParseConfigsBuildsNothing pins that validating a job's
+// configurations allocates none of their caches: building the five
+// systems of an upload job would allocate over 1 MB.
+func TestParseConfigsBuildsNothing(t *testing.T) {
+	const configs = "sys=baseline;sys=improved;victim=4;misscache=4;ways=4"
+	if _, err := ParseConfigs(configs); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		ParseConfigs(configs)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 64<<10 {
+		t.Errorf("ParseConfigs allocated %d bytes per call", per)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestJobSpanTreeAccountsWallClock(t *testing.T) {
 	if dec.Attr("records") == "" {
 		t.Fatalf("decode attrs = %v, want a records count", dec.Attrs)
 	}
-	// One replay span per configuration, each hanging off the attempt.
+	// One replay span for every configuration, hanging off the attempt.
 	var replays int
 	for _, s := range td.Spans {
 		if s.Name == "replay" {
@@ -87,10 +87,13 @@ func TestJobSpanTreeAccountsWallClock(t *testing.T) {
 			if s.Parent != att.ID {
 				t.Fatalf("replay parent = %q, want attempt %q", s.Parent, att.ID)
 			}
+			if got := s.Attr("configs"); got != "2" {
+				t.Fatalf("replay configs = %q, want 2", got)
+			}
 		}
 	}
-	if replays != 2 {
-		t.Fatalf("replay spans = %d, want one per config", replays)
+	if replays != 1 {
+		t.Fatalf("replay spans = %d, want one for the job", replays)
 	}
 }
 

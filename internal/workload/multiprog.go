@@ -48,13 +48,11 @@ func (m multiprog) Description() string {
 func (m multiprog) Generate(scale float64, sink memtrace.Sink) {
 	const processStride = 1 << 40 // 1TB per process; preserves index bits
 
-	// Each process streams from its own generator goroutine; nothing is
-	// materialized, so a multiprogrammed trace costs the same memory as
-	// its longest-running constituent's chunk buffers.
-	srcs := make([]*Source, len(m.benches))
+	// The processes' traces interleave, so each is generated once up
+	// front and replayed from its own cursor.
+	srcs := make([]*memtrace.Cursor, len(m.benches))
 	for i, b := range m.benches {
-		srcs[i] = NewSource(b, scale)
-		defer srcs[i].Close()
+		srcs[i] = GenerateTrace(b, scale).Source()
 	}
 
 	done := make([]bool, len(srcs))

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,17 +11,17 @@ import (
 )
 
 // TestRunBenchmarkContextMatchesRunBenchmark pins that the cancellable
-// replay path (a goroutine-fed source, chosen because the context can be
-// cancelled) produces results bit-identical to RunBenchmark's direct push
-// path. The name is kept from the context-taking RunBenchmark variant that
-// Replay replaced.
+// replay path (chunked through the fan-out engine, chosen because the
+// context can be cancelled) produces results bit-identical to
+// RunBenchmark's direct path. The name is kept from the context-taking
+// RunBenchmark variant that Replay replaced.
 func TestRunBenchmarkContextMatchesRunBenchmark(t *testing.T) {
 	cfg := BaselineSystem()
 	plain, err := RunBenchmark("linpack", 0.05, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// context.Background has a nil Done channel, so force the pull-based
+	// context.Background has a nil Done channel, so force the chunked
 	// path with a cancellable (but never cancelled) context.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -91,5 +92,37 @@ func TestReplayDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("deadline took %v to take effect", elapsed)
+	}
+}
+
+// TestGeneratedReplayMemoryFlat pins that a generated replay through
+// several systems under a cancellable context allocates no more for a
+// longer trace: the chunks it pushes reuse their buffers.
+func TestGeneratedReplayMemoryFlat(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	allocated := func(scale float64) uint64 {
+		src, err := Benchmark("ccom", scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems := make([]*System, 4)
+		for i := range systems {
+			if systems[i], err = NewSystem(ImprovedSystem()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := Replay(ctx, src, systems...); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slack = 256 << 10
+	short, long := allocated(0.05), allocated(0.2)
+	if long > short+slack {
+		t.Errorf("replay at scale 0.2 allocated %d bytes, at 0.05 %d: more than %d apart", long, short, slack)
 	}
 }

@@ -104,27 +104,32 @@ func Replay(ctx context.Context, src *Source, systems ...*System) error {
 	var counts memtrace.Counts
 	if src.bench != nil && len(systems) == 1 && ctx.Done() == nil {
 		// One system under a context that can never be cancelled:
-		// generate straight into the hierarchy with no goroutine hand-off.
+		// generate straight into the hierarchy, with no chunks.
 		sys := systems[0].sys
 		src.bench.Generate(src.scale, memtrace.SinkFunc(func(a memtrace.Access) {
 			counts.Observe(a)
 			sys.Access(a)
 		}))
 	} else {
-		stream := src.stream
-		if src.bench != nil {
-			// The workload generates in a goroutine that Close releases
-			// if the replay is cut short.
-			ws := workload.NewSource(src.bench, src.scale)
-			defer ws.Close()
-			stream = ws
-		}
-		counting := memtrace.NewCountingSource(stream)
 		consumers := make([]fanout.Consumer, len(systems))
 		for i, s := range systems {
 			consumers[i] = fanout.Sink(s.sys)
 		}
-		err := fanout.Replay(ctx, counting, consumers...)
+		var err error
+		if src.bench != nil {
+			// The workload pushes its chunks on this goroutine; a
+			// cancel unwinds it.
+			err = fanout.Generate(ctx, func(sink memtrace.Sink) {
+				src.bench.Generate(src.scale, memtrace.SinkFunc(func(a memtrace.Access) {
+					counts.Observe(a)
+					sink.Access(a)
+				}))
+			}, consumers...)
+		} else {
+			counting := memtrace.NewCountingSource(src.stream)
+			err = fanout.Replay(ctx, counting, consumers...)
+			counts = counting.Counts
+		}
 		if err == nil && src.err != nil {
 			err = src.err()
 		}
@@ -132,7 +137,6 @@ func Replay(ctx context.Context, src *Source, systems ...*System) error {
 			sp.SetAttr("err", err.Error())
 			return err
 		}
-		counts = counting.Counts
 	}
 	for _, s := range systems {
 		s.instructions += counts.Instructions()

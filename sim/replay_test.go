@@ -71,9 +71,10 @@ func replayOnce(t *testing.T, ctx context.Context, src *Source, introspect bool,
 // TestReplayPathsBitIdentical pins that every way Replay can run
 // produces bit-identical Results for every configuration of a sweep:
 // direct generation (one system, a context that cannot be cancelled),
-// the goroutine-fed source (a cancellable context), fan-out (all systems
-// in one pass, detached and under a live trace span), and trace files in
-// both formats — each with and without introspection attached.
+// chunked generation (a cancellable context; the subtest keeps its old
+// name, "goroutine-fed"), fan-out (all systems in one pass, detached and
+// under a live trace span), and trace files in both formats — each with
+// and without introspection attached.
 func TestReplayPathsBitIdentical(t *testing.T) {
 	const name, scale = "ccom", 0.05
 	cfgs := replayConfigs()

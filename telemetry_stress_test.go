@@ -2,7 +2,9 @@ package jouppi
 
 import (
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"jouppi/internal/memtrace"
@@ -16,18 +18,28 @@ import (
 // registry while a scraper hammers WritePrometheus and Snapshot must (a)
 // be race-clean — this test earns its keep under `go test -race` — and
 // (b) lose nothing: once the replays finish, every counter must equal
-// exactly N times its sequential single-replay value.
+// exactly N times its sequential single-replay value. Each concurrent
+// replay stops half-way until the scraper has run a whole scrape after
+// that point, so scrapes overlap partly published counters however the
+// host schedules the goroutines: a replay takes a few milliseconds, and
+// on a loaded host it could otherwise finish before the scraper first ran.
 func TestTelemetryConcurrentScrape(t *testing.T) {
 	tr := workload.GenerateTrace(workload.MustByName("ccom"), benchScale)
 
-	replay := func(reg *telemetry.Registry) {
+	// replay runs tr through a fresh system feeding reg, calling midway
+	// (when not nil) after half the records.
+	replay := func(reg *telemetry.Registry, midway func()) {
 		sys, err := sim.NewSystem(sim.ImprovedSystem())
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		sys.AttachTelemetry(reg)
+		n := 0
 		tr.Each(func(a memtrace.Access) {
+			if n++; n == tr.Len()/2 && midway != nil {
+				midway()
+			}
 			switch a.Kind {
 			case memtrace.Ifetch:
 				sys.Ifetch(uint64(a.Addr))
@@ -42,7 +54,7 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 
 	// Sequential ground truth: one replay into a private registry.
 	seqReg := telemetry.NewRegistry()
-	replay(seqReg)
+	replay(seqReg, nil)
 	seq := seqReg.Snapshot()
 	if seq["sim_l1i_accesses_total"] == 0 {
 		t.Fatalf("sequential replay registered nothing: %v", seq)
@@ -55,11 +67,10 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 	// snapshots may lag (deltas are buffered up to a flush interval) but
 	// must never fault or race with the writers.
 	stop := make(chan struct{})
-	scrapes := 0
-	var scraperWG sync.WaitGroup
-	scraperWG.Add(1)
+	scraperDone := make(chan struct{})
+	var scrapes atomic.Int64
 	go func() {
-		defer scraperWG.Done()
+		defer close(scraperDone)
 		for {
 			select {
 			case <-stop:
@@ -71,23 +82,37 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 				return
 			}
 			reg.Snapshot()
-			scrapes++
+			scrapes.Add(1)
 		}
 	}()
+
+	// awaitScrape returns once a scrape that began after the call has
+	// finished (two completions: the first may have begun before), or
+	// once the scraper has given up on an error.
+	awaitScrape := func() {
+		for want := scrapes.Load() + 2; scrapes.Load() < want; {
+			select {
+			case <-scraperDone:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
 
 	var wg sync.WaitGroup
 	for i := 0; i < replays; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replay(reg)
+			replay(reg, awaitScrape)
 		}()
 	}
 	wg.Wait()
 	close(stop)
-	scraperWG.Wait()
+	<-scraperDone
 
-	if scrapes == 0 {
+	if scrapes.Load() == 0 {
 		t.Error("scraper goroutine never completed a scrape")
 	}
 	got := reg.Snapshot()
