@@ -82,7 +82,10 @@ cover:
 # checks the din decoder against a reference decoder, written in the
 # test with strings.Fields and strconv, that shares no code with it.
 # FuzzGroupVsLevels checks levels sharing one cache in a core.Group
-# against the same levels each on its own cache. FuzzSubmitDecodeVsJSON
+# against the same levels each on its own cache, and
+# FuzzGroupedSystemsVsSystems checks whole systems replayed one consumer
+# per distinct L1 pair (hierarchy.Clusters, as sim.Replay runs them)
+# against the same systems replayed alone. FuzzSubmitDecodeVsJSON
 # checks the job-body decode, which cuts the trace out and decodes it in
 # place, against a whole-body encoding/json decode. Each line caps input
 # minimization at one run (-fuzzminimizetime 1x): Go's default of 60s
@@ -98,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/jobqueue -run '^$$' -fuzz FuzzSubmitDecodeVsJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFrontEndVsReference -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGroupVsLevels -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/hierarchy -run '^$$' -fuzz FuzzGroupedSystemsVsSystems -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 
 # loadtest runs the cachesimd chaos/load test under the race detector:
 # concurrent clients flood the daemon's HTTP API, a tenth of them with
@@ -121,7 +125,8 @@ bench:
 	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit' -benchtime 1x -benchmem
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
-# telemetry off vs on (BENCH_telemetry.json) and the decode-once fan-out
+# telemetry off vs on and the grouped four-system replay against one
+# system (BENCH_telemetry.json), and the decode-once fan-out
 # replay vs per-configuration decoding (BENCH_fanout.json).
 BENCH_JSON_OUT ?= BENCH_telemetry.json
 BENCH_FANOUT_OUT ?= BENCH_fanout.json
@@ -132,8 +137,10 @@ bench-json:
 # bench-gate is the benchmark regression gate: it measures the telemetry
 # off/on replay benchmarks fresh and fails if telemetry-on overhead
 # exceeds 10%, if the din file-backed replay takes more than 2.2x the
-# in-memory replay, or if allocs/op on the file-backed replay regresses
-# against the committed BENCH_telemetry.json baseline.
+# in-memory replay, if a svc-mixed job's four-system replay takes more
+# than 2.3x one system's at GOMAXPROCS 1, or if allocs/op on the
+# file-backed replay or B/op on the four-system replay regresses against
+# the committed BENCH_telemetry.json baseline.
 BENCH_GATE_TMP ?= bench_measured.json
 bench-gate:
 	BENCH_JSON=$(BENCH_GATE_TMP) $(GO) test . -run TestWriteBenchTelemetryJSON -v

@@ -294,37 +294,53 @@ func BenchmarkUploadSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratedReplay is the shape of a fresh cachesimd benchmark
-// job in the svc-mixed workload: ccom at scale 0.05 generated once
-// through the four systems svc-mixed submits, in one sim.Replay under a
-// cancellable context (a job's), so the workload is pushed in chunks
-// through the fan-out engine. Run with -benchmem: steady-state chunks
-// reuse their buffers, so B/op is the systems and one chunk.
-func BenchmarkGeneratedReplay(b *testing.B) {
-	cfgs, err := sim.ParseConfigs("sys=baseline;sys=improved;victim=4;ways=4", sim.BaselineSystem())
+// svcMixedSpecs are the four systems a svc-mixed benchmark job replays.
+// They share the paper's L1s, so sim.Replay runs them as one consumer.
+const svcMixedSpecs = "sys=baseline;sys=improved;victim=4;ways=4"
+
+// svcMixedConfigs parses svcMixedSpecs.
+func svcMixedConfigs(tb testing.TB) []sim.LabeledConfig {
+	cfgs, err := sim.ParseConfigs(svcMixedSpecs, sim.BaselineSystem())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return cfgs
+}
+
+// generatedReplay is the shape of a fresh cachesimd benchmark job: ccom
+// at scale 0.05 generated once through one system per configuration,
+// in one sim.Replay under a cancellable context (a job's), so the
+// workload is pushed in chunks through the fan-out engine. It returns
+// the references replayed.
+func generatedReplay(tb testing.TB, ctx context.Context, cfgs []sim.LabeledConfig) uint64 {
+	src, err := sim.Benchmark("ccom", benchScale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	systems := make([]*sim.System, len(cfgs))
+	for j, c := range cfgs {
+		if systems[j], err = sim.NewSystem(c.Config); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := sim.Replay(ctx, src, systems...); err != nil {
+		tb.Fatal(err)
+	}
+	r := systems[0].Results()
+	return r.I.Accesses + r.D.Accesses
+}
+
+// BenchmarkGeneratedReplay times a svc-mixed fresh job's replay (see
+// generatedReplay). Run with -benchmem: steady-state chunks reuse their
+// buffers, so B/op is the systems and one chunk.
+func BenchmarkGeneratedReplay(b *testing.B) {
+	cfgs := svcMixedConfigs(b)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	b.ReportAllocs()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		src, err := sim.Benchmark("ccom", benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		systems := make([]*sim.System, len(cfgs))
-		for j, c := range cfgs {
-			if systems[j], err = sim.NewSystem(c.Config); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sim.Replay(ctx, src, systems...); err != nil {
-			b.Fatal(err)
-		}
-		r := systems[0].Results()
-		total += r.I.Accesses + r.D.Accesses
+		total += generatedReplay(b, ctx, cfgs)
 	}
 	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "MAcc/s")
 }

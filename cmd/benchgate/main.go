@@ -17,7 +17,15 @@
 //   - the file-backed replay (din decode plus the same replay) takes more
 //     than maxFileRatio (2.2) times the in-memory replay's ns/op, both
 //     with telemetry off. The two arms run interleaved on one host, so
-//     the ratio prices the decode without depending on the host's speed.
+//     the ratio prices the decode without depending on the host's speed,
+//     or
+//   - the grouped replay (a svc-mixed job's four systems on one pair of
+//     L1s, in one sim.Replay) takes more than maxGroupedRatio (2.3) times
+//     the same replay of one system at GOMAXPROCS 1, or its bytes per op
+//     grow beyond bytesSlack times the committed baseline. Four systems
+//     that each probe their own L1s took 3.59x; four that lost their
+//     grouping are broadcast to at two or more Ps, with a ring of chunks
+//     each.
 //
 // Run it via `make bench-gate`, which generates the fresh measurement
 // first. With no -measured flag it gates the baseline artifact against
@@ -48,16 +56,24 @@ type fileReplay struct {
 	OverheadP float64 `json:"overhead_percent"`
 }
 
+type groupedReplay struct {
+	Systems   int     `json:"systems"`
+	Grouped   entry   `json:"grouped"`
+	Single    entry   `json:"single"`
+	Ratio1CPU float64 `json:"ratio_1cpu"`
+}
+
 type report struct {
-	Benchmark  string     `json:"benchmark"`
-	Workload   string     `json:"workload"`
-	Off        entry      `json:"telemetry_off"`
-	On         entry      `json:"telemetry_on"`
-	OverheadP  float64    `json:"overhead_percent"`
-	Intro      entry      `json:"introspect_on"`
-	IntroOverP float64    `json:"introspect_overhead_percent"`
-	TraceOverP float64    `json:"trace_overhead_percent"`
-	File       fileReplay `json:"file_replay"`
+	Benchmark  string        `json:"benchmark"`
+	Workload   string        `json:"workload"`
+	Off        entry         `json:"telemetry_off"`
+	On         entry         `json:"telemetry_on"`
+	OverheadP  float64       `json:"overhead_percent"`
+	Intro      entry         `json:"introspect_on"`
+	IntroOverP float64       `json:"introspect_overhead_percent"`
+	TraceOverP float64       `json:"trace_overhead_percent"`
+	File       fileReplay    `json:"file_replay"`
+	Grouped    groupedReplay `json:"grouped_replay"`
 }
 
 func load(path string) (report, error) {
@@ -87,6 +103,15 @@ var defaults = bounds{maxOverhead: 10, maxIntrospect: 5, maxTrace: 5, allocSlack
 // of the in-memory replay's: 3.09x before din decode scanned its read
 // buffer, 1.78x after.
 const maxFileRatio = 2.2
+
+// maxGroupedRatio bounds the grouped replay's time as a multiple of one
+// system's, paired at GOMAXPROCS 1: 3.59x with one L1 probe per system,
+// 1.89x with one per distinct L1, on one 2-CPU host.
+const maxGroupedRatio = 2.3
+
+// bytesSlack is the allowed multiple of the baseline's bytes per op on
+// the grouped replay.
+const bytesSlack = 1.25
 
 // check returns one message per bound the measured artifact breaks;
 // baseline supplies the allocs/op the alloc bound scales.
@@ -136,6 +161,19 @@ func check(baseline, measured report, b bounds) []string {
 	}
 	checkAllocs("telemetry off", baseline.File.Off, measured.File.Off)
 	checkAllocs("telemetry on", baseline.File.On, measured.File.On)
+	// The grouped arm is gated only when the artifact carries it, so
+	// earlier baselines keep loading.
+	g := measured.Grouped
+	if g.Ratio1CPU > maxGroupedRatio {
+		fail("grouped replay: %.2fx one system exceeds budget %.2fx at GOMAXPROCS 1 (%d systems)",
+			g.Ratio1CPU, maxGroupedRatio, g.Systems)
+	}
+	if base := baseline.Grouped.Grouped.BytesPerOp; base > 0 {
+		if limit := int64(float64(base) * bytesSlack); g.Grouped.BytesPerOp > limit {
+			fail("grouped replay: %d B/op exceeds %d (baseline %d × slack %.2f)",
+				g.Grouped.BytesPerOp, limit, base, bytesSlack)
+		}
+	}
 	return failures
 }
 
@@ -184,11 +222,14 @@ func main() {
 	fmt.Printf("benchgate: ok — in-memory overhead %.1f%%, introspection overhead %.1f%% (budget %.1f%%), "+
 		"trace overhead %.1f%% (budget %.1f%%), file-backed overhead %.1f%% (budget %.1f%%); "+
 		"file-backed %.2fx in-memory (budget %.2fx); "+
-		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f)\n",
+		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f); "+
+		"grouped replay %.2fx one system (budget %.2fx), %d B/op (baseline %d, slack %.2f)\n",
 		measured.OverheadP, measured.IntroOverP, b.maxIntrospect,
 		measured.TraceOverP, b.maxTrace,
 		measured.File.OverheadP, b.maxOverhead,
 		fileRatio(measured), maxFileRatio,
 		measured.File.Off.AllocsPerOp, measured.File.On.AllocsPerOp,
-		baseline.File.Off.AllocsPerOp, baseline.File.On.AllocsPerOp, b.allocSlack)
+		baseline.File.Off.AllocsPerOp, baseline.File.On.AllocsPerOp, b.allocSlack,
+		measured.Grouped.Ratio1CPU, maxGroupedRatio,
+		measured.Grouped.Grouped.BytesPerOp, baseline.Grouped.Grouped.BytesPerOp, bytesSlack)
 }

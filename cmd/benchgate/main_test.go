@@ -52,3 +52,34 @@ func TestAllocBound(t *testing.T) {
 		t.Errorf("failures %q, want the telemetry-off arm over the alloc bound", failures)
 	}
 }
+
+// grouped adds a grouped-replay arm to a: its ratio to one system at
+// GOMAXPROCS 1 and its bytes per op.
+func grouped(a report, ratio float64, bytes int64) report {
+	a.Grouped = groupedReplay{Systems: 4, Grouped: entry{NsPerOp: 4868536, BytesPerOp: bytes}, Ratio1CPU: ratio}
+	return a
+}
+
+// TestGroupedRatioBound checks the grouped-replay bounds on the numbers
+// measured before and after sim.Replay grouped systems on equal L1s, on
+// one 2-CPU host: four systems took 3.59x one system with an L1 probe
+// each, which fails, and 1.89x with one probe per distinct L1, which
+// passes. Losing the grouping at two Ps also broadcasts, with a ring of
+// chunks per system: 1492818 B/op against 914756 breaks the bytes bound.
+func TestGroupedRatioBound(t *testing.T) {
+	base := artifact(2671921, 4749438, 33)
+	before := grouped(base, 3.59, 1492818)
+	after := grouped(base, 1.89, 914756)
+
+	failures := check(after, before, defaults)
+	if len(failures) != 2 || !strings.Contains(failures[0], "3.59x one system exceeds budget 2.30x") ||
+		!strings.Contains(failures[1], "1492818 B/op exceeds 1143445") {
+		t.Errorf("before: failures %q, want the ratio and bytes bounds", failures)
+	}
+	if failures := check(after, after, defaults); len(failures) != 0 {
+		t.Errorf("after, gated against itself: failures %q, want none", failures)
+	}
+	if failures := check(base, after, defaults); len(failures) != 0 {
+		t.Errorf("after, against a baseline without the arm: failures %q, want none", failures)
+	}
+}

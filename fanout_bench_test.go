@@ -75,17 +75,25 @@ func replaySequentialDinero(tb testing.TB, din []byte, cfgs []hierarchy.Config) 
 }
 
 // replayFanoutDinero is the single-pass arm: one decode feeds every system
-// through the fan-out engine.
+// through the fan-out engine, with one consumer per distinct L1 pair
+// (hierarchy.Clusters), as sim.Replay runs it. The eight systems share
+// the paper's L1s, so they are one consumer that probes one L1I and one
+// L1D per access.
 func replayFanoutDinero(tb testing.TB, din []byte, cfgs []hierarchy.Config) []hierarchy.Results {
 	tb.Helper()
 	systems := make([]*hierarchy.System, len(cfgs))
-	consumers := make([]fanout.Consumer, len(cfgs))
 	for i, cfg := range cfgs {
 		systems[i] = hierarchy.MustNew(cfg)
-		consumers[i] = fanout.Sink(systems[i])
+	}
+	clusters, release := hierarchy.Clusters(systems...)
+	consumers := make([]fanout.Consumer, len(clusters))
+	for i, c := range clusters {
+		consumers[i] = c
 	}
 	counting := memtrace.NewCountingSource(memtrace.NewDineroReader(bytes.NewReader(din)))
-	if err := fanout.Replay(context.Background(), counting, consumers...); err != nil {
+	err := fanout.Replay(context.Background(), counting, consumers...)
+	release()
+	if err != nil {
 		tb.Fatal(err)
 	}
 	out := make([]hierarchy.Results, len(cfgs))

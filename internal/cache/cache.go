@@ -14,6 +14,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"jouppi/internal/telemetry"
 )
@@ -485,6 +486,29 @@ func (c *Cache) Reset() {
 	c.ResetStats()
 	c.rng = c.cfg.RandomSeed | 1
 }
+
+// SameState reports whether o has c's configuration, contents,
+// replacement state and Stats, so that any sequence of accesses leaves
+// the two equal and answers each access the same way in both.
+func (c *Cache) SameState(o *Cache) bool {
+	return c.cfg == o.cfg && c.tick == o.tick && c.rng == o.rng &&
+		c.Stats() == o.Stats() && slices.Equal(c.ways, o.ways)
+}
+
+// CopyState gives c the contents, replacement state and Stats of o,
+// which must have c's configuration. Neither may have per-set counters
+// attached (InstrumentSets); c's counter set, if any, is not published.
+func (c *Cache) CopyState(o *Cache) {
+	if c.cfg != o.cfg {
+		panic(fmt.Sprintf("cache %q: CopyState from a cache of another configuration", c.cfg.Name))
+	}
+	copy(c.ways, o.ways)
+	c.tick, c.rng, c.stats = o.tick, o.rng, o.stats
+}
+
+// Instrumented reports whether a counter set (Instrument) or per-set
+// counters (InstrumentSets) are attached to c.
+func (c *Cache) Instrumented() bool { return c.tel != nil || c.heatAcc != nil }
 
 // ResidentLines returns the line addresses of every valid line, in no
 // particular order. Intended for content inspection (e.g. inclusion

@@ -22,12 +22,11 @@ type Group struct {
 }
 
 // Groups returns one Group per cache the levels are on, in the order the
-// caches first appear. The levels must not have been accessed yet; a
-// write-back cache is an error.
+// caches first appear. A write-back cache is an error.
 func Groups(levels ...*Level) ([]*Group, error) {
 	for _, l := range levels {
 		if l.writeBack {
-			return nil, fmt.Errorf("core: cache %q is write-back: its contents depend on the helper structures", l.l1.Config().Name)
+			return nil, errWriteBack(l.l1)
 		}
 	}
 	var out []*Group
@@ -39,10 +38,52 @@ func Groups(levels ...*Level) ([]*Group, error) {
 			byCache[l.l1] = g
 			out = append(out, g)
 		}
-		l.shared = &g.accesses
-		g.levels = append(g.levels, l)
+		g.join(l)
 	}
 	return out, nil
+}
+
+// GroupOn returns a Group that probes and fills c for levels whose own
+// caches may be other caches of c's configuration: each must hold what c
+// holds (cache.Cache.SameState), which the group does not check. Their
+// own caches stay untouched until Release; a write-back cache or another
+// configuration is an error.
+func GroupOn(c *cache.Cache, levels ...*Level) (*Group, error) {
+	if c.Config().WritePolicy == cache.WriteBack {
+		return nil, errWriteBack(c)
+	}
+	for _, l := range levels {
+		if l.l1.Config() != c.Config() {
+			return nil, fmt.Errorf("core: cache %q has another configuration than the group's", l.l1.Config().Name)
+		}
+	}
+	g := &Group{l1: c}
+	for _, l := range levels {
+		g.join(l)
+	}
+	return g, nil
+}
+
+func errWriteBack(c *cache.Cache) error {
+	return fmt.Errorf("core: cache %q is write-back: its contents depend on the helper structures", c.Config().Name)
+}
+
+// join adds l, counting its accesses on from the ones it has made.
+func (g *Group) join(l *Level) {
+	l.shared, l.base = &g.accesses, l.stats.Accesses-g.accesses
+	g.levels = append(g.levels, l)
+}
+
+// Release ends the group: each level's Stats take in the group's
+// accesses and the level takes its own accesses again, on its own
+// cache. A level that joined through GroupOn finds that cache as it
+// left it, so the caller copies the group's cache into it
+// (cache.Cache.CopyState) before the level's next access.
+func (g *Group) Release() {
+	for _, l := range g.levels {
+		l.sync()
+		l.shared = nil
+	}
 }
 
 // Access performs one reference for every level of the group and

@@ -73,6 +73,7 @@ type Level struct {
 	due       Due               // the tap's thresholds on stats
 	tel       *telemetry.Deltas // nil unless Instrument
 	shared    *uint64           // the Group's access count, or nil
+	base      uint64            // Accesses less the Group's count
 }
 
 // Tap reads a level's first-level misses. It is the one observation
@@ -276,8 +277,9 @@ func (l *Level) auxHit(by ServedBy, stall int) Result {
 // every access since the level's last miss hit the shared cache.
 func (l *Level) sync() {
 	if l.shared != nil {
-		l.stats.L1Hits += *l.shared - l.stats.Accesses
-		l.stats.Accesses = *l.shared
+		n := l.base + *l.shared
+		l.stats.L1Hits += n - l.stats.Accesses
+		l.stats.Accesses = n
 	}
 }
 

@@ -160,7 +160,9 @@ func (brokenBench) Generate(_ float64, sink memtrace.Sink) {
 
 // TestPlanGeneratorPanicFailsItsExhibit pins that a generator panic in a
 // pass fails only the exhibit that declared the pass: it reaches RunAll
-// as that exhibit's failure, and the exhibit beside it still succeeds.
+// as that exhibit's failure, with the generator's frames in its stack
+// whether the pass ran inline or on a plan worker, and the exhibit
+// beside it still succeeds.
 func TestPlanGeneratorPanicFailsItsExhibit(t *testing.T) {
 	eachProcs(t, func(t *testing.T) {
 		broken := Experiment{ID: "broken", Title: "panicking generator", Run: func(cfg Config) *Result {
@@ -175,6 +177,9 @@ func TestPlanGeneratorPanicFailsItsExhibit(t *testing.T) {
 		}
 		if !strings.Contains(out[0].Err, "injected generator failure") {
 			t.Errorf("Err = %q, want the generator's panic", out[0].Err)
+		}
+		if !strings.Contains(out[0].Stack, "brokenBench") {
+			t.Errorf("Stack lacks the generator's frames:\n%s", out[0].Stack)
 		}
 		if out[1].Failed() {
 			t.Errorf("the exhibit beside the broken one failed: %s", out[1].Err)

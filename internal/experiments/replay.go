@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -62,8 +63,9 @@ type pass struct {
 // the passes over up to GOMAXPROCS workers, and runs them in the caller's
 // goroutine when that is one. Once cfg's context is done no pass starts.
 // A panicking run re-panics in the caller's goroutine as the
-// *fanout.ConsumerPanic replay raised, for runShielded to report; no
-// further pass starts after it.
+// *fanout.ConsumerPanic replay raised, for runShielded to report; a
+// worker relays any other panic, a generator's, as a *passPanic with
+// the stack it panicked on. No further pass starts after it.
 func (cfg Config) plan(passes ...*pass) {
 	workers := min(runtime.GOMAXPROCS(0), len(passes))
 	if workers <= 1 {
@@ -84,10 +86,13 @@ func (cfg Config) plan(passes ...*pass) {
 		go func() {
 			defer wg.Done()
 			// A panic must not escape a worker goroutine, where it would
-			// end the process; hand it to the caller unchanged.
+			// end the process; hand it to the caller with its stack.
 			defer func() {
 				if v := recover(); v != nil {
 					stop.Store(true)
+					if _, ok := v.(*fanout.ConsumerPanic); !ok {
+						v = &passPanic{val: v, stack: debug.Stack()}
+					}
 					once.Do(func() { relayed = v })
 				}
 			}()
@@ -104,6 +109,14 @@ func (cfg Config) plan(passes ...*pass) {
 	if relayed != nil {
 		panic(relayed)
 	}
+}
+
+// passPanic is a panic a plan worker recovered, with the stack of the
+// worker at panic time: re-panicked bare on the exhibit's goroutine, the
+// value would lose the frames that raised it.
+type passPanic struct {
+	val   any
+	stack []byte
 }
 
 // eachBench declares one pass per benchmark, in paper order, feeding the

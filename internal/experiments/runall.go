@@ -250,12 +250,17 @@ func runShielded(ctx context.Context, e Experiment, cfg Config, timeout time.Dur
 
 // failedResult converts a recovered panic into a Result. A run's panic
 // arrives as the *fanout.ConsumerPanic replay raised, carrying the run
-// goroutine's own stack; for direct panics the stack is captured here,
-// still inside the recovering frame.
+// goroutine's own stack, and another panic of a plan worker as a
+// *passPanic carrying the worker's; for direct panics the stack is
+// captured here, still inside the recovering frame.
 func failedResult(e Experiment, r any) *Result {
-	if cp, ok := r.(*fanout.ConsumerPanic); ok {
+	switch p := r.(type) {
+	case *fanout.ConsumerPanic:
 		return &Result{ID: e.ID, Title: e.Title,
-			Err: fmt.Sprintf("panic: %v", cp), Stack: string(cp.Stack)}
+			Err: fmt.Sprintf("panic: %v", p), Stack: string(p.Stack)}
+	case *passPanic:
+		return &Result{ID: e.ID, Title: e.Title,
+			Err: fmt.Sprintf("panic: %v", p.val), Stack: string(p.stack)}
 	}
 	return &Result{ID: e.ID, Title: e.Title,
 		Err: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack())}

@@ -7,8 +7,10 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strconv"
 
 	"jouppi/internal/fanout"
+	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/trace"
 	"jouppi/internal/workload"
@@ -93,10 +95,21 @@ func (s *Source) Close() error {
 // once the context is done; the systems then hold a prefix of the trace.
 // Introspection and telemetry are attached to a system before Replay.
 //
+// Systems whose first-level caches are write-through, of one geometry
+// and in one state (fresh systems of one L1I and L1D geometry are) share
+// one fan-out consumer that probes and fills one L1I and one L1D per
+// access for all of them (hierarchy.Clusters). A system with telemetry
+// attached, a set heatmap on an L1, or given twice replays alone. When
+// Replay returns, also early, every system's own caches hold what the
+// shared ones do, so each can be driven, inspected or replayed on its
+// own again.
+//
 // The whole pass is one "replay" span: trace production or decode and
 // the broadcast are a single stage of a job's wall-clock, and the record
-// count lands as an attribute at close. Span granularity is per replay,
-// never per access, so tracing stays off the hot path.
+// count lands as an attribute at close, with the number of consumers
+// after grouping when the pass goes through the fan-out engine. Span
+// granularity is per replay, never per access, so tracing stays off the
+// hot path.
 func Replay(ctx context.Context, src *Source, systems ...*System) error {
 	ctx, sp := trace.Start(ctx, "replay",
 		slices.Concat(src.attrs, []trace.Attr{trace.Int("configs", len(systems))})...)
@@ -111,29 +124,8 @@ func Replay(ctx context.Context, src *Source, systems ...*System) error {
 			sys.Access(a)
 		}))
 	} else {
-		consumers := make([]fanout.Consumer, len(systems))
-		for i, s := range systems {
-			consumers[i] = fanout.Sink(s.sys)
-		}
 		var err error
-		if src.bench != nil {
-			// The workload pushes its chunks on this goroutine; a
-			// cancel unwinds it.
-			err = fanout.Generate(ctx, func(sink memtrace.Sink) {
-				src.bench.Generate(src.scale, memtrace.SinkFunc(func(a memtrace.Access) {
-					counts.Observe(a)
-					sink.Access(a)
-				}))
-			}, consumers...)
-		} else {
-			counting := memtrace.NewCountingSource(src.stream)
-			err = fanout.Replay(ctx, counting, consumers...)
-			counts = counting.Counts
-		}
-		if err == nil && src.err != nil {
-			err = src.err()
-		}
-		if err != nil {
+		if counts, err = replayChunks(ctx, sp, src, systems); err != nil {
 			sp.SetAttr("err", err.Error())
 			return err
 		}
@@ -144,4 +136,39 @@ func Replay(ctx context.Context, src *Source, systems ...*System) error {
 	}
 	sp.SetAttr("records", fmt.Sprint(counts.Total()))
 	return nil
+}
+
+// replayChunks makes Replay's pass through the fan-out engine, with one
+// consumer per cluster of systems, and releases the clusters when it
+// ends.
+func replayChunks(ctx context.Context, sp *trace.Span, src *Source, systems []*System) (counts memtrace.Counts, err error) {
+	hs := make([]*hierarchy.System, len(systems))
+	for i, s := range systems {
+		hs[i] = s.sys
+	}
+	clusters, release := hierarchy.Clusters(hs...)
+	defer release()
+	sp.SetAttr("consumers", strconv.Itoa(len(clusters)))
+	consumers := make([]fanout.Consumer, len(clusters))
+	for i, c := range clusters {
+		consumers[i] = c
+	}
+	if src.bench != nil {
+		// The workload pushes its chunks on this goroutine; a cancel
+		// unwinds it.
+		err = fanout.Generate(ctx, func(sink memtrace.Sink) {
+			src.bench.Generate(src.scale, memtrace.SinkFunc(func(a memtrace.Access) {
+				counts.Observe(a)
+				sink.Access(a)
+			}))
+		}, consumers...)
+	} else {
+		counting := memtrace.NewCountingSource(src.stream)
+		err = fanout.Replay(ctx, counting, consumers...)
+		counts = counting.Counts
+	}
+	if err == nil && src.err != nil {
+		err = src.err()
+	}
+	return counts, err
 }

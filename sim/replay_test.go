@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -9,7 +10,10 @@ import (
 	"strconv"
 	"testing"
 
+	"jouppi/internal/cache"
+	"jouppi/internal/memtrace"
 	"jouppi/internal/trace"
+	"jouppi/internal/workload"
 )
 
 // replayConfigs is a paper-flavoured sweep: baseline, miss and victim
@@ -203,27 +207,42 @@ func TestReplayErrors(t *testing.T) {
 // TestTracedReplayBitIdentical pins the zero-interference contract of
 // the tracing layer and the span a traced replay leaves: the traced
 // fan-out replay returns the numbers of untraced replays, and leaves one
-// replay span naming its source and carrying the record count, with one
-// consumer span per system (under -race this is the fan-out
-// span-emission safety check). It runs on both of the fan-out engine's
-// dispatch paths: inline at GOMAXPROCS 1, broadcast at 2.
+// replay span naming its source and carrying the record count and the
+// consumer count, with one consumer span per distinct L1 pair (under
+// -race this is the fan-out span-emission safety check). Baseline and
+// improved systems share the paper's L1s, so four of them are one
+// consumer; an 8 KB L1 is a second. It runs on both of the fan-out
+// engine's dispatch paths: inline at GOMAXPROCS 1, broadcast at 2.
 func TestTracedReplayBitIdentical(t *testing.T) {
+	big, err := ParseConfig("size=8192", BaselineSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		cfgs      []Config
+		consumers int
+	}{
+		{"one-l1-pair", []Config{BaselineSystem(), ImprovedSystem(), BaselineSystem(), ImprovedSystem()}, 1},
+		{"two-l1-pairs", []Config{BaselineSystem(), big, ImprovedSystem()}, 2},
+	}
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			testTracedReplayBitIdentical(t)
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) { testTracedReplayBitIdentical(t, c.cfgs, c.consumers) })
+			}
 		})
 	}
 }
 
-func testTracedReplayBitIdentical(t *testing.T) {
+func testTracedReplayBitIdentical(t *testing.T, cfgs []Config, wantConsumers int) {
 	tr := trace.New(trace.Options{})
 	root := tr.Root("job", "spans", nil)
 	src, err := Benchmark("met", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []Config{BaselineSystem(), ImprovedSystem(), BaselineSystem(), ImprovedSystem()}
 	res := replayOnce(t, trace.ContextWith(context.Background(), root), src, false, cfgs...)
 	root.End()
 	for i, cfg := range cfgs {
@@ -241,8 +260,10 @@ func testTracedReplayBitIdentical(t *testing.T) {
 		t.Fatal("no replay span")
 	}
 	records := res[0].I.Accesses + res[0].D.Accesses
-	if rsp.Attr("benchmark") != "met" || rsp.Attr("configs") != "4" || rsp.Attr("records") != strconv.FormatUint(records, 10) {
-		t.Fatalf("replay attrs = %v, want benchmark met, 4 configs, %d records", rsp.Attrs, records)
+	if rsp.Attr("benchmark") != "met" || rsp.Attr("configs") != strconv.Itoa(len(cfgs)) ||
+		rsp.Attr("consumers") != strconv.Itoa(wantConsumers) || rsp.Attr("records") != strconv.FormatUint(records, 10) {
+		t.Fatalf("replay attrs = %v, want benchmark met, %d configs, %d consumers, %d records",
+			rsp.Attrs, len(cfgs), wantConsumers, records)
 	}
 	var consumers int
 	for _, s := range td.Spans {
@@ -253,7 +274,149 @@ func testTracedReplayBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if consumers != len(cfgs) {
-		t.Fatalf("consumer spans = %d, want %d", consumers, len(cfgs))
+	if consumers != wantConsumers {
+		t.Fatalf("consumer spans = %d, want %d", consumers, wantConsumers)
+	}
+}
+
+// TestGroupedReplayRestoresSystems pins that a grouped Replay leaves
+// every system usable on its own. Three systems on the paper's L1s
+// replay twice as one consumer (the second time each counts on from its
+// first replay), then one of them takes solo references and a third
+// replay alone. Each must equal a twin that never shared a cache: its
+// Results, its L1s' contents, replacement state and Stats, and its
+// inclusion report.
+func TestGroupedReplayRestoresSystems(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testGroupedReplayRestoresSystems(t)
+		})
+	}
+}
+
+func testGroupedReplayRestoresSystems(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src, err := Benchmark("met", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := ParseConfig("victim=4", BaselineSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{ImprovedSystem(), BaselineSystem(), victim}
+	build := func() []*System {
+		out := make([]*System, len(cfgs))
+		for i, c := range cfgs {
+			if out[i], err = NewSystem(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	replay := func(systems ...*System) {
+		if err := Replay(ctx, src, systems...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grouped, twins := build(), build()
+	for range 2 {
+		replay(grouped...)
+		for _, tw := range twins {
+			replay(tw)
+		}
+	}
+	for _, s := range []*System{grouped[0], twins[0]} {
+		for i := range uint64(200) {
+			s.Ifetch(0x10000 + 4*i)
+			s.Load(0x40000 + 16*i)
+			s.Store(0x80000 + 64*i)
+		}
+		replay(s)
+	}
+	for i, s := range grouped {
+		tw := twins[i]
+		if got, want := s.Results(), tw.Results(); bitsOf(got) != bitsOf(want) {
+			t.Errorf("config %d: grouped %+v\n  != alone %+v", i, got, want)
+		}
+		if got, want := s.sys.Inclusion(), tw.sys.Inclusion(); got != want {
+			t.Errorf("config %d: inclusion %+v, alone %+v", i, got, want)
+		}
+		for _, side := range [][2]*cache.Cache{
+			{s.sys.IFrontEnd().Cache(), tw.sys.IFrontEnd().Cache()},
+			{s.sys.DFrontEnd().Cache(), tw.sys.DFrontEnd().Cache()},
+		} {
+			if !side[0].SameState(side[1]) {
+				t.Errorf("config %d: %s holds %d lines with Stats %+v, alone %d lines with %+v, or other replacement state",
+					i, side[0].Config().Name, len(side[0].ResidentLines()), side[0].Stats(),
+					len(side[1].ResidentLines()), side[1].Stats())
+			}
+		}
+	}
+}
+
+// cancelAfter is a Source that delivers n records, cancels its
+// replay's context and ends.
+type cancelAfter struct {
+	src    memtrace.Source
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() (memtrace.Access, bool) {
+	if c.n == 0 {
+		c.cancel()
+		return memtrace.Access{}, false
+	}
+	c.n--
+	return c.src.Next()
+}
+
+// TestCancelledGroupedReplayRestoresSystems pins that a grouped Replay
+// cut short by its context still gives every system its own L1s back.
+// The cancel lands in the fourth chunk, so the three systems saw three
+// chunks: they must hold equal L1s, and one that did not own the shared
+// caches must then replay the rest of the trace alone to the numbers of
+// a twin that replayed the whole trace alone in the same two parts.
+func TestCancelledGroupedReplayRestoresSystems(t *testing.T) {
+	const seen = 3 * 4096 // the fan-out engine's chunk size
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := workload.GenerateTrace(workload.MustByName("met"), 0.02)
+	systems := make([]*System, 3)
+	for i, c := range []Config{ImprovedSystem(), BaselineSystem(), ImprovedSystem()} {
+		var err error
+		if systems[i], err = NewSystem(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := Stream(&cancelAfter{src: tr.Source(), n: seen + 100, cancel: cancel})
+	if err := Replay(ctx, src, systems...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Replay = %v, want context.Canceled", err)
+	}
+	lead := systems[0].sys
+	for i, s := range systems[1:] {
+		if !s.sys.IFrontEnd().Cache().SameState(lead.IFrontEnd().Cache()) ||
+			!s.sys.DFrontEnd().Cache().SameState(lead.DFrontEnd().Cache()) {
+			t.Errorf("system %d: its L1s differ from the shared ones after the cancel", i+1)
+		}
+	}
+	twin, err := NewSystem(ImprovedSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range []*memtrace.Trace{tr.Slice(0, seen), tr.Slice(seen, tr.Len())} {
+		if err := Replay(context.Background(), Stream(part.Source()), twin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Replay(context.Background(), Stream(tr.Slice(seen, tr.Len()).Source()), systems[2]); err != nil {
+		t.Fatal(err)
+	}
+	got, want := systems[2].sys.Results(0), twin.sys.Results(0)
+	if got.I != want.I || got.D != want.D || got.L2I != want.L2I || got.L2D != want.L2D || got.Mem != want.Mem {
+		t.Errorf("after the cancel and the rest alone:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -223,6 +223,15 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	const benchRuns = 5
 	reg := telemetry.NewRegistry() // shared: prices increments, not registration
 	fileReg := telemetry.NewRegistry()
+
+	// The grouped-replay arm is the sim.Replay rung: a svc-mixed fresh
+	// job's generated replay through its four systems, which share one
+	// L1I and one L1D, against the same replay of its first system alone.
+	mixed := svcMixedConfigs(t)
+	jobCtx, cancelJob := context.WithCancel(context.Background())
+	defer cancelJob()
+	replayGrouped := func() { generatedReplay(t, jobCtx, mixed) }
+	replaySingle := func() { generatedReplay(t, jobCtx, mixed[:1]) }
 	arms := []func(b *testing.B){
 		func(b *testing.B) {
 			b.ReportAllocs()
@@ -254,6 +263,18 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 				replayFile(fileReg)
 			}
 		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				replayGrouped()
+			}
+		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				replaySingle()
+			}
+		},
 	}
 	mins := make([]testing.BenchmarkResult, len(arms))
 	for round := 0; round < benchRuns; round++ {
@@ -264,7 +285,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 			}
 		}
 	}
-	off, on, introOn, fileOff, fileOn := mins[0], mins[1], mins[2], mins[3], mins[4]
+	off, on, introOn, fileOff, fileOn, grouped, single := mins[0], mins[1], mins[2], mins[3], mins[4], mins[5], mins[6]
 
 	type entry struct {
 		NsPerOp     int64   `json:"ns_per_op"`
@@ -292,20 +313,36 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		On        entry   `json:"telemetry_on"`
 		OverheadP float64 `json:"overhead_percent"`
 	}
+	// The grouped arm's ratio to the one-system arm is taken paired at
+	// GOMAXPROCS 1, where both run inline: it counts the L1 probes the
+	// four systems make per access (3.6x one system's time with a probe
+	// per system, 1.9x with one per distinct L1, on a 2-CPU host). Both arms run
+	// in this binary, so the ratio does not move with code layout. The
+	// entries, B/op included, are taken at the host's GOMAXPROCS, where
+	// four systems that lost their grouping would be broadcast to, with a
+	// ring of chunks each.
+	type groupedReplay struct {
+		Workload  string  `json:"workload"`
+		Systems   int     `json:"systems"`
+		Grouped   entry   `json:"grouped"`
+		Single    entry   `json:"single"`
+		Ratio1CPU float64 `json:"ratio_1cpu"`
+	}
 	report := struct {
-		Benchmark  string     `json:"benchmark"`
-		Host       benchHost  `json:"host"`
-		Workload   string     `json:"workload"`
-		Scale      float64    `json:"scale"`
-		Accesses   int        `json:"accesses"`
-		Method     string     `json:"overhead_method"`
-		Off        entry      `json:"telemetry_off"`
-		On         entry      `json:"telemetry_on"`
-		OverheadP  float64    `json:"overhead_percent"`
-		Intro      entry      `json:"introspect_on"`
-		IntroOverP float64    `json:"introspect_overhead_percent"`
-		TraceOverP float64    `json:"trace_overhead_percent"`
-		File       fileReplay `json:"file_replay"`
+		Benchmark  string        `json:"benchmark"`
+		Host       benchHost     `json:"host"`
+		Workload   string        `json:"workload"`
+		Scale      float64       `json:"scale"`
+		Accesses   int           `json:"accesses"`
+		Method     string        `json:"overhead_method"`
+		Off        entry         `json:"telemetry_off"`
+		On         entry         `json:"telemetry_on"`
+		OverheadP  float64       `json:"overhead_percent"`
+		Intro      entry         `json:"introspect_on"`
+		IntroOverP float64       `json:"introspect_overhead_percent"`
+		TraceOverP float64       `json:"trace_overhead_percent"`
+		File       fileReplay    `json:"file_replay"`
+		Grouped    groupedReplay `json:"grouped_replay"`
 	}{
 		Benchmark: "TelemetryReplay",
 		Host:      currentHost(),
@@ -321,6 +358,12 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 			Records: records,
 			Off:     mk(fileOff),
 			On:      mk(fileOn),
+		},
+		Grouped: groupedReplay{
+			Workload: "svc-mixed fresh job: ccom, " + svcMixedSpecs,
+			Systems:  len(mixed),
+			Grouped:  mk(grouped),
+			Single:   mk(single),
 		},
 	}
 	report.OverheadP = pairedOverheadPercent(500,
@@ -363,6 +406,10 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	report.TraceOverP = pairedOverheadPercent(250,
 		func() { replayTraced(false) },
 		func() { replayTraced(true) })
+	report.Grouped.Ratio1CPU = func() float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return 1 + pairedOverheadPercent(250, replaySingle, replayGrouped)/100
+	}()
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -372,10 +419,12 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s: off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%; "+
 		"introspect on %d ns/op (%d allocs), overhead %.1f%%; trace overhead %.1f%%; "+
-		"file replay off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%",
+		"file replay off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%; "+
+		"grouped replay %d ns/op (%d B/op), %.2fx one system at GOMAXPROCS 1",
 		out, report.Off.NsPerOp, report.Off.AllocsPerOp,
 		report.On.NsPerOp, report.On.AllocsPerOp, report.OverheadP,
 		report.Intro.NsPerOp, report.Intro.AllocsPerOp, report.IntroOverP, report.TraceOverP,
 		report.File.Off.NsPerOp, report.File.Off.AllocsPerOp,
-		report.File.On.NsPerOp, report.File.On.AllocsPerOp, report.File.OverheadP)
+		report.File.On.NsPerOp, report.File.On.AllocsPerOp, report.File.OverheadP,
+		report.Grouped.Grouped.NsPerOp, report.Grouped.Grouped.BytesPerOp, report.Grouped.Ratio1CPU)
 }
