@@ -122,7 +122,7 @@ trace-e2e:
 # bench runs the micro-benchmarks briefly — enough to catch a throughput
 # cliff, not a full measurement run.
 bench:
-	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit|Decode' -benchtime 1x -benchmem
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
 # telemetry off vs on and the grouped four-system replay against one
@@ -136,7 +136,7 @@ bench-json:
 
 # bench-gate is the benchmark regression gate: it measures the telemetry
 # off/on replay benchmarks fresh and fails if telemetry-on overhead
-# exceeds 10%, if the din file-backed replay takes more than 2.2x the
+# exceeds 10%, if the din file-backed replay takes more than 1.6x the
 # in-memory replay, if a svc-mixed job's four-system replay takes more
 # than 2.3x one system's at GOMAXPROCS 1, or if allocs/op on the
 # file-backed replay or B/op on the four-system replay regresses against

@@ -14,9 +14,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -344,6 +347,57 @@ func BenchmarkGeneratedReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "MAcc/s")
 }
+
+// --- trace decode ---
+
+// benchDecode times decoding a file of the ccom workload in format f, as
+// a trace tool opens one: an os.File under memtrace.NewDecoder, pulled
+// dry through NextChunk. It reports ns per record; B/op is the decoder's
+// buffers, since records decode without allocating.
+func benchDecode(b *testing.B, f memtrace.Format) {
+	tr := workload.GenerateTrace(workload.MustByName("ccom"), benchScale)
+	path := filepath.Join(b.TempDir(), "trace")
+	out, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if f == memtrace.Din {
+		_, err = tr.WriteDinero(out)
+	} else {
+		_, err = tr.WriteTo(out)
+	}
+	if err := errors.Join(err, out.Close()); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]memtrace.Access, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dec, err := memtrace.NewDecoder(in, f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for m := dec.NextChunk(buf); m > 0; m = dec.NextChunk(buf) {
+			n += m
+		}
+		in.Close()
+		if dec.Err() != nil || n != tr.Len() {
+			b.Fatalf("decoded %d of %d records: %v", n, tr.Len(), dec.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/rec")
+}
+
+// BenchmarkDinDecode times din text decode from a file.
+func BenchmarkDinDecode(b *testing.B) { benchDecode(b, memtrace.Din) }
+
+// BenchmarkJTRDecode times JTR1 binary decode from a file.
+func BenchmarkJTRDecode(b *testing.B) { benchDecode(b, memtrace.JTR) }
 
 // --- streaming vs materialized replay ---
 

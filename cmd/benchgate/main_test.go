@@ -22,16 +22,23 @@ func artifact(memNs, fileNs, fileAllocs int64) report {
 }
 
 // TestFileRatioBound checks the decode-cost bound on the numbers
-// measured before and after din decoding moved to the window scanner,
-// interleaved on one 2-CPU host: the din replay took 3.09x the
-// in-memory replay before, which fails, and 1.78x after, which passes.
+// measured before and after din decoding took canonical lines through
+// the scan loop's fixed-window step, interleaved on one 2-CPU host: the
+// din replay took 1.71x the in-memory replay before, which fails, and
+// 1.36x after, which passes at 1.6x. The 3.09x measured before din decode
+// scanned its read buffer fails too.
 func TestFileRatioBound(t *testing.T) {
-	before := artifact(2746956, 8487053, 32)
-	after := artifact(2671921, 4749438, 33)
+	before := artifact(2404230, 4110611, 30)
+	after := artifact(2452947, 3336328, 30)
 
 	failures := check(before, before, defaults)
-	if len(failures) != 1 || !strings.Contains(failures[0], "3.09x the in-memory replay exceeds budget 2.20x") {
+	if len(failures) != 1 || !strings.Contains(failures[0], "1.71x the in-memory replay exceeds budget 1.60x") {
 		t.Errorf("before: failures %q, want the file-ratio bound alone", failures)
+	}
+	lineScan := artifact(2746956, 8487053, 32)
+	if failures := check(after, lineScan, defaults); len(failures) != 1 ||
+		!strings.Contains(failures[0], "3.09x the in-memory replay exceeds budget 1.60x") {
+		t.Errorf("line scan: failures %q, want the file-ratio bound alone", failures)
 	}
 	if failures := check(before, after, defaults); len(failures) != 0 {
 		t.Errorf("after: failures %q, want none", failures)
@@ -45,8 +52,8 @@ func TestFileRatioBound(t *testing.T) {
 // 50 allocs/op breaks 33 × 1.5, and the telemetry-on arm's 222 stays
 // under 205 × 1.5.
 func TestAllocBound(t *testing.T) {
-	base := artifact(2671921, 4749438, 33)
-	grown := artifact(2671921, 4749438, 50)
+	base := artifact(2452947, 3336328, 33)
+	grown := artifact(2452947, 3336328, 50)
 	failures := check(base, grown, defaults)
 	if len(failures) != 1 || !strings.Contains(failures[0], "(telemetry off): 50 allocs/op exceeds 49") {
 		t.Errorf("failures %q, want the telemetry-off arm over the alloc bound", failures)
@@ -67,7 +74,7 @@ func grouped(a report, ratio float64, bytes int64) report {
 // passes. Losing the grouping at two Ps also broadcasts, with a ring of
 // chunks per system: 1492818 B/op against 914756 breaks the bytes bound.
 func TestGroupedRatioBound(t *testing.T) {
-	base := artifact(2671921, 4749438, 33)
+	base := artifact(2452947, 3336328, 33)
 	before := grouped(base, 3.59, 1492818)
 	after := grouped(base, 1.89, 914756)
 

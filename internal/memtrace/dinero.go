@@ -67,13 +67,18 @@ const telFlushEvery = 4096
 //
 // Records decode in one scan loop over the buffered reader's window: it
 // parses whole '\n'-terminated lines straight out of the window, without
-// copying or allocating, and consumes them in one step. It takes every
-// line of the shape "<label> <hex>" with optional trailing fields: ASCII
-// spaces, tabs, '\r', '\v' or '\f' around the fields, a label of 0, 1 or
-// 2 (leading zeros allowed), and up to 16 hex digits of either case up to
-// MaxAddr. A line that runs past the window first refills it. One line
-// at a time takes the exact path instead, which reads it on its own and
-// classifies it with dinLineFault: a line the scan cannot take (a
+// copying or allocating, and consumes them in one step. Each step first
+// tries the canonical line, "<0|1|2> <1-16 hex digits>\n" up to MaxAddr,
+// the shape DineroWriter writes: when 19 bytes of the window remain, it
+// decodes the line from that fixed window. Every other line, and a line
+// that starts less than 19 bytes before the window's end, falls through
+// to the general loop, from the same position. The general loop takes
+// every line of the shape "<label> <hex>" with optional trailing fields:
+// ASCII spaces, tabs, '\r', '\v' or '\f' around the fields, a label of
+// 0, 1 or 2 (leading zeros allowed), and up to 16 hex digits of either
+// case up to MaxAddr. A line that runs past the window first refills it.
+// One line at a time takes the exact path instead, which reads it on its
+// own and classifies it with dinLineFault: a line the scan cannot take (a
 // malformed line, or an unusual valid one such as Unicode whitespace or
 // more than 16 digits), a line longer than the whole buffer, and a final
 // line with no '\n'. Next and NextChunk both pull through the scan.
@@ -218,6 +223,30 @@ func (dr *DineroReader) scan(dst []Access) (n int, past bool) {
 	pos, lines := 0, 0
 loop:
 	for n < len(dst) {
+		// The canonical step: "<0|1|2> <1-16 hex digits>\n", the shape
+		// DineroWriter writes, decoded from one fixed 19-byte window (the
+		// longest such line). Anything else falls through, from the same
+		// position, to the general loop below.
+		if len(win)-pos >= 19 {
+			b := win[pos : pos+19 : pos+19]
+			if label := b[0] - '0'; label <= dinIfetch && b[1] == ' ' {
+				var addr uint64
+				i := 2
+				for ; i < 18; i++ {
+					v := dinByte[b[i]]
+					if v > 15 {
+						break
+					}
+					addr = addr<<4 | uint64(v)
+				}
+				if i > 2 && b[i] == '\n' && Addr(addr) <= MaxAddr {
+					dst[n] = Access{Addr: Addr(addr), Kind: dinKinds[label]}
+					n++
+					pos, lines = pos+i+1, lines+1
+					continue
+				}
+			}
+		}
 		i := pos
 		for i < len(win) && dinByte[win[i]] == dinSpace {
 			i++

@@ -110,6 +110,13 @@ func TestDinDecodeWays(t *testing.T) {
 	good, goodN := straddling("1 abcdef\n2 1234\n", 3)
 	bad, badN := straddling("1 abcdeg\n2 1234\n", 4)
 	badAddr := fmt.Sprintf(`memtrace: din line %d: bad address "abcdeg"`, badN+2)
+	// A 19-byte canonical line, the fixed-window step's whole window,
+	// starting one byte short of, exactly at and one byte past the
+	// window's end before the first refill.
+	const canon = "1 3fffffffffffffff\n2 1234\n"
+	edge18, edge18N := straddling(canon, 18)
+	edge19, edge19N := straddling(canon, 19)
+	edge20, edge20N := straddling(canon, 20)
 	cases := []struct {
 		name     string
 		in       string
@@ -145,6 +152,9 @@ func TestDinDecodeWays(t *testing.T) {
 				`first: memtrace: din line 2: want "<label> <addr>", got "2"`},
 		{"line straddling the refill", good, goodN + 2, "<nil>", "no records dropped"},
 		{"fault straddling the refill", bad, badN + 1, badAddr, "1 records dropped (bad-address 1); first: " + badAddr},
+		{"canonical line 18 bytes before the refill", edge18, edge18N + 2, "<nil>", "no records dropped"},
+		{"canonical line 19 bytes before the refill", edge19, edge19N + 2, "<nil>", "no records dropped"},
+		{"canonical line 20 bytes before the refill", edge20, edge20N + 2, "<nil>", "no records dropped"},
 		{"many lines with faults", many, 20000, `memtrace: din line 98: bad label "garbage"`,
 			`206 records dropped (bad-label 206); first: memtrace: din line 98: bad label "garbage"`},
 		{"line over 1 MiB", long, 2,

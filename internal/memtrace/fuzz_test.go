@@ -6,6 +6,7 @@ package memtrace_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"maps"
 	"reflect"
 	"slices"
@@ -265,12 +266,95 @@ func refDin(data string) (recs []memtrace.Access, faults []refDinFault) {
 	return recs, faults
 }
 
+// dinShapes are the reader shapes checkDinVsReference decodes through:
+// one byte per Read, so even small inputs cross the window's edges; the
+// whole input, whose window takes every canonical line that starts 19
+// bytes or more before its end through the scan loop's fixed-window
+// step; and half of each requested Read.
+var dinShapes = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"OneByteReader", iotest.OneByteReader},
+	{"strings.Reader", func(r io.Reader) io.Reader { return r }},
+	{"HalfReader", iotest.HalfReader},
+}
+
+// checkDinVsReference decodes data strictly and leniently through every
+// reader shape and checks the outcome against refDin. Strict decoding
+// delivers the records before the first malformed line and fails naming
+// that line; lenient decoding delivers every record and reports each
+// malformed line under its reason, naming the first. Every shape must
+// deliver the same records, Err text and Degradation.
+func checkDinVsReference(t *testing.T, data string) {
+	t.Helper()
+	want, faults := refDin(data)
+	decode := func(lenient bool) ([]memtrace.Access, *memtrace.DineroReader) {
+		var recs []memtrace.Access
+		var dr *memtrace.DineroReader
+		for i, shape := range dinShapes {
+			d := memtrace.NewDineroReader(shape.wrap(strings.NewReader(data)))
+			if lenient {
+				d.Lenient(0)
+			}
+			var got []memtrace.Access
+			memtrace.Each(d, func(a memtrace.Access) { got = append(got, a) })
+			if i == 0 {
+				recs, dr = got, d
+				continue
+			}
+			if !slices.Equal(got, recs) || fmt.Sprint(d.Err()) != fmt.Sprint(dr.Err()) ||
+				!reflect.DeepEqual(d.Degradation(), dr.Degradation()) {
+				t.Fatalf("lenient=%t: %s decode (%d records, Err %v, %v) differs from %s's (%d, %v, %v)",
+					lenient, shape.name, len(got), d.Err(), d.Degradation(),
+					dinShapes[0].name, len(recs), dr.Err(), dr.Degradation())
+			}
+		}
+		return recs, dr
+	}
+	at := func(line int) string { return fmt.Sprintf("memtrace: din line %d: ", line) }
+
+	got, dr := decode(false)
+	if len(faults) == 0 {
+		if err := dr.Err(); err != nil {
+			t.Fatalf("strict: %v; the reference found no malformed line", err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("strict: %d records, the reference %d: %v vs %v", len(got), len(want), got, want)
+		}
+	} else {
+		first := faults[0]
+		if err := dr.Err(); err == nil || !strings.HasPrefix(err.Error(), at(first.line)) {
+			t.Fatalf("strict: Err = %v, want a fault at line %d (%s)", err, first.line, first.reason)
+		}
+		if !slices.Equal(got, want[:first.before]) {
+			t.Fatalf("strict: %d records before the fault, the reference %d", len(got), first.before)
+		}
+	}
+
+	got, dr = decode(true)
+	if err := dr.Err(); err != nil {
+		t.Fatalf("lenient: %v", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("lenient: %d records, the reference %d: %v vs %v", len(got), len(want), got, want)
+	}
+	d := dr.Degradation()
+	reasons := map[string]uint64{}
+	for _, f := range faults {
+		reasons[f.reason]++
+	}
+	if d.Dropped != uint64(len(faults)) || !maps.Equal(d.Reasons, reasons) {
+		t.Fatalf("lenient: dropped %d %v, the reference %d %v", d.Dropped, d.Reasons, len(faults), reasons)
+	}
+	if len(faults) > 0 && !strings.HasPrefix(d.First, at(faults[0].line)) {
+		t.Fatalf("lenient: first fault %q, want line %d", d.First, faults[0].line)
+	}
+}
+
 // FuzzDinVsReference checks the din decoder against refDin, an oracle
-// that shares no code with it. Strict decoding delivers the records
-// before the first malformed line and fails naming that line; lenient
-// decoding delivers every record and reports each malformed line under
-// its reason, naming the first. The decoder reads through
-// iotest.OneByteReader, so even small inputs cross its window's edges.
+// that shares no code with it, through every reader shape
+// (checkDinVsReference).
 func FuzzDinVsReference(f *testing.F) {
 	f.Add("0 1000\n1 2000\n2 3000\n")
 	f.Add("0 1000\r\n\t1\tABCDEF\t\r\n  2   3000   extra\n\n")
@@ -279,60 +363,41 @@ func FuzzDinVsReference(f *testing.F) {
 	f.Add("0\u00a01000\n\u2003\n1 2000\u00852\n0 zz\n0\n")
 	f.Add("0 1000\n1 2000")
 	f.Add("")
+	// The edges of the fixed-window step: 1, 7, 8, 16 and 17 digits, the
+	// largest address it takes and the first it leaves to the general
+	// loop, lines it must not take, and a final line shorter than its
+	// window with no '\n'.
+	f.Add("0 a\n1 abcdef0\n2 abcdef01\n0 0123456789abcdef\n1 0123456789abcdef0\n2 1\n")
+	f.Add("0 3fffffffffffffff\n1 4000000000000000\n2 10\n0 20\n")
+	f.Add("2 100000000000\n3 10\n2 \n00 10\n0  10\n0 10\r\n0 10 x\n1 2000000000000000\n")
+	f.Add("0 1000000000\n1 2000000000\n2 30")
 	din := []byte("0 1000\n1 2000\n2 3000\n0 4000\n")
 	for seed := int64(1); seed <= 3; seed++ {
 		f.Add(string(faultinject.FlipBits(din, seed, 4)))
 		f.Add(string(faultinject.DuplicateSpan(din, seed, 7)))
 	}
+	f.Fuzz(checkDinVsReference)
+}
 
-	f.Fuzz(func(t *testing.T, data string) {
-		want, faults := refDin(data)
-		decode := func(lenient bool) ([]memtrace.Access, *memtrace.DineroReader) {
-			dr := memtrace.NewDineroReader(iotest.OneByteReader(strings.NewReader(data)))
-			if lenient {
-				dr.Lenient(0)
-			}
-			var got []memtrace.Access
-			memtrace.Each(dr, func(a memtrace.Access) { got = append(got, a) })
-			return got, dr
-		}
-		at := func(line int) string { return fmt.Sprintf("memtrace: din line %d: ", line) }
-
-		got, dr := decode(false)
-		if len(faults) == 0 {
-			if err := dr.Err(); err != nil {
-				t.Fatalf("strict: %v; the reference found no malformed line", err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("strict: %d records, the reference %d: %v vs %v", len(got), len(want), got, want)
-			}
+// TestDinMixedVsReference checks a din text over three 64 KiB windows
+// against refDin through every reader shape. Its canonical lines carry 1
+// to 16 digits, so lines start at every offset of a window's end, and
+// every 7th line is unusual: valid in a shape the fixed-window step
+// leaves to the general loop or to the exact path, or malformed.
+func TestDinMixedVsReference(t *testing.T) {
+	unusual := []string{
+		"0 10\r", "1 20 trailing", "\t2\t30", "00 40", "0  50", "2 00000000000000000060",
+		"0\u00a070", "", "1 ", "3 80", "0 zz", "1 4000000000000000", "2", "0 3fffffffffffffff ",
+	}
+	var sb strings.Builder
+	for i := 0; sb.Len() < 3<<16; i++ {
+		if i%7 == 6 {
+			sb.WriteString(unusual[i/7%len(unusual)])
 		} else {
-			first := faults[0]
-			if err := dr.Err(); err == nil || !strings.HasPrefix(err.Error(), at(first.line)) {
-				t.Fatalf("strict: Err = %v, want a fault at line %d (%s)", err, first.line, first.reason)
-			}
-			if !slices.Equal(got, want[:first.before]) {
-				t.Fatalf("strict: %d records before the fault, the reference %d", len(got), first.before)
-			}
+			addr := uint64(0x123456789abcdef1) >> (4 * (i % 16)) // 16 down to 1 digits
+			fmt.Fprintf(&sb, "%d %x", i%3, addr+uint64(i))
 		}
-
-		got, dr = decode(true)
-		if err := dr.Err(); err != nil {
-			t.Fatalf("lenient: %v", err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("lenient: %d records, the reference %d: %v vs %v", len(got), len(want), got, want)
-		}
-		d := dr.Degradation()
-		reasons := map[string]uint64{}
-		for _, f := range faults {
-			reasons[f.reason]++
-		}
-		if d.Dropped != uint64(len(faults)) || !maps.Equal(d.Reasons, reasons) {
-			t.Fatalf("lenient: dropped %d %v, the reference %d %v", d.Dropped, d.Reasons, len(faults), reasons)
-		}
-		if len(faults) > 0 && !strings.HasPrefix(d.First, at(faults[0].line)) {
-			t.Fatalf("lenient: first fault %q, want line %d", d.First, faults[0].line)
-		}
-	})
+		sb.WriteByte('\n')
+	}
+	checkDinVsReference(t, sb.String())
 }
