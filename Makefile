@@ -122,11 +122,12 @@ trace-e2e:
 # bench runs the micro-benchmarks briefly — enough to catch a throughput
 # cliff, not a full measurement run.
 bench:
-	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit|Decode' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit|Decode|CacheProbe' -benchtime 1x -benchmem
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
-# telemetry off vs on and the grouped four-system replay against one
-# system (BENCH_telemetry.json), and the decode-once fan-out
+# telemetry off vs on, the grouped four-system replay against one
+# system and the grouped sweep against one cache per configuration
+# (BENCH_telemetry.json), and the decode-once fan-out
 # replay vs per-configuration decoding (BENCH_fanout.json).
 BENCH_JSON_OUT ?= BENCH_telemetry.json
 BENCH_FANOUT_OUT ?= BENCH_fanout.json
@@ -138,9 +139,11 @@ bench-json:
 # off/on replay benchmarks fresh and fails if telemetry-on overhead
 # exceeds 10%, if the din file-backed replay takes more than 1.6x the
 # in-memory replay, if a svc-mixed job's four-system replay takes more
-# than 2.3x one system's at GOMAXPROCS 1, or if allocs/op on the
-# file-backed replay or B/op on the four-system replay regresses against
-# the committed BENCH_telemetry.json baseline.
+# than 2.3x one system's at GOMAXPROCS 1, if cachesim's grouped paper
+# sweep takes more than 0.8x the sweep with a cache per configuration at
+# GOMAXPROCS 1, or if allocs/op on the file-backed replay or B/op on the
+# four-system replay regresses against the committed
+# BENCH_telemetry.json baseline.
 BENCH_GATE_TMP ?= bench_measured.json
 bench-gate:
 	BENCH_JSON=$(BENCH_GATE_TMP) $(GO) test . -run TestWriteBenchTelemetryJSON -v

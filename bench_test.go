@@ -227,34 +227,84 @@ func sweepGroups(tb testing.TB, share bool) []*core.Group {
 	return groups
 }
 
-// BenchmarkSweepReplay replays the data references of one in-memory
-// trace through the sweep's eight configurations, as cachesim -fanout
-// does on one CPU: each group takes the whole trace in turn. The grouped
-// arm probes each distinct cache once per access; one-per-config gives
-// every configuration its own cache, so each probes and fills its own.
-// Both run the same code. ns/access is per trace reference, all eight
-// configurations together.
-func BenchmarkSweepReplay(b *testing.B) {
+// benchChunk is the fan-out engine's chunk length: the references a
+// consumer takes per call.
+const benchChunk = 4096
+
+// ccomData returns the data references of ccom at benchScale: the
+// stream cachesim -side data replays.
+func ccomData() []memtrace.Access {
 	var data []memtrace.Access
 	workload.GenerateTrace(workload.MustByName("ccom"), benchScale).Each(func(a memtrace.Access) {
 		if a.Kind.IsData() {
 			data = append(data, a)
 		}
 	})
+	return data
+}
+
+// replaySweep replays data through every group of the sweep, one group
+// after another, in the engine's chunks, as cachesim -fanout does on
+// one CPU.
+func replaySweep(groups []*core.Group, data []memtrace.Access) {
+	for _, g := range groups {
+		for lo := 0; lo < len(data); lo += benchChunk {
+			g.AccessChunk(data[lo:min(lo+benchChunk, len(data))], nil)
+		}
+	}
+}
+
+// BenchmarkSweepReplay replays the data references of one in-memory
+// trace through the sweep's eight configurations, as cachesim -fanout
+// does on one CPU: each group takes the whole trace in turn, chunk by
+// chunk. The grouped arm probes each distinct cache once per access;
+// one-per-config gives every configuration its own cache, so each
+// probes and fills its own. Both run the same code. ns/access is per
+// trace reference, all eight configurations together.
+func BenchmarkSweepReplay(b *testing.B) {
+	data := ccomData()
 	for _, arm := range []struct {
 		name  string
 		share bool
 	}{{"grouped", true}, {"one-per-config", false}} {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, g := range sweepGroups(b, arm.share) {
-					for _, a := range data {
-						g.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-					}
-				}
+				replaySweep(sweepGroups(b, arm.share), data)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/access")
 		})
+	}
+}
+
+// BenchmarkCacheProbe is the tag-store rung: the data references of
+// ccom through the sweep's 4KB direct-mapped and 4-way L1s alone, with
+// no level behind them. The per-reference arms call cache.Access (Probe,
+// then Fill on a miss) once per reference; the chunk arms hand the
+// engine's chunks to cache.AccessChunk. ns/access is per reference.
+func BenchmarkCacheProbe(b *testing.B) {
+	data := ccomData()
+	for _, assoc := range []int{1, 4} {
+		for _, arm := range []struct {
+			name    string
+			chunked bool
+		}{{"per-reference", false}, {"chunk", true}} {
+			b.Run(fmt.Sprintf("assoc%d/%s", assoc, arm.name), func(b *testing.B) {
+				var misses []cache.Miss
+				for i := 0; i < b.N; i++ {
+					c := cache.MustNew(cache.Config{Name: "L1", Size: 4096, LineSize: 16, Assoc: assoc})
+					if !arm.chunked {
+						for _, a := range data {
+							c.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+						}
+						continue
+					}
+					for lo := 0; lo < len(data); lo += benchChunk {
+						misses = c.AccessChunk(data[lo:min(lo+benchChunk, len(data))], misses[:0])
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/access")
+			})
+		}
 	}
 }
 

@@ -25,7 +25,12 @@
 //     grow beyond bytesSlack times the committed baseline. Four systems
 //     that each probe their own L1s took 3.59x; four that lost their
 //     grouping are broadcast to at two or more Ps, with a ring of chunks
-//     each.
+//     each, or
+//   - the sweep replay (cachesim -fanout's eight configurations of the
+//     paper's sweep on their two distinct caches, chunk by chunk) takes
+//     more than maxSweepRatio (0.8) times the same replay with a cache per
+//     configuration at GOMAXPROCS 1. A sweep that lost its grouping reads
+//     1.0.
 //
 // Run it via `make bench-gate`, which generates the fresh measurement
 // first. With no -measured flag it gates the baseline artifact against
@@ -63,6 +68,13 @@ type groupedReplay struct {
 	Ratio1CPU float64 `json:"ratio_1cpu"`
 }
 
+type sweepReplay struct {
+	Configs      int     `json:"configs"`
+	Grouped      entry   `json:"grouped"`
+	OnePerConfig entry   `json:"one_per_config"`
+	Ratio1CPU    float64 `json:"ratio_1cpu"`
+}
+
 type report struct {
 	Benchmark  string        `json:"benchmark"`
 	Workload   string        `json:"workload"`
@@ -74,6 +86,7 @@ type report struct {
 	TraceOverP float64       `json:"trace_overhead_percent"`
 	File       fileReplay    `json:"file_replay"`
 	Grouped    groupedReplay `json:"grouped_replay"`
+	Sweep      sweepReplay   `json:"sweep_replay"`
 }
 
 func load(path string) (report, error) {
@@ -109,6 +122,12 @@ const maxFileRatio = 1.6
 // system's, paired at GOMAXPROCS 1: 3.59x with one L1 probe per system,
 // 1.89x with one per distinct L1, on one 2-CPU host.
 const maxGroupedRatio = 2.3
+
+// maxSweepRatio bounds the sweep replay's time as a multiple of the same
+// replay with one cache per configuration, paired at GOMAXPROCS 1: 0.62
+// through the chunk path on one 2-CPU host, 1.0 for a sweep that lost
+// its grouping.
+const maxSweepRatio = 0.8
 
 // bytesSlack is the allowed multiple of the baseline's bytes per op on
 // the grouped replay.
@@ -175,6 +194,11 @@ func check(baseline, measured report, b bounds) []string {
 				g.Grouped.BytesPerOp, limit, base, bytesSlack)
 		}
 	}
+	// Like the grouped arm, gated only when the artifact carries it.
+	if s := measured.Sweep; s.Ratio1CPU > maxSweepRatio {
+		fail("sweep replay: %.2fx one cache per configuration exceeds budget %.2fx at GOMAXPROCS 1 (%d configurations)",
+			s.Ratio1CPU, maxSweepRatio, s.Configs)
+	}
 	return failures
 }
 
@@ -224,7 +248,8 @@ func main() {
 		"trace overhead %.1f%% (budget %.1f%%), file-backed overhead %.1f%% (budget %.1f%%); "+
 		"file-backed %.2fx in-memory (budget %.2fx); "+
 		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f); "+
-		"grouped replay %.2fx one system (budget %.2fx), %d B/op (baseline %d, slack %.2f)\n",
+		"grouped replay %.2fx one system (budget %.2fx), %d B/op (baseline %d, slack %.2f); "+
+		"sweep replay %.2fx one cache per configuration (budget %.2fx)\n",
 		measured.OverheadP, measured.IntroOverP, b.maxIntrospect,
 		measured.TraceOverP, b.maxTrace,
 		measured.File.OverheadP, b.maxOverhead,
@@ -232,5 +257,6 @@ func main() {
 		measured.File.Off.AllocsPerOp, measured.File.On.AllocsPerOp,
 		baseline.File.Off.AllocsPerOp, baseline.File.On.AllocsPerOp, b.allocSlack,
 		measured.Grouped.Ratio1CPU, maxGroupedRatio,
-		measured.Grouped.Grouped.BytesPerOp, baseline.Grouped.Grouped.BytesPerOp, bytesSlack)
+		measured.Grouped.Grouped.BytesPerOp, baseline.Grouped.Grouped.BytesPerOp, bytesSlack,
+		measured.Sweep.Ratio1CPU, maxSweepRatio)
 }

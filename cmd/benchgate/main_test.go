@@ -90,3 +90,29 @@ func TestGroupedRatioBound(t *testing.T) {
 		t.Errorf("after, against a baseline without the arm: failures %q, want none", failures)
 	}
 }
+
+// TestSweepRatioBound checks the sweep-replay bound: the eight sweep
+// configurations on their two distinct caches took 0.62x the replay
+// with a cache per configuration through the chunk path on one 2-CPU
+// host, which passes at 0.8x; a sweep that lost its grouping runs the
+// same probes in both arms and reads 1.0x, which fails.
+func TestSweepRatioBound(t *testing.T) {
+	base := artifact(2452947, 3336328, 33)
+	sweep := func(ratio float64) report {
+		a := base
+		a.Sweep = sweepReplay{Configs: 8, Grouped: entry{NsPerOp: 1142946}, Ratio1CPU: ratio}
+		return a
+	}
+	lost, after := sweep(1.0), sweep(0.62)
+
+	failures := check(after, lost, defaults)
+	if len(failures) != 1 || !strings.Contains(failures[0], "1.00x one cache per configuration exceeds budget 0.80x") {
+		t.Errorf("lost grouping: failures %q, want the sweep-ratio bound alone", failures)
+	}
+	if failures := check(after, after, defaults); len(failures) != 0 {
+		t.Errorf("after, gated against itself: failures %q, want none", failures)
+	}
+	if failures := check(base, after, defaults); len(failures) != 0 {
+		t.Errorf("after, against a baseline without the arm: failures %q, want none", failures)
+	}
+}

@@ -77,20 +77,18 @@ type groupConsumer struct {
 	cl *classify.Classifier
 }
 
-// Consume replays one chunk, then flushes the group's levels and the
-// classifier, so their counters, when instrumented, lag the replay by
-// at most one chunk. The classifying loop is kept apart, so the plain
-// loop that every -fanout group runs carries no per-access test for it.
+// Consume replays one chunk through the group's chunk path, then
+// flushes the group's levels and the classifier, so their counters,
+// when instrumented, lag the replay by at most one chunk. The classifier
+// observes each reference as the level resolves it, so a sampled miss
+// the level's probe tags reads the class counted for it.
 func (c *groupConsumer) Consume(chunk []memtrace.Access) {
 	if c.cl == nil {
-		for _, a := range chunk {
-			c.g.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		}
+		c.g.AccessChunk(chunk, nil)
 	} else {
-		for _, a := range chunk {
-			hit := c.g.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-			c.cl.ObserveMiss(uint64(a.Addr), !hit)
-		}
+		c.g.AccessChunk(chunk, func(i int, hit bool) {
+			c.cl.ObserveMiss(uint64(chunk[i].Addr), !hit)
+		})
 	}
 	c.g.Flush()
 	if c.cl != nil {

@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
 )
 
@@ -342,7 +343,7 @@ func (c *Cache) find(lineAddr uint64) (w *way, first int) {
 	first = int(lineAddr&c.setMask) * c.assoc
 	ways := c.ways
 	for i := first; i < first+c.assoc; i++ {
-		if w := &ways[i]; w.valid && w.tag == lineAddr {
+		if w := &ways[i]; w.tag == lineAddr && w.valid {
 			return w, first
 		}
 	}
@@ -353,9 +354,7 @@ func (c *Cache) find(lineAddr uint64) (w *way, first int) {
 // reports whether the line is present. On a miss the cache is unchanged;
 // the caller decides whether and what to Fill.
 func (c *Cache) Probe(addr uint64, write bool) bool {
-	if write {
-		c.stats.Writes++
-	}
+	c.stats.Writes += b2u(write)
 	la := c.LineAddr(addr)
 	// An attached per-set counter subsumes the global access counter
 	// (Stats sums it back), so instrumentation costs the same single
@@ -372,12 +371,14 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 	ways := c.ways
 	first := int(la&c.setMask) * c.assoc
 	for i := first; i < first+c.assoc; i++ {
-		if w := &ways[i]; w.valid && w.tag == la {
+		if w := &ways[i]; w.tag == la && w.valid {
 			if c.cfg.Replacement != FIFO {
 				c.tick++
 				w.used = c.tick
 			}
-			if write && c.cfg.WritePolicy == WriteBack {
+			// The policy, a field of c, is tested first: a write-through
+			// hit then never branches on the write flag.
+			if c.cfg.WritePolicy == WriteBack && write {
 				w.dirty = true
 			}
 			c.stats.Hits++
@@ -389,6 +390,15 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 		h[la&uint64(len(h)-1)]++
 	}
 	return false
+}
+
+// b2u is 1 for true and 0 for false; the compiler makes it a flag move,
+// not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Contains reports whether addr's line is present without updating any
@@ -405,17 +415,44 @@ func (c *Cache) Contains(addr uint64) bool {
 // recency instead of duplicating it.
 func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	la := c.LineAddr(addr)
-	w, first := c.find(la)
-	c.tick++
-	if w != nil {
-		// Already present (e.g. racing prefetch): refresh.
-		w.used = c.tick
-		w.dirty = w.dirty || dirty
-		return Victim{}
-	}
-
+	first := int(la&c.setMask) * c.assoc
 	set := c.ways[first : first+c.assoc]
-	w = &set[c.pickVictim(set)]
+	c.tick++
+	// One pass over the set looks for the line, the first empty way and
+	// the way with the least 'used' tick: LRU and FIFO both evict that
+	// one, FIFO simply never refreshing it on hits (see Probe).
+	empty, lru := -1, 0
+	for i := range set {
+		w := &set[i]
+		if !w.valid {
+			if empty < 0 {
+				empty = i
+			}
+			continue
+		}
+		if w.tag == la {
+			// Already present (e.g. racing prefetch): refresh.
+			w.used = c.tick
+			w.dirty = w.dirty || dirty
+			return Victim{}
+		}
+		if w.used < set[lru].used {
+			lru = i
+		}
+	}
+	// An empty way is taken without advancing the Random generator.
+	v := empty
+	if v < 0 {
+		v = lru
+		if c.cfg.Replacement == Random {
+			// xorshift64*; cheap deterministic pseudo-randomness.
+			c.rng ^= c.rng << 13
+			c.rng ^= c.rng >> 7
+			c.rng ^= c.rng << 17
+			v = int(c.rng % uint64(len(set)))
+		}
+	}
+	w := &set[v]
 	out := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
 	if out.Valid {
 		c.stats.Evictions++
@@ -429,31 +466,6 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	*w = way{tag: la, used: c.tick, valid: true, dirty: dirty}
 	c.stats.Fills++
 	return out
-}
-
-// pickVictim returns the way of set that a fill replaces: the first
-// empty way or, when the set is full, the way the replacement policy
-// evicts. An empty way is taken without advancing the Random generator.
-func (c *Cache) pickVictim(set []way) int {
-	lru := 0
-	for i := range set {
-		if !set[i].valid {
-			return i
-		}
-		// LRU and FIFO both evict the minimum 'used' tick; FIFO simply
-		// never refreshes it on hits (see Probe).
-		if set[i].used < set[lru].used {
-			lru = i
-		}
-	}
-	if c.cfg.Replacement == Random {
-		// xorshift64*; cheap deterministic pseudo-randomness.
-		c.rng ^= c.rng << 13
-		c.rng ^= c.rng >> 7
-		c.rng ^= c.rng << 17
-		return int(c.rng % uint64(len(set)))
-	}
-	return lru
 }
 
 // Invalidate removes addr's line if present and reports whether it was
@@ -477,6 +489,149 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	}
 	dirty := write && c.cfg.WritePolicy == WriteBack
 	return false, c.Fill(addr, dirty)
+}
+
+// Miss is one reference of a run that missed in AccessChunk.
+type Miss struct {
+	Index  int    // the reference's index in the run
+	Addr   uint64 // its byte address
+	Victim Victim // the line its fill displaced
+}
+
+// AccessChunk is Access over each reference of run in order, a store
+// being a write: it appends each miss to misses and returns the extended
+// slice, which the caller owns and may reuse. Stats, replacement state
+// and contents end as those Access calls leave them. An LRU cache
+// without per-set counters (InstrumentSets) takes the run in one loop
+// with Probe and Fill fused and no call per reference, direct-mapped
+// caches in a loop of their own; FIFO, Random and counted caches call
+// Access for each reference.
+func (c *Cache) AccessChunk(run []memtrace.Access, misses []Miss) []Miss {
+	// Room for every reference to miss, so that the loops store into out
+	// and make no call to grow it.
+	misses = slices.Grow(misses, len(run))
+	out := misses[len(misses) : len(misses)+len(run)]
+	var n int
+	switch {
+	case c.cfg.Replacement != LRU || c.heatAcc != nil:
+		for i, a := range run {
+			if hit, v := c.Access(uint64(a.Addr), a.Kind == memtrace.Store); !hit {
+				out[n] = Miss{Index: i, Addr: uint64(a.Addr), Victim: v}
+				n++
+			}
+		}
+	case c.assoc == 1:
+		n = c.accessDirect(run, out)
+	default:
+		n = c.accessLRU(run, out)
+	}
+	return misses[:len(misses)+n]
+}
+
+// accessDirect is AccessChunk on a direct-mapped LRU cache without
+// per-set counters, its misses stored into out: every reference ticks
+// once, as Probe does on a hit and Fill on a miss. The set mask is the
+// last index of ways.
+func (c *Cache) accessDirect(run []memtrace.Access, out []Miss) (n int) {
+	ways, mask, shift := c.ways, c.setMask, c.lineShift
+	wb := c.cfg.WritePolicy == WriteBack
+	tick := c.tick
+	var t tally
+	for i, a := range run {
+		la := uint64(a.Addr) >> shift
+		w := &ways[la&mask]
+		store := a.Kind == memtrace.Store
+		t.writes += b2u(store)
+		tick++
+		if w.valid && w.tag == la {
+			w.used = tick
+			if wb && store {
+				w.dirty = true
+			}
+			t.hits++
+			continue
+		}
+		v := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
+		t.evict(v)
+		*w = way{tag: la, used: tick, valid: true, dirty: wb && store}
+		out[n] = Miss{Index: i, Addr: uint64(a.Addr), Victim: v}
+		n++
+	}
+	c.tick = tick
+	c.add(t, len(run), n)
+	return n
+}
+
+// accessLRU is accessDirect for a set-associative LRU cache: Probe's
+// search of the set, then on a miss Fill's choice of the first empty
+// way or the least recently used one.
+func (c *Cache) accessLRU(run []memtrace.Access, out []Miss) (n int) {
+	ways, mask, shift, assoc := c.ways, c.setMask, c.lineShift, c.assoc
+	wb := c.cfg.WritePolicy == WriteBack
+	tick := c.tick
+	var t tally
+next:
+	for i, a := range run {
+		la := uint64(a.Addr) >> shift
+		first := int(la&mask) * assoc
+		set := ways[first : first+assoc]
+		store := a.Kind == memtrace.Store
+		t.writes += b2u(store)
+		tick++
+		for j := range set {
+			if w := &set[j]; w.tag == la && w.valid {
+				w.used = tick
+				if wb && store {
+					w.dirty = true
+				}
+				t.hits++
+				continue next
+			}
+		}
+		lru := 0
+		for j := range set {
+			if !set[j].valid {
+				lru = j
+				break
+			}
+			if set[j].used < set[lru].used {
+				lru = j
+			}
+		}
+		w := &set[lru]
+		v := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
+		t.evict(v)
+		*w = way{tag: la, used: tick, valid: true, dirty: wb && store}
+		out[n] = Miss{Index: i, Addr: uint64(a.Addr), Victim: v}
+		n++
+	}
+	c.tick = tick
+	c.add(t, len(run), n)
+	return n
+}
+
+// tally holds the counts a fused loop keeps in locals.
+type tally struct{ hits, writes, evictions, writebacks uint64 }
+
+// evict counts a fill's victim as Fill does.
+func (t *tally) evict(v Victim) {
+	if v.Valid {
+		t.evictions++
+		t.writebacks += b2u(v.Dirty)
+	}
+}
+
+// add folds a fused loop's tally over accesses references, misses of
+// which missed and filled, into the Stats.
+func (c *Cache) add(t tally, accesses, misses int) {
+	st := &c.stats
+	st.Accesses += uint64(accesses)
+	st.Hits += t.hits
+	st.Misses += uint64(misses)
+	st.Fills += uint64(misses)
+	st.Evictions += t.evictions
+	st.Writebacks += t.writebacks
+	st.Writes += t.writes
 }
 
 // Reset invalidates every line and zeroes the statistics.

@@ -2,8 +2,11 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"jouppi/internal/memtrace"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -366,6 +369,92 @@ func (r *refCache) access(addr uint64) bool {
 	return false
 }
 
+// slotModel is a second, naive model of one cache that, unlike
+// refCache, keeps every policy's state: each set is a row of ways, with
+// the ways' order of last touch (LRU) or of filling (FIFO), and a copy
+// of the Random policy's xorshift generator. A fill takes the first
+// empty way, and only a full set's fill draws from the generator.
+type slotModel struct {
+	cfg   Config
+	sets  [][]slot
+	order [][]int // per set, way indices, most recent first
+	rng   uint64
+}
+
+type slot struct {
+	la           uint64
+	valid, dirty bool
+}
+
+func newSlotModel(cfg Config) *slotModel {
+	m := &slotModel{cfg: cfg, rng: cfg.RandomSeed | 1}
+	assoc := cfg.Lines() / cfg.Sets()
+	for range cfg.Sets() {
+		m.sets = append(m.sets, make([]slot, assoc))
+		m.order = append(m.order, nil)
+	}
+	return m
+}
+
+// touch moves way w of set si to the front of the set's order.
+func (m *slotModel) touch(si, w int) {
+	o := []int{w}
+	for _, x := range m.order[si] {
+		if x != w {
+			o = append(o, x)
+		}
+	}
+	m.order[si] = o
+}
+
+// access is Cache.Access: whether addr hit and the line a miss evicted.
+func (m *slotModel) access(addr uint64, write bool) (bool, Victim) {
+	la := addr / uint64(m.cfg.LineSize)
+	si := int(la % uint64(len(m.sets)))
+	set := m.sets[si]
+	wb := m.cfg.WritePolicy == WriteBack
+	for w, s := range set {
+		if s.valid && s.la == la {
+			if m.cfg.Replacement == LRU || m.cfg.Replacement == Random {
+				m.touch(si, w)
+			}
+			if wb && write {
+				set[w].dirty = true
+			}
+			return true, Victim{}
+		}
+	}
+	w := -1
+	for i, s := range set {
+		if !s.valid {
+			w = i
+			break
+		}
+	}
+	if w < 0 {
+		switch m.cfg.Replacement {
+		case Random:
+			m.rng ^= m.rng << 13
+			m.rng ^= m.rng >> 7
+			m.rng ^= m.rng << 17
+			w = int(m.rng % uint64(len(set)))
+		default: // LRU and FIFO: the way last in the order
+			w = m.order[si][len(m.order[si])-1]
+		}
+	}
+	var v Victim
+	if set[w].valid {
+		v = Victim{LineAddr: set[w].la, Valid: true, Dirty: set[w].dirty}
+	}
+	set[w] = slot{la: la, valid: true, dirty: wb && write}
+	m.touch(si, w)
+	return false, v
+}
+
+// TestCacheMatchesReferenceModel checks Access against slotModel over
+// every shape and policy: each hit, each victim's line and dirty bit,
+// and the Random generator's state, which an empty way must not
+// advance. The LRU write-through runs also check against refCache.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	type shape struct{ size, line, assoc int }
 	shapes := []shape{
@@ -376,18 +465,100 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		{1024, 32, 4},
 		{512, 8, 8},
 	}
+	policies := []struct {
+		repl  Replacement
+		write WritePolicy
+		seed  uint64
+	}{
+		{LRU, WriteThrough, 0},
+		{FIFO, WriteThrough, 0},
+		{Random, WriteThrough, 42},
+		{LRU, WriteBack, 0},
+		{FIFO, WriteBack, 0},
+		{Random, WriteBack, 7},
+	}
 	for _, sh := range shapes {
-		c := MustNew(Config{Size: sh.size, LineSize: sh.line, Assoc: sh.assoc})
-		ref := newRefCache(sh.size, sh.line, sh.assoc)
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 20000; i++ {
-			// Cluster addresses so hits and conflicts both occur.
-			addr := uint64(rng.Intn(4 * sh.size))
-			got, _ := c.Access(addr, false)
-			want := ref.access(addr)
-			if got != want {
-				t.Fatalf("shape %+v access %d addr %#x: cache hit=%v, reference hit=%v",
-					sh, i, addr, got, want)
+		for _, p := range policies {
+			cfg := Config{Size: sh.size, LineSize: sh.line, Assoc: sh.assoc,
+				Replacement: p.repl, WritePolicy: p.write, RandomSeed: p.seed}
+			c := MustNew(cfg)
+			m := newSlotModel(cfg)
+			ref := newRefCache(sh.size, sh.line, sh.assoc)
+			rng := rand.New(rand.NewSource(99))
+			for i := 0; i < 20000; i++ {
+				// Cluster addresses so hits and conflicts both occur.
+				addr := uint64(rng.Intn(4 * sh.size))
+				write := rng.Intn(4) == 0
+				got, gotV := c.Access(addr, write)
+				want, wantV := m.access(addr, write)
+				if got != want || gotV != wantV {
+					t.Fatalf("%+v access %d addr %#x: cache (%v, %+v), model (%v, %+v)",
+						cfg, i, addr, got, gotV, want, wantV)
+				}
+				if c.rng != m.rng {
+					t.Fatalf("%+v access %d: generator %#x, model %#x", cfg, i, c.rng, m.rng)
+				}
+				if p.repl == LRU && p.write == WriteThrough && got != ref.access(addr) {
+					t.Fatalf("%+v access %d addr %#x: cache hit=%v, refCache disagrees", cfg, i, addr, got)
+				}
+			}
+		}
+	}
+}
+
+// TestAccessChunkMatchesAccess replays one stream through Access and,
+// on a twin, through AccessChunk in runs of random length (0 included),
+// for every policy and each of AccessChunk's loops, with and without
+// per-set counters: each miss, and the two caches' whole state after
+// each run, must agree.
+func TestAccessChunkMatchesAccess(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, cfg := range []Config{
+		{Size: 4096, LineSize: 16, Assoc: 1},
+		{Size: 4096, LineSize: 16, Assoc: 1, WritePolicy: WriteBack},
+		{Size: 4096, LineSize: 16, Assoc: 1, Replacement: FIFO},
+		{Size: 4096, LineSize: 16, Assoc: 1, Replacement: Random, RandomSeed: 3},
+		{Size: 4096, LineSize: 16, Assoc: 4},
+		{Size: 1024, LineSize: 32, Assoc: 2, Replacement: Random, RandomSeed: 9, WritePolicy: WriteBack},
+		{Size: 1024, LineSize: 32, Assoc: 2, WritePolicy: WriteBack},
+		{Size: 64, LineSize: 16, Assoc: FullyAssociative},
+		{Size: 64, LineSize: 16, Assoc: FullyAssociative, Replacement: FIFO},
+		{Size: 16, LineSize: 16, Assoc: 1},
+	} {
+		for _, heat := range []bool{false, true} {
+			each, chunked := MustNew(cfg), MustNew(cfg)
+			var eachHeat, chunkHeat [3][]uint64
+			if heat {
+				for k := range 3 {
+					eachHeat[k], chunkHeat[k] = make([]uint64, cfg.Sets()), make([]uint64, cfg.Sets())
+				}
+				each.InstrumentSets(eachHeat[0], eachHeat[1], eachHeat[2])
+				chunked.InstrumentSets(chunkHeat[0], chunkHeat[1], chunkHeat[2])
+			}
+			var misses []Miss
+			for run := 0; run < 200; run++ {
+				chunk := make([]memtrace.Access, rng.Intn(300))
+				for i := range chunk {
+					chunk[i] = memtrace.Access{Addr: memtrace.Addr(rng.Intn(4 * cfg.Size)), Kind: memtrace.Kind(rng.Intn(3))}
+				}
+				var want []Miss
+				for i, a := range chunk {
+					if hit, v := each.Access(uint64(a.Addr), a.Kind == memtrace.Store); !hit {
+						want = append(want, Miss{Index: i, Addr: uint64(a.Addr), Victim: v})
+					}
+				}
+				misses = chunked.AccessChunk(chunk, misses[:0])
+				if !slices.Equal(misses, want) {
+					t.Fatalf("%+v heat %v run %d: AccessChunk misses differ from Access's", cfg, heat, run)
+				}
+				if !chunked.SameState(each) {
+					t.Fatalf("%+v heat %v run %d: state differs:\nchunk %+v\neach  %+v", cfg, heat, run, chunked.Stats(), each.Stats())
+				}
+				for k := range 3 {
+					if !slices.Equal(chunkHeat[k], eachHeat[k]) {
+						t.Fatalf("%+v run %d: per-set counters %d differ", cfg, run, k)
+					}
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/memtrace"
 )
 
 // Group replays one access stream through levels that share one
@@ -15,10 +16,21 @@ import (
 // can return a dirty line, so which lines are dirty depends on the
 // helper structures. A grouped level's Stats, Flush, tap and counters
 // work as before, but it takes its accesses only through its group.
+//
+// The group takes references one at a time (Access) or a chunk at a
+// time (AccessChunk). A chunk runs in two passes: the shared cache
+// probes and fills the whole chunk in one loop, then each level in turn
+// resolves the chunk's misses. Each level sees what Access would show
+// it, fetches included, in the same order; but the levels' fetches are
+// not interleaved, since a level's come after those of the level before
+// it for the whole chunk. Levels whose fetches reach one shared next
+// level (a hierarchy.Cluster's I and D sides, feeding one L2) must
+// therefore take Access.
 type Group struct {
 	l1       *cache.Cache
 	accesses uint64 // completed; a level's miss sees the count before its access
 	levels   []*Level
+	misses   []cache.Miss // AccessChunk's, reused from chunk to chunk
 }
 
 // Groups returns one Group per cache the levels are on, in the order the
@@ -100,6 +112,48 @@ func (g *Group) Access(addr uint64, write bool) bool {
 	}
 	g.accesses++
 	return false
+}
+
+// AccessChunk performs every reference of chunk, a store being a write,
+// for every level of the group in the two passes the Group comment
+// describes: cache.Cache.AccessChunk, then each level's misses. It
+// returns the shared cache's misses, in a slice the next call reuses.
+//
+// observe, when non-nil, is called for every reference in order with
+// whether it hit, each after the first level has resolved it and before
+// that level resolves the next: how a reader of the first level's
+// references, such as a classifier that its tap consults, keeps step.
+func (g *Group) AccessChunk(chunk []memtrace.Access, observe func(i int, hit bool)) []cache.Miss {
+	g.misses = g.l1.AccessChunk(chunk, g.misses[:0])
+	start := g.accesses
+	for _, l := range g.levels {
+		g.resolve(l, start, len(chunk), observe)
+		observe = nil
+	}
+	g.accesses = start + uint64(len(chunk))
+	return g.misses
+}
+
+// resolve has l resolve the misses of a chunk of n references whose
+// first was access number start, with observe (see AccessChunk).
+func (g *Group) resolve(l *Level, start uint64, n int, observe func(int, bool)) {
+	next := 0 // the first reference not yet observed
+	for _, m := range g.misses {
+		for ; observe != nil && next < m.Index; next++ {
+			observe(next, true)
+		}
+		g.accesses = start + uint64(m.Index)
+		l.sync()
+		l.miss(m.Addr, m.Victim)
+		g.accesses++ // the level's own count, should observe read its Stats
+		if observe != nil {
+			observe(m.Index, false)
+			next = m.Index + 1
+		}
+	}
+	for ; observe != nil && next < n; next++ {
+		observe(next, true)
+	}
 }
 
 // Flush flushes every level of the group (see Level.Flush).

@@ -232,6 +232,12 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	defer cancelJob()
 	replayGrouped := func() { generatedReplay(t, jobCtx, mixed) }
 	replaySingle := func() { generatedReplay(t, jobCtx, mixed[:1]) }
+	// The sweep arm is cachesim -fanout's replay of the paper's sweep
+	// (BenchmarkSweepReplay): the eight configurations grouped on their
+	// two distinct caches against the same code with a cache each.
+	data := ccomData()
+	sweepGrouped := func() { replaySweep(sweepGroups(t, true), data) }
+	sweepEach := func() { replaySweep(sweepGroups(t, false), data) }
 	arms := []func(b *testing.B){
 		func(b *testing.B) {
 			b.ReportAllocs()
@@ -275,6 +281,18 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 				replaySingle()
 			}
 		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sweepGrouped()
+			}
+		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sweepEach()
+			}
+		},
 	}
 	mins := make([]testing.BenchmarkResult, len(arms))
 	for round := 0; round < benchRuns; round++ {
@@ -286,6 +304,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		}
 	}
 	off, on, introOn, fileOff, fileOn, grouped, single := mins[0], mins[1], mins[2], mins[3], mins[4], mins[5], mins[6]
+	sweepG, sweepE := mins[7], mins[8]
 
 	type entry struct {
 		NsPerOp     int64   `json:"ns_per_op"`
@@ -294,7 +313,9 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		N           int     `json:"n"`
 		MAccPerSec  float64 `json:"macc_per_sec"`
 	}
-	mk := func(r testing.BenchmarkResult) entry {
+	// mkOf makes the entry of an arm whose op replays accesses
+	// references; mk, of one that replays the ccom trace.
+	mkOf := func(r testing.BenchmarkResult, accesses int) entry {
 		e := entry{
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
@@ -302,10 +323,11 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 			N:           r.N,
 		}
 		if r.T > 0 {
-			e.MAccPerSec = float64(uint64(r.N)*uint64(tr.Len())) / 1e6 / r.T.Seconds()
+			e.MAccPerSec = float64(uint64(r.N)*uint64(accesses)) / 1e6 / r.T.Seconds()
 		}
 		return e
 	}
+	mk := func(r testing.BenchmarkResult) entry { return mkOf(r, tr.Len()) }
 	type fileReplay struct {
 		Format    string  `json:"format"`
 		Records   int     `json:"records"`
@@ -328,6 +350,20 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		Single    entry   `json:"single"`
 		Ratio1CPU float64 `json:"ratio_1cpu"`
 	}
+	// The sweep arm's grouped to one-per-config ratio is taken the same
+	// way: it counts the cache probes and fills the eight configurations
+	// make per reference. On a 2-CPU host it read 0.62 with the chunk
+	// path's one probe per distinct cache (0.50 with a probe call per
+	// reference, which the one-per-config arm paid eight times); a sweep
+	// that lost its grouping reads 1.0.
+	type sweepReplay struct {
+		Workload     string  `json:"workload"`
+		Configs      int     `json:"configs"`
+		Accesses     int     `json:"accesses"`
+		Grouped      entry   `json:"grouped"`
+		OnePerConfig entry   `json:"one_per_config"`
+		Ratio1CPU    float64 `json:"ratio_1cpu"`
+	}
 	report := struct {
 		Benchmark  string        `json:"benchmark"`
 		Host       benchHost     `json:"host"`
@@ -343,6 +379,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		TraceOverP float64       `json:"trace_overhead_percent"`
 		File       fileReplay    `json:"file_replay"`
 		Grouped    groupedReplay `json:"grouped_replay"`
+		Sweep      sweepReplay   `json:"sweep_replay"`
 	}{
 		Benchmark: "TelemetryReplay",
 		Host:      currentHost(),
@@ -364,6 +401,13 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 			Systems:  len(mixed),
 			Grouped:  mk(grouped),
 			Single:   mk(single),
+		},
+		Sweep: sweepReplay{
+			Workload:     "cachesim -fanout paper sweep: ccom data references, 4096-reference chunks",
+			Configs:      len(sweepShapes),
+			Accesses:     len(data),
+			Grouped:      mkOf(sweepG, len(data)),
+			OnePerConfig: mkOf(sweepE, len(data)),
 		},
 	}
 	report.OverheadP = pairedOverheadPercent(500,
@@ -410,6 +454,10 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		return 1 + pairedOverheadPercent(250, replaySingle, replayGrouped)/100
 	}()
+	report.Sweep.Ratio1CPU = func() float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return 1 + pairedOverheadPercent(250, sweepEach, sweepGrouped)/100
+	}()
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -420,11 +468,13 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	t.Logf("wrote %s: off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%; "+
 		"introspect on %d ns/op (%d allocs), overhead %.1f%%; trace overhead %.1f%%; "+
 		"file replay off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%; "+
-		"grouped replay %d ns/op (%d B/op), %.2fx one system at GOMAXPROCS 1",
+		"grouped replay %d ns/op (%d B/op), %.2fx one system at GOMAXPROCS 1; "+
+		"sweep grouped %d ns/op, %.2fx one cache per configuration at GOMAXPROCS 1",
 		out, report.Off.NsPerOp, report.Off.AllocsPerOp,
 		report.On.NsPerOp, report.On.AllocsPerOp, report.OverheadP,
 		report.Intro.NsPerOp, report.Intro.AllocsPerOp, report.IntroOverP, report.TraceOverP,
 		report.File.Off.NsPerOp, report.File.Off.AllocsPerOp,
 		report.File.On.NsPerOp, report.File.On.AllocsPerOp, report.File.OverheadP,
-		report.Grouped.Grouped.NsPerOp, report.Grouped.Grouped.BytesPerOp, report.Grouped.Ratio1CPU)
+		report.Grouped.Grouped.NsPerOp, report.Grouped.Grouped.BytesPerOp, report.Grouped.Ratio1CPU,
+		report.Sweep.Grouped.NsPerOp, report.Sweep.Ratio1CPU)
 }
