@@ -126,8 +126,8 @@ bench:
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
 # telemetry off vs on, the grouped four-system replay against one
-# system and the grouped sweep against one cache per configuration
-# (BENCH_telemetry.json), and the decode-once fan-out
+# system, the grouped sweep against one cache per configuration and a
+# cachesimd upload admission (BENCH_telemetry.json), and the decode-once fan-out
 # replay vs per-configuration decoding (BENCH_fanout.json).
 BENCH_JSON_OUT ?= BENCH_telemetry.json
 BENCH_FANOUT_OUT ?= BENCH_fanout.json
@@ -138,12 +138,13 @@ bench-json:
 # bench-gate is the benchmark regression gate: it measures the telemetry
 # off/on replay benchmarks fresh and fails if telemetry-on overhead
 # exceeds 10%, if the din file-backed replay takes more than 1.6x the
-# in-memory replay, if a svc-mixed job's four-system replay takes more
-# than 2.3x one system's at GOMAXPROCS 1, if cachesim's grouped paper
-# sweep takes more than 0.8x the sweep with a cache per configuration at
-# GOMAXPROCS 1, or if allocs/op on the file-backed replay or B/op on the
-# four-system replay regresses against the committed
-# BENCH_telemetry.json baseline.
+# in-memory replay (paired), if a svc-mixed job's four-system replay
+# takes more than 2.3x one system's at GOMAXPROCS 1, if cachesim's
+# grouped paper sweep takes more than 0.8x the sweep with a cache per
+# configuration at GOMAXPROCS 1, or if allocs/op on the file-backed
+# replay, B/op on the four-system replay, or B/op or allocs/op on the
+# upload admission regresses against the committed BENCH_telemetry.json
+# baseline.
 BENCH_GATE_TMP ?= bench_measured.json
 bench-gate:
 	BENCH_JSON=$(BENCH_GATE_TMP) $(GO) test . -run TestWriteBenchTelemetryJSON -v

@@ -15,10 +15,11 @@
 //     -alloc-slack times the committed baseline — the zero-alloc decode
 //     path must stay O(1) allocations per replay, not per line, or
 //   - the file-backed replay (din decode plus the same replay) takes more
-//     than maxFileRatio (1.6) times the in-memory replay's ns/op, both
-//     with telemetry off. The two arms run interleaved on one host, so
-//     the ratio prices the decode without depending on the host's speed,
-//     or
+//     than maxFileRatio (1.6) times the in-memory replay, both with
+//     telemetry off. The ratio is the paired median the artifact stores
+//     (ratio_to_in_memory), as for the grouped and sweep arms: it prices
+//     the decode without depending on the host's speed, where the ratio
+//     of the two arms' minimum ns/op moved with a noisy host, or
 //   - the grouped replay (a svc-mixed job's four systems on one pair of
 //     L1s, in one sim.Replay) takes more than maxGroupedRatio (2.3) times
 //     the same replay of one system at GOMAXPROCS 1, or its bytes per op
@@ -30,7 +31,10 @@
 //     paper's sweep on their two distinct caches, chunk by chunk) takes
 //     more than maxSweepRatio (0.8) times the same replay with a cache per
 //     configuration at GOMAXPROCS 1. A sweep that lost its grouping reads
-//     1.0.
+//     1.0, or
+//   - a cachesimd upload admission (BenchmarkUploadSubmit) grows beyond
+//     bytesSlack times the committed baseline's B/op or -alloc-slack
+//     times its allocs/op. Its ns/op is not gated: it is too noisy alone.
 //
 // Run it via `make bench-gate`, which generates the fresh measurement
 // first. With no -measured flag it gates the baseline artifact against
@@ -59,6 +63,7 @@ type fileReplay struct {
 	Off       entry   `json:"telemetry_off"`
 	On        entry   `json:"telemetry_on"`
 	OverheadP float64 `json:"overhead_percent"`
+	Ratio     float64 `json:"ratio_to_in_memory"`
 }
 
 type groupedReplay struct {
@@ -87,6 +92,9 @@ type report struct {
 	File       fileReplay    `json:"file_replay"`
 	Grouped    groupedReplay `json:"grouped_replay"`
 	Sweep      sweepReplay   `json:"sweep_replay"`
+	Upload     struct {
+		Submit entry `json:"submit"`
+	} `json:"upload_submit"`
 }
 
 func load(path string) (report, error) {
@@ -112,8 +120,8 @@ type bounds struct {
 // defaults are the flags' default bounds.
 var defaults = bounds{maxOverhead: 10, maxIntrospect: 5, maxTrace: 5, allocSlack: 1.5}
 
-// maxFileRatio bounds the din file-backed replay's ns/op as a multiple
-// of the in-memory replay's: 3.09x before din decode scanned its read
+// maxFileRatio bounds the din file-backed replay's time as a multiple of
+// the in-memory replay's: 3.09x before din decode scanned its read
 // buffer, 1.71-1.85x with the general scan loop alone, 1.36-1.52x once
 // canonical lines took the scan's fixed-window step, on one 2-CPU host.
 const maxFileRatio = 1.6
@@ -130,7 +138,7 @@ const maxGroupedRatio = 2.3
 const maxSweepRatio = 0.8
 
 // bytesSlack is the allowed multiple of the baseline's bytes per op on
-// the grouped replay.
+// the grouped replay and the upload admission.
 const bytesSlack = 1.25
 
 // check returns one message per bound the measured artifact breaks;
@@ -162,25 +170,25 @@ func check(baseline, measured report, b bounds) []string {
 			measured.TraceOverP, b.maxTrace)
 	}
 	// Decode cost: what the din file replay adds over the in-memory one.
-	if ratio := fileRatio(measured); ratio > maxFileRatio {
-		fail("file-backed replay: %.2fx the in-memory replay exceeds budget %.2fx (file %d ns/op, in-memory %d ns/op, telemetry off)",
+	// An artifact without the paired ratio gates nothing.
+	if ratio := measured.File.Ratio; ratio > maxFileRatio {
+		fail("file-backed replay: %.2fx the in-memory replay exceeds budget %.2fx (paired; file %d ns/op, in-memory %d ns/op, telemetry off)",
 			ratio, maxFileRatio, measured.File.Off.NsPerOp, measured.Off.NsPerOp)
+	}
+	// checkGrowth fails got beyond slack times a baseline's base; a
+	// baseline without the arm (base 0) gates nothing.
+	checkGrowth := func(what, unit string, base, got int64, slack float64) {
+		if limit := int64(float64(base) * slack); base > 0 && got > limit {
+			fail("%s: %d %s exceeds %d (baseline %d × slack %.2f)", what, got, unit, limit, base, slack)
+		}
 	}
 	// Alloc regression: the decode path is zero-alloc per record, so
 	// allocs/op on a file-backed replay is a small fixed count. A growth
 	// beyond slack means someone reintroduced per-line allocation.
-	checkAllocs := func(arm string, base, got entry) {
-		if base.AllocsPerOp <= 0 {
-			return
-		}
-		limit := int64(float64(base.AllocsPerOp) * b.allocSlack)
-		if got.AllocsPerOp > limit {
-			fail("file-backed replay (%s): %d allocs/op exceeds %d (baseline %d × slack %.2f)",
-				arm, got.AllocsPerOp, limit, base.AllocsPerOp, b.allocSlack)
-		}
-	}
-	checkAllocs("telemetry off", baseline.File.Off, measured.File.Off)
-	checkAllocs("telemetry on", baseline.File.On, measured.File.On)
+	checkGrowth("file-backed replay (telemetry off)", "allocs/op",
+		baseline.File.Off.AllocsPerOp, measured.File.Off.AllocsPerOp, b.allocSlack)
+	checkGrowth("file-backed replay (telemetry on)", "allocs/op",
+		baseline.File.On.AllocsPerOp, measured.File.On.AllocsPerOp, b.allocSlack)
 	// The grouped arm is gated only when the artifact carries it, so
 	// earlier baselines keep loading.
 	g := measured.Grouped
@@ -188,24 +196,17 @@ func check(baseline, measured report, b bounds) []string {
 		fail("grouped replay: %.2fx one system exceeds budget %.2fx at GOMAXPROCS 1 (%d systems)",
 			g.Ratio1CPU, maxGroupedRatio, g.Systems)
 	}
-	if base := baseline.Grouped.Grouped.BytesPerOp; base > 0 {
-		if limit := int64(float64(base) * bytesSlack); g.Grouped.BytesPerOp > limit {
-			fail("grouped replay: %d B/op exceeds %d (baseline %d × slack %.2f)",
-				g.Grouped.BytesPerOp, limit, base, bytesSlack)
-		}
-	}
+	checkGrowth("grouped replay", "B/op", baseline.Grouped.Grouped.BytesPerOp, g.Grouped.BytesPerOp, bytesSlack)
+	// The upload arm too, by B/op and allocs/op alone.
+	up, baseUp := measured.Upload.Submit, baseline.Upload.Submit
+	checkGrowth("upload submit", "B/op", baseUp.BytesPerOp, up.BytesPerOp, bytesSlack)
+	checkGrowth("upload submit", "allocs/op", baseUp.AllocsPerOp, up.AllocsPerOp, b.allocSlack)
 	// Like the grouped arm, gated only when the artifact carries it.
 	if s := measured.Sweep; s.Ratio1CPU > maxSweepRatio {
 		fail("sweep replay: %.2fx one cache per configuration exceeds budget %.2fx at GOMAXPROCS 1 (%d configurations)",
 			s.Ratio1CPU, maxSweepRatio, s.Configs)
 	}
 	return failures
-}
-
-// fileRatio is the file-backed replay's ns/op over the in-memory
-// replay's, both with telemetry off.
-func fileRatio(r report) float64 {
-	return float64(r.File.Off.NsPerOp) / float64(r.Off.NsPerOp)
 }
 
 func main() {
@@ -221,7 +222,7 @@ func main() {
 	flag.Float64Var(&b.maxTrace, "max-trace-overhead", defaults.maxTrace,
 		"maximum trace-attached overhead in percent on the fan-out replay")
 	flag.Float64Var(&b.allocSlack, "alloc-slack", defaults.allocSlack,
-		"allowed multiple of baseline allocs/op on the file-backed replay")
+		"allowed multiple of baseline allocs/op on the file-backed replay and the upload admission")
 	flag.Parse()
 
 	baseline, err := load(*baselinePath)
@@ -249,14 +250,17 @@ func main() {
 		"file-backed %.2fx in-memory (budget %.2fx); "+
 		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f); "+
 		"grouped replay %.2fx one system (budget %.2fx), %d B/op (baseline %d, slack %.2f); "+
-		"sweep replay %.2fx one cache per configuration (budget %.2fx)\n",
+		"sweep replay %.2fx one cache per configuration (budget %.2fx); "+
+		"upload submit %d B/op, %d allocs/op (baseline %d/%d)\n",
 		measured.OverheadP, measured.IntroOverP, b.maxIntrospect,
 		measured.TraceOverP, b.maxTrace,
 		measured.File.OverheadP, b.maxOverhead,
-		fileRatio(measured), maxFileRatio,
+		measured.File.Ratio, maxFileRatio,
 		measured.File.Off.AllocsPerOp, measured.File.On.AllocsPerOp,
 		baseline.File.Off.AllocsPerOp, baseline.File.On.AllocsPerOp, b.allocSlack,
 		measured.Grouped.Ratio1CPU, maxGroupedRatio,
 		measured.Grouped.Grouped.BytesPerOp, baseline.Grouped.Grouped.BytesPerOp, bytesSlack,
-		measured.Sweep.Ratio1CPU, maxSweepRatio)
+		measured.Sweep.Ratio1CPU, maxSweepRatio,
+		measured.Upload.Submit.BytesPerOp, measured.Upload.Submit.AllocsPerOp,
+		baseline.Upload.Submit.BytesPerOp, baseline.Upload.Submit.AllocsPerOp)
 }

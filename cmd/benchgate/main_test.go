@@ -6,7 +6,8 @@ import (
 )
 
 // artifact is a BENCH_telemetry.json reduced to the columns the gate
-// reads, with the overheads inside their budgets.
+// reads, with the overheads inside their budgets. Its paired file ratio
+// is the ratio of the two arms' ns/op.
 func artifact(memNs, fileNs, fileAllocs int64) report {
 	return report{
 		Off:        entry{NsPerOp: memNs, AllocsPerOp: 28},
@@ -17,6 +18,7 @@ func artifact(memNs, fileNs, fileAllocs int64) report {
 			Off:       entry{NsPerOp: fileNs, AllocsPerOp: fileAllocs},
 			On:        entry{NsPerOp: fileNs, AllocsPerOp: fileAllocs + 172},
 			OverheadP: 1.0,
+			Ratio:     float64(fileNs) / float64(memNs),
 		},
 	}
 }
@@ -45,6 +47,19 @@ func TestFileRatioBound(t *testing.T) {
 	}
 	if failures := check(after, after, defaults); len(failures) != 0 {
 		t.Errorf("after, gated against itself: failures %q, want none", failures)
+	}
+	// The gate reads the paired ratio, not the arms' ns/op: a noisy host
+	// once put the minima at 1.61x (3.40 against 2.11 ms) while the
+	// decode had not changed.
+	noisy := artifact(2110000, 3400000, 30)
+	noisy.File.Ratio = 1.38
+	if failures := check(after, noisy, defaults); len(failures) != 0 {
+		t.Errorf("noisy minima, paired ratio 1.38: failures %q, want none", failures)
+	}
+	noisy.File.Ratio = 1.65
+	if failures := check(after, noisy, defaults); len(failures) != 1 ||
+		!strings.Contains(failures[0], "1.65x the in-memory replay exceeds budget 1.60x (paired;") {
+		t.Errorf("paired ratio 1.65: failures %q, want the file-ratio bound alone", failures)
 	}
 }
 
@@ -114,5 +129,37 @@ func TestSweepRatioBound(t *testing.T) {
 	}
 	if failures := check(base, after, defaults); len(failures) != 0 {
 		t.Errorf("after, against a baseline without the arm: failures %q, want none", failures)
+	}
+}
+
+// upload adds an upload-admission arm to a: BenchmarkUploadSubmit's
+// bytes and allocations per op, and a time per op the gate ignores.
+func upload(a report, ns, bytes, allocs int64) report {
+	a.Upload.Submit = entry{NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
+	return a
+}
+
+// TestUploadSubmitBounds checks the upload-admission bounds against the
+// 2333789 B/op and 344 allocs/op one 100k-record upload took on a 2-CPU
+// host: 3.4 MB/op (the admission while it still built every
+// configuration to validate it) breaks 1.25x the bytes, 600 allocs/op breaks 1.5x the allocations, and
+// a doubled ns/op alone fails nothing.
+func TestUploadSubmitBounds(t *testing.T) {
+	plain := artifact(2452947, 3336328, 33)
+	base := upload(plain, 4284732, 2333789, 344)
+
+	failures := check(base, upload(plain, 4284732, 3400000, 344), defaults)
+	if len(failures) != 1 || !strings.Contains(failures[0], "upload submit: 3400000 B/op exceeds 2917236") {
+		t.Errorf("grown bytes: failures %q, want the upload bytes bound alone", failures)
+	}
+	failures = check(base, upload(plain, 4284732, 2333789, 600), defaults)
+	if len(failures) != 1 || !strings.Contains(failures[0], "upload submit: 600 allocs/op exceeds 516") {
+		t.Errorf("grown allocs: failures %q, want the upload allocs bound alone", failures)
+	}
+	if failures := check(base, upload(plain, 2*4284732, 2333789, 344), defaults); len(failures) != 0 {
+		t.Errorf("doubled ns/op: failures %q, want none", failures)
+	}
+	if failures := check(plain, base, defaults); len(failures) != 0 {
+		t.Errorf("against a baseline without the arm: failures %q, want none", failures)
 	}
 }

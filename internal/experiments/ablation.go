@@ -22,14 +22,14 @@ func ablationQuasi(cfg Config) *Result {
 		head, quasi *core.Level
 	}
 	out := make([]row, len(names))
-	// One pass per benchmark: the baseline and both stream-buffer
-	// variants ride the same trace broadcast.
+	// One pass per benchmark: both stream-buffer variants, grouped on
+	// the baseline cache.
 	cfg.plan(eachBench(func(b int) []*run {
 		r := &out[b]
 		r.l1 = cache.MustNew(l1Config(4096, 16))
-		r.head = level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}})
-		r.quasi = level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4, Quasi: true}})
-		return []*run{feedL1(dSide, r.l1, nil), feedLevel(dSide, r.head), feedLevel(dSide, r.quasi)}
+		r.head = level(r.l1, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}})
+		r.quasi = level(r.l1, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4, Quasi: true}})
+		return []*run{group(dSide, nil, r.head, r.quasi)}
 	})...)
 
 	headers := []string{"program", "head-only removed", "quasi removed", "gain (pp)"}
@@ -65,19 +65,18 @@ func ablationStride(cfg Config) *Result {
 
 	headers := []string{"pattern", "baseline D misses",
 		"sequential 4-way", "stride-detecting 4-way"}
-	// Generate each pattern once; the baseline and both buffer
-	// variants consume the same streamed trace.
+	// Generate each pattern once; both buffer variants, grouped on the
+	// baseline cache, consume the same streamed trace.
 	l1s := make([]*cache.Cache, len(patterns))
 	fes := make([][2]*core.Level, len(patterns)) // sequential, stride-detecting
 	passes := make([]*pass, len(patterns))
 	for i, pat := range patterns {
 		l1s[i] = cache.MustNew(l1Config(4096, 16))
 		fes[i] = [2]*core.Level{
-			level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}),
-			level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4, DetectStride: true}}),
+			level(l1s[i], core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}),
+			level(l1s[i], core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4, DetectStride: true}}),
 		}
-		passes[i] = &pass{gen: pat.bench, runs: []*run{
-			feedL1(dSide, l1s[i], nil), feedLevel(dSide, fes[i][0]), feedLevel(dSide, fes[i][1])}}
+		passes[i] = &pass{gen: pat.bench, runs: []*run{group(dSide, nil, fes[i][:]...)}}
 	}
 	cfg.plan(passes...)
 	var rows [][]string
@@ -150,17 +149,18 @@ func ablationMissCmp(cfg Config) *Result {
 	}
 	sweeps := make([]sweep, len(names))
 	// Nine configurations per benchmark (the baseline plus a miss
-	// and a victim cache at each entry count) ride one trace pass.
+	// and a victim cache at each entry count) ride one trace pass, the
+	// eight levels grouped on the baseline cache.
 	cfg.plan(eachBench(func(b int) []*run {
 		sw := &sweeps[b]
 		sw.l1 = cache.MustNew(l1Config(4096, 16))
-		runs := []*run{feedL1(dSide, sw.l1, nil)}
+		var fes []*core.Level
 		for ei, e := range entries {
-			sw.mcs[ei] = level(4096, 16, core.Aux{MissCache: e})
-			sw.vcs[ei] = level(4096, 16, core.Aux{Victim: e})
-			runs = append(runs, feedLevel(dSide, sw.mcs[ei]), feedLevel(dSide, sw.vcs[ei]))
+			sw.mcs[ei] = level(sw.l1, core.Aux{MissCache: e})
+			sw.vcs[ei] = level(sw.l1, core.Aux{Victim: e})
+			fes = append(fes, sw.mcs[ei], sw.vcs[ei])
 		}
-		return runs
+		return []*run{group(dSide, nil, fes...)}
 	})...)
 
 	headers := []string{"program"}
@@ -207,7 +207,7 @@ func ablationReplacement(cfg Config) *Result {
 			l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: 4,
 				Replacement: pol, RandomSeed: 12345})
 			fes[b][p] = core.NewBaseline(l1, nil, core.DefaultTiming())
-			runs[p] = feedLevel(dSide, fes[b][p])
+			runs[p] = group(dSide, nil, fes[b][p])
 		}
 		return runs
 	})...)

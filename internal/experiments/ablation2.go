@@ -6,6 +6,7 @@ import (
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/hierarchy"
+	"jouppi/internal/memtrace"
 	"jouppi/internal/prefetch"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
@@ -19,19 +20,18 @@ import (
 func ablationAssoc(cfg Config) *Result {
 	names := benchNames()
 
-	mk := func(assoc, victim int) *core.Level {
-		l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: assoc})
-		return core.NewVictimCache(l1, victim, nil, core.DefaultTiming())
+	mk := func(assoc int) *cache.Cache {
+		return cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: assoc})
 	}
 	fes := make([][5]*core.Level, len(names)) // dm, dm+vc4, 2-way, 4-way, fully-assoc
-	// One pass per benchmark feeds all five caches.
+	// One pass per benchmark feeds all five levels; the two direct-mapped
+	// ones share one cache.
 	cfg.plan(eachBench(func(b int) []*run {
-		fes[b] = [5]*core.Level{mk(1, 0), mk(1, 4), mk(2, 0), mk(4, 0), mk(cache.FullyAssociative, 0)}
-		runs := make([]*run, len(fes[b]))
-		for j, fe := range fes[b] {
-			runs[j] = feedLevel(dSide, fe)
-		}
-		return runs
+		dm := mk(1)
+		fes[b] = [5]*core.Level{level(dm, core.Aux{}), level(dm, core.Aux{Victim: 4}),
+			level(mk(2), core.Aux{}), level(mk(4), core.Aux{}), level(mk(cache.FullyAssociative), core.Aux{})}
+		return []*run{group(dSide, nil, fes[b][0], fes[b][1]), group(dSide, nil, fes[b][2]),
+			group(dSide, nil, fes[b][3]), group(dSide, nil, fes[b][4])}
 	})...)
 
 	headers := []string{"program", "direct", "direct+vc4", "2-way", "4-way", "fully-assoc"}
@@ -65,34 +65,34 @@ func ablationAssoc(cfg Config) *Result {
 func ablationPrefetchCmp(cfg Config) *Result {
 	names := benchNames()
 
-	type cell struct {
-		removed float64
-		stall   float64
-	}
-	// One pass per benchmark: on each side a baseline, the three
-	// prefetchers and the two stream buffers.
+	type cell struct{ removed, stall float64 }
+	// One pass per benchmark: on each side the three prefetchers, and
+	// a baseline level and the two stream buffers grouped on one cache.
 	policies := []prefetch.Policy{prefetch.OnMiss, prefetch.Tagged, prefetch.Always}
 	type sides struct {
-		l1  [2]*cache.Cache
-		pfs [2][3]*prefetch.FrontEnd // per policy
-		sbs [2][2]*core.Level        // single, 4-way
+		base [2]*core.Level
+		pfs  [2][3]*prefetch.FrontEnd // per policy
+		sbs  [2][2]*core.Level        // single, 4-way
 	}
 	structs := make([]sides, len(names))
 	cfg.plan(eachBench(func(b int) []*run {
 		st := &structs[b]
 		var runs []*run
 		for sd := iSide; sd <= dSide; sd++ {
-			st.l1[sd] = cache.MustNew(l1Config(4096, 16))
-			runs = append(runs, feedL1(sd, st.l1[sd], nil))
 			for pi, pol := range policies {
-				st.pfs[sd][pi] = prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
+				pf := prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
 					prefetch.Timing{MissPenalty: 24, FillLatency: 24}, nil)
-				runs = append(runs, feedPrefetch(sd, st.pfs[sd][pi]))
+				st.pfs[sd][pi] = pf
+				runs = append(runs, feedFunc(sd, func(a memtrace.Access) {
+					pf.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+				}))
 			}
+			l1 := cache.MustNew(l1Config(4096, 16))
+			st.base[sd] = level(l1, core.Aux{})
 			for wi, ways := range []int{1, 4} {
-				st.sbs[sd][wi] = level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
-				runs = append(runs, feedLevel(sd, st.sbs[sd][wi]))
+				st.sbs[sd][wi] = level(l1, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
 			}
+			runs = append(runs, group(sd, nil, st.base[sd], st.sbs[sd][0], st.sbs[sd][1]))
 		}
 		return runs
 	})...)
@@ -101,21 +101,18 @@ func ablationPrefetchCmp(cfg Config) *Result {
 	// buffer, 4 = 4-way stream buffers]
 	out := make([][2][5]cell, len(names))
 	for b, st := range structs {
-		for sd := range st.l1 {
-			base := st.l1[sd].Stats().Misses
+		for sd := range st.base {
+			base := float64(st.base[sd].Stats().L1Misses)
+			mk := func(misses, stalls, accesses uint64) cell {
+				return cell{stats.PercentReduction(base, float64(misses)), float64(stalls) / float64(max(1, accesses))}
+			}
 			for pi, fe := range st.pfs[sd] {
 				s := fe.Stats()
-				out[b][sd][pi] = cell{
-					removed: stats.PercentReduction(float64(base), float64(s.Misses)),
-					stall:   float64(s.StallCycles) / float64(max(1, s.Accesses)),
-				}
+				out[b][sd][pi] = mk(s.Misses, s.StallCycles, s.Accesses)
 			}
 			for wi, fe := range st.sbs[sd] {
 				s := fe.Stats()
-				out[b][sd][3+wi] = cell{
-					removed: stats.PercentReduction(float64(base), float64(s.FullMisses())),
-					stall:   float64(s.StallCycles) / float64(max(1, s.Accesses)),
-				}
+				out[b][sd][3+wi] = mk(s.FullMisses(), s.StallCycles, s.Accesses)
 			}
 		}
 	}
@@ -167,12 +164,10 @@ func ablationDepth(cfg Config) *Result {
 	fes := make([][5]*core.Level, len(names)) // per depth
 	cfg.plan(eachBench(func(b int) []*run {
 		l1s[b] = cache.MustNew(l1Config(4096, 16))
-		runs := []*run{feedL1(dSide, l1s[b], nil)}
 		for di, d := range depths {
-			fes[b][di] = level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: d}})
-			runs = append(runs, feedLevel(dSide, fes[b][di]))
+			fes[b][di] = level(l1s[b], core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: d}})
 		}
-		return runs
+		return []*run{group(dSide, nil, fes[b][:]...)}
 	})...)
 	out := make([][]cell, len(names))
 	for i := range out {
@@ -265,10 +260,9 @@ func ablationMultiprog(cfg Config) *Result {
 	systems := make([][]*hierarchy.System, len(quanta))
 	passes := make([]*pass, len(quanta))
 	for qi, q := range quanta {
-		var runs []*run
-		systems[qi], runs = feedSystems(hierarchy.Config{}, improvedConfig())
+		systems[qi] = newSystems(hierarchy.Config{}, improvedConfig())
 		passes[qi] = &pass{gen: workload.Multiprogram(q, workload.Ccom(), workload.Grr(), workload.Yacc()),
-			runs: runs}
+			runs: clustered(systems[qi]...)}
 	}
 	cfg.plan(passes...)
 

@@ -23,7 +23,7 @@ func ablationBandwidth(cfg Config) *Result {
 	passes := eachBench(func(b int) []*run {
 		n := new(uint64)
 		stores[b] = n
-		return []*run{feedFunc(func(a memtrace.Access) {
+		return []*run{feedFunc(allRefs, func(a memtrace.Access) {
 			if a.Kind == memtrace.Store {
 				*n++
 			}

@@ -28,11 +28,12 @@ type Config struct {
 	Traces *TraceSet
 
 	// Accesses, when non-nil, is bumped by the number of references each
-	// replay pass simulated: a side run books its side's references and
-	// a system or whole-trace run books all of them. They are added in
-	// bulk at the end of the pass, so parallel sweep workers do not
-	// contend per access. It is what a live progress display watches.
-	// RunAll wires it automatically when RunOptions.Telemetry is set.
+	// replay pass simulated: a run books the references of its side (or
+	// all of them) once per structure it feeds, a level of a group or a
+	// system of a cluster. They are added in bulk at the end of the
+	// pass, so parallel sweep workers do not contend per access. It is
+	// what a live progress display watches. RunAll wires it
+	// automatically when RunOptions.Telemetry is set.
 	Accesses *telemetry.Counter
 
 	// ctx carries the run's cancellation signal into plan and replay,
@@ -182,11 +183,6 @@ func (ts *TraceSet) Get(name string) *memtrace.Trace {
 	return t
 }
 
-// Source returns a fresh streaming cursor over the named benchmark's
-// cached trace. Every call yields an independent cursor, so concurrent
-// sweep workers can replay the shared read-only trace simultaneously.
-func (ts *TraceSet) Source(name string) memtrace.Source { return ts.Get(name).Source() }
-
 // benchNames is the paper-order benchmark list.
 func benchNames() []string { return workload.Names() }
 
@@ -221,6 +217,25 @@ func (s side) keep(a memtrace.Access) bool {
 // l1Config returns a first-level cache configuration.
 func l1Config(size, lineSize int) cache.Config {
 	return cache.Config{Name: "L1", Size: size, LineSize: lineSize, Assoc: 1}
+}
+
+// sideTable tabulates per-benchmark percentages, perBench[side][x][bench]:
+// a row per benchmark and side, a column per value of xs.
+func sideTable(xs []int, perBench [][][]float64) (headers []string, rows [][]string) {
+	headers = []string{"program", "side"}
+	for _, x := range xs {
+		headers = append(headers, fmt.Sprint(x))
+	}
+	for b, name := range benchNames() {
+		for s, label := range []string{"I", "D"} {
+			row := []string{name, label}
+			for x := range xs {
+				row = append(row, fmtPct(perBench[s][x][b]))
+			}
+			rows = append(rows, row)
+		}
+	}
+	return headers, rows
 }
 
 // fmtPct formats a percentage with one decimal.

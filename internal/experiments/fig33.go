@@ -21,8 +21,9 @@ func conflictRemovalSweep(cfg Config, id, title string, aux func(entries int) co
 	entries []int, cacheSize, lineSize int) *Result {
 	names := benchNames()
 
-	// Per benchmark and side: the classified baseline and a level per
-	// entry count, all fed by one pass over the benchmark.
+	// Per benchmark and side: a level per entry count, grouped on one
+	// cache whose Stats are the baseline's and whose references the
+	// classifier reads. One pass over the benchmark feeds both sides.
 	type sweep struct {
 		l1  [2]*cache.Cache
 		cl  [2]*classify.Classifier
@@ -34,12 +35,10 @@ func conflictRemovalSweep(cfg Config, id, title string, aux func(entries int) co
 		var runs []*run
 		for s := iSide; s <= dSide; s++ {
 			sw.l1[s], sw.cl[s] = cache.MustNew(l1Config(cacheSize, lineSize)), classify.MustNew(cacheSize, lineSize)
-			runs = append(runs, feedL1(s, sw.l1[s], sw.cl[s]))
 			for _, e := range entries {
-				fe := level(cacheSize, lineSize, aux(e))
-				sw.fes[s] = append(sw.fes[s], fe)
-				runs = append(runs, feedLevel(s, fe))
+				sw.fes[s] = append(sw.fes[s], level(sw.l1[s], aux(e)))
 			}
+			runs = append(runs, group(s, sw.cl[s], sw.fes[s]...))
 		}
 		return runs
 	})...)
@@ -82,20 +81,7 @@ func conflictRemovalSweep(cfg Config, id, title string, aux func(entries int) co
 		{Name: "L1 D-cache (avg)", X: xs, Y: removed[1]},
 	}
 
-	headers := []string{"program", "side"}
-	for _, e := range entries {
-		headers = append(headers, fmt.Sprintf("%d", e))
-	}
-	var rows [][]string
-	for b, name := range names {
-		for s := 0; s < 2; s++ {
-			row := []string{name, map[int]string{0: "I", 1: "D"}[s]}
-			for e := range entries {
-				row = append(row, fmtPct(perBench[s][e][b]))
-			}
-			rows = append(rows, row)
-		}
-	}
+	headers, rows := sideTable(entries, perBench)
 
 	text := textplot.Lines(title+fmt.Sprintf(" (%dKB caches, %dB lines)", cacheSize/1024, lineSize),
 		"entries", "% conflict misses removed", series, 60, 14) +

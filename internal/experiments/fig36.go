@@ -26,8 +26,8 @@ func victimVsParamSweep(cfg Config, id, title, xLabel string,
 	}
 	points := make([]point, len(params))
 
-	// cell is one benchmark at one parameter value: its classified
-	// baseline and a victim-cached level per entry count.
+	// cell is one benchmark at one parameter value: a victim-cached
+	// level per entry count, grouped on one classified baseline cache.
 	type cell struct {
 		l1  *cache.Cache
 		cl  *classify.Classifier
@@ -42,11 +42,10 @@ func victimVsParamSweep(cfg Config, id, title, xLabel string,
 			size, line := mkGeom(p)
 			c := &cells[b][pi]
 			c.l1, c.cl = cache.MustNew(l1Config(size, line)), classify.MustNew(size, line)
-			runs = append(runs, feedL1(dSide, c.l1, c.cl))
 			for ei, e := range entries {
-				c.fes[ei] = level(size, line, core.Aux{Victim: e})
-				runs = append(runs, feedLevel(dSide, c.fes[ei]))
+				c.fes[ei] = level(c.l1, core.Aux{Victim: e})
 			}
+			runs = append(runs, group(dSide, c.cl, c.fes[:]...))
 		}
 		return runs
 	})...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
+	"jouppi/internal/memtrace"
 	"jouppi/internal/prefetch"
 	"jouppi/internal/textplot"
 )
@@ -23,8 +24,9 @@ func fig41(cfg Config) *Result {
 	runs := make([]*run, len(policies))
 	for i, pol := range policies {
 		hists[i] = prefetch.NewTimeToUse(buckets)
-		runs[i] = feedPrefetch(iSide, prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
-			prefetch.Timing{MissPenalty: 24, FillLatency: 24}, hists[i]))
+		pf := prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
+			prefetch.Timing{MissPenalty: 24, FillLatency: 24}, hists[i])
+		runs[i] = feedFunc(iSide, func(a memtrace.Access) { pf.Access(uint64(a.Addr), a.Kind == memtrace.Store) })
 	}
 	cfg.plan(&pass{bench: "ccom", runs: runs})
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/stats"
@@ -18,9 +16,9 @@ func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 	names := benchNames()
 	limits := []int{0, 1, 2, 4, 6, 8, 10, 12, 16}
 
-	// One pass per benchmark: both sides' baselines and a stream buffer
-	// per run limit. A run limit of 0 is no prefetching at all: the
-	// baseline itself.
+	// One pass per benchmark: on each side a stream buffer per run
+	// limit, grouped on the baseline cache. A run limit of 0 is no
+	// prefetching at all: the baseline itself.
 	type sweep struct {
 		l1  [2]*cache.Cache
 		fes [2][]*core.Level
@@ -31,12 +29,11 @@ func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 		var runs []*run
 		for s := iSide; s <= dSide; s++ {
 			sw.l1[s] = cache.MustNew(l1Config(4096, 16))
-			runs = append(runs, feedL1(s, sw.l1[s], nil))
 			for _, r := range limits[1:] {
-				fe := level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4, RunLimit: r}})
-				sw.fes[s] = append(sw.fes[s], fe)
-				runs = append(runs, feedLevel(s, fe))
+				sw.fes[s] = append(sw.fes[s],
+					level(sw.l1[s], core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4, RunLimit: r}}))
 			}
+			runs = append(runs, group(s, nil, sw.fes[s]...))
 		}
 		return runs
 	})...)
@@ -79,20 +76,7 @@ func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 		{Name: "L1 D-cache (avg)", X: xs, Y: avg(1)},
 	}
 
-	headers := []string{"program", "side"}
-	for _, r := range limits {
-		headers = append(headers, fmt.Sprint(r))
-	}
-	var rows [][]string
-	for b, name := range names {
-		for s := 0; s < 2; s++ {
-			row := []string{name, map[int]string{0: "I", 1: "D"}[s]}
-			for r := range limits {
-				row = append(row, fmtPct(perBench[s][r][b]))
-			}
-			rows = append(rows, row)
-		}
-	}
+	headers, rows := sideTable(limits, perBench)
 	text := textplot.Lines(title, "length of stream run (lines prefetched past miss)",
 		"% misses removed (cumulative)", series, 60, 14) +
 		"\nPer-benchmark percentage of misses removed vs run length:\n" +

@@ -26,8 +26,8 @@ func streamParamSweep(cfg Config, id, title, xLabel string,
 		}
 	}
 
-	// cell is one benchmark, side and parameter value: the baseline and
-	// a level per stream-buffer way count.
+	// cell is one benchmark, side and parameter value: a level per
+	// stream-buffer way count, grouped on the baseline cache.
 	type cell struct {
 		l1  *cache.Cache
 		fes [2]*core.Level
@@ -42,11 +42,10 @@ func streamParamSweep(cfg Config, id, title, xLabel string,
 			for s := iSide; s <= dSide; s++ {
 				c := &cells[b][s][pi]
 				c.l1 = cache.MustNew(l1Config(size, line))
-				runs = append(runs, feedL1(s, c.l1, nil))
 				for wi, w := range ways {
-					c.fes[wi] = level(size, line, core.Aux{Stream: core.StreamConfig{Ways: w, Depth: 4}})
-					runs = append(runs, feedLevel(s, c.fes[wi]))
+					c.fes[wi] = level(c.l1, core.Aux{Stream: core.StreamConfig{Ways: w, Depth: 4}})
 				}
+				runs = append(runs, group(s, nil, c.fes[:]...))
 			}
 		}
 		return runs

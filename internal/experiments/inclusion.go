@@ -19,21 +19,12 @@ func ablationInclusion(cfg Config) *Result {
 	names := benchNames()
 
 	smallL2 := cache.Config{Name: "L2", Size: 32 << 10, LineSize: 128, Assoc: 1}
-	mkPlain := func() hierarchy.Config {
-		return hierarchy.Config{L2: smallL2}
-	}
-	mkVictim := func() hierarchy.Config {
-		return hierarchy.Config{
-			L2:       smallL2,
-			DAugment: core.Aux{Victim: 15},
-		}
-	}
+	plain, victim := hierarchy.Config{L2: smallL2}, hierarchy.Config{L2: smallL2, DAugment: core.Aux{Victim: 15}}
 
 	systems := make([][]*hierarchy.System, len(names)) // plain, victim-cached
 	cfg.plan(eachBench(func(b int) []*run {
-		var runs []*run
-		systems[b], runs = feedSystems(mkPlain(), mkVictim())
-		return runs
+		systems[b] = newSystems(plain, victim)
+		return clustered(systems[b]...)
 	})...)
 
 	pct := func(r hierarchy.InclusionReport) string {

@@ -6,6 +6,7 @@ import (
 	"jouppi/internal/core"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/introspect"
+	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
 )
 
@@ -33,12 +34,12 @@ func introspectPhase(cfg Config) *Result {
 		{},
 		{DAugment: core.Aux{Victim: 4}},
 	}
-	systems, runs := feedSystems(sysCfgs...)
+	systems := newSystems(sysCfgs...)
 	probes := make([]*introspect.SystemProbe, len(systems))
 	for i, sys := range systems {
 		probes[i] = introspect.Attach(sys, opts)
 	}
-	cfg.plan(&pass{bench: "ccom", runs: runs})
+	cfg.plan(&pass{bench: "ccom", runs: clustered(systems...)})
 	// Results flushes each system, syncing the probes to the final count.
 	baseStats, victStats := systems[0].Results(tr.Instructions()), systems[1].Results(tr.Instructions())
 
@@ -67,8 +68,8 @@ func introspectPhase(cfg Config) *Result {
 			fmt.Sprint(s),
 			fmt.Sprint(b.Accesses),
 			fmt.Sprint(b.Evictions),
-			fmtPct(pct(b.Misses, b.Accesses)),
-			fmtPct(pct(victFullMisses(v, victStats), v.Accesses)),
+			fmtPct(stats.Percent(float64(b.Misses), float64(b.Accesses))),
+			fmtPct(stats.Percent(float64(victFullMisses(v, victStats)), float64(v.Accesses))),
 		})
 	}
 	text += "\n" + textplot.Table(headers, rows)
@@ -83,13 +84,6 @@ func introspectPhase(cfg Config) *Result {
 		Headers: headers,
 		Rows:    rows,
 	}
-}
-
-func pct(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den) * 100
 }
 
 // victFullMisses approximates a set's post-victim-cache miss traffic:

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
@@ -19,8 +20,8 @@ func overlap(cfg Config) *Result {
 
 	fes := make([]*core.Level, len(names))
 	cfg.plan(eachBench(func(b int) []*run {
-		fes[b] = level(4096, 16, core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}})
-		return []*run{feedLevel(dSide, fes[b])}
+		fes[b] = level(cache.MustNew(l1Config(4096, 16)), core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}})
+		return []*run{group(dSide, nil, fes[b])}
 	})...)
 
 	headers := []string{"program", "victim hits", "overlap hits", "overlap %",

@@ -29,8 +29,8 @@ func TestPaperStreamBufferHeadlines(t *testing.T) {
 		fes := make([]*core.Level, len(names))
 		cfg.plan(eachBench(func(b int) []*run {
 			l1s[b] = cache.MustNew(l1Config(4096, 16))
-			fes[b] = level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
-			return []*run{feedL1(s, l1s[b], nil), feedLevel(s, fes[b])}
+			fes[b] = level(l1s[b], core.Aux{Stream: core.StreamConfig{Ways: ways, Depth: 4}})
+			return []*run{group(s, nil, fes[b])}
 		})...)
 		vals := make([]float64, len(names))
 		include := make([]bool, len(names))
@@ -73,10 +73,10 @@ func TestPaperLiverMultiWayShowcase(t *testing.T) {
 	cfg := smallCfg()
 	l1 := cache.MustNew(l1Config(4096, 16))
 	fes := []*core.Level{
-		level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}}),
-		level(4096, 16, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}),
+		level(l1, core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}}),
+		level(l1, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}),
 	}
-	cfg.replay(cfg.Traces.Source("liver"), feedL1(dSide, l1, nil), feedLevel(dSide, fes[0]), feedLevel(dSide, fes[1]))
+	cfg.plan(&pass{bench: "liver", runs: []*run{group(dSide, nil, fes...)}})
 	removed := func(fe *core.Level) float64 {
 		return stats.PercentReduction(float64(l1.Stats().Misses), float64(fe.Stats().FullMisses()))
 	}

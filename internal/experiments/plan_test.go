@@ -36,15 +36,23 @@ func TestPlanContract(t *testing.T) {
 	names := benchNames()
 	gen := workload.Strided()
 	// declare builds more passes than workers: two per benchmark and a
-	// generated one, each with a whole-trace run and a D-side run.
-	declare := func() []*pass {
+	// generated one, each with a whole-trace run and a D-side run. The
+	// D-side run of the pass numbered boom takes explode; -1 is none.
+	declare := func(boom int, explode func(memtrace.Access)) []*pass {
 		var passes []*pass
-		for i := 0; i < 2*len(names); i++ {
-			passes = append(passes, &pass{bench: names[i%len(names)],
-				runs: []*run{feedFunc(func(memtrace.Access) {}), {side: dSide, step: func(memtrace.Access) {}}}})
+		for i := 0; i <= 2*len(names); i++ {
+			dStep := func(memtrace.Access) {}
+			if i == boom {
+				dStep = explode
+			}
+			p := &pass{gen: gen}
+			if i < 2*len(names) {
+				p.bench = names[i%len(names)]
+			}
+			p.runs = []*run{feedFunc(allRefs, func(memtrace.Access) {}), feedFunc(dSide, dStep)}
+			passes = append(passes, p)
 		}
-		return append(passes, &pass{gen: gen,
-			runs: []*run{feedFunc(func(memtrace.Access) {}), {side: dSide, step: func(memtrace.Access) {}}}})
+		return passes
 	}
 	genTrace := workload.GenerateTrace(gen, cfg.Scale)
 	trace := func(p *pass) *memtrace.Trace {
@@ -59,7 +67,7 @@ func TestPlanContract(t *testing.T) {
 			var booked telemetry.Counter
 			run := cfg
 			run.Accesses = &booked
-			passes := declare()
+			passes := declare(-1, nil)
 			run.plan(passes...)
 			var want uint64
 			for i, p := range passes {
@@ -80,8 +88,7 @@ func TestPlanContract(t *testing.T) {
 
 		t.Run("run panic", func(t *testing.T) {
 			exp := Experiment{ID: "boom", Title: "panicking run", Run: func(cfg Config) *Result {
-				passes := declare()
-				passes[len(passes)/2].runs[1].step = explodingStep
+				passes := declare(2*len(names)/2, explodingStep)
 				cfg.plan(passes...)
 				return &Result{ID: "boom"}
 			}}
@@ -104,7 +111,7 @@ func TestPlanContract(t *testing.T) {
 			var booked telemetry.Counter
 			run := cfg.WithContext(ctx)
 			run.Accesses = &booked
-			passes := declare()
+			passes := declare(-1, nil)
 			run.plan(passes...)
 			for i, p := range passes {
 				if p.runs[0].n != 0 || p.runs[1].n != 0 || p.instrs != 0 {
@@ -125,8 +132,8 @@ func TestPlanClosesGeneratedSources(t *testing.T) {
 	eachProcs(t, func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		exp := Experiment{ID: "boom", Title: "panicking generated run", Run: func(cfg Config) *Result {
-			cfg.plan(&pass{gen: workload.Strided(), runs: []*run{feedFunc(explodingStep)}},
-				&pass{gen: workload.PointerChase(), runs: []*run{feedFunc(explodingStep)}})
+			cfg.plan(&pass{gen: workload.Strided(), runs: []*run{feedFunc(allRefs, explodingStep)}},
+				&pass{gen: workload.PointerChase(), runs: []*run{feedFunc(allRefs, explodingStep)}})
 			return &Result{ID: "boom"}
 		}}
 		out, err := RunAll(context.Background(), smallCfg(), RunOptions{Experiments: []Experiment{exp}})
@@ -166,8 +173,8 @@ func (brokenBench) Generate(_ float64, sink memtrace.Sink) {
 func TestPlanGeneratorPanicFailsItsExhibit(t *testing.T) {
 	eachProcs(t, func(t *testing.T) {
 		broken := Experiment{ID: "broken", Title: "panicking generator", Run: func(cfg Config) *Result {
-			cfg.plan(&pass{gen: brokenBench{}, runs: []*run{feedFunc(func(memtrace.Access) {})}},
-				&pass{gen: workload.Strided(), runs: []*run{feedFunc(func(memtrace.Access) {})}})
+			cfg.plan(&pass{gen: brokenBench{}, runs: []*run{feedFunc(allRefs, func(memtrace.Access) {})}},
+				&pass{gen: workload.Strided(), runs: []*run{feedFunc(allRefs, func(memtrace.Access) {})}})
 			return &Result{ID: "broken"}
 		}}
 		out, err := RunAll(context.Background(), smallCfg(),

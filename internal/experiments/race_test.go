@@ -4,11 +4,12 @@ import (
 	"sync"
 	"testing"
 
+	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/memtrace"
 )
 
-// TraceSet.Get and Source must be safe when sweep workers hit them
+// TraceSet.Get and its traces' Source must be safe when sweep workers hit them
 // concurrently: first-use generation races against readers of the cached
 // trace. Run with -race (the Makefile's test target does).
 func TestTraceSetConcurrentAccess(t *testing.T) {
@@ -21,7 +22,7 @@ func TestTraceSetConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i, name := range names {
 				n := 0
-				memtrace.Each(ts.Source(name), func(memtrace.Access) { n++ })
+				memtrace.Each(ts.Get(name).Source(), func(memtrace.Access) { n++ })
 				if n == 0 {
 					t.Errorf("worker %d: empty stream for %s (iter %d)", w, name, i)
 				}
@@ -40,8 +41,8 @@ func TestParallelSweepOverSharedTraces(t *testing.T) {
 	fes := make([]*core.Level, 2*len(names))
 	passes := make([]*pass, len(fes))
 	for i := range fes {
-		fes[i] = level(4096, 16, core.Aux{})
-		passes[i] = &pass{bench: names[i%len(names)], runs: []*run{feedLevel(dSide, fes[i])}}
+		fes[i] = level(cache.MustNew(l1Config(4096, 16)), core.Aux{})
+		passes[i] = &pass{bench: names[i%len(names)], runs: []*run{group(dSide, nil, fes[i])}}
 	}
 	cfg := Config{Scale: 0.02, Traces: ts}
 	cfg.plan(passes...)

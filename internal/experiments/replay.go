@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -13,38 +13,49 @@ import (
 	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
-	"jouppi/internal/prefetch"
 	"jouppi/internal/workload"
 )
 
-// This file is the package's one way to replay a trace. An exhibit works
-// in three steps: it builds every structure it needs and declares one
-// pass per source (a benchmark of the trace set or a generated workload)
-// with that pass's runs; it calls cfg.plan once; then it reads the
-// structures. plan spreads the passes over workers, and each pass is one
-// cfg.replay over its source. Each run applies its structure's per-access
-// step in trace order, one reference at a time, so a run's numbers do not
-// depend on how many other runs share its pass or how passes are spread.
+// This file is the package's one way to replay a trace. An exhibit builds
+// every structure it needs and declares one pass per source (a benchmark
+// of the trace set or a generated workload) with that pass's runs; it
+// calls cfg.plan once; then it reads the structures. A run is one
+// consumer of its pass's chunks behind a side filter, of one of three
+// kinds: a group of levels on one write-through cache, which probes and
+// fills the cache once per reference for all of them (group); the
+// clusters hierarchy.Clusters makes of two-level systems (clustered); or
+// a step that takes any other structure one reference at a time
+// (feedFunc). Each kind leaves its structures as replaying each alone
+// would, so a run's numbers do not depend on what shares its pass.
 
-// run is one structure fed by a replay pass: the references of one side
-// (or of the whole trace) go to step. n counts the references it
-// simulated.
+// run is one consumer of a replay pass: the references of one side (or
+// of the whole trace) go to feed a chunk at a time. weight is the number
+// of structures feed simulates; n counts the references the run books,
+// each once per structure.
 type run struct {
-	side side
-	step func(memtrace.Access)
-	n    uint64
+	side   side
+	feed   func([]memtrace.Access)
+	weight uint64
+	n      uint64
+	buf    []memtrace.Access // the side's references of the last chunk
+	// release, when non-nil, ends the clusters the run belongs to; plan
+	// calls it once every pass has ended.
+	release func()
 }
 
 // Consume implements fanout.Consumer.
 func (r *run) Consume(chunk []memtrace.Access) {
-	n := r.n
-	for _, a := range chunk {
-		if r.side.keep(a) {
-			r.step(a)
-			n++
+	if r.side != allRefs {
+		buf := r.buf[:0]
+		for _, a := range chunk {
+			if r.side.keep(a) {
+				buf = append(buf, a)
+			}
 		}
+		r.buf, chunk = buf, buf
 	}
-	r.n = n
+	r.n += r.weight * uint64(len(chunk))
+	r.feed(chunk)
 }
 
 // pass is one replay of one source through its runs. The source is the
@@ -65,8 +76,18 @@ type pass struct {
 // A panicking run re-panics in the caller's goroutine as the
 // *fanout.ConsumerPanic replay raised, for runShielded to report; a
 // worker relays any other panic, a generator's, as a *passPanic with
-// the stack it panicked on. No further pass starts after it.
+// the stack it panicked on. No further pass starts after it. plan
+// releases every run's clusters when it returns, also when it panics.
 func (cfg Config) plan(passes ...*pass) {
+	defer func() {
+		for _, p := range passes {
+			for _, r := range p.runs {
+				if r.release != nil {
+					r.release()
+				}
+			}
+		}
+	}()
 	workers := min(runtime.GOMAXPROCS(0), len(passes))
 	if workers <= 1 {
 		for _, p := range passes {
@@ -130,104 +151,113 @@ func eachBench(build func(b int) []*run) []*pass {
 	return passes
 }
 
-// replayPass replays p's source through p's runs: the benchmark's
-// trace, or the generated workload pushed on this goroutine. A panic of
-// the generator's own comes back here once the runs have stopped. It
-// replays nothing once cfg's context is done.
+// replayPass makes one pass over p's source with every run as a fan-out
+// consumer (inline for one run): the benchmark's trace, or the generated
+// workload pushed on this goroutine, whose own panic comes back here
+// once the runs have stopped. It reads nothing if cfg's context is
+// already done and stops early if it is cancelled mid-pass; RunAll
+// discards the partial numbers. It then books each run's references to
+// cfg.Accesses: those of the run's side (or all of them), once per
+// structure the run feeds. A panicking run re-panics as
+// *fanout.ConsumerPanic.
 func (cfg Config) replayPass(p *pass) {
-	if cfg.Context().Err() != nil {
+	ctx := cfg.Context()
+	if ctx.Err() != nil {
 		return
 	}
+	consumers := make([]fanout.Consumer, len(p.runs))
+	for i, r := range p.runs {
+		consumers[i] = r
+	}
+	// The only error a source and runs can cause is ctx's, which RunAll
+	// reports itself.
 	if p.bench != "" {
 		tr := cfg.Traces.Get(p.bench)
 		p.instrs = tr.Instructions()
-		cfg.replay(tr.Source(), p.runs...)
-		return
-	}
-	var counts memtrace.Counts
-	cfg.feed(p.runs, func(ctx context.Context, consumers []fanout.Consumer) error {
-		return fanout.Generate(ctx, func(sink memtrace.Sink) {
+		_ = fanout.Replay(ctx, tr.Source(), consumers...)
+	} else {
+		var counts memtrace.Counts
+		_ = fanout.Generate(ctx, func(sink memtrace.Sink) {
 			p.gen.Generate(cfg.Scale, memtrace.SinkFunc(func(a memtrace.Access) {
 				counts.Observe(a)
 				sink.Access(a)
 			}))
 		}, consumers...)
-	})
-	p.instrs = counts.Instructions()
-}
-
-// replay makes one pass over src that feeds every run.
-func (cfg Config) replay(src memtrace.Source, runs ...*run) {
-	cfg.feed(runs, func(ctx context.Context, consumers []fanout.Consumer) error {
-		return fanout.Replay(ctx, src, consumers...)
-	})
-}
-
-// feed makes one pass through deliver with every run as a consumer:
-// inline for one run, on fan-out for several. It reads nothing if cfg's
-// context is already done and stops early if it is cancelled mid-pass;
-// RunAll discards the partial numbers. It books each run's simulated
-// references to cfg.Accesses: a side run books its side's, a system or
-// whole-trace run books all of them. A panicking run re-panics as
-// *fanout.ConsumerPanic.
-func (cfg Config) feed(runs []*run, deliver func(context.Context, []fanout.Consumer) error) {
-	ctx := cfg.Context()
-	if ctx.Err() != nil {
-		return
+		p.instrs = counts.Instructions()
 	}
-	consumers := make([]fanout.Consumer, len(runs))
-	for i, r := range runs {
-		consumers[i] = r
-	}
-	// The only error a non-nil source and runs can cause is ctx's, which
-	// RunAll reports itself.
-	_ = deliver(ctx, consumers)
-	for _, r := range runs {
+	for _, r := range p.runs {
 		cfg.Accesses.Add(r.n)
 	}
 }
 
-// feedLevel feeds side s to a cache level.
-func feedLevel(s side, fe *core.Level) *run {
-	return &run{side: s, step: func(a memtrace.Access) {
-		fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+// group feeds side s to levels that are all on one write-through cache
+// through one core.Group, a chunk at a time: the cache is probed and
+// filled once per reference for every level, and its Stats are what a
+// plain cache fed the side would hold. cl, when non-nil, classifies
+// each reference as the cache resolves it. The run books once per level.
+func group(s side, cl *classify.Classifier, levels ...*core.Level) *run {
+	gs, err := core.Groups(levels...)
+	if err == nil && len(gs) != 1 {
+		err = fmt.Errorf("experiments: %d levels on %d caches, want one", len(levels), len(gs))
+	}
+	if err != nil {
+		panic(err)
+	}
+	var observe func(int, bool)
+	var chunk []memtrace.Access
+	if cl != nil {
+		observe = func(i int, hit bool) { cl.ObserveMiss(uint64(chunk[i].Addr), !hit) }
+	}
+	return &run{side: s, weight: uint64(len(levels)), feed: func(c []memtrace.Access) {
+		chunk = c
+		gs[0].AccessChunk(c, observe)
 	}}
 }
 
 // feedL1 feeds side s to a plain cache and, when cl is non-nil, to its
 // 3C classifier.
 func feedL1(s side, l1 *cache.Cache, cl *classify.Classifier) *run {
-	if cl == nil {
-		return &run{side: s, step: func(a memtrace.Access) {
-			l1.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		}}
-	}
-	return &run{side: s, step: func(a memtrace.Access) {
+	return feedFunc(s, func(a memtrace.Access) {
 		hit, _ := l1.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		cl.ObserveMiss(uint64(a.Addr), !hit)
+		if cl != nil {
+			cl.ObserveMiss(uint64(a.Addr), !hit)
+		}
+	})
+}
+
+// feedFunc feeds side s to fn, one reference at a time: the run for a
+// structure that is neither a core.Level nor a hierarchy.System.
+func feedFunc(s side, fn func(memtrace.Access)) *run {
+	return &run{side: s, weight: 1, feed: func(chunk []memtrace.Access) {
+		for _, a := range chunk {
+			fn(a)
+		}
 	}}
 }
 
-// feedPrefetch feeds side s to a classic prefetcher.
-func feedPrefetch(s side, fe *prefetch.FrontEnd) *run {
-	return &run{side: s, step: func(a memtrace.Access) {
-		fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-	}}
-}
-
-// feedFunc feeds the whole trace to fn.
-func feedFunc(fn func(memtrace.Access)) *run { return &run{side: allRefs, step: fn} }
-
-// feedSystems builds one two-level system per configuration and a run
-// that feeds each the whole trace.
-func feedSystems(cfgs ...hierarchy.Config) ([]*hierarchy.System, []*run) {
+// newSystems builds one two-level system per configuration.
+func newSystems(cfgs ...hierarchy.Config) []*hierarchy.System {
 	systems := make([]*hierarchy.System, len(cfgs))
-	runs := make([]*run, len(cfgs))
 	for i, c := range cfgs {
 		systems[i] = hierarchy.MustNew(c)
-		runs[i] = feedFunc(systems[i].Access)
 	}
-	return systems, runs
+	return systems
+}
+
+// clustered hands systems to hierarchy.Clusters and returns one run per
+// cluster, each fed the whole trace; plan releases the clusters. The
+// runs book each reference once per system: Clusters does not say which
+// systems a cluster holds, but every cluster takes every reference, so
+// the first run books for the systems beyond one per cluster.
+func clustered(systems ...*hierarchy.System) []*run {
+	clusters, release := hierarchy.Clusters(systems...)
+	runs := make([]*run, len(clusters))
+	for i, c := range clusters {
+		runs[i] = &run{side: allRefs, weight: 1, feed: c.Consume}
+	}
+	runs[0].weight += uint64(len(systems) - len(clusters))
+	runs[0].release = release
+	return runs
 }
 
 // benchResults replays every benchmark once, in one plan, through one
@@ -236,9 +266,8 @@ func feedSystems(cfgs ...hierarchy.Config) ([]*hierarchy.System, []*run) {
 func (cfg Config) benchResults(cfgs ...hierarchy.Config) [][]hierarchy.Results {
 	systems := make([][]*hierarchy.System, len(benchNames()))
 	passes := eachBench(func(b int) []*run {
-		var runs []*run
-		systems[b], runs = feedSystems(cfgs...)
-		return runs
+		systems[b] = newSystems(cfgs...)
+		return clustered(systems[b]...)
 	})
 	cfg.plan(passes...)
 	out := make([][]hierarchy.Results, len(systems))
@@ -251,10 +280,10 @@ func (cfg Config) benchResults(cfgs ...hierarchy.Config) [][]hierarchy.Results {
 	return out
 }
 
-// level builds a direct-mapped size/lineSize L1 with the structures aux
-// declares, at the paper's baseline timing.
-func level(size, lineSize int, aux core.Aux) *core.Level {
-	l, err := core.NewLevel(cache.MustNew(l1Config(size, lineSize)), aux, nil, core.DefaultTiming())
+// level puts the structures aux declares on l1, at the paper's baseline
+// timing.
+func level(l1 *cache.Cache, aux core.Aux) *core.Level {
+	l, err := core.NewLevel(l1, aux, nil, core.DefaultTiming())
 	if err != nil {
 		panic(err)
 	}

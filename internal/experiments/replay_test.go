@@ -15,65 +15,112 @@ import (
 )
 
 // TestReplayGroupMatchesSequentialHelpers pins the replay primitive's
-// bit-identity claim: one pass of N runs must leave every structure
-// exactly as N one-run passes do, whatever kind of structure it is.
+// bit-identity claim: one pass that groups levels on one cache, clusters
+// systems and runs per-reference steps must leave every structure
+// exactly as replaying each alone, on its own cache, in its own pass
+// does, whatever kind of structure it is.
 func TestReplayGroupMatchesSequentialHelpers(t *testing.T) {
 	cfg := smallCfg()
 	tr := cfg.Traces.Get("ccom")
+	shapes := []core.Aux{
+		{},
+		{MissCache: 2},
+		{Victim: 4},
+		{Stream: core.StreamConfig{Ways: 1, Depth: 4, RunLimit: 2}},
+		{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}},
+	}
+	sysCfgs := []hierarchy.Config{{}, improvedConfig()}
 
-	// structures builds one of each kind of run and returns a snapshot
-	// of their final state.
+	// structures declares one of each kind of structure, grouped into
+	// one pass or each alone in its own, and returns a snapshot of
+	// their final state.
 	type snapshot struct {
 		l1      cache.Stats
 		classes classify.Counts
-		level   core.Stats
+		levels  [5]core.Stats
 		pf      prefetch.Stats
-		sys     hierarchy.Results
+		sys     [2]hierarchy.Results
 		stores  int
 	}
-	structures := func() ([]*run, func() snapshot) {
+	structures := func(grouped bool) ([]*pass, func() snapshot) {
 		l1, cl := cache.MustNew(l1Config(4096, 16)), classify.MustNew(4096, 16)
-		fe := level(4096, 16, core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}})
+		fes := make([]*core.Level, len(shapes))
+		for i, aux := range shapes {
+			on := l1
+			if !grouped {
+				on = cache.MustNew(l1Config(4096, 16))
+			}
+			fes[i] = level(on, aux)
+		}
 		pf := prefetch.New(cache.MustNew(l1Config(4096, 16)), prefetch.Tagged, prefetch.Timing{}, nil)
-		systems, sysRuns := feedSystems(improvedConfig())
+		systems := newSystems(sysCfgs...)
 		stores := 0
-		runs := []*run{feedL1(dSide, l1, cl), feedLevel(dSide, fe), feedPrefetch(iSide, pf), sysRuns[0],
-			feedFunc(func(a memtrace.Access) {
+		steps := []*run{
+			feedFunc(iSide, func(a memtrace.Access) { pf.Access(uint64(a.Addr), a.Kind == memtrace.Store) }),
+			feedFunc(allRefs, func(a memtrace.Access) {
 				if a.Kind == memtrace.Store {
 					stores++
 				}
-			})}
-		return runs, func() snapshot {
-			return snapshot{l1.Stats(), cl.Counts(), fe.Stats(), pf.Stats(),
-				systems[0].Results(tr.Instructions()), stores}
+			}),
+		}
+		var passes []*pass
+		if grouped {
+			runs := append([]*run{group(dSide, cl, fes...)}, steps...)
+			passes = append(passes, &pass{bench: "ccom", runs: append(runs, clustered(systems...)...)})
+		} else {
+			alone := []*run{feedL1(dSide, l1, cl)}
+			for _, fe := range fes {
+				alone = append(alone, feedFunc(dSide, func(a memtrace.Access) {
+					fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
+				}))
+			}
+			for _, sys := range systems {
+				alone = append(alone, feedFunc(allRefs, sys.Access))
+			}
+			for _, r := range append(alone, steps...) {
+				passes = append(passes, &pass{bench: "ccom", runs: []*run{r}})
+			}
+		}
+		return passes, func() snapshot {
+			st := snapshot{l1: l1.Stats(), classes: cl.Counts(), pf: pf.Stats(), stores: stores}
+			for i, fe := range fes {
+				st.levels[i] = fe.Stats()
+			}
+			for i, sys := range systems {
+				st.sys[i] = sys.Results(tr.Instructions())
+			}
+			return st
 		}
 	}
 
-	grouped, groupedState := structures()
-	var groupedCount telemetry.Counter
-	gcfg := cfg
-	gcfg.Accesses = &groupedCount
-	gcfg.replay(tr.Source(), grouped...)
+	replay := func(grouped bool) (snapshot, []*pass, uint64) {
+		var booked telemetry.Counter
+		c := cfg
+		c.Accesses = &booked
+		passes, state := structures(grouped)
+		c.plan(passes...)
+		return state(), passes, booked.Value()
+	}
+	got, groupedPasses, groupedCount := replay(true)
+	want, single, singleCount := replay(false)
 
-	single, singleState := structures()
-	var singleCount telemetry.Counter
-	scfg := cfg
-	scfg.Accesses = &singleCount
-	for _, r := range single {
-		scfg.replay(tr.Source(), r)
+	// The group, the two steps and one cluster of both systems.
+	if n := len(groupedPasses[0].runs); n != 4 {
+		t.Fatalf("the grouped pass has %d runs, want 4: the systems did not share a cluster", n)
 	}
-
-	if got, want := groupedState(), singleState(); got != want {
-		t.Errorf("one pass of %d runs differs from %d one-run passes:\n got %+v\nwant %+v",
-			len(grouped), len(single), got, want)
+	if got != want {
+		t.Errorf("one grouped pass differs from %d one-structure passes:\n got %+v\nwant %+v",
+			len(single), got, want)
 	}
-	if groupedCount.Value() != singleCount.Value() {
-		t.Errorf("one pass booked %d accesses, one-run passes %d",
-			groupedCount.Value(), singleCount.Value())
+	// Booked once per level, for the prefetcher's I side, once per
+	// system and for the store step; alone, the plain cache and its
+	// classifier book the D side once more.
+	refs := uint64(tr.Len())
+	if want := uint64(len(shapes))*tr.DataRefs() + tr.Instructions() + 3*refs; groupedCount != want {
+		t.Errorf("the grouped pass booked %d accesses, want %d", groupedCount, want)
 	}
-	// Two D-side runs, one I-side run and two whole-trace runs.
-	if want := 2*tr.DataRefs() + tr.Instructions() + 2*uint64(tr.Len()); groupedCount.Value() != want {
-		t.Errorf("booked %d accesses, want %d", groupedCount.Value(), want)
+	if want := groupedCount + tr.DataRefs(); singleCount != want {
+		t.Errorf("the one-structure passes booked %d accesses, want %d", singleCount, want)
 	}
 }
 
@@ -83,8 +130,8 @@ func TestReplayGroupMatchesSequentialHelpers(t *testing.T) {
 func TestRunAllRelaysConsumerPanic(t *testing.T) {
 	exp := Experiment{ID: "boom", Title: "panicking replay run", Run: func(cfg Config) *Result {
 		cfg.plan(&pass{bench: "ccom", runs: []*run{
-			feedFunc(func(memtrace.Access) {}),
-			feedFunc(func(memtrace.Access) { panic("injected consumer failure") })}})
+			feedFunc(allRefs, func(memtrace.Access) {}),
+			feedFunc(allRefs, func(memtrace.Access) { panic("injected consumer failure") })}})
 		return &Result{ID: "boom"}
 	}}
 	out, err := RunAll(context.Background(), smallCfg(), RunOptions{Experiments: []Experiment{exp}})
@@ -104,9 +151,9 @@ func TestRunAllRelaysConsumerPanic(t *testing.T) {
 }
 
 // TestReplayBooksEverySimulatedReference pins the progress counter's
-// rule: a side run books the references of its side and a system or
-// whole-trace run books all of them, so an exhibit's count follows from
-// the runs it makes. Every exhibit that replays a trace must book.
+// rule: a run books the references of its side (or all of them) once
+// per structure it feeds, a level of a group or a system of a cluster,
+// so an exhibit's count follows from the structures it replays. Every exhibit that replays a trace must book.
 func TestReplayBooksEverySimulatedReference(t *testing.T) {
 	cfg := Config{Scale: goldenScale, Traces: goldenTraces}
 	var refs, dataRefs uint64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/textplot"
@@ -29,16 +30,16 @@ func ablationWriteBuffer(cfg Config) *Result {
 	sweeps := make([]sweep, len(names))
 	cfg.plan(eachBench(func(b int) []*run {
 		sw := &sweeps[b]
-		sw.base = level(4096, 16, core.Aux{})
-		runs := []*run{feedLevel(dSide, sw.base)}
+		sw.base = level(cache.MustNew(l1Config(4096, 16)), core.Aux{})
+		runs := []*run{group(dSide, nil, sw.base)}
 		for ii, interval := range intervals {
 			for di, depth := range depths {
-				fe := core.NewWithWriteBuffer(level(4096, 16, core.Aux{}),
+				fe := core.NewWithWriteBuffer(level(cache.MustNew(l1Config(4096, 16)), core.Aux{}),
 					core.NewWriteBuffer(depth, interval))
 				sw.fes[ii][di] = fe
-				runs = append(runs, &run{side: dSide, step: func(a memtrace.Access) {
+				runs = append(runs, feedFunc(dSide, func(a memtrace.Access) {
 					fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-				}})
+				}))
 			}
 		}
 		return runs

@@ -293,6 +293,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 				sweepEach()
 			}
 		},
+		BenchmarkUploadSubmit,
 	}
 	mins := make([]testing.BenchmarkResult, len(arms))
 	for round := 0; round < benchRuns; round++ {
@@ -304,7 +305,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		}
 	}
 	off, on, introOn, fileOff, fileOn, grouped, single := mins[0], mins[1], mins[2], mins[3], mins[4], mins[5], mins[6]
-	sweepG, sweepE := mins[7], mins[8]
+	sweepG, sweepE, upload := mins[7], mins[8], mins[9]
 
 	type entry struct {
 		NsPerOp     int64   `json:"ns_per_op"`
@@ -328,12 +329,17 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		return e
 	}
 	mk := func(r testing.BenchmarkResult) entry { return mkOf(r, tr.Len()) }
+	// The file arm's ratio to the in-memory replay prices the din
+	// decode. It is taken paired, like the overheads: two minima of five
+	// move apart with the host's speed, and their ratio read 1.32-1.61
+	// over four runs of one build.
 	type fileReplay struct {
 		Format    string  `json:"format"`
 		Records   int     `json:"records"`
 		Off       entry   `json:"telemetry_off"`
 		On        entry   `json:"telemetry_on"`
 		OverheadP float64 `json:"overhead_percent"`
+		Ratio     float64 `json:"ratio_to_in_memory"`
 	}
 	// The grouped arm's ratio to the one-system arm is taken paired at
 	// GOMAXPROCS 1, where both run inline: it counts the L1 probes the
@@ -364,6 +370,13 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		OnePerConfig entry   `json:"one_per_config"`
 		Ratio1CPU    float64 `json:"ratio_1cpu"`
 	}
+	// The upload arm is BenchmarkUploadSubmit: one cachesimd upload
+	// admission, whose B/op and allocs/op are gated (its ns/op is too
+	// noisy to gate alone). Its MAcc/s counts the upload's records.
+	type uploadSubmit struct {
+		Workload string `json:"workload"`
+		Submit   entry  `json:"submit"`
+	}
 	report := struct {
 		Benchmark  string        `json:"benchmark"`
 		Host       benchHost     `json:"host"`
@@ -380,6 +393,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		File       fileReplay    `json:"file_replay"`
 		Grouped    groupedReplay `json:"grouped_replay"`
 		Sweep      sweepReplay   `json:"sweep_replay"`
+		Upload     uploadSubmit  `json:"upload_submit"`
 	}{
 		Benchmark: "TelemetryReplay",
 		Host:      currentHost(),
@@ -409,6 +423,10 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 			Grouped:      mkOf(sweepG, len(data)),
 			OnePerConfig: mkOf(sweepE, len(data)),
 		},
+		Upload: uploadSubmit{
+			Workload: "cachesimd POST /jobs: a 100000-record din upload, five configurations",
+			Submit:   mkOf(upload, 100_000),
+		},
 	}
 	report.OverheadP = pairedOverheadPercent(500,
 		func() { replayImproved(t, tr, nil) },
@@ -419,6 +437,9 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	report.File.OverheadP = pairedOverheadPercent(250,
 		func() { replayFile(nil) },
 		func() { replayFile(fileReg) })
+	report.File.Ratio = 1 + pairedOverheadPercent(250,
+		func() { replayImproved(t, tr, nil) },
+		func() { replayFile(nil) })/100
 	// Trace attachment is priced on the whole fan-out replay path — the
 	// exact code a traced cachesimd job runs — against the detached nil
 	// fast path. Spans exist only at replay/consumer granularity, so this
@@ -467,14 +488,16 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s: off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%; "+
 		"introspect on %d ns/op (%d allocs), overhead %.1f%%; trace overhead %.1f%%; "+
-		"file replay off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%; "+
+		"file replay off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%, %.2fx in-memory; "+
 		"grouped replay %d ns/op (%d B/op), %.2fx one system at GOMAXPROCS 1; "+
-		"sweep grouped %d ns/op, %.2fx one cache per configuration at GOMAXPROCS 1",
+		"sweep grouped %d ns/op, %.2fx one cache per configuration at GOMAXPROCS 1; "+
+		"upload submit %d B/op, %d allocs/op",
 		out, report.Off.NsPerOp, report.Off.AllocsPerOp,
 		report.On.NsPerOp, report.On.AllocsPerOp, report.OverheadP,
 		report.Intro.NsPerOp, report.Intro.AllocsPerOp, report.IntroOverP, report.TraceOverP,
 		report.File.Off.NsPerOp, report.File.Off.AllocsPerOp,
-		report.File.On.NsPerOp, report.File.On.AllocsPerOp, report.File.OverheadP,
+		report.File.On.NsPerOp, report.File.On.AllocsPerOp, report.File.OverheadP, report.File.Ratio,
 		report.Grouped.Grouped.NsPerOp, report.Grouped.Grouped.BytesPerOp, report.Grouped.Ratio1CPU,
-		report.Sweep.Grouped.NsPerOp, report.Sweep.Ratio1CPU)
+		report.Sweep.Grouped.NsPerOp, report.Sweep.Ratio1CPU,
+		report.Upload.Submit.BytesPerOp, report.Upload.Submit.AllocsPerOp)
 }
