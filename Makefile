@@ -122,7 +122,7 @@ trace-e2e:
 # bench runs the micro-benchmarks briefly — enough to catch a throughput
 # cliff, not a full measurement run.
 bench:
-	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit|Decode|CacheProbe' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit|Decode|CacheProbe|ClusterConsume' -benchtime 1x -benchmem
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
 # telemetry off vs on, the grouped four-system replay against one

@@ -27,6 +27,7 @@ import (
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/experiments"
+	"jouppi/internal/hierarchy"
 	"jouppi/internal/jobqueue"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
@@ -306,6 +307,57 @@ func BenchmarkCacheProbe(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkClusterConsume is the cluster rung: a svc-mixed job's four
+// systems (svcMixedSpecs), which share one L1 pair, fed every reference
+// of ccom a chunk at a time, as the engine hands a consumer its chunks at
+// GOMAXPROCS 1. The probe arm runs only the two-cache loop
+// (cache.AccessSides) over fresh paper L1s; the consume arm runs the
+// whole hierarchy.Cluster.Consume: that loop, then each system resolving
+// the chunk's misses through its helper structures and L2. ns/access is
+// per trace reference, the four systems together.
+func BenchmarkClusterConsume(b *testing.B) {
+	var trace []memtrace.Access
+	workload.GenerateTrace(workload.MustByName("ccom"), benchScale).Each(func(a memtrace.Access) {
+		trace = append(trace, a)
+	})
+	cfgs := svcMixedConfigs(b)
+	chunks := func(consume func([]memtrace.Access)) {
+		for lo := 0; lo < len(trace); lo += benchChunk {
+			consume(trace[lo:min(lo+benchChunk, len(trace))])
+		}
+	}
+	b.Run("probe", func(b *testing.B) {
+		paper := hierarchy.DefaultConfig()
+		var misses []cache.SideMiss
+		for i := 0; i < b.N; i++ {
+			l1i, l1d := cache.MustNew(paper.L1I), cache.MustNew(paper.L1D)
+			chunks(func(c []memtrace.Access) { misses, _ = cache.AccessSides(l1i, l1d, c, misses[:0]) })
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/access")
+	})
+	b.Run("consume", func(b *testing.B) {
+		systems := make([]*hierarchy.System, len(cfgs))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j, c := range cfgs {
+				hc, err := c.Config.Hierarchy()
+				if err != nil {
+					b.Fatal(err)
+				}
+				systems[j] = hierarchy.MustNew(hc)
+			}
+			clusters, release := hierarchy.Clusters(systems...)
+			if len(clusters) != 1 {
+				b.Fatalf("%d clusters, want 1", len(clusters))
+			}
+			b.StartTimer()
+			chunks(clusters[0].Consume)
+			release()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/access")
+	})
 }
 
 // BenchmarkUploadSubmit times one POST /jobs admission of a 100k-record

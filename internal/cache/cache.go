@@ -610,6 +610,109 @@ next:
 	return n
 }
 
+// SideMiss is one reference of a run that missed in AccessSides. It is
+// no larger than a Miss: 32 bytes.
+type SideMiss struct {
+	Addr   uint64 // the reference's byte address
+	Victim Victim // the line its fill displaced
+	Index  uint32 // the reference's index among its side's references of the run
+	Side   uint8  // 0 for an ifetch, 1 for a load or store
+}
+
+// AccessSides is AccessChunk over a split first level: each ifetch of
+// run goes to i, each load and store to d, a store being a write, and
+// any other kind to neither. It appends each miss of either cache to
+// misses in run order and returns the extended slice, which the caller
+// owns and may reuse, and the number of references each cache took.
+// Only misses take room in the slice. Both caches end as Access calls
+// leave them. Two direct-mapped LRU caches without per-set counters
+// take the run in one loop, Probe and Fill fused and their counters in
+// locals; other caches call Access for each reference. run must hold
+// fewer than 2^32 references.
+func AccessSides(i, d *Cache, run []memtrace.Access, misses []SideMiss) ([]SideMiss, [2]int) {
+	if uint64(len(run)) > 1<<32-1 {
+		panic(fmt.Sprintf("cache: AccessSides run of %d references", len(run)))
+	}
+	if i.fusable() && i.assoc == 1 && d.fusable() && d.assoc == 1 {
+		return accessSidesDirect(i, d, run, misses)
+	}
+	caches := [2]*Cache{i, d}
+	var n [2]int
+	for _, a := range run {
+		var side uint8
+		switch a.Kind {
+		case memtrace.Ifetch:
+		case memtrace.Load, memtrace.Store:
+			side = 1
+		default:
+			continue
+		}
+		if hit, v := caches[side].Access(uint64(a.Addr), a.Kind == memtrace.Store); !hit {
+			misses = append(misses, SideMiss{Addr: uint64(a.Addr), Victim: v, Index: uint32(n[side]), Side: side})
+		}
+		n[side]++
+	}
+	return misses, n
+}
+
+// fusable reports whether a fused loop may take c's references: it is
+// LRU and carries no per-set counters.
+func (c *Cache) fusable() bool { return c.cfg.Replacement == LRU && c.heatAcc == nil }
+
+// accessSidesDirect is AccessSides on two direct-mapped LRU caches
+// without per-set counters: accessDirect's step, on i for an ifetch and
+// on d for a load or store, in one loop.
+func accessSidesDirect(i, d *Cache, run []memtrace.Access, misses []SideMiss) ([]SideMiss, [2]int) {
+	iways, imask, ishift := i.ways, i.setMask, i.lineShift
+	dways, dmask, dshift := d.ways, d.setMask, d.lineShift
+	dwb := d.cfg.WritePolicy == WriteBack
+	itick, dtick := i.tick, d.tick
+	var it, dt tally
+	var ni, nd, imiss, dmiss int
+	for _, a := range run {
+		switch a.Kind {
+		case memtrace.Ifetch:
+			la := uint64(a.Addr) >> ishift
+			w := &iways[la&imask]
+			itick++
+			ni++
+			if w.valid && w.tag == la {
+				w.used = itick
+				continue
+			}
+			v := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
+			it.evict(v)
+			*w = way{tag: la, used: itick, valid: true}
+			misses = append(misses, SideMiss{Addr: uint64(a.Addr), Victim: v, Index: uint32(ni - 1)})
+			imiss++
+		case memtrace.Load, memtrace.Store:
+			la := uint64(a.Addr) >> dshift
+			w := &dways[la&dmask]
+			store := a.Kind == memtrace.Store
+			dt.writes += b2u(store)
+			dtick++
+			nd++
+			if w.valid && w.tag == la {
+				w.used = dtick
+				if dwb && store {
+					w.dirty = true
+				}
+				continue
+			}
+			v := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
+			dt.evict(v)
+			*w = way{tag: la, used: dtick, valid: true, dirty: dwb && store}
+			misses = append(misses, SideMiss{Addr: uint64(a.Addr), Victim: v, Index: uint32(nd - 1), Side: 1})
+			dmiss++
+		}
+	}
+	i.tick, d.tick = itick, dtick
+	it.hits, dt.hits = uint64(ni-imiss), uint64(nd-dmiss)
+	i.add(it, ni, imiss)
+	d.add(dt, nd, dmiss)
+	return misses, [2]int{ni, nd}
+}
+
 // tally holds the counts a fused loop keeps in locals.
 type tally struct{ hits, writes, evictions, writebacks uint64 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -510,6 +511,76 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 // on a twin, through AccessChunk in runs of random length (0 included),
 // for every policy and each of AccessChunk's loops, with and without
 // per-set counters: each miss, and the two caches' whole state after
+// TestAccessSidesMatchesAccess replays one stream of all three kinds
+// and of kinds that are none of them through Access on an I and a D
+// cache and, on twins, through AccessSides in runs of random length (0
+// included): ifetches to the first cache, loads and stores to the
+// second, other kinds to neither. Each pairing covers the fused
+// direct-mapped loop or the per-reference one. Every miss, with its
+// side and side index, each cache's reference count and both caches'
+// whole state after each run must agree; a SideMiss is no larger than a
+// Miss.
+func TestAccessSidesMatchesAccess(t *testing.T) {
+	if got, want := reflect.TypeFor[SideMiss]().Size(), reflect.TypeFor[Miss]().Size(); got > want {
+		t.Errorf("SideMiss is %d bytes, Miss %d", got, want)
+	}
+	rng := rand.New(rand.NewSource(7))
+	dm := Config{Size: 1024, LineSize: 16, Assoc: 1}
+	for _, pair := range [][2]Config{
+		{dm, dm},
+		{dm, {Size: 2048, LineSize: 32, Assoc: 1, WritePolicy: WriteBack}},
+		{dm, {Size: 1024, LineSize: 16, Assoc: 2}},
+		{{Size: 1024, LineSize: 16, Assoc: 1, Replacement: FIFO}, dm},
+		{dm, {Size: 1024, LineSize: 16, Assoc: 4, Replacement: Random, RandomSeed: 3}},
+		{{Size: 64, LineSize: 16, Assoc: FullyAssociative}, {Size: 16, LineSize: 16, Assoc: 1}},
+	} {
+		for _, heat := range []bool{false, true} {
+			var each, sides [2]*Cache
+			for k, cfg := range pair {
+				each[k], sides[k] = MustNew(cfg), MustNew(cfg)
+			}
+			if heat { // on the D side: the caches then take the per-reference loop
+				sets := pair[1].Sets()
+				each[1].InstrumentSets(make([]uint64, sets), make([]uint64, sets), make([]uint64, sets))
+				sides[1].InstrumentSets(make([]uint64, sets), make([]uint64, sets), make([]uint64, sets))
+			}
+			var misses []SideMiss
+			for run := 0; run < 200; run++ {
+				chunk := make([]memtrace.Access, rng.Intn(300))
+				for i := range chunk {
+					chunk[i] = memtrace.Access{Addr: memtrace.Addr(rng.Intn(8192)), Kind: memtrace.Kind(rng.Intn(4))}
+				}
+				var want []SideMiss
+				var wantN [2]int
+				for _, a := range chunk {
+					if a.Kind > memtrace.Store {
+						continue
+					}
+					side := uint8(0)
+					if a.Kind.IsData() {
+						side = 1
+					}
+					if hit, v := each[side].Access(uint64(a.Addr), a.Kind == memtrace.Store); !hit {
+						want = append(want, SideMiss{Addr: uint64(a.Addr), Victim: v, Index: uint32(wantN[side]), Side: side})
+					}
+					wantN[side]++
+				}
+				var n [2]int
+				misses, n = AccessSides(sides[0], sides[1], chunk, misses[:0])
+				if !slices.Equal(misses, want) || n != wantN {
+					t.Fatalf("%+v heat %v run %d: AccessSides misses or counts %v differ from Access's (%v)", pair, heat, run, n, wantN)
+				}
+				for k := range 2 {
+					if !sides[k].SameState(each[k]) {
+						t.Fatalf("%+v heat %v run %d cache %d: state differs:\nsides %+v\neach  %+v",
+							pair, heat, run, k, sides[k].Stats(), each[k].Stats())
+					}
+				}
+			}
+		}
+	}
+}
+
 // each run, must agree.
 func TestAccessChunkMatchesAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -17,15 +17,16 @@ import (
 // helper structures. A grouped level's Stats, Flush, tap and counters
 // work as before, but it takes its accesses only through its group.
 //
-// The group takes references one at a time (Access) or a chunk at a
-// time (AccessChunk). A chunk runs in two passes: the shared cache
-// probes and fills the whole chunk in one loop, then each level in turn
-// resolves the chunk's misses. Each level sees what Access would show
-// it, fetches included, in the same order; but the levels' fetches are
-// not interleaved, since a level's come after those of the level before
-// it for the whole chunk. Levels whose fetches reach one shared next
-// level (a hierarchy.Cluster's I and D sides, feeding one L2) must
-// therefore take Access.
+// The group takes its references a chunk at a time (AccessChunk), in
+// two passes: the shared cache probes and fills the whole chunk in one
+// loop, then each level in turn resolves the chunk's misses. Each level
+// sees what Level.Access would show it, fetches included, in the same
+// order; but the levels' fetches are not interleaved, since a level's
+// come after those of the level before it for the whole chunk. Levels
+// whose fetches reach one shared next level, such as a system's I and D
+// sides feeding one L2, take their chunks through a Split instead,
+// which resolves miss by miss and so keeps every fetch in reference
+// order.
 type Group struct {
 	l1       *cache.Cache
 	accesses uint64 // completed; a level's miss sees the count before its access
@@ -98,22 +99,6 @@ func (g *Group) Release() {
 	}
 }
 
-// Access performs one reference for every level of the group and
-// reports whether it hit the shared cache.
-func (g *Group) Access(addr uint64, write bool) bool {
-	if g.l1.Probe(addr, write) {
-		g.accesses++
-		return true
-	}
-	victim := g.l1.Fill(addr, false)
-	for _, l := range g.levels {
-		l.sync()
-		l.miss(addr, victim)
-	}
-	g.accesses++
-	return false
-}
-
 // AccessChunk performs every reference of chunk, a store being a write,
 // for every level of the group in the two passes the Group comment
 // describes: cache.Cache.AccessChunk, then each level's misses. It
@@ -161,4 +146,67 @@ func (g *Group) Flush() {
 	for _, l := range g.levels {
 		l.Flush()
 	}
+}
+
+// Split is two groups that take one access stream together, split by
+// kind as a system's first level is: ifetches go to the I group's cache,
+// loads and stores to the D group's, and other kinds to neither. Levels
+// of the two groups may fetch from one shared next level, as a system's
+// I and D sides feed one L2.
+//
+// A Split takes a chunk in two passes. One loop probes and fills both
+// caches (cache.AccessSides) and lists the misses of both in reference
+// order, each with its side and its index among that side's references.
+// Then each miss in turn goes to every level of its side, each once its
+// count is synced to the miss's side index, as Group.AccessChunk syncs a
+// level to a miss's index. So every level sees what Level.Access would
+// show it, and the fetches of all levels, I and D sides together, come in
+// the order per-reference access makes them: a next level that levels
+// share sees the same stream, and each level's Stats, clock and
+// stream-buffer timing are as Access leaves them.
+type Split struct {
+	i, d   *Group
+	misses []cache.SideMiss // AccessChunk's, reused from chunk to chunk
+}
+
+// SplitOn returns a Split that probes and fills ic for the I-side
+// levels is and dc for the D-side levels ds, each side joined as GroupOn
+// joins it: each level's own cache must hold what its side's cache
+// holds. A write-back cache or another configuration is an error.
+func SplitOn(ic, dc *cache.Cache, is, ds []*Level) (*Split, error) {
+	i, err := GroupOn(ic, is...)
+	if err != nil {
+		return nil, err
+	}
+	d, err := GroupOn(dc, ds...)
+	if err != nil {
+		return nil, err
+	}
+	return &Split{i: i, d: d}, nil
+}
+
+// AccessChunk performs every reference of chunk, a store being a write,
+// for every level in the two passes the Split comment describes.
+func (s *Split) AccessChunk(chunk []memtrace.Access) {
+	var n [2]int
+	s.misses, n = cache.AccessSides(s.i.l1, s.d.l1, chunk, s.misses[:0])
+	groups := [2]*Group{s.i, s.d}
+	start := [2]uint64{s.i.accesses, s.d.accesses}
+	for _, m := range s.misses {
+		side := m.Side & 1
+		g := groups[side]
+		g.accesses = start[side] + uint64(m.Index)
+		for _, l := range g.levels {
+			l.sync()
+			l.miss(m.Addr, m.Victim)
+		}
+	}
+	s.i.accesses = start[0] + uint64(n[0])
+	s.d.accesses = start[1] + uint64(n[1])
+}
+
+// Release ends both groups (see Group.Release).
+func (s *Split) Release() {
+	s.i.Release()
+	s.d.Release()
 }

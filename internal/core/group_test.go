@@ -84,8 +84,7 @@ func chunkLen(b byte) int {
 // one write-through cache in a core.Group and through the same levels
 // each built on its own cache and driven by Level.Access. The group
 // takes the trace in chunks of fuzzed lengths (0, 1 and 4096 among
-// them), each through AccessChunk or, when the chunk byte's top bit is
-// set, one Access per reference, and flushes after each chunk. Every
+// them), each through AccessChunk, and flushes after each chunk. Every
 // grouped level must match its own-cache twin on its Stats, field by
 // field, at every flush; on the sequence of its Fetcher calls; and on
 // its tap's Miss calls. The shared cache must end in its twins' state
@@ -144,8 +143,7 @@ func FuzzGroupVsLevels(f *testing.F) {
 		// misses[i] counts the misses before reference i.
 		misses := make([]int, len(refs)+1)
 		for done, k := 0, 0; done < len(refs); k++ {
-			sel := chunks[k%len(chunks)]
-			end := min(done+chunkLen(sel&0x7f), len(refs))
+			end := min(done+chunkLen(chunks[k%len(chunks)]), len(refs))
 			chunk := refs[done:end]
 			for i := done; i < end; i++ {
 				for j, a := range alone {
@@ -160,40 +158,31 @@ func FuzzGroupVsLevels(f *testing.F) {
 					}
 				}
 			}
-			switch {
-			case sel&0x80 != 0:
-				for i := done; i < end; i++ {
-					if hit := g.Access(addrs[i], writes[i]); hit != hits[i] {
-						t.Fatalf("access %d (%#x): group hit %v, own cache %v", i, addrs[i], hit, hits[i])
+			var observe func(int, bool)
+			seen := done
+			if observing {
+				observe = func(i int, hit bool) {
+					if done+i != seen || hit != hits[seen] {
+						t.Fatalf("observe(%d, %v) at access %d: want (%d, %v)", i, hit, done+i, seen-done, hits[seen])
 					}
-				}
-			default:
-				var observe func(int, bool)
-				seen := done
-				if observing {
-					observe = func(i int, hit bool) {
-						if done+i != seen || hit != hits[seen] {
-							t.Fatalf("observe(%d, %v) at access %d: want (%d, %v)", i, hit, done+i, seen-done, hits[seen])
-						}
-						// The first level has resolved this reference
-						// and no later one: its tap saw every miss.
-						if got, want := len(grouped[0].tap.misses), misses[seen+1]; got != want {
-							t.Fatalf("observe at access %d: first level resolved %d misses, want %d", seen, got, want)
-						}
-						seen++
+					// The first level has resolved this reference
+					// and no later one: its tap saw every miss.
+					if got, want := len(grouped[0].tap.misses), misses[seen+1]; got != want {
+						t.Fatalf("observe at access %d: first level resolved %d misses, want %d", seen, got, want)
 					}
+					seen++
 				}
-				ms := g.AccessChunk(chunk, observe)
-				if observing && seen != end {
-					t.Fatalf("chunk [%d, %d): observed up to %d", done, end, seen)
-				}
-				if len(ms) != misses[end]-misses[done] {
-					t.Fatalf("chunk [%d, %d): %d misses, own cache %d", done, end, len(ms), misses[end]-misses[done])
-				}
-				for _, m := range ms {
-					if hits[done+m.Index] || m.Addr != addrs[done+m.Index] {
-						t.Fatalf("chunk [%d, %d): miss %+v is no own-cache miss", done, end, m)
-					}
+			}
+			ms := g.AccessChunk(chunk, observe)
+			if observing && seen != end {
+				t.Fatalf("chunk [%d, %d): observed up to %d", done, end, seen)
+			}
+			if len(ms) != misses[end]-misses[done] {
+				t.Fatalf("chunk [%d, %d): %d misses, own cache %d", done, end, len(ms), misses[end]-misses[done])
+			}
+			for _, m := range ms {
+				if hits[done+m.Index] || m.Addr != addrs[done+m.Index] {
+					t.Fatalf("chunk [%d, %d): miss %+v is no own-cache miss", done, end, m)
 				}
 			}
 			done = end
@@ -232,5 +221,24 @@ func TestGroupsRejectWriteBack(t *testing.T) {
 	fe := core.NewVictimCache(l1, 4, nil, core.DefaultTiming())
 	if _, err := core.Groups(fe); err == nil {
 		t.Fatal("Groups accepted a level on a write-back cache")
+	}
+}
+
+// TestSplitOnRejects pins SplitOn's checks: caches a group may share.
+func TestSplitOnRejects(t *testing.T) {
+	cfg := cache.Config{Name: "L1", Size: 1024, LineSize: 16, Assoc: 1}
+	ic, dc := cache.MustNew(cfg), cache.MustNew(cfg)
+	i, d := core.NewBaseline(ic, nil, core.DefaultTiming()), core.NewBaseline(dc, nil, core.DefaultTiming())
+	if _, err := core.SplitOn(ic, cache.MustNew(cache.Config{Name: "L1", Size: 2048, LineSize: 16, Assoc: 1}), []*core.Level{i}, []*core.Level{d}); err == nil {
+		t.Error("SplitOn accepted a D level of another configuration")
+	}
+	wb := cfg
+	wb.WritePolicy = cache.WriteBack
+	wbc := cache.MustNew(wb)
+	if _, err := core.SplitOn(ic, wbc, []*core.Level{i}, []*core.Level{core.NewBaseline(wbc, nil, core.DefaultTiming())}); err == nil {
+		t.Error("SplitOn accepted a write-back D cache")
+	}
+	if _, err := core.SplitOn(ic, dc, []*core.Level{i}, []*core.Level{d}); err != nil {
+		t.Errorf("SplitOn: %v", err)
 	}
 }

@@ -187,8 +187,8 @@ func (l *Level) Access(addr uint64, write bool) Result {
 // miss resolves an L1 miss to addr once the cache has taken the line,
 // displacing victim: the helper structures serve it in the paper's
 // order, then victim moves into the victim cache or, without one, is
-// written back if dirty. Level.Access and a Group's Access and
-// AccessChunk call it, the group once it has synced the level.
+// written back if dirty. Level.Access and the AccessChunk of a Group or
+// a Split call it, the group once it has synced the level.
 func (l *Level) miss(addr uint64, victim cache.Victim) Result {
 	l.stats.Accesses++
 	l.stats.L1Misses++

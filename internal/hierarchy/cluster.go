@@ -7,14 +7,17 @@ import (
 )
 
 // Cluster is one consumer of a multi-system replay: the systems whose
-// first-level caches hold the same state replay each chunk together,
-// probing and filling one L1I and one L1D per access through a
-// core.Group per side. Each system keeps its own helper structures, L2,
-// memory counters and taps. A cluster of one replays its system as
-// System.Access does.
+// first-level caches hold the same state replay each chunk together
+// through one core.Split on the first system's L1I and L1D. One loop
+// probes and fills both caches for the whole chunk, then the chunk's
+// misses go in reference order, each to every system in turn, so each
+// system's L2 sees its fetches as System.Access would make them. Each
+// system keeps its own helper structures, L2, memory counters and taps.
+// A system that cannot share its caches (see Clusters) replays alone,
+// one System.Access per reference.
 type Cluster struct {
 	systems []*System
-	i, d    *core.Group // nil for a cluster of one
+	split   *core.Split // nil for a system that replays alone
 }
 
 // Clusters groups systems for one replay by their (L1I, L1D) pair and
@@ -24,7 +27,8 @@ type Cluster struct {
 // system's (cache.Cache.SameState) and carry no counters or set heatmap
 // (cache.Cache.Instrumented; System.AttachTelemetry attaches counters),
 // and when it is passed only once. The cluster probes its first
-// system's caches.
+// system's caches; a system that could share but finds no other takes
+// the same path alone, on its own caches.
 //
 // Call release once the replay has ended, also when it was cancelled or
 // panicked, and before any system is used again: it copies those
@@ -85,35 +89,27 @@ func joinable(groupable []*Cluster, s *System) *Cluster {
 	return nil
 }
 
-// group puts a cluster of two or more systems on its first system's
-// caches.
+// group puts a cluster on its first system's caches.
 func (c *Cluster) group() {
-	if len(c.systems) < 2 {
-		return
-	}
 	ifes := make([]*core.Level, len(c.systems))
 	dfes := make([]*core.Level, len(c.systems))
 	for j, s := range c.systems {
 		ifes[j], dfes[j] = s.ife, s.dfe
 	}
-	var err error
 	lead := c.systems[0]
-	if c.i, err = core.GroupOn(lead.ife.Cache(), ifes...); err == nil {
-		c.d, err = core.GroupOn(lead.dfe.Cache(), dfes...)
-	}
-	if err != nil {
+	var err error
+	if c.split, err = core.SplitOn(lead.ife.Cache(), lead.dfe.Cache(), ifes, dfes); err != nil {
 		panic(err) // unreachable: shareable and SameState checked both sides
 	}
 }
 
 // release ends the grouping (see Clusters).
 func (c *Cluster) release() {
-	if c.i == nil {
+	if c.split == nil {
 		return
 	}
-	c.i.Release()
-	c.d.Release()
-	c.i, c.d = nil, nil
+	c.split.Release()
+	c.split = nil
 	lead := c.systems[0]
 	for _, s := range c.systems[1:] {
 		s.ife.Cache().CopyState(lead.ife.Cache())
@@ -124,21 +120,12 @@ func (c *Cluster) release() {
 // Consume implements fanout.Consumer: it replays every access of the
 // chunk, in order, into each system of the cluster.
 func (c *Cluster) Consume(chunk []memtrace.Access) {
-	if c.i == nil {
-		s := c.systems[0]
-		for _, a := range chunk {
-			s.Access(a)
-		}
+	if c.split != nil {
+		c.split.AccessChunk(chunk)
 		return
 	}
+	s := c.systems[0]
 	for _, a := range chunk {
-		switch a.Kind {
-		case memtrace.Ifetch:
-			c.i.Access(uint64(a.Addr), false)
-		case memtrace.Load:
-			c.d.Access(uint64(a.Addr), false)
-		case memtrace.Store:
-			c.d.Access(uint64(a.Addr), true)
-		}
+		s.Access(a)
 	}
 }

@@ -71,16 +71,53 @@ func clusterConfigs(geoms byte, spec []byte) []Config {
 
 // clusterTrace turns fuzz bytes into references, three bytes each: the
 // kind, then a word address under 16 KB, four times the largest L1, so
-// every geometry conflicts.
+// every geometry conflicts. A kind byte of 0xf8 or more makes a kind
+// that is no ifetch, load or store (3–10), which every path must skip:
+// one reference in 32 of a random mix.
 func clusterTrace(data []byte) []memtrace.Access {
 	var out []memtrace.Access
 	for ; len(data) >= 3; data = data[3:] {
+		kind := memtrace.Kind(data[0] % 3)
+		if data[0] >= 0xf8 {
+			kind = memtrace.Kind(data[0] - 0xf8 + 3)
+		}
 		out = append(out, memtrace.Access{
-			Kind: memtrace.Kind(data[0] % 3),
+			Kind: kind,
 			Addr: memtrace.Addr((uint64(data[1])<<8 | uint64(data[2])) % 16384 &^ 3),
 		})
 	}
 	return out
+}
+
+// clusterChunkLen turns a fuzz byte into a chunk length: 0, 1, 4096, or
+// 2–111, odd lengths among them.
+func clusterChunkLen(b byte) int {
+	switch b % 8 {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 7:
+		return 4096
+	}
+	return int(b%8) + 7*int(b>>3&15)
+}
+
+// l2Fetch is one first-level fetch as the L2 receives it.
+type l2Fetch struct {
+	side     byte // 'I' or 'D'
+	line     uint64
+	prefetch bool
+}
+
+// recordFetches returns a system built from cfg whose first-level
+// fetches are appended to *log in the order the L2 receives them.
+func recordFetches(cfg Config, log *[]l2Fetch) *System {
+	s := MustNew(cfg)
+	s.fetchHook = func(side byte, line uint64, prefetch bool) {
+		*log = append(*log, l2Fetch{side, line, prefetch})
+	}
+	return s
 }
 
 // diffFields names the fields in which two values of one struct type
@@ -115,23 +152,28 @@ func clusterSeed(seed int64, n int) []byte {
 }
 
 // FuzzGroupedSystemsVsSystems replays a trace through systems on two or
-// three L1 geometries, clustered by Clusters and fed in chunks, and
-// through the same systems each replayed alone by System.Access. After
+// three L1 geometries, clustered by Clusters and fed in chunks of fuzzed
+// lengths (0, 1, odd lengths and 4096 among them), and through the same
+// systems each replayed alone by System.Access. The trace holds
+// references of no first-level kind, which both must skip. After
 // release every clustered system must match its twin on its Results,
-// field by field, and its own L1I and L1D must hold the twin's lines,
-// replacement state and Stats. The clusters must cover the systems once
-// each, with one per distinct shareable L1 pair.
+// field by field, and on the sequence of first-level fetches its L2
+// received (line, demand or prefetch, side), and its own L1I and L1D
+// must hold the twin's lines, replacement state and Stats. The clusters
+// must cover the systems once each, with one per distinct shareable L1
+// pair.
 func FuzzGroupedSystemsVsSystems(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
-		f.Add(byte(seed*37), byte(seed*11), clusterSeed(seed+50, 6*7), clusterSeed(seed, 2000))
+		f.Add(byte(seed*37), []byte{byte(seed*11 + 2), 1, 0, 0x1f, 7}, clusterSeed(seed+50, 6*7), clusterSeed(seed, 2000))
 	}
-	f.Fuzz(func(t *testing.T, geoms, chunkSel byte, spec, data []byte) {
+	f.Fuzz(func(t *testing.T, geoms byte, chunks, spec, data []byte) {
 		cfgs := clusterConfigs(geoms, spec)
 		trace := clusterTrace(data)
-		chunk := 1 + int(chunkSel)*8
+		chunks = append(slices.Clip(chunks), 7) // a 4096 chunk each round, so the replay ends
 		grouped := make([]*System, len(cfgs))
+		fetched := make([][]l2Fetch, len(cfgs))
 		for i, c := range cfgs {
-			grouped[i] = MustNew(c)
+			grouped[i] = recordFetches(c, &fetched[i])
 		}
 		clusters, release := Clusters(grouped...)
 		var members int
@@ -150,10 +192,12 @@ func FuzzGroupedSystemsVsSystems(f *testing.F) {
 		if members != len(cfgs) {
 			t.Fatalf("clusters hold %d systems, want %d", members, len(cfgs))
 		}
-		for lo := 0; lo < len(trace); lo += chunk {
+		for lo, k := 0, 0; lo < len(trace); k++ {
+			hi := min(lo+clusterChunkLen(chunks[k%len(chunks)]), len(trace))
 			for _, c := range clusters {
-				c.Consume(trace[lo:min(lo+chunk, len(trace))])
+				c.Consume(trace[lo:hi])
 			}
+			lo = hi
 		}
 		release()
 
@@ -164,13 +208,22 @@ func FuzzGroupedSystemsVsSystems(f *testing.F) {
 			}
 		}
 		for i, c := range cfgs {
-			alone := MustNew(c)
+			var want []l2Fetch
+			alone := recordFetches(c, &want)
 			for _, a := range trace {
 				alone.Access(a)
 			}
-			got, want := grouped[i].Results(instrs), alone.Results(instrs)
-			if d := diffFields("Results", reflect.ValueOf(got), reflect.ValueOf(want)); d != nil {
+			got, wantRes := grouped[i].Results(instrs), alone.Results(instrs)
+			if d := diffFields("Results", reflect.ValueOf(got), reflect.ValueOf(wantRes)); d != nil {
 				t.Fatalf("system %d (%+v): grouped results differ: %v", i, c, d)
+			}
+			if !slices.Equal(fetched[i], want) {
+				j := 0
+				for j < min(len(fetched[i]), len(want)) && fetched[i][j] == want[j] {
+					j++
+				}
+				t.Fatalf("system %d (%+v): L2 received %d fetches, alone %d; first difference at fetch %d",
+					i, c, len(fetched[i]), len(want), j)
 			}
 			for _, side := range []struct {
 				name      string
@@ -194,7 +247,9 @@ func FuzzGroupedSystemsVsSystems(f *testing.F) {
 // TestClustersShareByL1Pair pins the clustering rules: fresh systems of
 // one L1 pair form one cluster whatever their helper structures; another
 // L1 geometry, a write-back L1, attached counters and a system given
-// twice each replay alone.
+// twice each replay alone. Every cluster of systems that may share, a
+// lone one on its own geometry included, takes its chunks through a
+// core.Split; the others replay through System.Access.
 func TestClustersShareByL1Pair(t *testing.T) {
 	big := Config{L1D: cache.Config{Name: "L1D", Size: 8192, LineSize: 16, Assoc: 1}}
 	wb := Config{L1D: cache.Config{Name: "L1D", Size: 4096, LineSize: 16, Assoc: 1, WritePolicy: cache.WriteBack}}
@@ -204,15 +259,21 @@ func TestClustersShareByL1Pair(t *testing.T) {
 	counted := MustNew(Config{})
 	counted.AttachTelemetry(telemetry.NewRegistry())
 	twice := MustNew(Config{})
+	lone := MustNew(Config{L1I: cache.Config{Name: "L1I", Size: 2048, LineSize: 16, Assoc: 1}})
 
-	clusters, release := Clusters(base, big1, victim, wb1, big2, instrumented, counted, twice, twice)
+	clusters, release := Clusters(base, big1, victim, wb1, big2, instrumented, counted, twice, twice, lone)
 	defer release()
 	var sizes []int
+	var split []bool
 	for _, c := range clusters {
 		sizes = append(sizes, len(c.systems))
+		split = append(split, c.split != nil)
 	}
-	if want := []int{2, 2, 1, 1, 1, 1, 1}; !slices.Equal(sizes, want) {
+	if want := []int{2, 2, 1, 1, 1, 1, 1, 1}; !slices.Equal(sizes, want) {
 		t.Fatalf("cluster sizes %v, want %v", sizes, want)
+	}
+	if want := []bool{true, true, false, false, false, false, false, true}; !slices.Equal(split, want) {
+		t.Errorf("clusters through a Split %v, want %v", split, want)
 	}
 	if clusters[0].systems[1] != victim || clusters[1].systems[1] != big2 {
 		t.Error("clusters hold the wrong systems")

@@ -116,6 +116,10 @@ type System struct {
 
 	l1iShift uint
 	l1dShift uint
+
+	// fetchHook, when set, sees every first-level fetch before the L2
+	// does, with its side ('I' or 'D'). Tests set it; nothing else does.
+	fetchHook func(side byte, lineAddr uint64, prefetch bool)
 }
 
 // Validate reports what New would reject in cfg — its caches' geometry
@@ -177,11 +181,11 @@ func New(cfg Config) (*System, error) {
 	s.l1iShift = uint(bits.TrailingZeros(uint(cfg.L1I.LineSize)))
 	s.l1dShift = uint(bits.TrailingZeros(uint(cfg.L1D.LineSize)))
 
-	s.ife, err = core.NewLevel(l1i, cfg.IAugment, s.fetcher(&s.l2i, s.l1iShift), cfg.Timing)
+	s.ife, err = core.NewLevel(l1i, cfg.IAugment, s.fetcher('I', &s.l2i, s.l1iShift), cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
-	s.dfe, err = core.NewLevel(l1d, cfg.DAugment, s.fetcher(&s.l2d, s.l1dShift), cfg.Timing)
+	s.dfe, err = core.NewLevel(l1d, cfg.DAugment, s.fetcher('D', &s.l2d, s.l1dShift), cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
@@ -197,10 +201,13 @@ func MustNew(cfg Config) *System {
 	return s
 }
 
-// fetcher routes a first-level fetch into the second level, attributing
-// traffic to stats.
-func (s *System) fetcher(stats *L2Stats, l1Shift uint) core.Fetcher {
+// fetcher routes a first-level fetch from side into the second level,
+// attributing traffic to stats.
+func (s *System) fetcher(side byte, stats *L2Stats, l1Shift uint) core.Fetcher {
 	return func(lineAddr uint64, prefetch bool) {
+		if s.fetchHook != nil {
+			s.fetchHook(side, lineAddr, prefetch)
+		}
 		r := s.l2fe.Access(lineAddr<<l1Shift, false)
 		switch r.Served {
 		case core.ServedVictim:

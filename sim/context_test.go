@@ -10,19 +10,20 @@ import (
 	"jouppi/internal/workload"
 )
 
-// TestRunBenchmarkContextMatchesRunBenchmark pins that the cancellable
-// replay path (chunked through the fan-out engine, chosen because the
-// context can be cancelled) produces results bit-identical to
-// RunBenchmark's direct path. The name is kept from the context-taking
-// RunBenchmark variant that Replay replaced.
+// TestRunBenchmarkContextMatchesRunBenchmark pins that Replay under a
+// cancellable context and RunBenchmark, under one that cannot be
+// cancelled, produce results bit-identical to each other and to
+// per-reference generation into the system. The name is kept from the
+// context-taking RunBenchmark variant that Replay replaced.
 func TestRunBenchmarkContextMatchesRunBenchmark(t *testing.T) {
 	cfg := BaselineSystem()
 	plain, err := RunBenchmark("linpack", 0.05, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// context.Background has a nil Done channel, so force the chunked
-	// path with a cancellable (but never cancelled) context.
+	if want := perReference(t, "linpack", 0.05, false, cfg); bitsOf(plain) != bitsOf(want) {
+		t.Errorf("results differ:\n RunBenchmark:  %+v\n per reference: %+v", plain, want)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src, err := Benchmark("linpack", 0.05)

@@ -95,11 +95,15 @@ func (s *Source) Close() error {
 // once the context is done; the systems then hold a prefix of the trace.
 // Introspection and telemetry are attached to a system before Replay.
 //
-// Systems whose first-level caches are write-through, of one geometry
-// and in one state (fresh systems of one L1I and L1D geometry are) share
-// one fan-out consumer that probes and fills one L1I and one L1D per
-// access for all of them (hierarchy.Clusters). A system with telemetry
-// attached, a set heatmap on an L1, or given twice replays alone. When
+// Every pass goes through the fan-out engine a chunk at a time. Systems
+// whose first-level caches are write-through, of one geometry and in one
+// state (fresh systems of one L1I and L1D geometry are) share one
+// fan-out consumer, which probes and fills one L1I and one L1D for all
+// of them in one loop per chunk, then has each system resolve the
+// chunk's misses in reference order (hierarchy.Clusters); a lone system
+// of that kind takes the same path on its own caches. A system with
+// telemetry attached, a set heatmap on an L1, a write-back L1, or given
+// twice replays alone, one reference at a time. When
 // Replay returns, also early, every system's own caches hold what the
 // shared ones do, so each can be driven, inspected or replayed on its
 // own again.
@@ -107,28 +111,17 @@ func (s *Source) Close() error {
 // The whole pass is one "replay" span: trace production or decode and
 // the broadcast are a single stage of a job's wall-clock, and the record
 // count lands as an attribute at close, with the number of consumers
-// after grouping when the pass goes through the fan-out engine. Span
+// after grouping. Span
 // granularity is per replay, never per access, so tracing stays off the
 // hot path.
 func Replay(ctx context.Context, src *Source, systems ...*System) error {
 	ctx, sp := trace.Start(ctx, "replay",
 		slices.Concat(src.attrs, []trace.Attr{trace.Int("configs", len(systems))})...)
 	defer sp.End()
-	var counts memtrace.Counts
-	if src.bench != nil && len(systems) == 1 && ctx.Done() == nil {
-		// One system under a context that can never be cancelled:
-		// generate straight into the hierarchy, with no chunks.
-		sys := systems[0].sys
-		src.bench.Generate(src.scale, memtrace.SinkFunc(func(a memtrace.Access) {
-			counts.Observe(a)
-			sys.Access(a)
-		}))
-	} else {
-		var err error
-		if counts, err = replayChunks(ctx, sp, src, systems); err != nil {
-			sp.SetAttr("err", err.Error())
-			return err
-		}
+	counts, err := replayChunks(ctx, sp, src, systems)
+	if err != nil {
+		sp.SetAttr("err", err.Error())
+		return err
 	}
 	for _, s := range systems {
 		s.instructions += counts.Instructions()

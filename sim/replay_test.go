@@ -72,13 +72,39 @@ func replayOnce(t *testing.T, ctx context.Context, src *Source, introspect bool,
 	return out
 }
 
+// perReference generates the named workload into one system built from
+// cfg, one Ifetch, Load or Store call per reference, with no Replay: the
+// reference the chunked replay paths are held to.
+func perReference(t *testing.T, name string, scale float64, introspect bool, cfg Config) Results {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if introspect {
+		sys.AttachIntrospection(fullIntrospection)
+	}
+	workload.MustByName(name).Generate(scale, memtrace.SinkFunc(func(a memtrace.Access) {
+		switch a.Kind {
+		case memtrace.Ifetch:
+			sys.Ifetch(uint64(a.Addr))
+		case memtrace.Load:
+			sys.Load(uint64(a.Addr))
+		case memtrace.Store:
+			sys.Store(uint64(a.Addr))
+		}
+	}))
+	return sys.Results()
+}
+
 // TestReplayPathsBitIdentical pins that every way Replay can run
-// produces bit-identical Results for every configuration of a sweep:
-// direct generation (one system, a context that cannot be cancelled),
-// chunked generation (a cancellable context; the subtest keeps its old
-// name, "goroutine-fed"), fan-out (all systems in one pass, detached and
-// under a live trace span), and trace files in both formats — each with
-// and without introspection attached.
+// produces bit-identical Results for every configuration of a sweep,
+// and the same as per-reference generation into each system ("direct",
+// the name kept from the one-system path Replay had): one system under
+// a context that cannot be cancelled and under one that can (the
+// subtest keeps its old name, "goroutine-fed"), fan-out (all systems in
+// one pass, detached and under a live trace span), and trace files in
+// both formats — each with and without introspection attached.
 func TestReplayPathsBitIdentical(t *testing.T) {
 	const name, scale = "ccom", 0.05
 	cfgs := replayConfigs()
@@ -129,7 +155,14 @@ func TestReplayPathsBitIdentical(t *testing.T) {
 		name string
 		run  func(t *testing.T, introspect bool) []Results
 	}{
-		{"direct", perConfig(context.Background)},
+		{"direct", func(t *testing.T, introspect bool) []Results {
+			var out []Results
+			for _, cfg := range cfgs {
+				out = append(out, perReference(t, name, scale, introspect, cfg))
+			}
+			return out
+		}},
+		{"one-system", perConfig(context.Background)},
 		{"goroutine-fed", perConfig(cancellable)},
 		{"fan-out", func(t *testing.T, introspect bool) []Results {
 			return replayOnce(t, context.Background(), src, introspect, cfgs...)
