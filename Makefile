@@ -122,12 +122,13 @@ trace-e2e:
 # bench runs the micro-benchmarks briefly — enough to catch a throughput
 # cliff, not a full measurement run.
 bench:
-	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit|Decode|CacheProbe|ClusterConsume' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench 'Replay|RunBenchmark|TraceGeneration|UploadSubmit|Decode|CacheProbe|ClusterConsume|LevelResolve' -benchtime 1x -benchmem
 
 # bench-json writes the measured benchmark artifacts: the replay loop with
 # telemetry off vs on, the grouped four-system replay against one
-# system, the grouped sweep against one cache per configuration and a
-# cachesimd upload admission (BENCH_telemetry.json), and the decode-once fan-out
+# system, the grouped sweep against one cache per configuration, the
+# 4-way L1 against the direct-mapped one and a cachesimd upload
+# admission (BENCH_telemetry.json), and the decode-once fan-out
 # replay vs per-configuration decoding (BENCH_fanout.json).
 BENCH_JSON_OUT ?= BENCH_telemetry.json
 BENCH_FANOUT_OUT ?= BENCH_fanout.json
@@ -141,7 +142,8 @@ bench-json:
 # in-memory replay (paired), if a svc-mixed job's four-system replay
 # takes more than 2.3x one system's at GOMAXPROCS 1, if cachesim's
 # grouped paper sweep takes more than 0.8x the sweep with a cache per
-# configuration at GOMAXPROCS 1, or if allocs/op on the file-backed
+# configuration at GOMAXPROCS 1, if the 4-way L1's chunk loop takes more
+# than 2.45x the direct-mapped one's (paired), or if allocs/op on the file-backed
 # replay, B/op on the four-system replay, or B/op or allocs/op on the
 # upload admission regresses against the committed BENCH_telemetry.json
 # baseline.

@@ -188,17 +188,18 @@ func BenchmarkFullSystemReplay(b *testing.B) {
 // paper sweep (the cli-sweep workload): miss caches, victim caches and
 // stream buffers on the 4KB direct-mapped cache, and a 4-way cache.
 var sweepShapes = []struct {
+	name  string // the configuration's cachesim -fanout label
 	assoc int
 	aux   core.Aux
 }{
-	{1, core.Aux{}},
-	{1, core.Aux{MissCache: 4}},
-	{1, core.Aux{Victim: 1}},
-	{1, core.Aux{Victim: 4}},
-	{1, core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}}},
-	{1, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}},
-	{1, core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}}},
-	{4, core.Aux{}},
+	{"baseline", 1, core.Aux{}},
+	{"misscache=4", 1, core.Aux{MissCache: 4}},
+	{"victim=1", 1, core.Aux{Victim: 1}},
+	{"victim=4", 1, core.Aux{Victim: 4}},
+	{"ways=1", 1, core.Aux{Stream: core.StreamConfig{Ways: 1, Depth: 4}}},
+	{"ways=4", 1, core.Aux{Stream: core.StreamConfig{Ways: 4, Depth: 4}}},
+	{"victim=4,ways=4", 1, core.Aux{Victim: 4, Stream: core.StreamConfig{Ways: 4, Depth: 4}}},
+	{"assoc=4", 4, core.Aux{}},
 }
 
 // sweepGroups builds the sweep's levels and groups them: with share set,
@@ -277,6 +278,38 @@ func BenchmarkSweepReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkLevelResolve is the level rung: each configuration of the
+// sweep (sweepShapes) as a one-level core.Group on a cache of its own,
+// fed the data references of ccom in the engine's chunks. Each chunk is
+// one Group.AccessChunk: the cache probes and fills it, then the level
+// resolves its misses through its helper structures. ns/miss is the
+// whole call's time per L1 miss, so an arm less the baseline arm is what
+// its helper structures cost per miss.
+func BenchmarkLevelResolve(b *testing.B) {
+	data := ccomData()
+	for _, s := range sweepShapes {
+		b.Run(s.name, func(b *testing.B) {
+			var misses uint64
+			for i := 0; i < b.N; i++ {
+				l1 := cache.MustNew(cache.Config{Name: "L1", Size: 4096, LineSize: 16, Assoc: s.assoc})
+				fe, err := core.NewLevel(l1, s.aux, nil, core.DefaultTiming())
+				if err != nil {
+					b.Fatal(err)
+				}
+				groups, err := core.Groups(fe)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < len(data); lo += benchChunk {
+					groups[0].AccessChunk(data[lo:min(lo+benchChunk, len(data))], nil)
+				}
+				misses += fe.Stats().L1Misses
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(misses), "ns/miss")
+		})
+	}
+}
+
 // BenchmarkCacheProbe is the tag-store rung: the data references of
 // ccom through the sweep's 4KB direct-mapped and 4-way L1s alone, with
 // no level behind them. The per-reference arms call cache.Access (Probe,
@@ -285,28 +318,34 @@ func BenchmarkSweepReplay(b *testing.B) {
 func BenchmarkCacheProbe(b *testing.B) {
 	data := ccomData()
 	for _, assoc := range []int{1, 4} {
-		for _, arm := range []struct {
-			name    string
-			chunked bool
-		}{{"per-reference", false}, {"chunk", true}} {
-			b.Run(fmt.Sprintf("assoc%d/%s", assoc, arm.name), func(b *testing.B) {
-				var misses []cache.Miss
-				for i := 0; i < b.N; i++ {
-					c := cache.MustNew(cache.Config{Name: "L1", Size: 4096, LineSize: 16, Assoc: assoc})
-					if !arm.chunked {
-						for _, a := range data {
-							c.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-						}
-						continue
-					}
-					for lo := 0; lo < len(data); lo += benchChunk {
-						misses = c.AccessChunk(data[lo:min(lo+benchChunk, len(data))], misses[:0])
-					}
+		b.Run(fmt.Sprintf("assoc%d/per-reference", assoc), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := cache.MustNew(cache.Config{Name: "L1", Size: 4096, LineSize: 16, Assoc: assoc})
+				for _, a := range data {
+					c.Access(uint64(a.Addr), a.Kind == memtrace.Store)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/access")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/access")
+		})
+		b.Run(fmt.Sprintf("assoc%d/chunk", assoc), func(b *testing.B) {
+			var misses []cache.Miss
+			for i := 0; i < b.N; i++ {
+				misses = probeChunks(assoc, data, misses)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/access")
+		})
 	}
+}
+
+// probeChunks is BenchmarkCacheProbe's chunk arm: data through a fresh
+// sweep L1 of assoc ways, one cache.AccessChunk per engine chunk into
+// misses, which it returns for the next call to reuse.
+func probeChunks(assoc int, data []memtrace.Access, misses []cache.Miss) []cache.Miss {
+	c := cache.MustNew(cache.Config{Name: "L1", Size: 4096, LineSize: 16, Assoc: assoc})
+	for lo := 0; lo < len(data); lo += benchChunk {
+		misses = c.AccessChunk(data[lo:min(lo+benchChunk, len(data))], misses[:0])
+	}
+	return misses
 }
 
 // BenchmarkClusterConsume is the cluster rung: a svc-mixed job's four

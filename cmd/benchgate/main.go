@@ -32,6 +32,10 @@
 //     more than maxSweepRatio (0.8) times the same replay with a cache per
 //     configuration at GOMAXPROCS 1. A sweep that lost its grouping reads
 //     1.0, or
+//   - the 4-way L1's chunk loop (BenchmarkCacheProbe's assoc4/chunk arm)
+//     takes more than maxSetAssocRatio (2.45) times the direct-mapped
+//     one's over the same references, paired in one binary. A 4-way set
+//     searched way by way with an early exit read 2.48-2.92x, or
 //   - a cachesimd upload admission (BenchmarkUploadSubmit) grows beyond
 //     bytesSlack times the committed baseline's B/op or -alloc-slack
 //     times its allocs/op. Its ns/op is not gated: it is too noisy alone.
@@ -80,6 +84,11 @@ type sweepReplay struct {
 	Ratio1CPU    float64 `json:"ratio_1cpu"`
 }
 
+type setAssocProbe struct {
+	Accesses int     `json:"accesses"`
+	Ratio    float64 `json:"ratio_to_direct_mapped"`
+}
+
 type report struct {
 	Benchmark  string        `json:"benchmark"`
 	Workload   string        `json:"workload"`
@@ -92,6 +101,7 @@ type report struct {
 	File       fileReplay    `json:"file_replay"`
 	Grouped    groupedReplay `json:"grouped_replay"`
 	Sweep      sweepReplay   `json:"sweep_replay"`
+	SetAssoc   setAssocProbe `json:"set_assoc_probe"`
 	Upload     struct {
 		Submit entry `json:"submit"`
 	} `json:"upload_submit"`
@@ -138,6 +148,12 @@ const maxGroupedRatio = 2.3
 // through the chunk path on one 2-CPU host, 1.0 for a sweep that lost
 // its grouping.
 const maxSweepRatio = 0.8
+
+// maxSetAssocRatio bounds the 4-way L1's chunk loop as a multiple of
+// the direct-mapped one's, paired: 2.48-2.92x with each set searched way
+// by way, 2.04-2.33x with the four ways compared at once, over 51 runs
+// of each on one 2-CPU host.
+const maxSetAssocRatio = 2.45
 
 // bytesSlack is the allowed multiple of the baseline's bytes per op on
 // the grouped replay and the upload admission.
@@ -208,6 +224,10 @@ func check(baseline, measured report, b bounds) []string {
 		fail("sweep replay: %.2fx one cache per configuration exceeds budget %.2fx at GOMAXPROCS 1 (%d configurations)",
 			s.Ratio1CPU, maxSweepRatio, s.Configs)
 	}
+	if r := measured.SetAssoc.Ratio; r > maxSetAssocRatio {
+		fail("set-associative probe: the 4-way L1 at %.2fx the direct-mapped one exceeds budget %.2fx (paired, %d accesses)",
+			r, maxSetAssocRatio, measured.SetAssoc.Accesses)
+	}
 	return failures
 }
 
@@ -253,6 +273,7 @@ func main() {
 		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f); "+
 		"grouped replay %.2fx one system (budget %.2fx), %d B/op (baseline %d, slack %.2f); "+
 		"sweep replay %.2fx one cache per configuration (budget %.2fx); "+
+		"4-way probe %.2fx direct-mapped (budget %.2fx); "+
 		"upload submit %d B/op, %d allocs/op (baseline %d/%d)\n",
 		measured.OverheadP, measured.IntroOverP, b.maxIntrospect,
 		measured.TraceOverP, b.maxTrace,
@@ -263,6 +284,7 @@ func main() {
 		measured.Grouped.Ratio1CPU, maxGroupedRatio,
 		measured.Grouped.Grouped.BytesPerOp, baseline.Grouped.Grouped.BytesPerOp, bytesSlack,
 		measured.Sweep.Ratio1CPU, maxSweepRatio,
+		measured.SetAssoc.Ratio, maxSetAssocRatio,
 		measured.Upload.Submit.BytesPerOp, measured.Upload.Submit.AllocsPerOp,
 		baseline.Upload.Submit.BytesPerOp, baseline.Upload.Submit.AllocsPerOp)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -129,6 +130,34 @@ func TestSweepRatioBound(t *testing.T) {
 	}
 	if failures := check(base, after, defaults); len(failures) != 0 {
 		t.Errorf("after, against a baseline without the arm: failures %q, want none", failures)
+	}
+}
+
+// TestSetAssocProbeBound checks the set-associative probe bound on the
+// paired ratios of the 4-way L1's chunk loop to the direct-mapped one's
+// on one 2-CPU host: 2.48-2.92x with each set searched way by way with
+// an early exit, which fails at 2.45x, and 2.04-2.33x with the four ways
+// compared at once, which passes.
+func TestSetAssocProbeBound(t *testing.T) {
+	base := artifact(2452947, 3336328, 33)
+	probe := func(ratio float64) report {
+		a := base
+		a.SetAssoc = setAssocProbe{Accesses: 25244, Ratio: ratio}
+		return a
+	}
+	for _, r := range []float64{2.48, 2.92} {
+		failures := check(probe(2.2), probe(r), defaults)
+		if len(failures) != 1 || !strings.Contains(failures[0], fmt.Sprintf("4-way L1 at %.2fx the direct-mapped one exceeds budget 2.45x", r)) {
+			t.Errorf("way-by-way search at %.2fx: failures %q, want the set-associative bound alone", r, failures)
+		}
+	}
+	for _, r := range []float64{2.04, 2.33} {
+		if failures := check(probe(2.2), probe(r), defaults); len(failures) != 0 {
+			t.Errorf("mask search at %.2fx: failures %q, want none", r, failures)
+		}
+	}
+	if failures := check(base, base, defaults); len(failures) != 0 {
+		t.Errorf("an artifact without the arm: failures %q, want none", failures)
 	}
 }
 

@@ -338,16 +338,65 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 func (c *Cache) LineSize() int { return c.cfg.LineSize }
 
 // find returns the valid way holding lineAddr, or nil when the line is
-// absent, and the index in ways of the first way of its set.
-func (c *Cache) find(lineAddr uint64) (w *way, first int) {
-	first = int(lineAddr&c.setMask) * c.assoc
-	ways := c.ways
-	for i := first; i < first+c.assoc; i++ {
-		if w := &ways[i]; w.tag == lineAddr && w.valid {
-			return w, first
+// absent.
+func (c *Cache) find(lineAddr uint64) *way {
+	first := int(lineAddr&c.setMask) * c.assoc
+	set := c.ways[first : first+c.assoc]
+	if c.quad() {
+		if m := hits4((*[4]way)(set), lineAddr); m != 0 {
+			return &set[bits.TrailingZeros64(m)]
+		}
+		return nil
+	}
+	for i := range set {
+		if w := &set[i]; w.tag == lineAddr && w.valid {
+			return w
 		}
 	}
-	return nil, first
+	return nil
+}
+
+// A set of four ways is searched as the hardware searches it, every way
+// at once: hits4 folds the tag compares, valid bits included, into a
+// mask, and victim4 takes the fill victim as a minimum without a
+// compare-and-jump, so where a line hits or a fill lands costs no
+// mispredicted jump. The lookups of the 4-entry miss and victim caches,
+// which mostly miss, keep the way-by-way loop, which measured faster
+// (DESIGN.md); their Fill takes the mask. Other set sizes keep the loops.
+
+// quad reports whether c's lookups search by hits4: it is
+// set-associative, of four ways.
+func (c *Cache) quad() bool { return c.assoc == 4 && c.setMask != 0 }
+
+// hits4 returns a mask with bit j set when way j of set holds la.
+func hits4(set *[4]way, la uint64) uint64 {
+	return holds(&set[0], la) | holds(&set[1], la)<<1 | holds(&set[2], la)<<2 | holds(&set[3], la)<<3
+}
+
+// holds is 1 when w is valid and holds la, else 0.
+func holds(w *way, la uint64) uint64 { return b2u(w.tag == la) & b2u(w.valid) }
+
+// victim4 returns the way of set a fill takes, the first empty way or
+// else the least recently touched (under FIFO, filled), and whether the
+// set is full.
+func victim4(set *[4]way) (v int, full bool) {
+	k := lesser(lesser(evictKey(set, 0), evictKey(set, 1)), lesser(evictKey(set, 2), evictKey(set, 3)))
+	return int(k & 3), k > 3
+}
+
+// evictKey orders the ways of a set for eviction: way j's age, 0 when
+// it is empty and else one more than its last-touch tick, over j in the
+// low two bits. The least key is the first way of the least age, and it
+// is at most 3 only when the set has an empty way.
+func evictKey(set *[4]way, j int) uint64 {
+	return (set[j].used+1)&-b2u(set[j].valid)<<2 | uint64(j)
+}
+
+// lesser returns the lesser of a and b. It takes the difference's
+// borrow for the compare, where the min builtin may compile to a jump.
+func lesser(a, b uint64) uint64 {
+	d, borrow := bits.Sub64(b, a, 0)
+	return a + d&-borrow
 }
 
 // Probe looks up addr, updating recency and dirty state on a hit. It
@@ -366,23 +415,21 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 	} else {
 		c.stats.Accesses++
 	}
-	// find's loop, inlined with the hit path inside it: the direct-mapped
-	// probe measured slower through find.
+	// find's search, inlined with the hit path inside it: the
+	// direct-mapped probe measured slower through find.
 	ways := c.ways
 	first := int(la&c.setMask) * c.assoc
-	for i := first; i < first+c.assoc; i++ {
-		if w := &ways[i]; w.tag == la && w.valid {
-			if c.cfg.Replacement != FIFO {
-				c.tick++
-				w.used = c.tick
-			}
-			// The policy, a field of c, is tested first: a write-through
-			// hit then never branches on the write flag.
-			if c.cfg.WritePolicy == WriteBack && write {
-				w.dirty = true
-			}
-			c.stats.Hits++
+	if c.quad() {
+		if m := hits4((*[4]way)(ways[first:first+4]), la); m != 0 {
+			c.hit(&ways[first+bits.TrailingZeros64(m)], write)
 			return true
+		}
+	} else {
+		for i := first; i < first+c.assoc; i++ {
+			if w := &ways[i]; w.tag == la && w.valid {
+				c.hit(w, write)
+				return true
+			}
 		}
 	}
 	c.stats.Misses++
@@ -390,6 +437,20 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 		h[la&uint64(len(h)-1)]++
 	}
 	return false
+}
+
+// hit is Probe's update of w, the way that holds the line a probe hit.
+func (c *Cache) hit(w *way, write bool) {
+	if c.cfg.Replacement != FIFO {
+		c.tick++
+		w.used = c.tick
+	}
+	// The policy, a field of c, is tested first: a write-through hit
+	// then never branches on the write flag.
+	if c.cfg.WritePolicy == WriteBack && write {
+		w.dirty = true
+	}
+	c.stats.Hits++
 }
 
 // b2u is 1 for true and 0 for false; the compiler makes it a flag move,
@@ -404,8 +465,7 @@ func b2u(b bool) uint64 {
 // Contains reports whether addr's line is present without updating any
 // replacement or statistics state.
 func (c *Cache) Contains(addr uint64) bool {
-	w, _ := c.find(c.LineAddr(addr))
-	return w != nil
+	return c.find(c.LineAddr(addr)) != nil
 }
 
 // Fill installs addr's line, selecting a victim per the replacement policy
@@ -418,39 +478,54 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	first := int(la&c.setMask) * c.assoc
 	set := c.ways[first : first+c.assoc]
 	c.tick++
-	// One pass over the set looks for the line, the first empty way and
-	// the way with the least 'used' tick: LRU and FIFO both evict that
-	// one, FIFO simply never refreshing it on hits (see Probe).
-	empty, lru := -1, 0
-	for i := range set {
-		w := &set[i]
-		if !w.valid {
-			if empty < 0 {
-				empty = i
+	// Look for the line, the first empty way and the way with the least
+	// 'used' tick: LRU and FIFO both evict that one, FIFO simply never
+	// refreshing it on hits (see Probe).
+	hit, v, full := -1, 0, false
+	if len(set) == 4 {
+		s4 := (*[4]way)(set)
+		if m := hits4(s4, la); m != 0 {
+			hit = bits.TrailingZeros64(m)
+		} else {
+			v, full = victim4(s4)
+		}
+	} else {
+		empty := -1
+		for i := range set {
+			w := &set[i]
+			if !w.valid {
+				if empty < 0 {
+					empty = i
+				}
+				continue
 			}
-			continue
+			if w.tag == la {
+				hit = i
+				break
+			}
+			if w.used < set[v].used {
+				v = i
+			}
 		}
-		if w.tag == la {
-			// Already present (e.g. racing prefetch): refresh.
-			w.used = c.tick
-			w.dirty = w.dirty || dirty
-			return Victim{}
+		if empty >= 0 {
+			v = empty
 		}
-		if w.used < set[lru].used {
-			lru = i
-		}
+		full = empty < 0
+	}
+	if hit >= 0 {
+		// Already present (e.g. racing prefetch): refresh.
+		w := &set[hit]
+		w.used = c.tick
+		w.dirty = w.dirty || dirty
+		return Victim{}
 	}
 	// An empty way is taken without advancing the Random generator.
-	v := empty
-	if v < 0 {
-		v = lru
-		if c.cfg.Replacement == Random {
-			// xorshift64*; cheap deterministic pseudo-randomness.
-			c.rng ^= c.rng << 13
-			c.rng ^= c.rng >> 7
-			c.rng ^= c.rng << 17
-			v = int(c.rng % uint64(len(set)))
-		}
+	if full && c.cfg.Replacement == Random {
+		// xorshift64*; cheap deterministic pseudo-randomness.
+		c.rng ^= c.rng << 13
+		c.rng ^= c.rng >> 7
+		c.rng ^= c.rng << 17
+		v = int(c.rng % uint64(len(set)))
 	}
 	w := &set[v]
 	out := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
@@ -471,7 +546,7 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 // Invalidate removes addr's line if present and reports whether it was
 // present and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	w, _ := c.find(c.LineAddr(addr))
+	w := c.find(c.LineAddr(addr))
 	if w == nil {
 		return false, false
 	}
@@ -504,8 +579,8 @@ type Miss struct {
 // and contents end as those Access calls leave them. An LRU cache
 // without per-set counters (InstrumentSets) takes the run in one loop
 // with Probe and Fill fused and no call per reference, direct-mapped
-// caches in a loop of their own; FIFO, Random and counted caches call
-// Access for each reference.
+// and 4-way caches in loops of their own; FIFO, Random and counted
+// caches call Access for each reference.
 func (c *Cache) AccessChunk(run []memtrace.Access, misses []Miss) []Miss {
 	// Room for every reference to miss, so that the loops store into out
 	// and make no call to grow it.
@@ -522,6 +597,8 @@ func (c *Cache) AccessChunk(run []memtrace.Access, misses []Miss) []Miss {
 		}
 	case c.assoc == 1:
 		n = c.accessDirect(run, out)
+	case c.quad():
+		n = c.accessLRU4(run, out)
 	default:
 		n = c.accessLRU(run, out)
 	}
@@ -606,6 +683,45 @@ next:
 		n++
 	}
 	c.tick = tick
+	c.add(t, len(run), n)
+	return n
+}
+
+// accessLRU4 is accessLRU for a 4-way cache, each set searched as
+// hits4 and victim4 search it.
+func (c *Cache) accessLRU4(run []memtrace.Access, out []Miss) (n int) {
+	ways, mask, shift := c.ways, c.setMask, c.lineShift
+	wb := c.cfg.WritePolicy == WriteBack
+	base := c.tick
+	var t tally
+	for i, a := range run {
+		la := uint64(a.Addr) >> shift
+		first := int(la&mask) * 4
+		set := (*[4]way)(ways[first : first+4])
+		store := a.Kind == memtrace.Store
+		t.writes += b2u(store)
+		tick := base + uint64(i) + 1
+		// hits4 and victim4, written out: calls would cost the loop
+		// its registers.
+		m := holds(&set[0], la) | holds(&set[1], la)<<1 | holds(&set[2], la)<<2 | holds(&set[3], la)<<3
+		if m != 0 {
+			w := &set[bits.TrailingZeros64(m)&3]
+			w.used = tick
+			if wb && store {
+				w.dirty = true
+			}
+			continue
+		}
+		k := lesser(lesser(evictKey(set, 0), evictKey(set, 1)), lesser(evictKey(set, 2), evictKey(set, 3)))
+		w := &set[k&3]
+		v := Victim{LineAddr: w.tag, Valid: w.valid, Dirty: w.dirty}
+		t.evict(v)
+		*w = way{tag: la, used: tick, valid: true, dirty: wb && store}
+		out[n] = Miss{Index: i, Addr: uint64(a.Addr), Victim: v}
+		n++
+	}
+	c.tick = base + uint64(len(run))
+	t.hits = uint64(len(run) - n)
 	c.add(t, len(run), n)
 	return n
 }

@@ -507,10 +507,6 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestAccessChunkMatchesAccess replays one stream through Access and,
-// on a twin, through AccessChunk in runs of random length (0 included),
-// for every policy and each of AccessChunk's loops, with and without
-// per-set counters: each miss, and the two caches' whole state after
 // TestAccessSidesMatchesAccess replays one stream of all three kinds
 // and of kinds that are none of them through Access on an I and a D
 // cache and, on twins, through AccessSides in runs of random length (0
@@ -581,6 +577,10 @@ func TestAccessSidesMatchesAccess(t *testing.T) {
 	}
 }
 
+// TestAccessChunkMatchesAccess replays one stream through Access and,
+// on a twin, through AccessChunk in runs of random length (0 included),
+// for every policy and each of AccessChunk's loops, with and without
+// per-set counters: each miss, and the two caches' whole state after
 // each run, must agree.
 func TestAccessChunkMatchesAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

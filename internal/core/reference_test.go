@@ -76,8 +76,9 @@ func (b *refLRU) push(line uint64) {
 }
 
 // refStream is one sequential stream buffer (§4.1): a FIFO of prefetched
-// line addresses with a comparator on the head entry only, and the next
-// successive line it will prefetch.
+// line addresses with a comparator on the head entry only (on every
+// entry under the quasi-sequential extension), and the next successive
+// line it will prefetch.
 type refStream struct {
 	fifo    []uint64
 	next    uint64
@@ -100,6 +101,7 @@ type refModel struct {
 	mc, vc  *refLRU // at most one is non-nil
 	streams []refStream
 	depth   int
+	quasi   bool // a comparator on every stream-buffer entry
 	now     uint64
 	counts  refCounts
 }
@@ -124,7 +126,7 @@ func (m *refModel) access(line uint64) core.ServedBy {
 	// §3.2: a victim-cache hit swaps the line with the first-level
 	// victim. §5 counts the hits whose line a stream buffer also held.
 	if m.vc != nil && m.vc.remove(line) {
-		if m.streamHead(line) >= 0 {
+		if w, _ := m.streamMatch(line); w >= 0 {
 			m.counts.overlapHits++
 		}
 		m.fillL1(line)
@@ -133,10 +135,12 @@ func (m *refModel) access(line uint64) core.ServedBy {
 	}
 	// §4.1/§4.2: a hit at a stream buffer's head moves the line into the
 	// cache, the buffer shifts up, and one more successive line is
-	// prefetched to fill the freed slot.
-	if w := m.streamHead(line); w >= 0 {
+	// prefetched to fill the freed slot. Under the quasi-sequential
+	// extension a hit past the head also drops the entries ahead of it,
+	// and the buffer refills every freed slot.
+	if w, i := m.streamMatch(line); w >= 0 {
 		s := &m.streams[w]
-		s.fifo = s.fifo[1:]
+		s.fifo = s.fifo[i+1:]
 		s.lastUse = m.now
 		m.prefetchInto(s)
 		m.fillL1(line)
@@ -174,14 +178,20 @@ func (m *refModel) fillL1(line uint64) {
 	}
 }
 
-// streamHead returns the first buffer whose head entry is line, or -1.
-func (m *refModel) streamHead(line uint64) int {
+// streamMatch returns the first buffer with a comparator that matches
+// line, or -1, and the matching entry's place in its FIFO: only the head
+// compares, unless quasi gives every entry a comparator.
+func (m *refModel) streamMatch(line uint64) (w, i int) {
 	for w, s := range m.streams {
-		if len(s.fifo) > 0 && s.fifo[0] == line {
-			return w
+		compared := s.fifo[:min(1, len(s.fifo))]
+		if m.quasi {
+			compared = s.fifo
+		}
+		if i := slices.Index(compared, line); i >= 0 {
+			return w, i
 		}
 	}
-	return -1
+	return -1, 0
 }
 
 func (m *refModel) prefetchInto(s *refStream) {
@@ -198,19 +208,20 @@ type refShape struct {
 	size, line    int
 	entries, ways int
 	depth         int
+	quasi         bool
 }
 
 func (s refShape) String() string {
-	return fmt.Sprintf("kind %d, %dB L1, %dB lines, %d entries, %d ways, depth %d",
-		s.kind, s.size, s.line, s.entries, s.ways, s.depth)
+	return fmt.Sprintf("kind %d, %dB L1, %dB lines, %d entries, %d ways, depth %d, quasi %v",
+		s.kind, s.size, s.line, s.entries, s.ways, s.depth, s.quasi)
 }
 
 // build returns the front end under test and its reference model.
 func (s refShape) build() (*core.Level, *refModel) {
 	l1 := cache.MustNew(cache.Config{Size: s.size, LineSize: s.line, Assoc: 1})
 	timing := core.DefaultTiming()
-	stream := core.StreamConfig{Ways: s.ways, Depth: s.depth}
-	m := &refModel{l1: newRefL1(s.size / s.line), depth: s.depth}
+	stream := core.StreamConfig{Ways: s.ways, Depth: s.depth, Quasi: s.quasi}
+	m := &refModel{l1: newRefL1(s.size / s.line), depth: s.depth, quasi: s.quasi}
 	ways := 0
 	var fe *core.Level
 	switch s.kind {
@@ -385,8 +396,11 @@ func refSeedData(seed uint32, n int) []byte {
 }
 
 // FuzzFrontEndVsReference checks every front-end shape against the
-// reference models over random geometry, helper sizes (0–8 entries,
-// 0–4 ways, depth 1–6) and address streams.
+// reference models over random geometry, helper sizes (0–15 entries,
+// 0–4 ways, depth 1–6) and address streams. kind%5 picks the shape, and
+// bit 0 of kind/5 gives its stream buffers the quasi-sequential
+// extension, which core searches with a scan of every entry and the
+// model with a slice search of its own.
 func FuzzFrontEndVsReference(f *testing.F) {
 	sequential := make([]byte, 300) // op 0: the next line, every access
 	for kind := byte(0); kind < 5; kind++ {
@@ -394,6 +408,7 @@ func FuzzFrontEndVsReference(f *testing.F) {
 			f.Add(kind, byte(seed), byte(seed+2), byte(4+seed), byte(1+seed), byte(3), refSeedData(seed+uint32(kind)*7, 3000))
 		}
 		f.Add(kind, byte(6), byte(2), byte(1), byte(4), byte(0), sequential)
+		f.Add(kind+5, byte(1), byte(1), byte(2), byte(2), byte(3), refSeedData(uint32(kind)*11+5, 3000))
 	}
 	f.Fuzz(func(t *testing.T, kind, sizeSel, lineSel, entries, ways, depth byte, data []byte) {
 		shape := refShape{
@@ -403,6 +418,7 @@ func FuzzFrontEndVsReference(f *testing.F) {
 			entries: int(entries % 16),   // every size the paper sweeps (1–15)
 			ways:    int(ways % 5),
 			depth:   1 + int(depth%6),
+			quasi:   kind/5%2 == 1,
 		}
 		checkAgainstReference(t, shape, data)
 	})

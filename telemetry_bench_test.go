@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"jouppi/internal/cache"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
@@ -370,6 +371,15 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		OnePerConfig entry   `json:"one_per_config"`
 		Ratio1CPU    float64 `json:"ratio_1cpu"`
 	}
+	// The set-associative probe arm is BenchmarkCacheProbe's two chunk
+	// arms: the sweep's 4-way L1 against its direct-mapped one over
+	// ccom's data references, their ratio taken paired in this binary,
+	// so layout noise cancels. It prices the 4-way set search.
+	type setAssocProbe struct {
+		Workload string  `json:"workload"`
+		Accesses int     `json:"accesses"`
+		Ratio    float64 `json:"ratio_to_direct_mapped"`
+	}
 	// The upload arm is BenchmarkUploadSubmit: one cachesimd upload
 	// admission, whose B/op and allocs/op are gated (its ns/op is too
 	// noisy to gate alone). Its MAcc/s counts the upload's records.
@@ -393,6 +403,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		File       fileReplay    `json:"file_replay"`
 		Grouped    groupedReplay `json:"grouped_replay"`
 		Sweep      sweepReplay   `json:"sweep_replay"`
+		SetAssoc   setAssocProbe `json:"set_assoc_probe"`
 		Upload     uploadSubmit  `json:"upload_submit"`
 	}{
 		Benchmark: "TelemetryReplay",
@@ -423,6 +434,10 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 			Grouped:      mkOf(sweepG, len(data)),
 			OnePerConfig: mkOf(sweepE, len(data)),
 		},
+		SetAssoc: setAssocProbe{
+			Workload: "cache.AccessChunk: ccom data references, 4096-reference chunks, 4KB L1 with 16-byte lines, 4-way over direct-mapped",
+			Accesses: len(data),
+		},
 		Upload: uploadSubmit{
 			Workload: "cachesimd POST /jobs: a 100000-record din upload, five configurations",
 			Submit:   mkOf(upload, 100_000),
@@ -437,6 +452,10 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 	report.File.OverheadP = pairedOverheadPercent(250,
 		func() { replayFile(nil) },
 		func() { replayFile(fileReg) })
+	var probeMisses []cache.Miss
+	report.SetAssoc.Ratio = 1 + pairedOverheadPercent(1000,
+		func() { probeMisses = probeChunks(1, data, probeMisses) },
+		func() { probeMisses = probeChunks(4, data, probeMisses) })/100
 	report.File.Ratio = 1 + pairedOverheadPercent(250,
 		func() { replayImproved(t, tr, nil) },
 		func() { replayFile(nil) })/100
@@ -491,13 +510,13 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 		"file replay off %d ns/op (%d allocs), on %d ns/op (%d allocs), overhead %.1f%%, %.2fx in-memory; "+
 		"grouped replay %d ns/op (%d B/op), %.2fx one system at GOMAXPROCS 1; "+
 		"sweep grouped %d ns/op, %.2fx one cache per configuration at GOMAXPROCS 1; "+
-		"upload submit %d B/op, %d allocs/op",
+		"4-way probe %.2fx direct-mapped; upload submit %d B/op, %d allocs/op",
 		out, report.Off.NsPerOp, report.Off.AllocsPerOp,
 		report.On.NsPerOp, report.On.AllocsPerOp, report.OverheadP,
 		report.Intro.NsPerOp, report.Intro.AllocsPerOp, report.IntroOverP, report.TraceOverP,
 		report.File.Off.NsPerOp, report.File.Off.AllocsPerOp,
 		report.File.On.NsPerOp, report.File.On.AllocsPerOp, report.File.OverheadP, report.File.Ratio,
 		report.Grouped.Grouped.NsPerOp, report.Grouped.Grouped.BytesPerOp, report.Grouped.Ratio1CPU,
-		report.Sweep.Grouped.NsPerOp, report.Sweep.Ratio1CPU,
+		report.Sweep.Grouped.NsPerOp, report.Sweep.Ratio1CPU, report.SetAssoc.Ratio,
 		report.Upload.Submit.BytesPerOp, report.Upload.Submit.AllocsPerOp)
 }
