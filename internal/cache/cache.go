@@ -341,15 +341,9 @@ func (c *Cache) LineSize() int { return c.cfg.LineSize }
 // absent.
 func (c *Cache) find(lineAddr uint64) *way {
 	first := int(lineAddr&c.setMask) * c.assoc
-	set := c.ways[first : first+c.assoc]
-	if c.quad() {
-		if m := hits4((*[4]way)(set), lineAddr); m != 0 {
-			return &set[bits.TrailingZeros64(m)]
-		}
-		return nil
-	}
-	for i := range set {
-		if w := &set[i]; w.tag == lineAddr && w.valid {
+	ways := c.ways
+	for i := first; i < first+c.assoc; i++ {
+		if w := &ways[i]; w.tag == lineAddr && w.valid {
 			return w
 		}
 	}
@@ -360,13 +354,11 @@ func (c *Cache) find(lineAddr uint64) *way {
 // at once: hits4 folds the tag compares, valid bits included, into a
 // mask, and victim4 takes the fill victim as a minimum without a
 // compare-and-jump, so where a line hits or a fill lands costs no
-// mispredicted jump. The lookups of the 4-entry miss and victim caches,
-// which mostly miss, keep the way-by-way loop, which measured faster
-// (DESIGN.md); their Fill takes the mask. Other set sizes keep the loops.
-
-// quad reports whether c's lookups search by hits4: it is
-// set-associative, of four ways.
-func (c *Cache) quad() bool { return c.assoc == 4 && c.setMask != 0 }
+// mispredicted jump. AccessChunk's 4-way kernel and Fill use them.
+// Probe and find keep the way-by-way loop: the 4-entry miss and victim
+// caches' lookups mostly miss, and the direct-mapped probe is the
+// hottest path and takes no extra branch (DESIGN.md). Other set sizes
+// keep the loops.
 
 // hits4 returns a mask with bit j set when way j of set holds la.
 func hits4(set *[4]way, la uint64) uint64 {
@@ -415,21 +407,23 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 	} else {
 		c.stats.Accesses++
 	}
-	// find's search, inlined with the hit path inside it: the
-	// direct-mapped probe measured slower through find.
+	// find's loop, inlined with the hit path inside it: the direct-mapped
+	// probe measured slower through find.
 	ways := c.ways
 	first := int(la&c.setMask) * c.assoc
-	if c.quad() {
-		if m := hits4((*[4]way)(ways[first:first+4]), la); m != 0 {
-			c.hit(&ways[first+bits.TrailingZeros64(m)], write)
-			return true
-		}
-	} else {
-		for i := first; i < first+c.assoc; i++ {
-			if w := &ways[i]; w.tag == la && w.valid {
-				c.hit(w, write)
-				return true
+	for i := first; i < first+c.assoc; i++ {
+		if w := &ways[i]; w.tag == la && w.valid {
+			if c.cfg.Replacement != FIFO {
+				c.tick++
+				w.used = c.tick
 			}
+			// The policy, a field of c, is tested first: a write-through
+			// hit then never branches on the write flag.
+			if c.cfg.WritePolicy == WriteBack && write {
+				w.dirty = true
+			}
+			c.stats.Hits++
+			return true
 		}
 	}
 	c.stats.Misses++
@@ -437,20 +431,6 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 		h[la&uint64(len(h)-1)]++
 	}
 	return false
-}
-
-// hit is Probe's update of w, the way that holds the line a probe hit.
-func (c *Cache) hit(w *way, write bool) {
-	if c.cfg.Replacement != FIFO {
-		c.tick++
-		w.used = c.tick
-	}
-	// The policy, a field of c, is tested first: a write-through hit
-	// then never branches on the write flag.
-	if c.cfg.WritePolicy == WriteBack && write {
-		w.dirty = true
-	}
-	c.stats.Hits++
 }
 
 // b2u is 1 for true and 0 for false; the compiler makes it a flag move,
@@ -597,7 +577,7 @@ func (c *Cache) AccessChunk(run []memtrace.Access, misses []Miss) []Miss {
 		}
 	case c.assoc == 1:
 		n = c.accessDirect(run, out)
-	case c.quad():
+	case c.assoc == 4:
 		n = c.accessLRU4(run, out)
 	default:
 		n = c.accessLRU(run, out)
@@ -701,8 +681,9 @@ func (c *Cache) accessLRU4(run []memtrace.Access, out []Miss) (n int) {
 		store := a.Kind == memtrace.Store
 		t.writes += b2u(store)
 		tick := base + uint64(i) + 1
-		// hits4 and victim4, written out: calls would cost the loop
-		// its registers.
+		// hits4 and victim4, written out: neither inlines (cost 138
+		// and 203 against the budget of 80), and the calls made this
+		// loop about 5% slower (DESIGN.md).
 		m := holds(&set[0], la) | holds(&set[1], la)<<1 | holds(&set[2], la)<<2 | holds(&set[3], la)<<3
 		if m != 0 {
 			w := &set[bits.TrailingZeros64(m)&3]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"jouppi/internal/cache"
 	"jouppi/internal/memtrace"
@@ -188,12 +189,10 @@ func SplitOn(ic, dc *cache.Cache, is, ds []*Level) (*Split, error) {
 // AccessChunk performs every reference of chunk, a store being a write,
 // for every level in the two passes the Split comment describes.
 func (s *Split) AccessChunk(chunk []memtrace.Access) {
-	if s.misses == nil {
-		// A quarter of the chunk: the paper's L1 pair misses 2-15% of one
-		// (median of the six workloads; 29% at most), and growing from
-		// empty cost each replay a dozen copies.
-		s.misses = make([]cache.SideMiss, 0, len(chunk)/4)
-	}
+	// Room for a quarter of the chunk: the paper's L1 pair misses 2-15%
+	// of one (median of the six workloads; 29% at most), and growing
+	// from empty cost each replay a dozen copies.
+	s.misses = slices.Grow(s.misses[:0], len(chunk)/4)
 	var n [2]int
 	s.misses, n = cache.AccessSides(s.i.l1, s.d.l1, chunk, s.misses[:0])
 	groups := [2]*Group{s.i, s.d}

@@ -121,51 +121,3 @@ func TestQuickStreamBufferStrideMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: the flat array of head lines that the head-only lookup
-// compares stays in step with the buffers. After every probe and
-// allocate, heads[w] is way w's first entry, or noHead while the way is
-// idle or empty. The lines run near line 0 or near the top of the
-// address space too, where streams stop at the edge or never start.
-func TestQuickStreamHeadsInStep(t *testing.T) {
-	f := func(seed int64, waysSel, depthSel, runSel, placeSel uint8, detect, quasi bool) bool {
-		cfg := StreamConfig{Ways: int(waysSel%6) + 1, Depth: int(depthSel % 6), RunLimit: int(runSel % 4),
-			Quasi: quasi, DetectStride: detect}
-		s := newStreamSet(cfg, nil, fastFill())
-		inStep := func() bool {
-			for w := range s.ways {
-				want := noHead
-				if way := &s.ways[w]; way.active && way.n > 0 {
-					want = way.entries[0].lineAddr
-				}
-				if s.heads[w] != want {
-					return false
-				}
-			}
-			return true
-		}
-		for i, addr := range randomStream(seed, 1500) {
-			line := addr / 16
-			switch placeSel % 3 {
-			case 1: // within a few lines of line 0
-				line %= 8
-			case 2: // within a few lines of the top, noHead itself included
-				line = noHead - line%8
-			}
-			now := uint64(i)
-			if hit, _, _ := s.probe(line, now); !hit {
-				if !inStep() {
-					return false
-				}
-				s.allocate(line, now)
-			}
-			if !inStep() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}

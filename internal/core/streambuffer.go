@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // StreamConfig configures a stream-buffer set.
 type StreamConfig struct {
@@ -89,12 +86,8 @@ func nextLineAddr(cur uint64, stride int64) (next uint64, ok bool) {
 // streamSet is a group of stream buffers sharing the pipelined next-level
 // port. It contains all the buffer mechanics; Level wraps it.
 type streamSet struct {
-	cfg  StreamConfig
-	ways []streamWay
-	// heads[w] is the line at the head of way w, or noHead while it is
-	// idle or empty: the head-only lookup searches this flat array, as
-	// the hardware compares every head at once, not each way's entries.
-	heads    []uint64
+	cfg      StreamConfig
+	ways     []streamWay
 	portFree uint64 // next cycle the pipelined fill port is free
 	fetch    Fetcher
 	timing   Timing
@@ -113,59 +106,11 @@ type streamSet struct {
 func newStreamSet(cfg StreamConfig, fetch Fetcher, timing Timing) *streamSet {
 	s := &streamSet{cfg: cfg, fetch: fetch, timing: timing}
 	s.ways = make([]streamWay, cfg.Ways)
-	s.heads = make([]uint64, cfg.Ways)
 	for i := range s.ways {
 		s.ways[i].entries = make([]streamEntry, cfg.Depth)
 		s.ways[i].stride = 1
-		s.heads[i] = noHead
 	}
 	return s
-}
-
-// noHead is heads' entry for an idle or empty way. It is a line address
-// too, so a lookup of that line scans the ways.
-const noHead = ^uint64(0)
-
-// setHead brings heads[w] in step with way w, as allocate and a hit do.
-func (s *streamSet) setHead(w int) {
-	s.heads[w] = noHead
-	if way := &s.ways[w]; way.active && way.n > 0 {
-		s.heads[w] = way.entries[0].lineAddr
-	}
-}
-
-// headWay returns the first way whose head is lineAddr, or -1.
-func (s *streamSet) headWay(lineAddr uint64) int {
-	for w, h := range s.heads {
-		if h == lineAddr {
-			return w
-		}
-	}
-	return -1
-}
-
-// scan returns the first way, in order, with a comparator that matches
-// lineAddr, and the matching entry, or -1: only the head compares,
-// unless Quasi gives every entry a comparator. probe and contains scan
-// under Quasi and for the line noHead, and compare heads (headWay)
-// otherwise.
-func (s *streamSet) scan(lineAddr uint64) (w, i int) {
-	for w := range s.ways {
-		way := &s.ways[w]
-		if !way.active {
-			continue
-		}
-		depth := way.n
-		if !s.cfg.Quasi {
-			depth = min(1, way.n) // head-only comparator
-		}
-		for i := 0; i < depth; i++ {
-			if way.entries[i].lineAddr == lineAddr {
-				return w, i
-			}
-		}
-	}
-	return -1, 0
 }
 
 // probe looks lineAddr up across the ways. On a hit it consumes the entry,
@@ -173,40 +118,56 @@ func (s *streamSet) scan(lineAddr uint64) (w, i int) {
 // the entry's availability. inFlight reports whether the access had to
 // wait on an outstanding fill.
 func (s *streamSet) probe(lineAddr uint64, now uint64) (hit, inFlight bool, stall int) {
-	var w, i int
-	if s.cfg.Quasi || lineAddr == noHead {
-		w, i = s.scan(lineAddr)
-	} else {
-		w = s.headWay(lineAddr)
+	for w := range s.ways {
+		way := &s.ways[w]
+		if !way.active || way.n == 0 {
+			continue
+		}
+		depth := way.n
+		if !s.cfg.Quasi {
+			depth = 1 // head-only comparator
+		}
+		for i := 0; i < depth; i++ {
+			if way.entries[i].lineAddr != lineAddr {
+				continue
+			}
+			e := way.entries[i]
+			stall = s.timing.AuxPenalty
+			if e.availAt > now {
+				inFlight = true
+				stall += int(e.availAt - now)
+			}
+			// Consume this entry and everything ahead of it (the
+			// quasi-sequential skip); then top the buffer back up.
+			copy(way.entries, way.entries[i+1:way.n])
+			way.n -= i + 1
+			way.lastUse = now
+			s.refill(way, now)
+			return true, inFlight, stall
+		}
 	}
-	if w < 0 {
-		return false, false, 0
-	}
-	way := &s.ways[w]
-	e := way.entries[i]
-	stall = s.timing.AuxPenalty
-	if e.availAt > now {
-		inFlight = true
-		stall += int(e.availAt - now)
-	}
-	// Consume this entry and everything ahead of it (the quasi-sequential
-	// skip); then top the buffer back up.
-	copy(way.entries, way.entries[i+1:way.n])
-	way.n -= i + 1
-	way.lastUse = now
-	s.refill(way, now)
-	s.setHead(w)
-	return true, inFlight, stall
+	return false, false, 0
 }
 
 // contains reports whether any way holds lineAddr (head-only unless Quasi),
 // without consuming anything. Used for the §5 overlap statistic.
 func (s *streamSet) contains(lineAddr uint64) bool {
-	if s.cfg.Quasi || lineAddr == noHead {
-		w, _ := s.scan(lineAddr)
-		return w >= 0
+	for w := range s.ways {
+		way := &s.ways[w]
+		if !way.active {
+			continue
+		}
+		depth := way.n
+		if !s.cfg.Quasi {
+			depth = min(1, way.n)
+		}
+		for i := 0; i < depth; i++ {
+			if way.entries[i].lineAddr == lineAddr {
+				return true
+			}
+		}
 	}
-	return s.headWay(lineAddr) >= 0
+	return false
 }
 
 // allocate flushes the least recently used way and restarts it prefetching
@@ -223,31 +184,28 @@ func (s *streamSet) allocate(missLine uint64, now uint64) {
 		s.noteMiss(missLine)
 	}
 
-	// The least recently used way, the first of the least lastUse,
-	// found with the difference's borrow in place of a jump: which way it
-	// is moves from miss to miss.
-	v, least := 0, s.ways[0].lastUse
+	way := &s.ways[0]
 	for w := 1; w < len(s.ways); w++ {
-		d, borrow := bits.Sub64(s.ways[w].lastUse, least, 0)
-		least += d & -borrow
-		v += (w - v) & -int(borrow)
+		if s.ways[w].lastUse < way.lastUse {
+			way = &s.ways[w]
+		}
 	}
-	way := &s.ways[v]
 	way.n = 0
 	way.stride = stride
 	way.run = 0
 	way.lastUse = now
-	// A first prefetch that would wrap the address space (e.g. a
-	// descending stream that just missed on line 0) leaves the way idle
-	// rather than chase a wrapped address.
 	next, ok := nextLineAddr(missLine, stride)
-	way.active = ok
-	if ok {
-		way.edge = false
-		way.nextLine = next
-		s.refill(way, now)
+	if !ok {
+		// Even the first prefetch would wrap the address space (e.g. a
+		// descending stream that just missed on line 0): leave the way
+		// idle rather than chase a wrapped address.
+		way.active = false
+		return
 	}
-	s.setHead(v)
+	way.active = true
+	way.edge = false
+	way.nextLine = next
+	s.refill(way, now)
 }
 
 // refill issues prefetches until the way is full or its run budget is
